@@ -7,6 +7,7 @@
    Regenerate with [dune exec bench/main.exe -- micro]. *)
 
 open Cdse
+module Json = Cdse_serve.Json
 
 (* ns/op on the seed revision (list-backed Dist, Bignat-only Rat, memo-free
    Measure), same bechamel config as Micro.run. *)
@@ -33,12 +34,12 @@ let macro_baseline =
 
 let depths = [ 3; 4; 5; 6 ]
 
-(* Parallel-scaling cells (schema cdse-bench/3, layered engine; schema
-   cdse-bench/7 adds the same workloads under the barrier-free subtree
-   engine): E7's widest uniform random-walk workloads, the exact cone
-   expanded with 1, 2 and 4 domains. Times are wall-clock — the speedups
-   reflect the recording host's core count, the distributions are
-   bit-identical by contract either way. *)
+(* Parallel-scaling cells (schema cdse-bench/7, [exec_dist_subtree]): E7's
+   widest uniform random-walk workloads, the exact cone expanded with 1,
+   2 and 4 domains — the sequential layer loop at 1, the barrier-free
+   subtree engine above. Times are wall-clock — the speedups reflect the
+   recording host's core count, the distributions are bit-identical by
+   contract either way. *)
 let par_workloads = [ ("walk_b2", 2, 8); ("walk_b3", 3, 6) ]
 let par_domains = [ 1; 2; 4 ]
 
@@ -137,24 +138,6 @@ let measure_macro () =
           depths ))
     workloads
 
-(* Timing-attribution block for one exec_dist_domains cell (schema
-   cdse-bench/6): a separate traced run at the widest recorded domain
-   count, reduced to the three fractions ROADMAP item 1 needs — how much
-   worker time stalls at layer barriers, how much layer time the
-   deterministic merge costs, and how unevenly the chunks load the
-   workers. Like [counters_json], collection is off the timing path. *)
-let trace_json run =
-  let domains = List.fold_left max 1 par_domains in
-  Trace.start ();
-  ignore (Sys.opaque_identity (run ~domains ()));
-  Trace.stop ();
-  let sm = Trace.summary () in
-  Trace.clear ();
-  Printf.sprintf
-    "{\"domains\": %d, \"barrier_wait_frac\": %.4f, \"merge_frac\": %.4f, \
-     \"imbalance_max_over_mean\": %.4f}"
-    domains sm.Trace.sm_barrier_wait_frac sm.Trace.sm_merge_frac sm.Trace.sm_imbalance
-
 let par_system (name, branching, default_depth) =
   let depth = Option.value ~default:default_depth !Workbench.par_depth in
   let rng = Rng.make (branching * 1000) in
@@ -163,26 +146,6 @@ let par_system (name, branching, default_depth) =
       ~branching ()
   in
   (name, depth, auto, Scheduler.uniform auto)
-
-(* One scaling cell: wall-clock per domain count, plus the dispatch
-   overhead of the domains-aware entry point at domains = 1 versus the
-   plain sequential call — both run the sequential engine, so this
-   isolates the cost of the parallel plumbing (expected ≈ 1.0; tracked as
-   a regression guard on the engine dispatch). *)
-let par_cell ~trace workload run_of =
-  let name, depth, auto, sched = par_system workload in
-  let run = run_of auto sched ~depth in
-  let times = List.map (fun domains -> (domains, wall (run ~domains))) par_domains in
-  let t_plain = wall (fun () -> Measure.exec_dist ~memo:true auto sched ~depth) in
-  let overhead_1 = List.assoc 1 times /. Float.max 1e-9 t_plain in
-  (name, depth, times, overhead_1, trace run)
-
-let measure_par () =
-  List.map
-    (fun workload ->
-      par_cell ~trace:trace_json workload (fun auto sched ~depth ~domains () ->
-          Measure.exec_dist ~engine:`Layered ~memo:true ~domains auto sched ~depth))
-    par_workloads
 
 (* Attribution block for one exec_dist_subtree cell (schema cdse-bench/7):
    the steal fraction — donated work units over all claimed work units —
@@ -209,12 +172,20 @@ let subtree_trace_json run =
      \"imbalance_max_over_mean\": %.4f}"
     domains sm.Trace.sm_idle_frac steal_frac sm.Trace.sm_imbalance
 
+(* One scaling cell: wall-clock per domain count, plus the dispatch
+   overhead of the domains-aware entry point at domains = 1 versus the
+   plain sequential call — both run the layer loop, so this isolates the
+   cost of the parallel plumbing (expected ≈ 1.0; tracked as a regression
+   guard on the engine dispatch). *)
 let measure_subtree () =
   List.map
     (fun workload ->
-      par_cell ~trace:subtree_trace_json workload
-        (fun auto sched ~depth ~domains () ->
-          Measure.exec_dist ~engine:`Subtree ~memo:true ~domains auto sched ~depth))
+      let name, depth, auto, sched = par_system workload in
+      let run ~domains () = Measure.exec_dist ~memo:true ~domains auto sched ~depth in
+      let times = List.map (fun domains -> (domains, wall (run ~domains))) par_domains in
+      let t_plain = wall (fun () -> Measure.exec_dist ~memo:true auto sched ~depth) in
+      let overhead_1 = List.assoc 1 times /. Float.max 1e-9 t_plain in
+      (name, depth, times, overhead_1, subtree_trace_json run))
     par_workloads
 
 (* One compression cell: wall-clock per level at [depth], the quotient
@@ -405,17 +376,16 @@ let emit micro_rows =
      sweeps churn up. *)
   let serve = measure_serve () in
   let macro = measure_macro () in
-  let par = measure_par () in
   let subtree = measure_subtree () in
   let compress = measure_compress () in
   let compromise = measure_compromise () in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"schema\": \"cdse-bench/8\",\n";
+  add "  \"schema\": \"cdse-bench/9\",\n";
   add "  \"generated_by\": \"dune exec bench/main.exe -- micro\",\n";
   add
-    "  \"units\": {\"micro\": \"ns/op\", \"exec_dist\": \"ms/op\", \"counters\": \"count per single run\", \"exec_dist_domains\": \"ms/op wall-clock, layered engine\", \"exec_dist_subtree\": \"ms/op wall-clock, barrier-free subtree engine\", \"trace\": \"dimensionless fractions from a traced run\", \"exec_dist_compress\": \"ms/op wall-clock\", \"compromise_sweep\": \"ms wall-clock, exact rational slacks\", \"serve\": \"ms wall-clock round-trip over a Unix socket, in-process daemon\"},\n";
+    "  \"units\": {\"micro\": \"ns/op\", \"exec_dist\": \"ms/op\", \"counters\": \"count per single run\", \"exec_dist_subtree\": \"ms/op wall-clock, barrier-free subtree engine above 1 domain\", \"trace\": \"dimensionless fractions from a traced run\", \"exec_dist_compress\": \"ms/op wall-clock\", \"compromise_sweep\": \"ms wall-clock, exact rational slacks\", \"serve\": \"ms wall-clock round-trip over a Unix socket, in-process daemon\"},\n";
   add "  \"micro\": {\n";
   List.iteri
     (fun i (name, current) ->
@@ -439,26 +409,22 @@ let emit micro_rows =
       add "    }%s\n" (if i < List.length macro - 1 then "," else ""))
     macro;
   add "  },\n";
-  let emit_par_block key cells =
-    add "  \"%s\": {\n" key;
-    List.iteri
-      (fun i (name, depth, times, overhead_1, trace) ->
-        let ms_of d = List.assoc d times in
-        let t1 = ms_of 1 in
-        add
-          "    \"%s\": {\"depth\": %d, \"ms\": {%s}, \"speedup_2\": %.2f, \"speedup_4\": %.2f, \"overhead_1\": %.3f, \"trace\": %s}%s\n"
-          name depth
-          (String.concat ", "
-             (List.map (fun (d, t) -> Printf.sprintf "\"%d\": %.4f" d t) times))
-          (t1 /. Float.max 1e-9 (ms_of 2))
-          (t1 /. Float.max 1e-9 (ms_of 4))
-          overhead_1 trace
-          (if i < List.length cells - 1 then "," else ""))
-      cells;
-    add "  },\n"
-  in
-  emit_par_block "exec_dist_domains" par;
-  emit_par_block "exec_dist_subtree" subtree;
+  add "  \"exec_dist_subtree\": {\n";
+  List.iteri
+    (fun i (name, depth, times, overhead_1, trace) ->
+      let ms_of d = List.assoc d times in
+      let t1 = ms_of 1 in
+      add
+        "    \"%s\": {\"depth\": %d, \"ms\": {%s}, \"speedup_2\": %.2f, \"speedup_4\": %.2f, \"overhead_1\": %.3f, \"trace\": %s}%s\n"
+        name depth
+        (String.concat ", "
+           (List.map (fun (d, t) -> Printf.sprintf "\"%d\": %.4f" d t) times))
+        (t1 /. Float.max 1e-9 (ms_of 2))
+        (t1 /. Float.max 1e-9 (ms_of 4))
+        overhead_1 trace
+        (if i < List.length subtree - 1 then "," else ""))
+    subtree;
+  add "  },\n";
   add "  \"exec_dist_compress\": {\n";
   List.iteri
     (fun i (name, cell) ->
@@ -479,124 +445,15 @@ let emit micro_rows =
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf
-    "Wrote BENCH_cdse.json (%d micro rows, %d exec_dist workloads x depths 3-6, %d layered + %d subtree scaling cells, %d compression cells, %d compromise cells, 1 serve cell)\n%!"
-    (List.length micro_rows) (List.length macro) (List.length par)
-    (List.length subtree) (List.length compress) (List.length compromise)
+    "Wrote BENCH_cdse.json (%d micro rows, %d exec_dist workloads x depths 3-6, %d subtree scaling cells, %d compression cells, %d compromise cells, 1 serve cell)\n%!"
+    (List.length micro_rows) (List.length macro) (List.length subtree)
+    (List.length compress) (List.length compromise)
 
 (* ----------------------------------------------------- stable-key check *)
 
-(* Minimal JSON reader — objects, arrays, strings, numbers, booleans and
-   null — just enough for the CI smoke step to validate BENCH_cdse.json
-   without pulling in a JSON dependency. *)
-type json =
-  | Jobj of (string * json) list
-  | Jarr of json list
-  | Jstr of string
-  | Jnum of float
-  | Jbool of bool
-  | Jnull
-
-exception Bad_json of string
-
-let parse_json s =
-  let n = String.length s in
-  let i = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !i)) in
-  let peek () = if !i >= n then fail "unexpected end of input" else s.[!i] in
-  let skip_ws () =
-    while !i < n && (match s.[!i] with ' ' | '\n' | '\t' | '\r' -> true | _ -> false) do
-      incr i
-    done
-  in
-  let expect c =
-    if peek () <> c then fail (Printf.sprintf "expected %c" c) else incr i
-  in
-  let quoted () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> incr i; Buffer.contents b
-      | '\\' ->
-          incr i;
-          let c = peek () in
-          incr i;
-          Buffer.add_char b (match c with 'n' -> '\n' | 't' -> '\t' | c -> c);
-          go ()
-      | c -> incr i; Buffer.add_char b c; go ()
-    in
-    go ()
-  in
-  let lit w v =
-    let l = String.length w in
-    if !i + l <= n && String.equal (String.sub s !i l) w then begin
-      i := !i + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" w)
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' -> obj ()
-    | '[' -> arr ()
-    | '"' -> Jstr (quoted ())
-    | 't' -> lit "true" (Jbool true)
-    | 'f' -> lit "false" (Jbool false)
-    | 'n' -> lit "null" Jnull
-    | _ ->
-        let start = !i in
-        while
-          !i < n
-          && (match s.[!i] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
-        do
-          incr i
-        done;
-        if !i = start then fail "expected a value"
-        else Jnum (float_of_string (String.sub s start (!i - start)))
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = '}' then begin incr i; Jobj [] end
-    else
-      let rec fields acc =
-        skip_ws ();
-        let k = quoted () in
-        skip_ws ();
-        expect ':';
-        let v = value () in
-        skip_ws ();
-        match peek () with
-        | ',' -> incr i; fields ((k, v) :: acc)
-        | '}' -> incr i; Jobj (List.rev ((k, v) :: acc))
-        | _ -> fail "expected , or }"
-      in
-      fields []
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = ']' then begin incr i; Jarr [] end
-    else
-      let rec elts acc =
-        let v = value () in
-        skip_ws ();
-        match peek () with
-        | ',' -> incr i; elts (v :: acc)
-        | ']' -> incr i; Jarr (List.rev (v :: acc))
-        | _ -> fail "expected , or ]"
-      in
-      elts []
-  in
-  let v = value () in
-  skip_ws ();
-  if !i <> n then fail "trailing content";
-  v
-
-(* Validate that BENCH_cdse.json parses and still carries the stable key
-   set downstream tooling reads: the schema tag, every micro benchmark of
-   the baseline, and every (workload, depth) exec_dist cell. Exits 1 with
-   a diagnostic on any violation (the CI bench-smoke gate). *)
-let check ?(path = "BENCH_cdse.json") () =
+(* Read a file and parse it with the serve wire protocol's JSON reader;
+   [fail] reports an unreadable or unparseable file and exits. *)
+let read_json ~tool path =
   let contents =
     try
       let ic = open_in path in
@@ -604,9 +461,24 @@ let check ?(path = "BENCH_cdse.json") () =
       close_in ic;
       s
     with Sys_error e ->
-      Printf.eprintf "check-json: %s\n" e;
+      Printf.eprintf "%s: %s\n" tool e;
       exit 1
   in
+  match Json.parse contents with
+  | Json.Obj fields -> fields
+  | exception Json.Parse_error e ->
+      Printf.eprintf "%s: %s: does not parse: %s\n" tool path e;
+      exit 1
+  | _ ->
+      Printf.eprintf "%s: %s: top level is not an object\n" tool path;
+      exit 1
+
+(* Validate that BENCH_cdse.json parses and still carries the stable key
+   set downstream tooling reads: the schema tag, every micro benchmark of
+   the baseline, and every (workload, depth) exec_dist cell. Exits 1 with
+   a diagnostic on any violation (the CI bench-smoke gate). *)
+let check ?(path = "BENCH_cdse.json") () =
+  let fields = read_json ~tool:"check-json" path in
   let fail fmt =
     Printf.ksprintf
       (fun m ->
@@ -614,31 +486,25 @@ let check ?(path = "BENCH_cdse.json") () =
         exit 1)
       fmt
   in
-  let fields =
-    match parse_json contents with
-    | Jobj fields -> fields
-    | exception Bad_json e -> fail "does not parse: %s" e
-    | _ -> fail "top level is not an object"
-  in
   (match List.assoc_opt "schema" fields with
-  | Some (Jstr "cdse-bench/8") -> ()
-  | Some (Jstr other) -> fail "schema is %S, expected \"cdse-bench/8\"" other
+  | Some (Json.Str "cdse-bench/9") -> ()
+  | Some (Json.Str other) -> fail "schema is %S, expected \"cdse-bench/9\"" other
   | _ -> fail "missing string key \"schema\"");
   List.iter
     (fun k -> if not (List.mem_assoc k fields) then fail "missing key %S" k)
     [ "generated_by"; "units" ];
   let objf k =
     match List.assoc_opt k fields with
-    | Some (Jobj o) -> o
+    | Some (Json.Obj o) -> o
     | _ -> fail "missing object key %S" k
   in
   let check_entry ctx = function
-    | Jobj e ->
+    | Json.Obj e ->
         List.iter
           (fun k -> if not (List.mem_assoc k e) then fail "%s: missing field %S" ctx k)
           [ "baseline"; "current"; "speedup" ];
         (match List.assoc "current" e with
-        | Jnum _ -> ()
+        | Json.Num _ -> ()
         | _ -> fail "%s: \"current\" is not a number" ctx)
     | _ -> fail "%s: not an object" ctx
   in
@@ -646,7 +512,7 @@ let check ?(path = "BENCH_cdse.json") () =
      truncation deficit — the string must reparse as a rational in [0,1]
      via Rat.of_string. *)
   let check_counters ctx = function
-    | Jobj c ->
+    | Json.Obj c ->
         List.iter
           (fun k ->
             if not (List.mem_assoc k c) then fail "%s: counters missing key %S" ctx k)
@@ -654,7 +520,7 @@ let check ?(path = "BENCH_cdse.json") () =
         List.iter
           (fun (k, v) ->
             match (k, v) with
-            | "truncation_deficit", Jstr s -> (
+            | "truncation_deficit", Json.Str s -> (
                 match Rat.of_string s with
                 | r ->
                     if not (Rat.is_proper_prob r) then
@@ -663,7 +529,7 @@ let check ?(path = "BENCH_cdse.json") () =
                     fail "%s: truncation_deficit %S is not an exact rational" ctx s)
             | "truncation_deficit", _ ->
                 fail "%s: truncation_deficit is not a string" ctx
-            | _, Jnum _ -> ()
+            | _, Json.Num _ -> ()
             | k, _ -> fail "%s: counter %S is not a number" ctx k)
           c
     | _ -> fail "%s: \"counters\" is not an object" ctx
@@ -671,7 +537,7 @@ let check ?(path = "BENCH_cdse.json") () =
   let check_cell ctx e =
     check_entry ctx e;
     match e with
-    | Jobj fields -> (
+    | Json.Obj fields -> (
         match List.assoc_opt "counters" fields with
         | Some c -> check_counters ctx c
         | None -> fail "%s: missing field \"counters\"" ctx)
@@ -688,7 +554,7 @@ let check ?(path = "BENCH_cdse.json") () =
   List.iter
     (fun (name, base) ->
       match List.assoc_opt name macro with
-      | Some (Jobj by_depth) ->
+      | Some (Json.Obj by_depth) ->
           List.iter
             (fun (d, _) ->
               let k = string_of_int d in
@@ -698,63 +564,57 @@ let check ?(path = "BENCH_cdse.json") () =
             base
       | _ -> fail "exec_dist: stable workload %S missing" name)
     macro_baseline;
-  (* Schema 3/7: per-domain wall-clock cells, one block per engine. Each
+  (* Schema 7: per-domain wall-clock cells of the subtree engine. Each
      workload carries its depth, a "ms" object with one number per
      recorded domain count, and the derived 2-/4-domain speedups; the
-     timing-attribution "trace" block carries the engine-specific
-     fractions — barrier-wait and merge for the layered engine (schema 6),
-     idle and steal for the barrier-free subtree engine (schema 7). All
-     fractions live in [0,1] by construction; the imbalance is a
+     timing-attribution "trace" block carries the idle and steal
+     fractions, which live in [0,1] by construction; the imbalance is a
      max-over-mean, ≥ 1 up to float rendering. *)
-  let check_par_block key ~fracs =
-    let block = objf key in
-    List.iter
-      (fun (name, _, _) ->
-        let ctx = key ^ "." ^ name in
-        match List.assoc_opt name block with
-        | Some (Jobj cell) ->
-            (match List.assoc_opt "depth" cell with
-            | Some (Jnum _) -> ()
-            | _ -> fail "%s: missing numeric field \"depth\"" ctx);
-            (match List.assoc_opt "ms" cell with
-            | Some (Jobj ms) ->
-                List.iter
-                  (fun d ->
-                    match List.assoc_opt (string_of_int d) ms with
-                    | Some (Jnum t) when t > 0.0 -> ()
-                    | Some (Jnum _) -> fail "%s: ms[%d] is not positive" ctx d
-                    | _ -> fail "%s: ms missing domain count %d" ctx d)
-                  par_domains
-            | _ -> fail "%s: missing object field \"ms\"" ctx);
-            List.iter
-              (fun k ->
-                match List.assoc_opt k cell with
-                | Some (Jnum _) -> ()
-                | _ -> fail "%s: missing numeric field %S" ctx k)
-              [ "speedup_2"; "speedup_4"; "overhead_1" ];
-            (match List.assoc_opt "trace" cell with
-            | Some (Jobj tr) ->
-                let tnum k =
-                  match List.assoc_opt k tr with
-                  | Some (Jnum v) -> v
-                  | _ -> fail "%s: trace missing numeric field %S" ctx k
-                in
-                if tnum "domains" < 1.0 then fail "%s: trace.domains < 1" ctx;
-                List.iter
-                  (fun k ->
-                    let v = tnum k in
-                    if v < 0.0 || v > 1.0 then
-                      fail "%s: trace.%s %.4f is not in [0,1]" ctx k v)
-                  fracs;
-                if tnum "imbalance_max_over_mean" < 0.999 then
-                  fail "%s: trace.imbalance_max_over_mean %.4f < 1" ctx
-                    (tnum "imbalance_max_over_mean")
-            | _ -> fail "%s: missing object field \"trace\"" ctx)
-        | _ -> fail "%s: stable workload %S missing" key name)
-      par_workloads
-  in
-  check_par_block "exec_dist_domains" ~fracs:[ "barrier_wait_frac"; "merge_frac" ];
-  check_par_block "exec_dist_subtree" ~fracs:[ "idle_frac"; "steal_frac" ];
+  let subtree_block = objf "exec_dist_subtree" in
+  List.iter
+    (fun (name, _, _) ->
+      let ctx = "exec_dist_subtree." ^ name in
+      match List.assoc_opt name subtree_block with
+      | Some (Json.Obj cell) ->
+          (match List.assoc_opt "depth" cell with
+          | Some (Json.Num _) -> ()
+          | _ -> fail "%s: missing numeric field \"depth\"" ctx);
+          (match List.assoc_opt "ms" cell with
+          | Some (Json.Obj ms) ->
+              List.iter
+                (fun d ->
+                  match List.assoc_opt (string_of_int d) ms with
+                  | Some (Json.Num t) when t > 0.0 -> ()
+                  | Some (Json.Num _) -> fail "%s: ms[%d] is not positive" ctx d
+                  | _ -> fail "%s: ms missing domain count %d" ctx d)
+                par_domains
+          | _ -> fail "%s: missing object field \"ms\"" ctx);
+          List.iter
+            (fun k ->
+              match List.assoc_opt k cell with
+              | Some (Json.Num _) -> ()
+              | _ -> fail "%s: missing numeric field %S" ctx k)
+            [ "speedup_2"; "speedup_4"; "overhead_1" ];
+          (match List.assoc_opt "trace" cell with
+          | Some (Json.Obj tr) ->
+              let tnum k =
+                match List.assoc_opt k tr with
+                | Some (Json.Num v) -> v
+                | _ -> fail "%s: trace missing numeric field %S" ctx k
+              in
+              if tnum "domains" < 1.0 then fail "%s: trace.domains < 1" ctx;
+              List.iter
+                (fun k ->
+                  let v = tnum k in
+                  if v < 0.0 || v > 1.0 then
+                    fail "%s: trace.%s %.4f is not in [0,1]" ctx k v)
+                [ "idle_frac"; "steal_frac" ];
+              if tnum "imbalance_max_over_mean" < 0.999 then
+                fail "%s: trace.imbalance_max_over_mean %.4f < 1" ctx
+                  (tnum "imbalance_max_over_mean")
+          | _ -> fail "%s: missing object field \"trace\"" ctx)
+      | _ -> fail "exec_dist_subtree: stable workload %S missing" name)
+    par_workloads;
   (* Schema 4: state-space-compression cells. Structural validation plus
      the one timing-independent invariant — the quotient frontier can
      never be wider than the uncompressed one. *)
@@ -763,10 +623,10 @@ let check ?(path = "BENCH_cdse.json") () =
     (fun (name, _, _) ->
       let ctx = "exec_dist_compress." ^ name in
       match List.assoc_opt name compress_block with
-      | Some (Jobj cell) ->
+      | Some (Json.Obj cell) ->
           let num k =
             match List.assoc_opt k cell with
-            | Some (Jnum v) -> v
+            | Some (Json.Num v) -> v
             | _ -> fail "%s: missing numeric field %S" ctx k
           in
           List.iter (fun k -> ignore (num k))
@@ -774,12 +634,12 @@ let check ?(path = "BENCH_cdse.json") () =
           if num "depth_2x" < 2.0 *. num "depth" then
             fail "%s: depth_2x < 2 x depth" ctx;
           (match List.assoc_opt "ms" cell with
-          | Some (Jobj ms) ->
+          | Some (Json.Obj ms) ->
               List.iter
                 (fun level ->
                   match List.assoc_opt level ms with
-                  | Some (Jnum t) when t > 0.0 -> ()
-                  | Some (Jnum _) -> fail "%s: ms.%s is not positive" ctx level
+                  | Some (Json.Num t) when t > 0.0 -> ()
+                  | Some (Json.Num _) -> fail "%s: ms.%s is not positive" ctx level
                   | _ -> fail "%s: ms missing level %S" ctx level)
                 [ "off"; "hcons"; "quotient"; "quotient_2x" ]
           | _ -> fail "%s: missing object field \"ms\"" ctx);
@@ -789,7 +649,7 @@ let check ?(path = "BENCH_cdse.json") () =
             fail "%s: frontier_width_compressed %.0f > frontier_width_max %.0f" ctx wc
               wmax;
           (match List.assoc_opt "mass_merged" cell with
-          | Some (Jstr s) -> (
+          | Some (Json.Str s) -> (
               (* Accumulated across layers, so it may exceed 1 — only
                  nonnegativity and exactness are invariant. *)
               match Rat.of_string s with
@@ -806,12 +666,12 @@ let check ?(path = "BENCH_cdse.json") () =
   let slack_at k field =
     let ctx = Printf.sprintf "compromise_sweep.%d" k in
     match List.assoc_opt (string_of_int k) compromise_block with
-    | Some (Jobj cell) -> (
+    | Some (Json.Obj cell) -> (
         (match List.assoc_opt "ms" cell with
-        | Some (Jnum t) when t > 0.0 -> ()
+        | Some (Json.Num t) when t > 0.0 -> ()
         | _ -> fail "%s: missing positive numeric field \"ms\"" ctx);
         match List.assoc_opt field cell with
-        | Some (Jstr s) -> (
+        | Some (Json.Str s) -> (
             match Rat.of_string s with
             | r ->
                 if not (Rat.is_proper_prob r) then
@@ -823,9 +683,9 @@ let check ?(path = "BENCH_cdse.json") () =
   in
   let holds_at k field =
     match List.assoc_opt (string_of_int k) compromise_block with
-    | Some (Jobj cell) -> (
+    | Some (Json.Obj cell) -> (
         match List.assoc_opt field cell with
-        | Some (Jbool b) -> b
+        | Some (Json.Bool b) -> b
         | _ -> fail "compromise_sweep.%d: missing boolean field %S" k field)
     | _ -> fail "compromise_sweep: budget %d missing" k
   in
@@ -854,11 +714,11 @@ let check ?(path = "BENCH_cdse.json") () =
   let serve_cell = objf "serve" in
   let snum k =
     match List.assoc_opt k serve_cell with
-    | Some (Jnum v) -> v
+    | Some (Json.Num v) -> v
     | _ -> fail "serve: missing numeric field %S" k
   in
   (match List.assoc_opt "workload" serve_cell with
-  | Some (Jstr _) -> ()
+  | Some (Json.Str _) -> ()
   | _ -> fail "serve: missing string field \"workload\"");
   List.iter
     (fun k -> if snum k <= 0.0 then fail "serve: %S is not positive" k)
@@ -875,10 +735,10 @@ let check ?(path = "BENCH_cdse.json") () =
     fail "serve: resumed_from %.0f is not a proper prefix of depth %.0f" rf
       (snum "depth");
   Printf.printf
-    "check-json: %s OK (schema cdse-bench/8, %d micro keys, %d workloads x %d depths, %d layered + %d subtree scaling cells with trace blocks, %d compression cells, %d compromise cells, 1 serve cell, counters validated)\n"
+    "check-json: %s OK (schema cdse-bench/9, %d micro keys, %d workloads x %d depths, %d subtree scaling cells with trace blocks, %d compression cells, %d compromise cells, 1 serve cell, counters validated)\n"
     path (List.length micro_baseline) (List.length macro_baseline) (List.length depths)
-    (List.length par_workloads) (List.length par_workloads)
-    (List.length compress_workloads) (List.length compromise_budgets)
+    (List.length par_workloads) (List.length compress_workloads)
+    (List.length compromise_budgets)
 
 (* ------------------------------------------------------ trace-file check *)
 
@@ -886,20 +746,11 @@ let check ?(path = "BENCH_cdse.json") () =
    top-level object with a "traceEvents" array of complete spans ("X"),
    instants ("i") and thread-name metadata ("M") — never unbalanced
    begin/end ("B"/"E") pairs — with numeric coordinates, nonnegative
-   durations, and at least one engine work span (a layered-engine
+   durations, and at least one engine work span (a layer-loop
    [measure.layer] or a subtree-engine [measure.subtree]/[measure.seed],
    whichever engine produced the trace). The CI trace-smoke gate. *)
 let check_trace path =
-  let contents =
-    try
-      let ic = open_in path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
-    with Sys_error e ->
-      Printf.eprintf "check-trace: %s\n" e;
-      exit 1
-  in
+  let fields = read_json ~tool:"check-trace" path in
   let fail fmt =
     Printf.ksprintf
       (fun m ->
@@ -907,15 +758,9 @@ let check_trace path =
         exit 1)
       fmt
   in
-  let fields =
-    match parse_json contents with
-    | Jobj fields -> fields
-    | exception Bad_json e -> fail "does not parse: %s" e
-    | _ -> fail "top level is not an object"
-  in
   let events =
     match List.assoc_opt "traceEvents" fields with
-    | Some (Jarr evs) -> evs
+    | Some (Json.List evs) -> evs
     | _ -> fail "missing array key \"traceEvents\""
   in
   let spans = ref 0 and layers = ref 0 and subtrees = ref 0 in
@@ -923,15 +768,15 @@ let check_trace path =
     (fun i ev ->
       let ctx = Printf.sprintf "traceEvents[%d]" i in
       match ev with
-      | Jobj e ->
+      | Json.Obj e ->
           let str k =
             match List.assoc_opt k e with
-            | Some (Jstr s) -> s
+            | Some (Json.Str s) -> s
             | _ -> fail "%s: missing string field %S" ctx k
           in
           let num k =
             match List.assoc_opt k e with
-            | Some (Jnum v) -> v
+            | Some (Json.Num v) -> v
             | _ -> fail "%s: missing numeric field %S" ctx k
           in
           let name = str "name" in

@@ -26,11 +26,9 @@ let () =
   let args = List.filter (fun a -> not (String.equal a "--stats")) args in
   (* --domains N: domain count for the "par" experiment (default 2).
      --depth N: override the per-workload depths of the "par" experiment
-     and the exec_dist_domains bench cells.
+     and the exec_dist_subtree bench cells.
      --compress LEVEL: off | hcons | quotient, applied by the "par"
      experiment to both the sequential reference and the parallel run.
-     --engine E: auto | layered | subtree, the multicore engine of the
-     "par" experiment's timed parallel run.
      --compromise K: clamp the E18 compromise-budget sweep to the single
      budget K (default: sweep k = 0..3).
      --trace FILE: record a span trace of the experiment runs and write
@@ -57,16 +55,6 @@ let () =
            | other ->
                prerr_endline
                  ("--compress: expected off|hcons|quotient, got " ^ other);
-               exit 2);
-        extract_flags acc rest
-    | "--engine" :: e :: rest ->
-        (Workbench.engine :=
-           match e with
-           | "auto" -> `Auto
-           | "layered" -> `Layered
-           | "subtree" -> `Subtree
-           | other ->
-               prerr_endline ("--engine: expected auto|layered|subtree, got " ^ other);
                exit 2);
         extract_flags acc rest
     | a :: rest -> extract_flags (a :: acc) rest

@@ -17,7 +17,7 @@ let wall_it f =
    bench/main.ml's --domains flag. *)
 let domains = ref 2
 
-(* Depth override for the "par" experiment and the exec_dist_domains
+(* Depth override for the "par" experiment and the exec_dist_subtree
    bench cells; [None] keeps each workload's recorded default. Set by
    --depth. *)
 let par_depth : int option ref = ref None
@@ -26,11 +26,6 @@ let par_depth : int option ref = ref None
    the sequential reference and the parallel run, so the conformance
    check stays meaningful). Set by --compress. *)
 let compress : [ `Off | `Hcons | `Quotient ] ref = ref `Off
-
-(* Multicore engine for the "par" experiment's timed parallel run
-   (conformance is checked against both engines regardless). Set by
-   --engine. *)
-let engine : [ `Auto | `Layered | `Subtree ] ref = ref `Auto
 
 (* Compromise-budget override for the E18 sweep: [Some k] clamps the
    sweep to that single budget (the CI smoke runs one cell), [None]

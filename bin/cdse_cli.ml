@@ -38,8 +38,8 @@ let trace_arg =
           "Record a span trace of the run (lib/obs Trace) and write it to \
            $(docv) as Chrome trace-event JSON — load in chrome://tracing or \
            https://ui.perfetto.dev for a per-domain timeline. A text timing \
-           summary (barrier-wait, merge, imbalance attribution) is printed \
-           to stdout.")
+           summary (per-layer time, worker idle and imbalance attribution) \
+           is printed to stdout.")
 
 (* Run [f] under span tracing if requested. The Chrome JSON goes to [file];
    the self-profiling summary goes to stdout after the command's own
@@ -118,22 +118,10 @@ let compress_arg =
     & opt (enum [ ("off", `Off); ("hcons", `Hcons); ("quotient", `Quotient) ]) `Off
     & info [ "compress" ] ~docv:"LEVEL"
         ~doc:
-          "State-space compression: off (historical engine), hcons \
+          "State-space compression: off (no compression), hcons \
            (hash-consed states, identical results) or quotient (on-the-fly \
            bisimulation quotient of each frontier layer; trace-exact, \
            compressed execution support)")
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("auto", `Auto); ("layered", `Layered); ("subtree", `Subtree) ]) `Auto
-    & info [ "engine" ] ~docv:"E"
-        ~doc:
-          "Multicore engine: auto (barrier-free subtree work-stealing when \
-           the run needs no layer synchronization, layered otherwise), \
-           layered (force layer-synchronous sharding) or subtree (force \
-           barrier-free; rejects budgeted/quotient runs). Bit-identical \
-           results either way; ignored at --domains 1")
 
 let measure_cmd =
   let workload =
@@ -148,7 +136,7 @@ let measure_cmd =
       & opt (enum [ ("first", `First); ("uniform", `Uniform); ("round-robin", `Rr) ]) `Uniform
       & info [ "sched" ] ~docv:"S" ~doc:"Scheduler: first, uniform or round-robin")
   in
-  let run workload sched_kind depth seed domains engine compress stats trace =
+  let run workload sched_kind depth seed domains compress stats trace =
     let auto =
       match workload with
       | `Coin -> Cdse_gen.Workloads.coin "coin"
@@ -167,7 +155,7 @@ let measure_cmd =
     let d =
       run_with_trace trace (fun () ->
           run_with_stats stats (fun () ->
-              Measure.exec_dist ~engine ~domains ~compress auto
+              Measure.exec_dist ~domains ~compress auto
                 (Scheduler.bounded depth sched) ~depth))
     in
     Format.printf "%d completed executions, total mass %s@." (Dist.size d)
@@ -183,7 +171,7 @@ let measure_cmd =
     (Cmd.info "measure" ~doc:"Exact execution measure of a workload under a scheduler")
     Term.(
       const run $ workload $ sched_kind $ depth_arg $ seed_arg $ domains_arg
-      $ engine_arg $ compress_arg $ stats_arg $ trace_arg)
+      $ compress_arg $ stats_arg $ trace_arg)
 
 (* ---------------------------------------------------------------- emulate *)
 

@@ -10,7 +10,7 @@
     The layers, bottom-up:
 
     - {!Bits}, {!Cost}, {!Poly}: encodings and the step meter (Section 4.1).
-    - {!Obs}: engine observability — counters, histograms, event sink.
+    - {!Obs}: engine observability — counters, histograms, gauges.
     - {!Trace}: span tracing — per-domain timelines, Chrome-trace export.
     - {!Bignat}, {!Rat}, {!Dist}, {!Stat}, {!Rng}: exact probability.
     - {!Value}, {!Action}, {!Action_set}, {!Sigs}, {!Psioa}, {!Exec},

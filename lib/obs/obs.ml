@@ -6,7 +6,7 @@
    Counters are the one instrument mutated from worker domains (the measure
    engine's multicore path): a worker installs a [shard] in its domain-local
    storage and counter increments are diverted into it, to be folded into the
-   global records by the coordinating domain at a layer barrier. Histograms
+   global records by the coordinating domain once the workers join. Histograms
    and gauges stay coordinator-only. Registration takes a mutex (cold path:
    instruments are registered at module init, plus the occasional
    construction-time lookup), so concurrent registration from two domains
@@ -159,19 +159,6 @@ let set_gauge g v = if !on then g.g <- Some v
 
 let gauge_value name =
   match Hashtbl.find_opt gauges name with Some g -> g.g | None -> None
-
-(* Event sink *)
-
-type event = { name : string; detail : string }
-
-let sink : (event -> unit) option ref = ref None
-let set_sink s = sink := s
-
-let emit name detail =
-  if !on then
-    match !sink with
-    | None -> ()
-    | Some f -> f { name; detail = detail () }
 
 (* Snapshot / reset / report *)
 

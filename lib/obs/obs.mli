@@ -1,10 +1,9 @@
-(** Zero-dependency observability: counters, histograms, gauges and an
-    optional event sink for the measure engine and its supporting layers.
+(** Zero-dependency observability: counters, histograms and gauges for the
+    measure engine and its supporting layers.
 
     The library is compiled in unconditionally but designed to be free when
     disabled: every mutation is guarded by a single [if enabled ()] branch on
-    an immutable-after-startup [bool ref], and event payloads are thunks that
-    are never forced while disabled. Instrumented modules register their
+    an immutable-after-startup [bool ref]. Instrumented modules register their
     instruments once at module initialisation, so steady-state cost with
     stats off is one load + branch per instrumentation site.
 
@@ -12,9 +11,10 @@
     worker domains {e through a shard} (see {!new_shard}): the multicore
     measure engine installs a per-domain shard, increments accumulate
     locally, and the coordinating domain folds them into the global records
-    at a layer barrier — no locks on the hot path. Histograms and gauges
-    are coordinator-only: they must never be mutated from two domains at
-    once (the engine only touches them between parallel sections).
+    once the workers have joined — no locks on the hot path. Histograms
+    and gauges are coordinator-only: they must never be mutated from two
+    domains at once (the engine only touches them outside parallel
+    sections).
     Registration takes a mutex, so concurrent construction-time lookups are
     safe. Instrument names are dot-separated lowercase paths
     ([measure.frontier.width]) and registration is idempotent: asking for
@@ -58,10 +58,10 @@ val counter_value : string -> int
     multicore measure engine can keep incrementing the ordinary global
     counter handles without racing: while a shard is installed (via
     {!with_shard}) in the calling domain, {!incr}/{!add} divert into it
-    instead of the global record. The coordinating domain merges shards at
-    layer barriers with {!merge_shard}. Counter {e sums} are therefore
-    conserved regardless of how work is split across domains. Shards cover
-    counters only — histograms, gauges and the event sink must stay on the
+    instead of the global record. The coordinating domain merges shards
+    once the workers have joined, with {!merge_shard}. Counter {e sums} are
+    therefore conserved regardless of how work is split across domains.
+    Shards cover counters only — histograms and gauges must stay on the
     coordinating domain. *)
 
 type shard
@@ -78,8 +78,8 @@ val with_shard : shard -> (unit -> 'a) -> 'a
 
 val merge_shard : shard -> unit
 (** Fold the shard's deltas into the global counters and zero the shard.
-    Call from the coordinating domain while the shard's worker is idle (a
-    layer barrier); not safe concurrently with the owner still writing. *)
+    Call from the coordinating domain once the shard's worker has
+    finished; not safe concurrently with the owner still writing. *)
 
 (** {1 Histograms}
 
@@ -119,20 +119,6 @@ val set_gauge : gauge -> string -> unit
 val gauge_value : string -> string option
 (** Last recorded value of a gauge by name; [None] if never set. *)
 
-(** {1 Event sink}
-
-    A single optional structured-event subscriber, for ad-hoc tracing. The
-    payload thunk is forced only when stats are enabled AND a sink is
-    installed, so tracing call sites stay free in production. *)
-
-type event = { name : string; detail : string }
-
-val set_sink : (event -> unit) option -> unit
-
-val emit : string -> (unit -> string) -> unit
-(** [emit name detail] delivers [{ name; detail = detail () }] to the sink,
-    if enabled and installed. *)
-
 (** {1 Snapshot / reset / report} *)
 
 type histogram_stats = {
@@ -164,7 +150,7 @@ type snapshot = {
 val snapshot : unit -> snapshot
 
 val reset : unit -> unit
-(** Zero every registered instrument (the enabled flag and sink are kept). *)
+(** Zero every registered instrument (the enabled flag is kept). *)
 
 val with_stats : (unit -> 'a) -> 'a * snapshot
 (** [with_stats f] resets all instruments, runs [f] with stats enabled, and

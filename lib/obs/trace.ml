@@ -1,8 +1,8 @@
 (* Span tracer. Mirrors the Obs discipline: one global on/off flag guards
    every mutation, worker domains write only into a ring buffer installed
    in their own domain-local storage, and the coordinating domain folds
-   those rings into the global store at layer barriers. See trace.mli for
-   the user contract. *)
+   those rings into the global store once the workers have joined. See
+   trace.mli for the user contract. *)
 
 type args = (string * string) list
 
@@ -165,13 +165,6 @@ let span ?args name f =
     Fun.protect ~finally:(fun () -> end_span ?args tok) f
   end
 
-let emit_span ?dom ?(args = []) name ~ts_us ~dur_us =
-  if !on then
-    let d = match dom with Some d -> d | None -> dom_of () in
-    push
-      { ev_name = name; ev_dom = d; ev_ts = ts_us; ev_dur = Float.max 0. dur_us;
-        ev_instant = false; ev_args = args }
-
 let events () =
   List.sort
     (fun e1 e2 ->
@@ -256,17 +249,13 @@ type layer_row = {
   lr_width : int;
   lr_total_us : float;
   lr_expand_us : float;
-  lr_merge_us : float;
   lr_quotient_us : float;
-  lr_barrier_us : float;
-  lr_chunks : int;
   lr_stats : args;
 }
 
 type worker_row = {
   wr_dom : int;
   wr_busy_us : float;
-  wr_wait_us : float;
   wr_idle_us : float;
   wr_chunks : int;
 }
@@ -276,9 +265,7 @@ type summary = {
   sm_instants : int;
   sm_dropped : int;
   sm_total_us : float;
-  sm_barrier_wait_frac : float;
   sm_idle_frac : float;
-  sm_merge_frac : float;
   sm_imbalance : float;
   sm_layers : layer_row list;
   sm_workers : worker_row list;
@@ -310,8 +297,7 @@ let summary () =
     | None ->
         let r =
           { lr_layer = l; lr_width = 0; lr_total_us = 0.; lr_expand_us = 0.;
-            lr_merge_us = 0.; lr_quotient_us = 0.; lr_barrier_us = 0.;
-            lr_chunks = 0; lr_stats = [] }
+            lr_quotient_us = 0.; lr_stats = [] }
         in
         Hashtbl.replace layers l r;
         r
@@ -322,7 +308,7 @@ let summary () =
     let r =
       match Hashtbl.find_opt workers d with
       | Some r -> r
-      | None -> { wr_dom = d; wr_busy_us = 0.; wr_wait_us = 0.; wr_idle_us = 0.; wr_chunks = 0 }
+      | None -> { wr_dom = d; wr_busy_us = 0.; wr_idle_us = 0.; wr_chunks = 0 }
     in
     Hashtbl.replace workers d (f r)
   in
@@ -337,20 +323,11 @@ let summary () =
                 lr_total_us = r.lr_total_us +. e.ev_dur;
                 lr_width = (match arg_int e "width" with Some w -> r.lr_width + w | None -> r.lr_width) })
       | "measure.expand" -> update l (fun r -> { r with lr_expand_us = r.lr_expand_us +. e.ev_dur })
-      | "measure.merge" -> update l (fun r -> { r with lr_merge_us = r.lr_merge_us +. e.ev_dur })
       | "quotient.merge" | "measure.quotient" ->
           update l (fun r -> { r with lr_quotient_us = r.lr_quotient_us +. e.ev_dur })
-      | "measure.barrier.wait" ->
-          update l (fun r -> { r with lr_barrier_us = r.lr_barrier_us +. e.ev_dur });
-          update_worker e.ev_dom (fun r -> { r with wr_wait_us = r.wr_wait_us +. e.ev_dur })
-      | "measure.chunk" ->
-          chunk_durs := e.ev_dur :: !chunk_durs;
-          update l (fun r -> { r with lr_chunks = r.lr_chunks + 1 });
-          update_worker e.ev_dom (fun r ->
-              { r with wr_busy_us = r.wr_busy_us +. e.ev_dur; wr_chunks = r.wr_chunks + 1 })
       | "measure.subtree" ->
-          (* A claimed work unit of the barrier-free engine: a whole subtree,
-             not one layer chunk — attributed to the worker only. *)
+          (* A claimed work unit of the subtree engine: a whole subtree,
+             attributed to the worker that expanded it. *)
           chunk_durs := e.ev_dur :: !chunk_durs;
           update_worker e.ev_dom (fun r ->
               { r with wr_busy_us = r.wr_busy_us +. e.ev_dur; wr_chunks = r.wr_chunks + 1 })
@@ -371,17 +348,10 @@ let summary () =
   in
   let sum f rows = List.fold_left (fun acc r -> acc +. f r) 0. rows in
   let busy_total = sum (fun w -> w.wr_busy_us) worker_rows in
-  let wait_total = sum (fun w -> w.wr_wait_us) worker_rows in
   let idle_total = sum (fun w -> w.wr_idle_us) worker_rows in
-  let layer_total = sum (fun r -> r.lr_total_us) layer_rows in
-  let merge_total = sum (fun r -> r.lr_merge_us) layer_rows in
-  let barrier_wait_frac =
-    if busy_total +. wait_total <= 0. then 0. else wait_total /. (busy_total +. wait_total)
-  in
   let idle_frac =
     if busy_total +. idle_total <= 0. then 0. else idle_total /. (busy_total +. idle_total)
   in
-  let merge_frac = if layer_total <= 0. then 0. else merge_total /. layer_total in
   let imbalance =
     let busies =
       List.filter_map
@@ -400,9 +370,7 @@ let summary () =
     sm_instants = List.length instants;
     sm_dropped = !dropped_count;
     sm_total_us = total_us;
-    sm_barrier_wait_frac = barrier_wait_frac;
     sm_idle_frac = idle_frac;
-    sm_merge_frac = merge_frac;
     sm_imbalance = imbalance;
     sm_layers = layer_rows;
     sm_workers = worker_rows;
@@ -421,23 +389,18 @@ let pp_summary fmt s =
   fprintf fmt "@[<v>";
   fprintf fmt "%d spans, %d instants, %.1f us traced, %d dropped@," s.sm_spans
     s.sm_instants s.sm_total_us s.sm_dropped;
-  fprintf fmt "barrier_wait_frac        %.3f  (worker time stalled at layer barriers)@,"
-    s.sm_barrier_wait_frac;
   fprintf fmt "idle_frac                %.3f  (worker time waiting for stealable work)@,"
     s.sm_idle_frac;
-  fprintf fmt "merge_frac               %.3f  (layer time in the deterministic merge)@,"
-    s.sm_merge_frac;
   fprintf fmt "imbalance_max_over_mean  %.3f  (per-worker busy time, max / mean)@,"
     s.sm_imbalance;
   if s.sm_layers <> [] then begin
     fprintf fmt "per layer (us):@,";
-    fprintf fmt "  %5s %8s %10s %10s %10s %10s %10s %7s@," "layer" "width" "total"
-      "expand" "merge" "quotient" "barrier" "chunks";
+    fprintf fmt "  %5s %8s %10s %10s %10s@," "layer" "width" "total" "expand"
+      "quotient";
     List.iter
       (fun r ->
-        fprintf fmt "  %5d %8d %10.1f %10.1f %10.1f %10.1f %10.1f %7d" r.lr_layer
-          r.lr_width r.lr_total_us r.lr_expand_us r.lr_merge_us r.lr_quotient_us
-          r.lr_barrier_us r.lr_chunks;
+        fprintf fmt "  %5d %8d %10.1f %10.1f %10.1f" r.lr_layer r.lr_width
+          r.lr_total_us r.lr_expand_us r.lr_quotient_us;
         (match r.lr_stats with
         | [] -> ()
         | st ->
@@ -448,11 +411,11 @@ let pp_summary fmt s =
   end;
   if s.sm_workers <> [] then begin
     fprintf fmt "per worker (us):@,";
-    fprintf fmt "  %5s %10s %10s %10s %7s@," "dom" "busy" "wait" "idle" "chunks";
+    fprintf fmt "  %5s %10s %10s %8s@," "dom" "busy" "idle" "subtrees";
     List.iter
       (fun w ->
-        fprintf fmt "  %5d %10.1f %10.1f %10.1f %7d@," w.wr_dom w.wr_busy_us
-          w.wr_wait_us w.wr_idle_us w.wr_chunks)
+        fprintf fmt "  %5d %10.1f %10.1f %8d@," w.wr_dom w.wr_busy_us w.wr_idle_us
+          w.wr_chunks)
       s.sm_workers
   end;
   (match s.sm_chunk_us with
@@ -461,7 +424,7 @@ let pp_summary fmt s =
       let n = List.length durs in
       let mean = List.fold_left ( +. ) 0. durs /. float_of_int n in
       fprintf fmt
-        "chunk durations (us): n=%d min=%.1f mean=%.1f p50=%.1f p90=%.1f p99=%.1f max=%.1f@,"
+        "subtree durations (us): n=%d min=%.1f mean=%.1f p50=%.1f p90=%.1f p99=%.1f max=%.1f@,"
         n (List.hd durs) mean (percentile durs 0.5) (percentile durs 0.9)
         (percentile durs 0.99)
         (List.nth durs (n - 1)));

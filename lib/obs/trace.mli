@@ -7,9 +7,8 @@
     trace-event JSON — load the file in [chrome://tracing] or
     {{:https://ui.perfetto.dev}Perfetto} for an interactive per-domain
     timeline — or as a self-profiling text summary that attributes each
-    frontier layer's time to expansion, barrier wait, merge and quotient
-    work (the numbers behind the barrier-free-engine decision, ROADMAP
-    item 1).
+    frontier layer's time to expansion and quotient work, and each
+    subtree worker's time to work and idle waiting.
 
     {2 Cost model}
 
@@ -26,7 +25,8 @@
     ring buffer in its domain-local storage ({!with_buffer}) and every
     event it records lands there, written by that domain alone — no locks,
     no atomics on the hot path. The coordinating domain folds worker
-    buffers into the global event store at layer barriers ({!drain}).
+    buffers into the global event store once the workers have joined
+    ({!drain}).
     Recording {e without} an installed buffer is reserved for the
     coordinating domain (the sequential engine, checker phases, CLI
     drivers), exactly like histograms and gauges in {!Obs}. Toggle tracing
@@ -36,7 +36,7 @@
 
     Timestamps are microseconds of wall-clock ([Unix.gettimeofday])
     relative to the {!start} call. The engine's spans are long enough
-    (layers, chunks, barriers) that µs resolution is ample; durations are
+    (layers, subtrees) that µs resolution is ample; durations are
     clamped non-negative so a stepping clock cannot produce a span Chrome
     refuses to render. *)
 
@@ -57,9 +57,6 @@ val stop : unit -> unit
 
 val clear : unit -> unit
 (** Drop every collected event and reset the dropped-event count. *)
-
-val now_us : unit -> float
-(** Microseconds since {!start}. Meaningful only while tracing. *)
 
 val dropped : unit -> int
 (** Events discarded because a ring or the global store was full,
@@ -88,12 +85,6 @@ val end_span : ?args:(unit -> args) -> tok -> unit
 
 val instant : ?args:(unit -> args) -> string -> unit
 (** A zero-duration event (fault injections, takeovers, per-layer stats). *)
-
-val emit_span : ?dom:int -> ?args:args -> string -> ts_us:float -> dur_us:float -> unit
-(** Record a span with explicit coordinates — the coordinator uses this to
-    attribute barrier-wait intervals to {e worker} timelines after the
-    fact ([?dom] overrides the recording domain's id). No-op when
-    disabled; negative durations are clamped to 0. *)
 
 (** {1 Per-domain buffers} *)
 
@@ -126,8 +117,8 @@ val with_buffer : buffer -> (unit -> 'a) -> 'a
 
 val drain : buffer -> unit
 (** Fold the buffer's events (and its dropped count) into the global store
-    and empty it. Call from the coordinating domain while the buffer's
-    worker is idle — a layer barrier. *)
+    and empty it. Call from the coordinating domain once the buffer's
+    worker has finished. *)
 
 (** {1 Collected events} *)
 
@@ -158,13 +149,12 @@ val write_chrome : string -> unit
 
 (** {2 Self-profiling summary}
 
-    Parsed from the engine's span vocabulary — layered engine:
-    [measure.layer], [measure.expand], [measure.chunk],
-    [measure.barrier.wait], [measure.merge], [quotient.merge],
-    [measure.truncate], [measure.layer.stats]; barrier-free subtree
+    Parsed from the engine's span vocabulary — layer loop:
+    [measure.layer], [measure.expand], [measure.quotient] /
+    [quotient.merge], [measure.layer.stats]; barrier-free subtree
     engine: [measure.subtree] (one claimed work unit — a whole subtree —
-    counted as a chunk on its worker's row) and [measure.steal.idle]
-    (a worker waiting for stealable work, aggregated into
+    counted on its worker's row) and [measure.steal.idle] (a worker
+    waiting for stealable work, aggregated into
     {!summary.sm_idle_frac}). Foreign spans are counted but not
     attributed. When one trace covers several engine runs, rows with the
     same layer index aggregate. *)
@@ -173,20 +163,16 @@ type layer_row = {
   lr_layer : int;
   lr_width : int;  (** frontier width entering the layer *)
   lr_total_us : float;  (** full layer span *)
-  lr_expand_us : float;  (** parallel section / sequential expansion *)
-  lr_merge_us : float;  (** deterministic frontier merge (parallel engine) *)
+  lr_expand_us : float;  (** node expansion *)
   lr_quotient_us : float;  (** bisimulation-quotient pass *)
-  lr_barrier_us : float;  (** barrier wait, summed over workers *)
-  lr_chunks : int;
   lr_stats : args;  (** memo/hcons deltas from [measure.layer.stats] *)
 }
 
 type worker_row = {
   wr_dom : int;
-  wr_busy_us : float;  (** chunk-span + subtree-span time *)
-  wr_wait_us : float;  (** barrier-wait time (layered engine) *)
-  wr_idle_us : float;  (** steal-idle time (subtree engine) *)
-  wr_chunks : int;  (** claimed work units: layer chunks or subtrees *)
+  wr_busy_us : float;  (** subtree-span time *)
+  wr_idle_us : float;  (** steal-idle time *)
+  wr_chunks : int;  (** claimed work units (subtrees) *)
 }
 
 type summary = {
@@ -194,27 +180,21 @@ type summary = {
   sm_instants : int;
   sm_dropped : int;
   sm_total_us : float;  (** last event end − first event start *)
-  sm_barrier_wait_frac : float;
-      (** Σ barrier-wait ∕ (Σ barrier-wait + Σ busy): the fraction of
-          worker time stalled at layer barriers. 0 when no parallel
-          section was traced — in particular for the barrier-free subtree
-          engine, which has no barriers. *)
   sm_idle_frac : float;
       (** Σ steal-idle ∕ (Σ steal-idle + Σ busy): the fraction of worker
           time spent waiting for stealable work in the subtree engine.
-          0 for layered/sequential runs. *)
-  sm_merge_frac : float;  (** Σ merge ∕ Σ layer time; 0 without layers *)
+          0 for sequential runs. *)
   sm_imbalance : float;
-      (** max ∕ mean of per-worker total busy time — chunk-load imbalance
+      (** max ∕ mean of per-worker total busy time — work imbalance
           across the run (≥ 1; 1 when perfectly balanced or sequential) *)
   sm_layers : layer_row list;  (** sorted by layer index *)
   sm_workers : worker_row list;  (** sorted by domain id *)
-  sm_chunk_us : float list;  (** all chunk durations, sorted ascending *)
+  sm_chunk_us : float list;  (** all subtree-span durations, sorted ascending *)
 }
 
 val summary : unit -> summary
 
 val pp_summary : Format.formatter -> summary -> unit
-(** Multi-line rendering: run totals, the three attribution fractions, a
-    per-layer table, per-worker busy/wait totals and a chunk-duration
+(** Multi-line rendering: run totals, the idle and imbalance figures, a
+    per-layer table, per-worker busy/idle totals and a subtree-duration
     percentile line. *)

@@ -3,36 +3,13 @@ open Cdse_psioa
 
 type 'a budgeted = [ `Exact of 'a | `Truncated of 'a * Rat.t ]
 type compress = Par_measure.compress
-type engine = Par_measure.engine
 
-(* The cone-expansion engine itself lives in {!Par_measure}, which owns
-   the sequential path (domains = 1, the historical implementation, byte
-   for byte) and the two multicore paths (barrier-free subtree
-   work-stealing for unbudgeted runs, layer-synchronous sharding when
-   budgets or the quotient need layers) — see par_measure.mli for the
-   determinism contract and the engine dispatch. This module keeps the
-   measure-theoretic surface: cones, traces, reachability, expectations,
-   sampling. *)
-
-(* Every exact entry point funnels through here, so one span covers the
-   whole engine run; the spans inside it come from Par_measure. *)
-let exec_dist_budgeted ?engine ?memo ?max_execs ?max_width ?domains ?compress
-    ?track auto sched ~depth =
-  Cdse_obs.Trace.span "measure.exec_dist"
-    ~args:(fun () ->
-      [ ("depth", string_of_int depth);
-        ("domains", string_of_int (Option.value ~default:1 domains)) ])
-    (fun () ->
-      Par_measure.exec_dist_budgeted ?engine ?memo ?max_execs ?max_width ?domains
-        ?compress ?track auto sched ~depth)
-
-let exec_dist ?engine ?memo ?max_execs ?max_width ?domains ?compress ?track auto
-    sched ~depth =
-  match
-    exec_dist_budgeted ?engine ?memo ?max_execs ?max_width ?domains ?compress
-      ?track auto sched ~depth
-  with
-  | `Exact d | `Truncated (d, _) -> d
+(* The cone-expansion engine itself lives in {!Par_measure}: one node
+   expansion driven by the sequential layer loop or, for unbudgeted
+   quotient-free multicore runs, by the barrier-free subtree engine — see
+   par_measure.mli for the dispatch rule and the determinism contract.
+   This module keeps the measure-theoretic surface: cones, traces,
+   reachability, expectations, sampling. *)
 
 type frontier = Par_measure.frontier = {
   f_depth : int;
@@ -40,16 +17,35 @@ type frontier = Par_measure.frontier = {
   f_finished : (Exec.t * Rat.t) list;
 }
 
-let exec_dist_frontier ?engine ?memo ?domains ?compress ?from auto sched ~depth =
+(* Every exact entry point funnels through here, so one span covers the
+   whole engine run; the spans inside it come from Par_measure. *)
+let traced ?resume_from ?domains ~depth f =
   Cdse_obs.Trace.span "measure.exec_dist"
     ~args:(fun () ->
-      [ ("depth", string_of_int depth);
-        ( "resume_from",
-          string_of_int (match from with Some f -> f.f_depth | None -> 0) );
-        ("domains", string_of_int (Option.value ~default:1 domains)) ])
-    (fun () ->
-      Par_measure.exec_dist_frontier ?engine ?memo ?domains ?compress ?from auto
-        sched ~depth)
+      [ ("depth", string_of_int depth) ]
+      @ (match resume_from with
+        | Some d -> [ ("resume_from", string_of_int d) ]
+        | None -> [])
+      @ [ ("domains", string_of_int (Option.value ~default:1 domains)) ])
+    f
+
+let budgeted ?memo ?max_execs ?max_width ?domains ?compress ?track auto sched ~depth =
+  traced ?domains ~depth (fun () ->
+      Par_measure.exec_dist_budgeted ?memo ?max_execs ?max_width ?domains ?compress
+        ?track auto sched ~depth)
+
+let exec_dist_budgeted ?memo ?max_execs ?max_width ?domains ?compress auto sched ~depth =
+  budgeted ?memo ?max_execs ?max_width ?domains ?compress auto sched ~depth
+
+let drop_tag = function `Exact d | `Truncated (d, _) -> d
+
+let exec_dist ?memo ?max_execs ?max_width ?domains ?compress auto sched ~depth =
+  drop_tag (budgeted ?memo ?max_execs ?max_width ?domains ?compress auto sched ~depth)
+
+let exec_dist_frontier ?memo ?domains ?compress ?from auto sched ~depth =
+  let resume_from = match from with Some f -> f.f_depth | None -> 0 in
+  traced ~resume_from ?domains ~depth (fun () ->
+      Par_measure.exec_dist_frontier ?memo ?domains ?compress ?from auto sched ~depth)
 
 let cone_prob auto sched alpha =
   let rec go acc prefix = function
@@ -99,17 +95,17 @@ let reach_mass ~pred d =
     (fun acc e p -> if List.exists pred (Exec.states e) then Rat.add acc p else acc)
     Rat.zero d
 
-let reach_prob ?memo ?max_execs ?max_width ?domains ?compress auto sched ~depth
-    ~pred =
-  reach_mass ~pred
-    (exec_dist ?memo ?max_execs ?max_width ?domains ?compress ~track:pred auto
-       sched ~depth)
-
 let reach_prob_budgeted ?memo ?max_execs ?max_width ?domains ?compress auto sched
     ~depth ~pred =
   map_budgeted (reach_mass ~pred)
-    (exec_dist_budgeted ?memo ?max_execs ?max_width ?domains ?compress ~track:pred
-       auto sched ~depth)
+    (budgeted ?memo ?max_execs ?max_width ?domains ?compress ~track:pred auto sched
+       ~depth)
+
+let reach_prob ?memo ?max_execs ?max_width ?domains ?compress auto sched ~depth
+    ~pred =
+  drop_tag
+    (reach_prob_budgeted ?memo ?max_execs ?max_width ?domains ?compress auto sched
+       ~depth ~pred)
 
 (* Expected number of scheduled steps of the completed execution. *)
 let expected_steps ?memo ?max_execs ?max_width ?domains ?compress auto sched

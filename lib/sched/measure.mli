@@ -23,15 +23,15 @@
       frontier executions exceed [n], expansion stops and the surviving
       frontier is reported as completed.
 
-    Without budgets the computation is untouched — same code path, same
-    results, bit for bit.
+    Without budgets nothing is pruned or sorted: the result is the full
+    depth-bounded measure.
 
     {2 State-space compression}
 
     [?compress] (default [`Off]) trades representation detail for frontier
     size, without giving up exactness where it matters:
 
-    - [`Off]: the historical engine, byte for byte.
+    - [`Off]: no compression.
     - [`Hcons]: hash-consing only. Every reached state is interned in a
       {!Cdse_psioa.Hcons} table so equality checks, {!Exec.compare} and
       the memo tables short-circuit on physical identity. The result —
@@ -53,21 +53,20 @@
 
     Every compression level preserves the cross-domain determinism
     contract: for a fixed [compress], results are bit-identical for every
-    [?domains] / [?chunk] value.
+    [?domains] value.
 
     {2 Parallelism}
 
     [?domains n] (default 1) expands the cone across [n] OCaml 5 domains
-    via {!Par_measure}. Unbudgeted [`Off]/[`Hcons] runs use the
-    barrier-free {e subtree} engine (workers own whole cone subtrees and
-    steal work cooperatively, one merge at the end); runs that need layer
-    synchronization ([?max_execs] / [?max_width] budgets, active
-    [`Quotient]) use the layer-synchronous engine; [?engine] overrides the
-    dispatch. Either way the result is bit-identical to the sequential
-    run — same distribution, same [`Exact]/[`Truncated] tag, same deficit,
-    conserved {!Cdse_obs.Obs} totals — for every domain count; see
-    {!Par_measure} for the determinism contract. [domains = 1] runs the
-    historical sequential code path unchanged. *)
+    via {!Par_measure}, under one rule: unbudgeted runs without an active
+    [`Quotient] use the barrier-free {e subtree} engine (workers own
+    whole cone subtrees and steal work cooperatively, one merge at the
+    end); every other run — any run at [domains = 1], and budgeted or
+    quotient runs at any domain count — uses the sequential layer loop.
+    Either way the result is bit-identical to the sequential run — same
+    distribution, same [`Exact]/[`Truncated] tag, same deficit, conserved
+    {!Cdse_obs.Obs} totals — for every domain count; see {!Par_measure}
+    for the determinism contract. *)
 
 open Cdse_prob
 open Cdse_psioa
@@ -81,15 +80,9 @@ type compress = Par_measure.compress
 (** [`Off | `Hcons | `Quotient] — see the module docs above and
     {!Par_measure.compress}. *)
 
-type engine = Par_measure.engine
-(** [`Auto | `Layered | `Subtree] — multicore engine selector, see
-    {!Par_measure.engine}. [`Auto] (the default) picks the barrier-free
-    subtree engine whenever the run needs no layer synchronization. *)
-
 val exec_dist :
-  ?engine:engine ->
   ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->
-  ?compress:compress -> ?track:(Value.t -> bool) ->
+  ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Exec.t Dist.t
 (** Exact distribution over completed executions up to [depth] steps.
@@ -103,11 +96,7 @@ val exec_dist :
     keyed by [(length, last state)] instead of being recomputed per
     execution. Observationally identical; caches live only for the call.
 
-    [?compress] selects the state-space compression level (module docs);
-    [?track] refines the [`Quotient] equivalence classes by "has the
-    execution already visited a state satisfying the predicate" — pass it
-    when the caller will fold a visited-state predicate over the result
-    (as {!reach_prob} does internally). Ignored at other levels.
+    [?compress] selects the state-space compression level (module docs).
 
     With [?max_execs] / [?max_width] the result may be a sub-distribution
     (truncation deficit silently folded into the distribution's own
@@ -115,9 +104,8 @@ val exec_dist :
     distinguish scheduler halting from budget truncation. *)
 
 val exec_dist_budgeted :
-  ?engine:engine ->
   ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->
-  ?compress:compress -> ?track:(Value.t -> bool) ->
+  ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Exec.t Dist.t budgeted
 (** Like {!exec_dist}, but reports budget truncation explicitly:
@@ -133,7 +121,6 @@ type frontier = Par_measure.frontier = {
 (** A resumable cone frontier — see {!Par_measure.frontier}. *)
 
 val exec_dist_frontier :
-  ?engine:engine ->
   ?memo:bool -> ?domains:int -> ?compress:compress -> ?from:frontier ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Exec.t Dist.t * frontier
@@ -182,8 +169,8 @@ val reach_prob :
 (** Exact probability that a completed execution visits a state satisfying
     [pred] within [depth] steps. Under budgets this is a lower bound.
     Exact at every compression level: [pred] is forwarded to the engine as
-    the quotient's [?track] refinement, so pred-hitting and pred-missing
-    executions are never merged. *)
+    the quotient's track refinement ({!Par_measure.exec_dist_budgeted}), so
+    pred-hitting and pred-missing executions are never merged. *)
 
 val reach_prob_budgeted :
   ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->

@@ -21,13 +21,12 @@ let start_frontier auto = function
   | None -> (0, [ (Exec.init (Psioa.start auto), Rat.one) ], [])
   | Some f -> (f.f_depth, f.f_alive, f.f_finished)
 
-(* Instruments for the budgeted expansion below (shared by name with any
-   other reader: registration is idempotent). The frontier-width histogram
-   is fed once per layer by the coordinating domain;
-   [measure.truncation_deficit] mirrors the [`Truncated] deficit exactly
-   ([Rat.to_string], reparsable with [Rat.of_string]) and reads "0" after
-   an [`Exact] run. Worker domains only ever touch counters, through the
-   per-domain {!Obs.shard}s merged at layer barriers. *)
+(* Layer-loop instruments (shared by name with any other reader:
+   registration is idempotent). The frontier-width histogram is fed once
+   per layer; [measure.truncation_deficit] mirrors the [`Truncated]
+   deficit exactly ([Rat.to_string], reparsable with [Rat.of_string]) and
+   reads "0" after an [`Exact] run. Subtree workers only ever touch
+   counters, through per-domain {!Obs.shard}s merged when they join. *)
 let h_width = Obs.histogram "measure.frontier.width"
 let c_layers = Obs.counter "measure.layers"
 let c_finished = Obs.counter "measure.finished"
@@ -41,10 +40,10 @@ let g_deficit = Obs.gauge "measure.truncation_deficit"
    layer; [quotient.classes] / [quotient.merged] count the surviving
    classes and the entries absorbed into another representative across
    the run; [quotient.mass_merged] is the cumulative exact-rational mass
-   those absorbed entries carried ([Rat.to_string], reparsable). All are
-   coordinator-only — the quotient runs between parallel sections — while
+   those absorbed entries carried ([Rat.to_string], reparsable). The
+   quotient only ever runs in the sequential layer loop, while
    [hcons.hits]/[hcons.misses] (registered in {!Cdse_psioa.Hcons}) are
-   worker counters that accumulate through the per-domain shards. *)
+   also worker counters that accumulate through the per-domain shards. *)
 let h_width_c = Obs.histogram "measure.frontier.width_compressed"
 let c_q_classes = Obs.counter "quotient.classes"
 let c_q_merged = Obs.counter "quotient.merged"
@@ -53,22 +52,20 @@ let g_q_mass = Obs.gauge "quotient.mass_merged"
 (* Subtree-engine instruments. [measure.subtree.roots] counts work units
    claimed off the shared root cursor, [measure.subtree.steals] work units
    claimed from the donation queue by an otherwise-idle worker; their ratio
-   is the steal fraction reported in the bench cells. Worker counters,
-   accumulated through the per-domain shards. The layered-engine layer
+   is the steal fraction reported in the bench cells. The layer
    instruments ([measure.layers], [measure.frontier.width]) are {e not}
    emitted by the subtree engine — it has no layers. *)
 let c_sub_roots = Obs.counter "measure.subtree.roots"
 let c_sub_steals = Obs.counter "measure.subtree.steals"
 
 (* Per-layer memo/hcons/choice-cache hit deltas, emitted as a
-   [measure.layer.stats] instant for the trace summary. Reads the global
-   counter records, so it must run on the coordinating domain after worker
-   shards are merged — the layer barrier. One probe per engine run; the
-   deltas are against the previous layer of the same run, so [prev] must
-   start from the counters' values {e at probe creation} (the run start).
-   Starting from zero — the historical bug — made the first layer of every
-   run after the first report the whole process history: two engine runs in
-   one process corrupted each other's [measure.layer.stats] instants. *)
+   [measure.layer.stats] instant for the trace summary. One probe per
+   engine run; the deltas are against the previous layer of the same run,
+   so [prev] must start from the counters' values {e at probe creation}
+   (the run start). Starting from zero — the historical bug — made the
+   first layer of every run after the first report the whole process
+   history: two engine runs in one process corrupted each other's
+   [measure.layer.stats] instants. *)
 let layer_stats_probe () =
   let tracked =
     [| ("choice_hit", "measure.choice.hit"); ("choice_miss", "measure.choice.miss");
@@ -92,124 +89,26 @@ let layer_stats_probe () =
           "measure.layer.stats"
     end
 
-(* ------------------------------------------------------------------ pool *)
-
-(* A reusable barrier-style pool: [size - 1] spawned domains plus the
-   calling domain (worker 0). [run] hands every worker the same job and
-   returns once all have finished — one lock round-trip per worker per
-   layer, nothing on the per-entry hot path.
-
-   Raise safety: a job that raises — including from wrappers around the
-   engine body such as [Obs.with_shard] / [Trace.with_buffer] — must not
-   leave the pool stuck. Historically a worker raise skipped the [pending]
-   decrement and [run] waited on [finished] forever. Each worker now
-   catches its job's exception into a per-worker slot and decrements
-   [pending] unconditionally; [run] always completes the barrier, then
-   re-raises the recorded exception of the {e smallest} worker id — a
-   deterministic choice independent of OS scheduling — leaving the pool
-   reusable for further [run]s. *)
-module Pool = struct
-  type t = {
-    size : int;
-    mutex : Mutex.t;
-    start : Condition.t;
-    finished : Condition.t;
-    errs : exn option array;
-    mutable job : (int -> unit) option;
-    mutable epoch : int;
-    mutable pending : int;
-    mutable stop : bool;
-    mutable doms : unit Domain.t list;
-  }
-
-  let worker t wid =
-    let epoch = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock t.mutex;
-      while (not t.stop) && t.epoch = !epoch do
-        Condition.wait t.start t.mutex
-      done;
-      if t.stop then begin
-        Mutex.unlock t.mutex;
-        running := false
-      end
-      else begin
-        epoch := t.epoch;
-        let job = Option.get t.job in
-        Mutex.unlock t.mutex;
-        (try job wid with exn -> t.errs.(wid) <- Some exn);
-        Mutex.lock t.mutex;
-        t.pending <- t.pending - 1;
-        if t.pending = 0 then Condition.broadcast t.finished;
-        Mutex.unlock t.mutex
-      end
-    done
-
-  let create size =
-    let t =
-      { size; mutex = Mutex.create (); start = Condition.create ();
-        finished = Condition.create (); errs = Array.make size None; job = None;
-        epoch = 0; pending = 0; stop = false; doms = [] }
-    in
-    t.doms <- List.init (size - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
-    t
-
-  let reraise_first t =
-    let rec first i =
-      if i >= t.size then None
-      else match t.errs.(i) with Some _ as e -> e | None -> first (i + 1)
-    in
-    match first 0 with Some exn -> raise exn | None -> ()
-
-  let run t job =
-    if t.size = 1 then job 0
-    else begin
-      Mutex.lock t.mutex;
-      Array.fill t.errs 0 t.size None;
-      t.job <- Some job;
-      t.pending <- t.size - 1;
-      t.epoch <- t.epoch + 1;
-      Condition.broadcast t.start;
-      Mutex.unlock t.mutex;
-      (try job 0 with exn -> t.errs.(0) <- Some exn);
-      Mutex.lock t.mutex;
-      while t.pending > 0 do
-        Condition.wait t.finished t.mutex
-      done;
-      t.job <- None;
-      Mutex.unlock t.mutex;
-      reraise_first t
-    end
-
-  let shutdown t =
-    Mutex.lock t.mutex;
-    t.stop <- true;
-    Condition.broadcast t.start;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join t.doms;
-    t.doms <- []
-end
-
 (* ---------------------------------------------------------- shared parts *)
 
+(* [(probability desc, Exec.compare asc)]: a total order on any frontier
+   (two distinct cone branches are distinct executions, so [Exec.compare]
+   never ties). Budget pruning keeps a prefix of it and the subtree engine
+   hands out roots in it. *)
+let by_mass (e1, p1) (e2, p2) =
+  let c = Rat.compare p2 p1 in
+  if c <> 0 then c else Exec.compare e1 e2
+
 (* Keep the [keep] most probable entries of a frontier and return the
-   dropped mass. The sort key [(probability desc, Exec.compare asc)] is a
-   total order on any frontier (two distinct cone branches are distinct
-   executions, so [Exec.compare] never ties), hence the kept set, the kept
-   order and the dropped-mass sum are all independent of the input
-   permutation — this is what makes budgeted truncation deterministic
-   under both sequential iteration and multicore chunking. Only ever
-   called when a budget is exceeded: the unbudgeted path never sorts. *)
+   dropped mass. The kept set, the kept order and the dropped-mass sum are
+   independent of the input permutation, which is what makes budgeted
+   truncation deterministic. Only ever called when a budget is exceeded:
+   the unbudgeted path never sorts. *)
 let truncate_entries ~keep entries =
   Trace.span ~args:(fun () -> [ ("keep", string_of_int keep) ]) "measure.truncate"
   @@ fun () ->
   let arr = Array.of_list entries in
-  Array.stable_sort
-    (fun (e1, p1) (e2, p2) ->
-      let c = Rat.compare p2 p1 in
-      if c <> 0 then c else Exec.compare e1 e2)
-    arr;
+  Array.stable_sort by_mass arr;
   let kept = ref [] and lost = ref Rat.zero in
   Array.iteri
     (fun i ((_, p) as entry) ->
@@ -220,11 +119,10 @@ let truncate_entries ~keep entries =
 
 (* Validated scheduler choice, optionally cached. With [~memo:true] and a
    {!Scheduler.is_memoryless} scheduler the validated choice is a function
-   of [(length, lstate)] alone (every alive execution at frontier layer [i]
-   has length [i]), so it is cached per engine instance. The cache is
-   engine-local: the parallel path builds one per worker domain, so the
-   hit/miss split depends on the domain count but the {e sum} (one lookup
-   per frontier entry) does not. *)
+   of [(length, lstate)] alone, so it is cached per engine instance. The
+   subtree engine builds one instance per worker domain, so the hit/miss
+   split depends on the domain count but the {e sum} (one lookup per cone
+   node) does not. *)
 let choice_fn ~memo auto sched =
   if memo && Scheduler.is_memoryless sched then begin
     let tbl = Hashtbl.create 32 in
@@ -242,6 +140,22 @@ let choice_fn ~memo auto sched =
   end
   else fun e -> Scheduler.validate_choice auto sched e
 
+(* One engine instance's view of the model: [`Hcons] and [`Quotient] route
+   every state through an intern table, [~memo:true] caches signature and
+   transition lookups ({!Psioa.memoize}) and validated choices. All of
+   these are plain hashtables, so the subtree engine builds one instance
+   per worker domain — domain-safe without locks on the hot path.
+   Physical uniqueness of interned states then holds per worker;
+   cross-worker comparisons fall back to the structural path. *)
+let instance ~memo ~compress auto sched =
+  let auto =
+    match compress with
+    | `Off -> auto
+    | `Hcons | `Quotient -> Hcons.auto (Hcons.create ()) auto
+  in
+  let auto = if memo then Psioa.memoize auto else auto in
+  (auto, choice_fn ~memo auto sched)
+
 let finish alive finished lost =
   if Obs.enabled () then Obs.set_gauge g_deficit (Rat.to_string lost);
   let d = Dist.make ~compare:Exec.compare (List.rev_append finished alive) in
@@ -257,8 +171,7 @@ let quotient_on ~compress sched =
 
 (* One layer of on-the-fly quotient: pool probabilistically-bisimilar
    frontier entries onto their minimal representative before the next
-   expansion. [qmass] accumulates the absorbed mass for the run gauge.
-   Runs on the coordinating domain only (between parallel sections). *)
+   expansion. [qmass] accumulates the absorbed mass for the run gauge. *)
 let compress_layer ~sig_of ~track ~qmass entries =
   let classes, merged, mass = Quotient.merge_frontier ~sig_of ?track entries in
   if not (Rat.is_zero mass) then qmass := Rat.add !qmass mass;
@@ -269,29 +182,45 @@ let compress_layer ~sig_of ~track ~qmass entries =
   end;
   classes
 
-(* The [`Hcons] and [`Quotient] paths route every state the engine sees
-   through an intern table; per engine instance sequentially, per worker
-   domain in the parallel engine (like the memo caches — the tables are
-   plain hashtables). *)
-let wrap_compress ~compress auto =
-  match compress with
-  | `Off -> auto
-  | `Hcons | `Quotient -> Hcons.auto (Hcons.create ()) auto
+(* Book a node's halting mass, if any, as a finished execution. *)
+let add_halt e h finished =
+  if Rat.is_zero h then finished
+  else begin
+    Obs.incr c_finished;
+    (e, h) :: finished
+  end
 
-(* ------------------------------------------------------ sequential engine *)
+(* One cone node's expansion — the only code that expands a node, shared
+   by the layer loop, the seed phase and the subtree workers. Pushes the
+   node's children onto [kids] and returns its halting mass. A raise from
+   the scheduler or a transition lookup can leave some children pushed;
+   the layer loop then aborts the run, and the subtree engine, which
+   carries on past failures, passes a fresh ref and commits it only when
+   the call returns. A failing node thus contributes neither mass nor
+   children and its descendants are never visited: the visited node set —
+   and with it the set of {e minimal} failing nodes — is a function of the
+   model alone, not of how the tree was partitioned. *)
+let expand_node auto choice_of (e, p) kids =
+  let choice = choice_of e in
+  let q = Exec.lstate e in
+  Dist.iter
+    (fun act pa ->
+      let eta = Psioa.step auto q act in
+      let pa = Rat.mul p pa in
+      Dist.iter (fun q' pq -> kids := (Exec.extend e act q', Rat.mul pa pq) :: !kids) eta)
+    choice;
+  if Dist.is_proper choice then Rat.zero else Rat.mul p (Dist.deficit choice)
 
-(* Iteratively expand the cone frontier. [alive] holds executions the
-   scheduler may still extend, [finished] the accumulated halting mass.
+(* ------------------------------------------------------------ layer loop *)
 
-   With [~memo:true] the expansion reuses {!Psioa.memoize} so signature and
-   transition lookups are computed once per [(state, action)] across the
-   whole frontier. Both caches are per-call: the results are
-   observationally identical, so the flag is purely a performance knob. *)
-let seq_exec_dist_budgeted ~memo ~compress ~track ?max_execs ?max_width ?from auto
-    sched ~depth =
-  let auto = wrap_compress ~compress auto in
-  let auto = if memo then Psioa.memoize auto else auto in
-  let choice_of = choice_fn ~memo auto sched in
+(* Iteratively expand the cone frontier, one layer at a time. [alive]
+   holds executions the scheduler may still extend, [finished] the
+   accumulated halting mass. After each expansion the layer post-step
+   applies, in this order: the quotient, the width budget, the exec
+   budget. A raise from the scheduler surfaces at once, for the first
+   failing entry in frontier order. *)
+let layer_loop ~memo ~compress ~track ?max_execs ?max_width ?from auto sched ~depth =
+  let auto, choice_of = instance ~memo ~compress auto sched in
   let quotient = quotient_on ~compress sched in
   let sig_of = Psioa.signature auto in
   let qmass = ref Rat.zero in
@@ -304,47 +233,21 @@ let seq_exec_dist_budgeted ~memo ~compress ~track ?max_execs ?max_width ?from au
         Obs.observe h_width (List.length alive)
       end;
       let layer_tok = Trace.begin_span "measure.layer" in
-      let layer_args () =
-        [ ("layer", string_of_int step);
-          ("width", string_of_int (List.length alive)) ]
-      in
-      let end_layer () =
-        layer_stats ~layer:step;
-        Trace.end_span ~args:layer_args layer_tok
-      in
+      let layer_arg () = [ ("layer", string_of_int step) ] in
       let alive' = ref [] and finished' = ref finished and n_finished' = ref n_finished in
-      Trace.span ~args:(fun () -> [ ("layer", string_of_int step) ]) "measure.expand"
-        (fun () ->
+      Trace.span ~args:layer_arg "measure.expand" (fun () ->
           List.iter
-            (fun (e, p) ->
-              let choice = choice_of e in
-              if not (Dist.is_proper choice) then begin
-                let halt_mass = Rat.mul p (Dist.deficit choice) in
-                if not (Rat.is_zero halt_mass) then begin
-                  Obs.incr c_finished;
-                  finished' := (e, halt_mass) :: !finished';
-                  incr n_finished'
-                end
-              end;
-              let q = Exec.lstate e in
-              Dist.iter
-                (fun act pa ->
-                  let eta = Psioa.step auto q act in
-                  let pa = Rat.mul p pa in
-                  Dist.iter
-                    (fun q' pq ->
-                      alive' := (Exec.extend e act q', Rat.mul pa pq) :: !alive')
-                    eta)
-                choice)
+            (fun ((e, _) as entry) ->
+              let h = expand_node auto choice_of entry alive' in
+              if not (Rat.is_zero h) then incr n_finished';
+              finished' := add_halt e h !finished')
             alive);
       (* Quotient before the budgets: the frontier the budgets see — and
-         prune, by the same (prob desc, Exec.compare asc) total order — is
-         the compressed one, so compression reduces truncation instead of
-         competing with it. *)
+         prune, by the same total order — is the compressed one, so
+         compression reduces truncation instead of competing with it. *)
       let alive' =
         if quotient then
-          Trace.span ~args:(fun () -> [ ("layer", string_of_int step) ])
-            "measure.quotient" (fun () ->
+          Trace.span ~args:layer_arg "measure.quotient" (fun () ->
               compress_layer ~sig_of ~track ~qmass !alive')
         else !alive'
       in
@@ -360,14 +263,19 @@ let seq_exec_dist_budgeted ~memo ~compress ~track ?max_execs ?max_width ?from au
       (* Support budget: once completed + frontier executions exceed the
          cap, stop expanding — the surviving frontier is reported as
          completed (a partial measure), the rest as deficit. *)
-      match max_execs with
-      | Some cap when !n_finished' + List.length alive' > cap ->
-          let kept, dropped = truncate_entries ~keep:(max 0 (cap - !n_finished')) alive' in
-          end_layer ();
-          (kept, !finished', Rat.add lost dropped)
-      | _ ->
-          end_layer ();
-          go (step + 1) alive' !n_finished' !finished' lost
+      let stop, alive', lost =
+        match max_execs with
+        | Some cap when !n_finished' + List.length alive' > cap ->
+            let kept, dropped = truncate_entries ~keep:(max 0 (cap - !n_finished')) alive' in
+            (true, kept, Rat.add lost dropped)
+        | _ -> (false, alive', lost)
+      in
+      layer_stats ~layer:step;
+      Trace.end_span
+        ~args:(fun () -> layer_arg () @ [ ("width", string_of_int (List.length alive)) ])
+        layer_tok;
+      if stop then (alive', !finished', lost)
+      else go (step + 1) alive' !n_finished' !finished' lost
     end
   in
   let start_step, start_alive, start_finished = start_frontier auto from in
@@ -378,202 +286,19 @@ let seq_exec_dist_budgeted ~memo ~compress ~track ?max_execs ?max_width ?from au
   ( finish alive finished lost,
     { f_depth = depth; f_alive = alive; f_finished = finished } )
 
-(* ------------------------------------------------------- parallel engine *)
-
-(* Frontier layers are embarrassingly parallel: each entry's one-step
-   extension depends only on that entry. Workers claim chunks of the
-   frontier array off a shared atomic cursor (chunked self-scheduling:
-   fast workers steal the remaining chunks of slow ones), write each
-   entry's extensions and halting mass into its own slot, and the
-   coordinator merges slots in index order — so the merged multiset of
-   entries, and hence every downstream sort/normalization, is identical to
-   the sequential engine's no matter how the OS schedules the domains. *)
-let par_exec_dist_budgeted ~domains ~chunk ~memo ~compress ~track ?max_execs
-    ?max_width ?from auto sched ~depth =
-  let n_workers = max 2 (min domains 64) in
-  (* Per-domain memoization and interning: [Psioa.memoize] and [Hcons]
-     caches are plain hashtables, so each worker gets its own instances
-     (and choice cache) — domain-safe without hot-path locks; memo lookup
-     totals stay conserved. Physical uniqueness of interned states holds
-     per worker; cross-worker comparisons fall back to the structural
-     path, which stays correct (and still shares intra-worker tails). *)
-  let autos =
-    Array.init n_workers (fun _ ->
-        let a = wrap_compress ~compress auto in
-        if memo then Psioa.memoize a else a)
-  in
-  let quotient = quotient_on ~compress sched in
-  let sig_of = Psioa.signature autos.(0) in
-  let qmass = ref Rat.zero in
-  let choices = Array.map (fun a -> choice_fn ~memo a sched) autos in
-  let shards = Array.init n_workers (fun _ -> Obs.new_shard ()) in
-  (* Worker trace buffers mirror the Obs shards: acquired once per engine
-     run from the {!Trace} freelist (so repeated traced runs reuse the
-     rings instead of churning a capacity-sized array per worker per run),
-     and only when tracing is already on — enabling tracing mid-run is
-     unsupported (same caveat as Obs histograms). [busy_end.(w)] is the
-     timestamp at which worker [w] ran out of chunks; the coordinator turns
-     the gap up to its own post-barrier clock read into a synthetic
-     [measure.barrier.wait] span on the worker's timeline. *)
-  let tracing = Trace.enabled () in
-  let tbufs =
-    if tracing then Array.init n_workers (fun w -> Trace.acquire_buffer ~dom:w)
-    else [||]
-  in
-  let busy_end = Array.make n_workers 0. in
-  let layer_stats = layer_stats_probe () in
-  let pool = Pool.create n_workers in
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.shutdown pool;
-      if tracing then Array.iter Trace.release_buffer tbufs)
-  @@ fun () ->
-  let rec go step frontier n_finished finished lost =
-    let n = Array.length frontier in
-    if step = depth || n = 0 then (Array.to_list frontier, finished, lost)
-    else begin
-      if Obs.enabled () then begin
-        Obs.incr c_layers;
-        Obs.observe h_width n
-      end;
-      let layer_tok = Trace.begin_span "measure.layer" in
-      let layer_args () =
-        [ ("layer", string_of_int step); ("width", string_of_int n) ]
-      in
-      let exts = Array.make n [] in
-      let halts = Array.make n Rat.zero in
-      (* First worker failure per chunk, keyed by the chunk's base index:
-         the globally first failing entry always gets recorded (entries
-         before it cannot stop any worker), so re-raising the minimum is
-         deterministic. *)
-      let errors = Array.make n_workers None in
-      let next = Atomic.make 0 in
-      let chunk_size =
-        match chunk with Some c -> max 1 c | None -> max 1 (n / (n_workers * 8))
-      in
-      let expand_tok = Trace.begin_span "measure.expand" in
-      Pool.run pool (fun w ->
-          let auto = autos.(w) and choice_of = choices.(w) in
-          let body () =
-            let running = ref true in
-            while !running do
-              let lo = Atomic.fetch_and_add next chunk_size in
-              if lo >= n then running := false
-              else begin
-                let hi = min n (lo + chunk_size) in
-                let chunk_tok = Trace.begin_span "measure.chunk" in
-                (try
-                   for i = lo to hi - 1 do
-                     let e, p = frontier.(i) in
-                     let choice = choice_of e in
-                     if not (Dist.is_proper choice) then
-                       halts.(i) <- Rat.mul p (Dist.deficit choice);
-                     let q = Exec.lstate e in
-                     let acc = ref [] in
-                     Dist.iter
-                       (fun act pa ->
-                         let eta = Psioa.step auto q act in
-                         let pa = Rat.mul p pa in
-                         Dist.iter
-                           (fun q' pq ->
-                             acc := (Exec.extend e act q', Rat.mul pa pq) :: !acc)
-                           eta)
-                       choice;
-                     exts.(i) <- !acc
-                   done
-                 with exn ->
-                   errors.(w) <- Some (lo, exn);
-                   running := false);
-                Trace.end_span
-                  ~args:(fun () ->
-                    [ ("layer", string_of_int step); ("lo", string_of_int lo);
-                      ("n", string_of_int (hi - lo)) ])
-                  chunk_tok
-              end
-            done;
-            if tracing then busy_end.(w) <- Trace.now_us ()
-          in
-          Obs.with_shard shards.(w) (fun () ->
-              if tracing then Trace.with_buffer tbufs.(w) body else body ()));
-      Trace.end_span ~args:(fun () -> [ ("layer", string_of_int step) ]) expand_tok;
-      Array.iter Obs.merge_shard shards;
-      if tracing then begin
-        let t_bar = Trace.now_us () in
-        Array.iteri
-          (fun w buf ->
-            Trace.emit_span ~dom:w
-              ~args:[ ("layer", string_of_int step) ]
-              "measure.barrier.wait" ~ts_us:busy_end.(w)
-              ~dur_us:(t_bar -. busy_end.(w));
-            Trace.drain buf)
-          tbufs
-      end;
-      (match
-         Array.fold_left
-           (fun best err ->
-             match (best, err) with
-             | None, e -> e
-             | Some _, None -> best
-             | Some (i, _), Some (j, _) -> if j < i then err else best)
-           None errors
-       with
-      | Some (_, exn) -> raise exn
-      | None -> ());
-      let alive' = ref [] and finished' = ref finished and n_finished' = ref n_finished in
-      Trace.span ~args:(fun () -> [ ("layer", string_of_int step) ]) "measure.merge"
-        (fun () ->
-          Array.iteri
-            (fun i (e, _) ->
-              let h = halts.(i) in
-              if not (Rat.is_zero h) then begin
-                Obs.incr c_finished;
-                finished' := (e, h) :: !finished';
-                incr n_finished'
-              end;
-              alive' := List.rev_append exts.(i) !alive')
-            frontier);
-      (* Same placement as the sequential engine: quotient first, budgets
-         on the compressed frontier. The merge itself is insensitive to
-         entry order, so the multicore frontier (assembled in index order
-         but list-reversed per chunk) compresses to the identical classes. *)
-      let alive' =
-        if quotient then
-          Trace.span ~args:(fun () -> [ ("layer", string_of_int step) ])
-            "measure.quotient" (fun () ->
-              compress_layer ~sig_of ~track ~qmass !alive')
-        else !alive'
-      in
-      let alive', lost =
-        match max_width with
-        | Some w when List.length alive' > w ->
-            let kept, dropped = truncate_entries ~keep:w alive' in
-            (kept, Rat.add lost dropped)
-        | _ -> (alive', lost)
-      in
-      let end_layer () =
-        layer_stats ~layer:step;
-        Trace.end_span ~args:layer_args layer_tok
-      in
-      match max_execs with
-      | Some cap when !n_finished' + List.length alive' > cap ->
-          let kept, dropped = truncate_entries ~keep:(max 0 (cap - !n_finished')) alive' in
-          end_layer ();
-          (kept, !finished', Rat.add lost dropped)
-      | _ ->
-          end_layer ();
-          go (step + 1) (Array.of_list alive') !n_finished' !finished' lost
-    end
-  in
-  let start_step, start_alive, start_finished = start_frontier auto from in
-  let alive, finished, lost =
-    go start_step (Array.of_list start_alive) (List.length start_finished)
-      start_finished Rat.zero
-  in
-  if quotient && Obs.enabled () then Obs.set_gauge g_q_mass (Rat.to_string !qmass);
-  ( finish alive finished lost,
-    { f_depth = depth; f_alive = alive; f_finished = finished } )
-
 (* -------------------------------------- barrier-free subtree engine *)
+
+(* Run [job] on [n] workers — the caller is worker 0, [n - 1] domains are
+   spawned for this one call — and join them all. If jobs raise, every
+   domain is still joined before the exception of the smallest raising
+   worker id is re-raised, a choice independent of OS scheduling. *)
+let run_workers n job =
+  let catch w = match job w with () -> None | exception exn -> Some exn in
+  let doms = List.init (n - 1) (fun i -> Domain.spawn (fun () -> catch (i + 1))) in
+  let err0 = catch 0 in
+  match List.find_map Fun.id (err0 :: List.map Domain.join doms) with
+  | Some exn -> raise exn
+  | None -> ()
 
 (* The smaller of two recorded failures, by [Exec.compare] on the failing
    execution — a total order on cone nodes, so the surviving failure is
@@ -584,51 +309,24 @@ let min_fail a b =
   | None, x | x, None -> x
   | Some (e1, _), Some (e2, _) -> if Exec.compare e1 e2 <= 0 then a else b
 
-(* One cone node's expansion, shared by the seed phase and the workers.
-   The halting mass and the children are computed first and committed
-   together by the caller on [Ok]; a raise from the scheduler or a
-   transition lookup yields [Error] and commits {e nothing} — the failing
-   node contributes neither mass nor children. Descendants of failing
-   nodes are therefore never visited, so the visited node set — and with
-   it the set of {e minimal} failing nodes — is a function of the model
-   alone, not of how the tree was partitioned. *)
-let expand_node auto choice_of (e, p) =
-  match
-    let choice = choice_of e in
-    let h =
-      if Dist.is_proper choice then Rat.zero else Rat.mul p (Dist.deficit choice)
-    in
-    let q = Exec.lstate e in
-    let acc = ref [] in
-    Dist.iter
-      (fun act pa ->
-        let eta = Psioa.step auto q act in
-        let pa = Rat.mul p pa in
-        Dist.iter
-          (fun q' pq -> acc := (Exec.extend e act q', Rat.mul pa pq) :: !acc)
-          eta)
-      choice;
-    (h, !acc)
-  with
-  | exception exn -> Error exn
-  | res -> Ok res
+(* Barrier-free expansion for unbudgeted, quotient-free multicore runs: no
+   layer barriers, no per-layer merge. The coordinator first grows the
+   frontier breadth-first ({e seed phase}) until it is wide enough to feed
+   every worker several roots, sorts the roots by {!by_mass} — so
+   high-mass subtrees are handed out first — and then lets the workers
+   loose: each claims one root at a time off an atomic cursor and expands
+   the whole subtree depth-first with its own engine instance,
+   accumulating local finished/alive lists. Load balancing is cooperative
+   work donation: a busy worker that sees idle workers ([hungry] > 0)
+   donates the {e shallowest} half of its stack — the largest remaining
+   subtrees — to a shared overflow queue; idle workers take the queue's
+   contents as their next work unit. The single merge at the end
+   concatenates the per-worker lists and normalizes through {!Dist.make}
+   (sorted by [Exec.compare], exact rational mass merging) —
+   permutation-invariant, hence bit-identical to the layer loop.
 
-(* Barrier-free expansion for unbudgeted [`Off]/[`Hcons] runs: no layer
-   barriers, no per-layer merge. The coordinator first grows the frontier
-   breadth-first ({e seed phase}, sequential) until it is wide enough to
-   feed every worker several roots, sorts the roots by
-   [(prob desc, Exec.compare asc)] — the same total order as budget
-   pruning, so high-mass subtrees are handed out first — and then lets the
-   pool loose: workers claim one root at a time off an atomic cursor and
-   expand the whole subtree depth-first with their own memo/hcons/choice
-   caches, accumulating local finished/alive lists. Load balancing is
-   cooperative work donation: a busy worker that sees idle workers
-   ([hungry] > 0) donates the {e shallowest} half of its stack — the
-   largest remaining subtrees — to a shared overflow queue; idle workers
-   take the queue's contents as their next work unit. The single merge at
-   the end concatenates the per-worker lists and normalizes through
-   {!Dist.make} (sorted by [Exec.compare], exact rational mass merging) —
-   permutation-invariant, hence bit-identical to the sequential engine.
+   Failures are recorded, not raised, until all surviving work is done;
+   the engine then raises the [Exec.compare]-least one ({!min_fail}).
 
    Termination: [busy] counts workers holding work, guarded by [qm]. A
    worker goes idle only with the cursor exhausted and the queue empty;
@@ -636,13 +334,8 @@ let expand_node auto choice_of (e, p) =
    busy for the whole donation, so the last idle transition cannot race
    with a concurrent donation. *)
 let subtree_exec_dist ~domains ~memo ~compress ?from auto sched ~depth =
-  let n_workers = max 2 (min domains 64) in
-  let autos =
-    Array.init n_workers (fun _ ->
-        let a = wrap_compress ~compress auto in
-        if memo then Psioa.memoize a else a)
-  in
-  let choices = Array.map (fun a -> choice_fn ~memo a sched) autos in
+  let n_workers = min domains 64 in
+  let insts = Array.init n_workers (fun _ -> instance ~memo ~compress auto sched) in
   let shards = Array.init n_workers (fun _ -> Obs.new_shard ()) in
   let tracing = Trace.enabled () in
   let tbufs =
@@ -652,10 +345,8 @@ let subtree_exec_dist ~domains ~memo ~compress ?from auto sched ~depth =
   Fun.protect
     ~finally:(fun () -> if tracing then Array.iter Trace.release_buffer tbufs)
   @@ fun () ->
-  (* Seed phase: breadth-first on the coordinator (worker 0's caches) until
-     the frontier can feed every worker several subtrees. Failures are
-     recorded, not raised: the engine always completes the surviving work
-     first so the raised failure is the deterministic minimum. *)
+  (* Seed phase: breadth-first on the coordinator (worker 0's instance)
+     until the frontier can feed every worker several subtrees. *)
   let seed_target = n_workers * 8 in
   let start_step, start_alive, start_finished = start_frontier auto from in
   let seed_finished = ref start_finished in
@@ -665,17 +356,16 @@ let subtree_exec_dist ~domains ~memo ~compress ?from auto sched ~depth =
     if step = depth || alive = [] || List.length alive >= seed_target then alive
     else begin
       incr seed_layers;
+      let auto0, choice0 = insts.(0) in
       let next = ref [] in
       List.iter
         (fun ((e, _) as entry) ->
-          match expand_node autos.(0) choices.(0) entry with
-          | Error exn -> seed_fail := min_fail !seed_fail (Some (e, exn))
-          | Ok (h, kids) ->
-              if not (Rat.is_zero h) then begin
-                Obs.incr c_finished;
-                seed_finished := (e, h) :: !seed_finished
-              end;
-              next := List.rev_append kids !next)
+          let kids = ref !next in
+          match expand_node auto0 choice0 entry kids with
+          | exception exn -> seed_fail := min_fail !seed_fail (Some (e, exn))
+          | h ->
+              next := !kids;
+              seed_finished := add_halt e h !seed_finished)
         alive;
       seed (step + 1) !next
     end
@@ -696,11 +386,7 @@ let subtree_exec_dist ~domains ~memo ~compress ?from auto sched ~depth =
   end
   else begin
     let roots = Array.of_list seed_frontier in
-    Array.sort
-      (fun (e1, p1) (e2, p2) ->
-        let c = Rat.compare p2 p1 in
-        if c <> 0 then c else Exec.compare e1 e2)
-      roots;
+    Array.sort by_mass roots;
     let n_roots = Array.length roots in
     let next = Atomic.make 0 in
     let qm = Mutex.create () in
@@ -712,10 +398,8 @@ let subtree_exec_dist ~domains ~memo ~compress ?from auto sched ~depth =
     let outs = Array.make n_workers [] in
     let finisheds = Array.make n_workers [] in
     let fails = Array.make n_workers None in
-    let pool = Pool.create n_workers in
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-    Pool.run pool (fun w ->
-        let auto = autos.(w) and choice_of = choices.(w) in
+    run_workers n_workers (fun w ->
+        let auto, choice_of = insts.(w) in
         let body () =
           let stack = ref [] in
           let out = ref [] and fin = ref [] in
@@ -761,14 +445,12 @@ let subtree_exec_dist ~domains ~memo ~compress ?from auto sched ~depth =
                   if Exec.length e >= depth then out := entry :: !out
                   else begin
                     donate ();
-                    match expand_node auto choice_of entry with
-                    | Error exn -> fails.(w) <- min_fail fails.(w) (Some (e, exn))
-                    | Ok (h, kids) ->
-                        if not (Rat.is_zero h) then begin
-                          Obs.incr c_finished;
-                          fin := (e, h) :: !fin
-                        end;
-                        stack := List.rev_append kids !stack
+                    let kids = ref !stack in
+                    match expand_node auto choice_of entry kids with
+                    | exception exn -> fails.(w) <- min_fail fails.(w) (Some (e, exn))
+                    | h ->
+                        stack := !kids;
+                        fin := add_halt e h !fin
                   end
             done;
             Trace.end_span
@@ -867,40 +549,26 @@ let subtree_exec_dist ~domains ~memo ~compress ?from auto sched ~depth =
 
 (* ---------------------------------------------------------- entry points *)
 
-type engine = [ `Auto | `Layered | `Subtree ]
+(* The one engine choice, made from the domain count, the budgets and an
+   active quotient only: the subtree engine iff the run is multicore,
+   unbudgeted and quotient-free, the layer loop otherwise. *)
+let run ~memo ~compress ~track ?max_execs ?max_width ?from ~domains auto sched ~depth =
+  if domains > 1 && max_execs = None && max_width = None && not (quotient_on ~compress sched)
+  then subtree_exec_dist ~domains ~memo ~compress ?from auto sched ~depth
+  else layer_loop ~memo ~compress ~track ?max_execs ?max_width ?from auto sched ~depth
 
-let needs_layers ~max_execs ~max_width ~compress sched =
-  max_execs <> None || max_width <> None || quotient_on ~compress sched
+let exec_dist_budgeted ?(memo = false) ?max_execs ?max_width ?(domains = 1)
+    ?(compress = `Off) ?track auto sched ~depth =
+  fst (run ~memo ~compress ~track ?max_execs ?max_width ~domains auto sched ~depth)
 
-let exec_dist_budgeted ?(engine = `Auto) ?(memo = false) ?max_execs ?max_width
-    ?(domains = 1) ?chunk ?(compress = `Off) ?track auto sched ~depth =
-  let layered = needs_layers ~max_execs ~max_width ~compress sched in
-  (match engine with
-  | `Subtree when layered ->
-      invalid_arg
-        "Par_measure: the `Subtree engine supports neither ?max_execs/?max_width \
-         budgets nor an active `Quotient (use `Layered or `Auto)"
-  | _ -> ());
-  fst
-    (if domains <= 1 then
-       seq_exec_dist_budgeted ~memo ~compress ~track ?max_execs ?max_width auto
-         sched ~depth
-     else if layered || engine = `Layered then
-       par_exec_dist_budgeted ~domains ~chunk ~memo ~compress ~track ?max_execs
-         ?max_width auto sched ~depth
-     else subtree_exec_dist ~domains ~memo ~compress auto sched ~depth)
-
-(* Unbudgeted expansion that also returns its final frontier, and can start
-   from a previously returned one instead of the initial execution — the
-   incremental-deepening hook used by the serving layer's result cache.
-   Resuming is bit-identical to a one-shot run at the larger depth: every
+(* Resuming is bit-identical to a one-shot run at the larger depth: every
    alive entry of a depth-[d] frontier has length [d], {!Dist.make}
    normalizes away list order, rational mass addition is exact and
    commutative, and the quotient's representative choice is
    [Exec.compare]-minimal per class — none of them can see how the prefix
    layers were computed. *)
-let exec_dist_frontier ?(engine = `Auto) ?(memo = false) ?(domains = 1) ?chunk
-    ?(compress = `Off) ?from auto sched ~depth =
+let exec_dist_frontier ?(memo = false) ?(domains = 1) ?(compress = `Off) ?from auto
+    sched ~depth =
   (match from with
   | Some f when f.f_depth > depth ->
       invalid_arg
@@ -909,32 +577,10 @@ let exec_dist_frontier ?(engine = `Auto) ?(memo = false) ?(domains = 1) ?chunk
             deeper than the requested depth %d"
            f.f_depth depth)
   | _ -> ());
-  let layered = needs_layers ~max_execs:None ~max_width:None ~compress sched in
-  (match engine with
-  | `Subtree when layered ->
-      invalid_arg
-        "Par_measure: the `Subtree engine supports neither ?max_execs/?max_width \
-         budgets nor an active `Quotient (use `Layered or `Auto)"
-  | _ -> ());
-  let res, frontier =
-    if domains <= 1 then
-      seq_exec_dist_budgeted ~memo ~compress ~track:None ?from auto sched ~depth
-    else if layered || engine = `Layered then
-      par_exec_dist_budgeted ~domains ~chunk ~memo ~compress ~track:None ?from auto
-        sched ~depth
-    else subtree_exec_dist ~domains ~memo ~compress ?from auto sched ~depth
-  in
-  match res with `Exact d | `Truncated (d, _) -> (d, frontier)
-
-let exec_dist ?engine ?memo ?max_execs ?max_width ?domains ?chunk ?compress ?track
-    auto sched ~depth =
-  match
-    exec_dist_budgeted ?engine ?memo ?max_execs ?max_width ?domains ?chunk ?compress
-      ?track auto sched ~depth
-  with
-  | `Exact d | `Truncated (d, _) -> d
+  match run ~memo ~compress ~track:None ?from ~domains auto sched ~depth with
+  | (`Exact d | `Truncated (d, _)), frontier -> (d, frontier)
 
 module For_tests = struct
   let truncate_entries = truncate_entries
-  module Pool = Pool
+  let run_workers = run_workers
 end

@@ -1,32 +1,37 @@
-(** Multicore exact-measure engine (OCaml 5 domains).
+(** The exact-measure engine: one cone-expansion core, two schedules.
 
-    Each frontier execution's one-step extension is independent of every
-    other's — embarrassingly parallel work. This module ships two
-    multicore engines over a reusable pool of OCaml 5 [Domain]s:
+    Every execution measure the library computes is a depth-bounded
+    expansion of the cone tree, one node at a time. One function expands a
+    node; two schedules drive it:
 
-    - the {b barrier-free subtree engine} (default for unbudgeted
-      [`Off]/[`Hcons] runs): the coordinator grows the frontier
-      breadth-first until it holds several subtree roots per worker, then
-      workers claim whole {e subtrees} — one root at a time off an atomic
-      cursor — and expand them depth-first to the full remaining depth
-      with their own memo/hcons/choice caches, with no synchronization
-      until one canonical merge at the very end. Load balancing is
-      cooperative work {e donation}: a busy worker that observes idle
-      workers donates the shallowest half of its pending stack (the
-      largest remaining subtrees) to a shared overflow queue.
-    - the {b layered engine} (selected automatically whenever a run needs
-      layer synchronization: [?max_execs] / [?max_width] budgets, or
-      [`Quotient] compression with a memoryless scheduler): workers claim
-      chunks of each frontier layer off an atomic cursor and the
-      coordinating domain merges the per-entry results in frontier order
-      at the layer barrier, so per-layer budget pruning and quotienting
-      see exactly the sequential frontier.
+    - the {b layer loop} (sequential): expands the frontier one layer at a
+      time and applies the layer post-step — the [`Quotient] merge, then
+      the [?max_width] budget, then the [?max_execs] budget — and resumes
+      from a previously returned frontier ([?from]);
+    - the {b barrier-free subtree engine} (multicore, OCaml 5 domains):
+      the coordinator grows the frontier breadth-first until it holds
+      several subtree roots per worker, then workers claim whole
+      {e subtrees} — one root at a time off an atomic cursor — and expand
+      them depth-first to the full remaining depth with their own
+      memo/hcons/choice caches, with no synchronization until one
+      canonical merge at the very end. Load balancing is cooperative work
+      {e donation}: a busy worker that observes idle workers donates the
+      shallowest half of its pending stack (the largest remaining
+      subtrees) to a shared overflow queue.
+
+    {2 Dispatch}
+
+    The subtree engine runs {b iff} [domains > 1], no budget is set and no
+    [`Quotient] is active (with a {!Scheduler.is_memoryless} scheduler —
+    with a history-dependent one [`Quotient] degrades to [`Hcons]). Every
+    other run — any run at [domains = 1], and budgeted or quotient runs at
+    any domain count — runs the layer loop, so its result is the layer
+    loop's bit for bit. Nothing else selects the engine.
 
     {2 Determinism contract}
 
-    The result of {e either} engine is {b bit-identical to the sequential
-    engine}, for every domain count, chunk size, donation pattern and OS
-    scheduling of the workers:
+    For a fixed [compress], the result is {b bit-identical for every
+    domain count}, donation pattern and OS scheduling of the workers:
 
     - the returned distribution satisfies {!Cdse_prob.Dist.equal} with the
       sequential one {e and} has the same in-memory normal form (entries
@@ -39,35 +44,31 @@
       depend on the arrival order of frontier entries;
     - the {!Cdse_obs.Obs} engine totals are conserved: [measure.finished]
       and the [measure.truncation_deficit] gauge are identical to a
-      sequential run for both engines, and the memoization and
-      choice-cache counters are conserved as {e sums} ([hit + miss] = one
-      lookup per cone node; the split between hit and miss depends on the
-      domain count, because each worker warms its own cache). The layered
-      engine additionally conserves the per-layer instruments
-      ([measure.layers], [measure.truncated], the
-      [measure.frontier.width] histogram); the subtree engine has no
-      layers and does not emit them — it reports
-      [measure.subtree.roots] / [measure.subtree.steals] instead (work
-      units claimed from the root cursor / the donation queue; their
-      split, unlike their purpose, {e does} vary with the schedule).
+      sequential run, and the memoization and choice-cache counters are
+      conserved as {e sums} ([hit + miss] = one lookup per cone node; the
+      split between hit and miss depends on the domain count, because
+      each worker warms its own cache). The subtree engine has no layers
+      and does not emit the layer instruments ([measure.layers],
+      [measure.frontier.width]); it reports [measure.subtree.roots] /
+      [measure.subtree.steals] instead (work units claimed from the root
+      cursor / the donation queue; their split {e does} vary with the
+      schedule).
 
-    If the scheduler (or a transition lookup) raises, the subtree engine
-    completes the surviving work and re-raises the failure of the
-    [Exec.compare]-least {e minimal} failing execution (a failing node's
-    subtree is never entered, so the minimal failing set is partition-
-    independent); the layered engine raises the first failure in frontier
-    order, which is also the sequential engine's. When exactly one
-    execution fails — the common debugging situation — all engines and
-    domain counts surface the same exception. Either way the engines stay
-    reusable after a raise.
+    If the scheduler (or a transition lookup) raises, the layer loop
+    raises at once, for the first failing entry in frontier order. The
+    subtree engine completes the surviving work and re-raises the failure
+    of the [Exec.compare]-least {e minimal} failing execution (a failing
+    node's subtree is never entered, so the minimal failing set is
+    partition-independent). When exactly one execution fails — the common
+    debugging situation — every domain count surfaces the same exception,
+    and the engine stays usable after a raise.
 
     Worker domains never touch shared mutable state on the hot path: each
     gets its own {!Cdse_psioa.Psioa.memoize} instance and validated-choice
     cache, and its counter increments accumulate in a per-domain
-    {!Cdse_obs.Obs} shard merged at the layer barrier.
-
-    [domains = 1] (the default) runs the sequential engine unchanged —
-    byte-for-byte the same code path as {!Measure.exec_dist_budgeted}. *)
+    {!Cdse_obs.Obs} shard merged when the workers join. The [domains - 1]
+    worker domains are spawned for the call and joined before it
+    returns. *)
 
 open Cdse_prob
 open Cdse_psioa
@@ -80,7 +81,7 @@ type compress = [ `Off | `Hcons | `Quotient ]
 (** State-space compression level (see the {!Measure} docs for the user
     contract):
 
-    - [`Off] (default): the historical engine, byte for byte.
+    - [`Off] (default): no compression.
     - [`Hcons]: every state is routed through a {!Cdse_psioa.Hcons} intern
       table (per engine instance; per worker domain when parallel), so
       state equality, {!Cdse_psioa.Exec.compare} and the memo tables
@@ -98,67 +99,23 @@ type compress = [ `Off | `Hcons | `Quotient ]
       total order. For history-dependent schedulers [`Quotient] silently
       degrades to [`Hcons]. *)
 
-type engine = [ `Auto | `Layered | `Subtree ]
-(** Multicore engine selector (ignored when [domains <= 1] — that is
-    always the sequential loop):
-
-    - [`Auto] (default): the barrier-free subtree engine whenever the run
-      is unbudgeted and quotient-free, the layered engine otherwise — the
-      fastest engine that supports the run, never a behavior change.
-    - [`Layered]: force the layer-synchronous engine (determinism tests,
-      benchmarking the barrier cost, [?chunk] experiments).
-    - [`Subtree]: force the subtree engine. [Invalid_argument] if the run
-      needs layer synchronization ([?max_execs], [?max_width], or
-      [`Quotient] with a {!Scheduler.is_memoryless} scheduler — with a
-      history-dependent scheduler [`Quotient] degrades to [`Hcons] and the
-      subtree engine applies). *)
-
 val exec_dist_budgeted :
-  ?engine:engine ->
   ?memo:bool ->
   ?max_execs:int ->
   ?max_width:int ->
   ?domains:int ->
-  ?chunk:int ->
   ?compress:compress ->
   ?track:(Value.t -> bool) ->
   Psioa.t ->
   Scheduler.t ->
   depth:int ->
   Exec.t Dist.t budgeted
-(** Like {!Measure.exec_dist_budgeted}, expanded on [?domains] (default 1,
-    clamped to [64]) OCaml domains: the calling domain coordinates and
-    works, [domains - 1] are spawned for the call and joined before it
-    returns. [?engine] selects between the two multicore engines, see
-    {!type:engine}. [?chunk] overrides the number of frontier entries a
-    worker claims per cursor fetch in the {e layered} engine (default:
-    frontier size / (domains × 8), at least 1; ignored by the subtree
-    engine) — a tuning and test knob; any value yields the same result,
-    see the determinism contract above.
-
-    [?compress] (default [`Off]) selects the state-space compression
-    level; the determinism contract extends to every level — for a fixed
-    [compress], the result is bit-identical across domain counts, chunk
-    sizes and OS schedules. [?track] refines the [`Quotient] classes by
-    "has the execution already visited a state satisfying the predicate",
-    which is what keeps {!Measure.reach_prob} exact under compression;
-    ignored at other levels. *)
-
-val exec_dist :
-  ?engine:engine ->
-  ?memo:bool ->
-  ?max_execs:int ->
-  ?max_width:int ->
-  ?domains:int ->
-  ?chunk:int ->
-  ?compress:compress ->
-  ?track:(Value.t -> bool) ->
-  Psioa.t ->
-  Scheduler.t ->
-  depth:int ->
-  Exec.t Dist.t
-(** {!exec_dist_budgeted} with the truncation deficit folded into the
-    distribution's own {!Dist.deficit}. *)
+(** Like {!Measure.exec_dist_budgeted}, on [?domains] (default 1, clamped
+    to [64]) OCaml domains, dispatched as described above. [?track]
+    refines the [`Quotient] classes by "has the execution already visited
+    a state satisfying the predicate", which is what keeps
+    {!Measure.reach_prob} exact under compression; ignored at other
+    levels. *)
 
 type frontier = {
   f_depth : int;  (** Every entry of [f_alive] has exactly this length. *)
@@ -174,31 +131,28 @@ type frontier = {
     [Dist.make ~compare:Exec.compare (f_finished @ f_alive)]. *)
 
 val exec_dist_frontier :
-  ?engine:engine ->
   ?memo:bool ->
   ?domains:int ->
-  ?chunk:int ->
   ?compress:compress ->
   ?from:frontier ->
   Psioa.t ->
   Scheduler.t ->
   depth:int ->
   Exec.t Dist.t * frontier
-(** Unbudgeted {!exec_dist} that additionally returns the final frontier,
+(** Unbudgeted expansion that additionally returns the final frontier,
     and can resume from a previously returned one ([?from]) instead of the
     initial execution — the incremental-deepening hook behind the serving
     layer's result cache. Resuming a depth-[d] frontier to depth [d + k] is
     {b bit-identical} to a one-shot run at depth [d + k] with the same
     [auto], [sched] and [compress] (distribution, in-memory normal form,
     and — trivially, both are [`Exact] — tag and deficit), for every
-    engine and domain count on either side of the split: frontier entry
-    order is normalized away by {!Dist.make}, rational mass addition is
-    exact and commutative, and the quotient representative choice is
+    domain count on either side of the split: frontier entry order is
+    normalized away by {!Dist.make}, rational mass addition is exact and
+    commutative, and the quotient representative choice is
     [Exec.compare]-minimal per class. Raises [Invalid_argument] if
-    [from.f_depth > depth], or on [`Subtree] with an active [`Quotient].
-    The caller is responsible for resuming only with the same
-    [auto]/[sched]/[compress] that produced the frontier — the serving
-    cache keys enforce exactly that. *)
+    [from.f_depth > depth]. The caller is responsible for resuming only
+    with the same [auto]/[sched]/[compress] that produced the frontier —
+    the serving cache keys enforce exactly that. *)
 
 (**/**)
 
@@ -209,21 +163,11 @@ module For_tests : sig
       that permuting the frontier leaves the kept entries and dropped mass
       unchanged. *)
 
-  module Pool : sig
-    type t
-
-    val create : int -> t
-    (** [size - 1] spawned worker domains plus the caller. *)
-
-    val run : t -> (int -> unit) -> unit
-    (** Run the job on every worker (ids [0 .. size-1], the caller is 0)
-        and wait for all of them. If jobs raise, every worker still
-        completes the barrier and [run] re-raises the exception of the
-        smallest worker id; the pool stays reusable. *)
-
-    val shutdown : t -> unit
-  end
-  (** The internal domain pool, exposed so the regression suite can pin
-      its raise-safety: a raising job must neither deadlock [run] nor
-      poison the pool for subsequent runs. *)
+  val run_workers : int -> (int -> unit) -> unit
+  (** [run_workers n job] runs [job] on worker ids [0 .. n-1] — the caller
+      is worker 0, [n - 1] domains are spawned for the call — and joins
+      every domain. If jobs raise, all domains are still joined, then the
+      exception of the smallest raising worker id is re-raised. Exposed so
+      the regression suite can pin that a raising job neither deadlocks
+      nor leaks a domain. *)
 end

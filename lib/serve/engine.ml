@@ -46,8 +46,8 @@ let model t spec =
   Mutex.unlock t.models_mutex;
   auto
 
-(* Multicore queries serialize here: the measure engines spin up their own
-   domain pool per call, so two concurrent domains=4 requests would want 8
+(* Multicore queries serialize here: the measure engine spawns its own
+   worker domains per call, so two concurrent domains=4 requests would want 8
    cores. Batching them one-after-another onto the same budget keeps the
    daemon's footprint at [max domains] regardless of client concurrency.
    Single-domain queries bypass the lock and run fully concurrently. *)
@@ -88,7 +88,7 @@ let measure t (q : Protocol.query) =
            caching still applies (budgets are part of the key). *)
         let res =
           with_pool t ~domains (fun () ->
-              Measure.exec_dist_budgeted ~engine:q.q_engine ~memo:q.q_memo
+              Measure.exec_dist_budgeted ~memo:q.q_memo
                 ?max_execs:q.q_max_execs ?max_width:q.q_max_width ~domains
                 ~compress:q.q_compress auto sched ~depth:q.q_depth)
         in
@@ -112,7 +112,7 @@ let measure t (q : Protocol.query) =
         (match from with Some _ -> Obs.incr c_resume | None -> ());
         let dist, frontier =
           with_pool t ~domains (fun () ->
-              Measure.exec_dist_frontier ~engine:q.q_engine ~memo:q.q_memo
+              Measure.exec_dist_frontier ~memo:q.q_memo
                 ~domains ~compress:q.q_compress ?from auto sched
                 ~depth:q.q_depth)
         in

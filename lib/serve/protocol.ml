@@ -54,7 +54,6 @@ type query = {
   q_sched : sched;
   q_depth : int;
   q_compress : Measure.compress;
-  q_engine : Measure.engine;
   q_domains : int option;
   q_memo : bool;
   q_max_execs : int option;
@@ -231,14 +230,6 @@ let parse_query ~id obj =
     | Some (Json.Str "quotient") -> `Quotient
     | Some _ -> bad ~id "compress" "expected \"off\" | \"hcons\" | \"quotient\""
   in
-  let q_engine =
-    match Json.member "engine" obj with
-    | None -> `Auto
-    | Some (Json.Str "auto") -> `Auto
-    | Some (Json.Str "layered") -> `Layered
-    | Some (Json.Str "subtree") -> `Subtree
-    | Some _ -> bad ~id "engine" "expected \"auto\" | \"layered\" | \"subtree\""
-  in
   let q_domains = get_opt_int ~id ~field:"domains" obj in
   (match q_domains with
   | Some d when d < 1 -> bad ~id "domains" "must be at least 1"
@@ -248,7 +239,6 @@ let parse_query ~id obj =
     q_sched;
     q_depth;
     q_compress;
-    q_engine;
     q_domains;
     q_memo = get_bool ~id ~field:"memo" ~default:false obj;
     q_max_execs = get_opt_int ~id ~field:"max_execs" obj;

@@ -16,7 +16,6 @@
               | "stats" | "shutdown"
     measure  := { ..., "model": model, "sched": sched, "depth": int,
                   "compress"?: "off"|"hcons"|"quotient",
-                  "engine"?: "auto"|"layered"|"subtree",
                   "domains"?: int, "memo"?: bool,
                   "max_execs"?: int, "max_width"?: int }
     reach    := measure fields + { "state": bits }
@@ -91,7 +90,6 @@ type query = {
   q_sched : sched;
   q_depth : int;
   q_compress : Measure.compress;
-  q_engine : Measure.engine;
   q_domains : int option;  (** [None] = server default *)
   q_memo : bool;
   q_max_execs : int option;
@@ -115,10 +113,10 @@ val parse_request : string -> request
 
 (** {1 Canonical cache keys}
 
-    The cache key deliberately {e excludes} engine, domain count, chunking
-    and memoization: the measure engines guarantee bit-identical results
-    across all of them (the repo's determinism contract), so they are
-    performance knobs, not semantics. It {e includes} compression mode
+    The cache key deliberately {e excludes} domain count and memoization:
+    the measure engine guarantees bit-identical results across both (the
+    repo's determinism contract), so they are performance knobs, not
+    semantics. It {e includes} compression mode
     (a [`Quotient] distribution is over representatives) and the
     exec/width budgets (truncation changes the answer). *)
 

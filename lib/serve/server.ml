@@ -28,6 +28,11 @@ type conn = {
   write_mutex : Mutex.t;
 }
 
+(* The longest request line the daemon buffers, in bytes. Every valid
+   request is far shorter; without a cap, a client that never sends '\n'
+   would grow [pending] without limit. *)
+let max_line = 1 lsl 20
+
 let read_line_fd conn =
   let rec take () =
     let len = Buffer.length conn.pending in
@@ -37,20 +42,22 @@ let read_line_fd conn =
       else find (i + 1)
     in
     match find conn.scanned with
+    | Some i when i > max_line -> `Too_long
     | Some i ->
         let s = Buffer.contents conn.pending in
         Buffer.clear conn.pending;
         Buffer.add_substring conn.pending s (i + 1) (String.length s - i - 1);
         conn.scanned <- 0;
-        Some (String.sub s 0 i)
+        `Line (String.sub s 0 i)
+    | None when len > max_line -> `Too_long
     | None -> (
         conn.scanned <- len;
         match Unix.read conn.fd conn.rbuf 0 (Bytes.length conn.rbuf) with
-        | 0 -> None
+        | 0 -> `Eof
         | n ->
             Buffer.add_subbytes conn.pending conn.rbuf 0 n;
             take ()
-        | exception Unix.Unix_error _ -> None)
+        | exception Unix.Unix_error _ -> `Eof)
   in
   take ()
 
@@ -215,8 +222,8 @@ let worker_loop t =
       let reply =
         try ok_reply job.j_req.Protocol.r_id (run_op t job.j_req)
         with exn ->
-          (* Engine failures (invalid_arg from a budget/engine clash, a
-             broken model spec, …) poison only this request. *)
+          (* Engine failures (a raising scheduler, a broken model spec,
+             …) poison only this request. *)
           Obs.incr c_errors;
           error_reply ~id:(Some job.j_req.Protocol.r_id) ~kind:"engine"
             ~field:"-" ~msg:(Printexc.to_string exn)
@@ -326,9 +333,17 @@ let close_conn t conn =
 let reader_loop t conn =
   let rec loop () =
     match read_line_fd conn with
-    | None -> close_conn t conn
-    | Some line when String.trim line = "" -> loop ()
-    | Some line ->
+    | `Eof -> close_conn t conn
+    | `Too_long ->
+        (* The rest of the line cannot be told apart from the next
+           request, so the connection ends here. *)
+        Obs.incr c_errors;
+        send conn
+          (error_reply ~id:None ~kind:"protocol" ~field:"request"
+             ~msg:(Printf.sprintf "request line exceeds %d bytes" max_line));
+        close_conn t conn
+    | `Line line when String.trim line = "" -> loop ()
+    | `Line line ->
         (match Protocol.parse_request line with
         | exception Protocol.Protocol_error { id; field; msg } ->
             Obs.incr c_errors;

@@ -7,7 +7,7 @@
     [emulate]) are enqueued onto a bounded job queue drained by a pool of
     executor threads backed by one shared {!Engine} — so every connection
     sees the same model registry and result cache, and multicore queries
-    batch onto one domain-pool budget.
+    batch onto one domain budget.
 
     Replies carry the request's [id], so a client may pipeline; replies to
     {e queued} ops can overtake each other, which is what the id is for.
@@ -17,7 +17,7 @@
     Determinism: the daemon returns bit-identical results to in-process
     [Measure.exec_dist] — distributions, truncation tags and deficits —
     regardless of cache state, request interleaving, executor count or
-    per-request engine/domain selection. The protocol test suite enforces
+    per-request domain count. The protocol test suite enforces
     this differentially. *)
 
 exception

@@ -2,12 +2,13 @@
 
    Three independent implementations compute the Section 3 depth-bounded
    execution measure: the naive list-based oracle (test/support/oracle.ml,
-   shares no code with production), the sequential engine
-   (Measure.exec_dist, domains = 1) and the multicore engine
-   (Par_measure, domains ≥ 2). The suite generates random PSIOAs and PCAs
-   (including fault-wrapped churning ones) and asserts all of them agree
-   — distributions Dist.equal, budget tags and deficits identical, Obs
-   totals conserved — for every domain count and chunk size.
+   shares no code with production), the sequential layer loop
+   (Measure.exec_dist, domains = 1) and the multicore subtree engine
+   (Par_measure, domains ≥ 2, unbudgeted and quotient-free). The suite
+   generates random PSIOAs and PCAs (including fault-wrapped churning
+   ones) and asserts all of them agree — distributions Dist.equal, budget
+   tags and deficits identical, Obs totals conserved — for every domain
+   count.
 
    A committed corpus of previously interesting seeds (test/corpus/) is
    replayed first, then the randomized properties run with shrinking. *)
@@ -27,27 +28,15 @@ let test_domains =
   | Some n when n > 1 && not (List.mem n base) -> base @ [ n ]
   | _ -> base
 
-(* Compression level threaded through the budgeted / chunk / Obs
-   properties, so a CI leg (CDSE_TEST_COMPRESS=quotient) replays the whole
-   determinism battery on the compressed engine. The main [conforms] check
+(* Compression level threaded through the budgeted / Obs properties, so a
+   CI leg (CDSE_TEST_COMPRESS=quotient) replays the whole determinism
+   battery on the compressed engine. The main [conforms] check
    always exercises every level regardless. *)
 let test_compress : Measure.compress =
   match Sys.getenv_opt "CDSE_TEST_COMPRESS" with
   | Some "hcons" -> `Hcons
   | Some "quotient" -> `Quotient
   | _ -> `Off
-
-(* Multicore engines pitted against the sequential reference on the
-   unbudgeted paths. Both by default; CDSE_TEST_ENGINE pins one so a CI
-   leg can replay the whole corpus on the barrier-free subtree engine (or
-   the layered one) alone. Budgeted and quotient-compressed runs always go
-   through the layered engine regardless — that dispatch is the
-   [Par_measure] contract, not a test knob. *)
-let test_engines : Measure.engine list =
-  match Sys.getenv_opt "CDSE_TEST_ENGINE" with
-  | Some "layered" -> [ `Layered ]
-  | Some "subtree" -> [ `Subtree ]
-  | _ -> [ `Layered; `Subtree ]
 
 (* ------------------------------------------------------------ scenarios *)
 
@@ -107,6 +96,16 @@ let budgeted_equal eq a b =
   | `Truncated (d1, l1), `Truncated (d2, l2) -> eq d1 d2 && Rat.equal l1 l2
   | _ -> false
 
+(* Same entries in the same order with the same exact masses: the
+   in-memory normal form, not just [Dist.equal]. *)
+let items_identical d1 d2 =
+  let i1 = Dist.items d1 and i2 = Dist.items d2 in
+  List.length i1 = List.length i2
+  && List.for_all2 (fun (e, p) (e', p') -> Exec.compare e e' = 0 && Rat.equal p p') i1 i2
+
+let counter snapshot name =
+  Option.value ~default:0 (List.assoc_opt name snapshot.Cdse_obs.Obs.s_counters)
+
 let trace_push auto d =
   Dist.map
     ~compare:(Cdse_util.Order.list Action.compare)
@@ -124,33 +123,18 @@ let conforms case =
   let auto, sched, depth = build case in
   let reference = Oracle.exec_dist auto sched ~depth in
   let seq = Measure.exec_dist auto sched ~depth in
-  let items_identical d1 d2 =
-    let i1 = Dist.items d1 and i2 = Dist.items d2 in
-    List.length i1 = List.length i2
-    && List.for_all2
-         (fun (e, p) (e', p') -> Exec.compare e e' = 0 && Rat.equal p p')
-         i1 i2
-  in
   Dist.equal reference seq
   && Dist.equal seq (Measure.exec_dist ~memo:true auto sched ~depth)
   && List.for_all
        (fun domains ->
-         List.for_all
-           (fun engine ->
-             Dist.equal seq (Measure.exec_dist ~engine ~domains auto sched ~depth)
-             && Dist.equal seq
-                  (Measure.exec_dist ~engine ~memo:true ~domains auto sched ~depth))
-           test_engines)
+         Dist.equal seq (Measure.exec_dist ~domains auto sched ~depth)
+         && Dist.equal seq (Measure.exec_dist ~memo:true ~domains auto sched ~depth))
        test_domains
   && items_identical seq (Measure.exec_dist ~compress:`Hcons auto sched ~depth)
   && List.for_all
        (fun domains ->
-         List.for_all
-           (fun engine ->
-             Dist.equal seq
-               (Measure.exec_dist ~engine ~compress:`Hcons ~memo:true ~domains auto
-                  sched ~depth))
-           test_engines)
+         Dist.equal seq
+           (Measure.exec_dist ~compress:`Hcons ~memo:true ~domains auto sched ~depth))
        test_domains
   &&
   let q = Measure.exec_dist ~compress:`Quotient auto sched ~depth in
@@ -208,36 +192,22 @@ let prop_budgeted_quotient =
         (fun domains -> budgeted_equal Dist.equal seq (run ~domains ()))
         test_domains)
 
-(* Chunked self-scheduling: any chunk size partitions every frontier the
-   same way the merge reassembles it, so the result cannot depend on it.
-   chunk = 1 maximally interleaves workers (each entry a separate claim);
-   chunk = 64 usually hands whole layers to one worker. [chunk] is a
-   layered-engine knob, so the engine is pinned — under [`Auto] an
-   unbudgeted run would take the subtree engine and never read it. *)
-let prop_chunk_independent =
-  QCheck.Test.make ~count:50 ~name:"chunk size never changes the result" case_arb
-    (fun case ->
-      let auto, sched, depth = build case in
-      let compress = test_compress in
-      let seq = Measure.exec_dist ~compress auto sched ~depth in
-      Dist.equal seq
-        (Par_measure.exec_dist ~engine:`Layered ~compress ~domains:3 ~chunk:1 auto
-           sched ~depth)
-      && Dist.equal seq
-           (Par_measure.exec_dist ~engine:`Layered ~compress ~domains:3 ~chunk:64
-              auto sched ~depth))
-
 (* ------------------------------------------- error-propagation audit *)
 
-(* A scheduler raise must surface deterministically from every engine:
-   when exactly one execution fails, the same exception — carrying the
-   same failing entry — comes out of the sequential loop, the layered
-   engine at every domain count × chunk size, and the subtree engine at
-   every domain count; and the engines stay reusable afterwards. The
-   failing execution is picked from the clean run's support (the
-   [Exec.compare]-least completed execution, truncated to a length-2
-   prefix), so it is guaranteed to be visited as a frontier node by every
-   engine and partitioning. *)
+(* A scheduler raise must surface deterministically at every domain
+   count: when exactly one execution fails, the same exception — carrying
+   the same failing entry — comes out of the sequential layer loop and the
+   subtree engine at 2 and 4 domains, and the engine stays usable
+   afterwards. The failing execution is a prefix of the
+   [Exec.compare]-least completed execution of full depth, so it is
+   visited as a cone node under every partitioning. On this cone the seed
+   phase stops at length 3 (2 domains) and 4 (4 domains): the length-2
+   target fails inside the seed phase, the length-4 target inside a
+   worker, which exercises the worker's failure slot, the min-fail merge
+   and the termination guard of a worker that stops holding work. Two
+   length-4 targets in different subtrees pin the merge itself: every
+   domain count raises the [Exec.compare]-least, whichever worker meets
+   its node first. *)
 exception Boom of int
 
 let prefix_exec n e =
@@ -250,49 +220,57 @@ let prefix_exec n e =
 let test_error_propagation () =
   let auto, sched, depth = build { seed = 42; kind = 0; sched = 0; depth = 5 } in
   let clean = Measure.exec_dist auto sched ~depth in
-  let target =
-    (* Dist items are sorted by Exec.compare, so hd is the least. *)
-    prefix_exec 2 (fst (List.hd (Dist.items clean)))
-  in
-  let raising =
-    Scheduler.make ~validated:true ~name:"raising" (fun e ->
-        if Exec.compare e target = 0 then raise (Boom (Exec.hash e))
-        else Scheduler.validate_choice auto sched e)
-  in
-  let failure_of run =
-    match run () with
+  let full = List.filter (fun (e, _) -> Exec.length e = depth) (Dist.items clean) in
+  (* Dist items are sorted by Exec.compare: the least and the greatest
+     completed executions of full depth. *)
+  let deepest = fst (List.hd full) and last = fst (List.hd (List.rev full)) in
+  let failure_of ?domains targets =
+    let raising =
+      Scheduler.make ~validated:true ~name:"raising" (fun e ->
+          if List.exists (fun t -> Exec.compare e t = 0) targets then
+            raise (Boom (Exec.hash e))
+          else Scheduler.validate_choice auto sched e)
+    in
+    match Measure.exec_dist ?domains auto raising ~depth with
     | (_ : Exec.t Dist.t) -> None
     | exception Boom h -> Some h
   in
-  let expected = failure_of (fun () -> Measure.exec_dist auto raising ~depth) in
-  Alcotest.(check bool) "sequential run raises" true (expected <> None);
+  List.iter
+    (fun len ->
+      let target = prefix_exec len deepest in
+      let failure_of ?domains () = failure_of ?domains [ target ] in
+      let expected = failure_of () in
+      Alcotest.(check bool)
+        (Printf.sprintf "sequential run raises (length-%d target)" len)
+        true (expected <> None);
+      List.iter
+        (fun domains ->
+          let got, snap = Cdse_obs.Obs.with_stats (failure_of ~domains) in
+          Alcotest.(check (option int))
+            (Printf.sprintf "domains=%d raises the same entry (length-%d target)"
+               domains len)
+            expected got;
+          Alcotest.(check bool)
+            (Printf.sprintf "domains=%d reached the subtree workers" domains)
+            true
+            (counter snap "measure.subtree.roots" > 0);
+          (* Usable after the raise: the same call produces the clean
+             measure again with a non-raising scheduler. *)
+          Alcotest.(check bool)
+            (Printf.sprintf "engine usable after raise (domains=%d)" domains)
+            true
+            (Dist.equal clean (Measure.exec_dist ~domains auto sched ~depth)))
+        [ 2; 4 ])
+    [ 2; 4 ];
+  let t1 = prefix_exec 4 deepest and t2 = prefix_exec 4 last in
+  Alcotest.(check bool) "two distinct targets, told apart by their hashes" true
+    (Exec.compare t1 t2 < 0 && Exec.hash t1 <> Exec.hash t2);
   List.iter
     (fun domains ->
-      List.iter
-        (fun chunk ->
-          Alcotest.(check (option int))
-            (Printf.sprintf "layered domains=%d chunk=%d raises the same entry"
-               domains chunk)
-            expected
-            (failure_of (fun () ->
-                 Par_measure.exec_dist ~engine:`Layered ~domains ~chunk auto raising
-                   ~depth)))
-        [ 1; 64 ];
       Alcotest.(check (option int))
-        (Printf.sprintf "subtree domains=%d raises the same entry" domains)
-        expected
-        (failure_of (fun () ->
-             Par_measure.exec_dist ~engine:`Subtree ~domains auto raising ~depth));
-      (* Reusable after the raise: the same call sites produce the clean
-         measure again with a non-raising scheduler. *)
-      List.iter
-        (fun engine ->
-          Alcotest.(check bool)
-            (Printf.sprintf "engine reusable after raise (domains=%d)" domains)
-            true
-            (Dist.equal clean
-               (Par_measure.exec_dist ~engine ~domains auto sched ~depth)))
-        [ `Layered; `Subtree ])
+        (Printf.sprintf "domains=%d raises the least of two failing entries" domains)
+        (Some (Exec.hash t1))
+        (failure_of ~domains [ t2; t1 ]))
     [ 2; 4 ]
 
 (* Budget pruning is the only frontier-order-sensitive step in the engine
@@ -328,11 +306,7 @@ let prop_truncate_permutation_invariant =
    not conserved (each worker warms its own cache) — only the sums are;
    sched.validations and rat.promotions vary for the same reason. *)
 let conserved snapshot =
-  let c name =
-    match List.assoc_opt name snapshot.Cdse_obs.Obs.s_counters with
-    | Some v -> v
-    | None -> 0
-  in
+  let c = counter snapshot in
   let sum2 a b = c a + c b in
   ( c "measure.layers",
     c "measure.finished",
@@ -362,6 +336,59 @@ let prop_obs_conserved =
                  auto sched ~depth))
       in
       conserved (run 1) = conserved (run 4))
+
+(* ------------------------------------------------------- wide cones *)
+
+(* Cones wide enough that the seed phase hands most runs to the subtree
+   workers: [case_arb]'s depth-2–4 cases mostly bottom out inside the
+   seed phase, so they test the seed phase rather than the workers. Over
+   40 seeds of E7's walk shape (8 states, branching 2 at depth 8 and
+   branching 3 at depth 6), every run at 2 and 4 domains must be
+   bit-identical to the layer loop, and the totals the subtree engine
+   conserves must match between 1 and 4 domains: finished executions,
+   one choice lookup and one memo lookup per node (the hit/miss split
+   varies with the per-worker caches), and the deficit gauge. The test
+   also requires that most runs actually reach the workers. *)
+let subtree_conserved snapshot =
+  let c = counter snapshot in
+  let sum2 a b = c a + c b in
+  ( c "measure.finished",
+    sum2 "measure.choice.hit" "measure.choice.miss",
+    sum2 "psioa.memo.sig.hit" "psioa.memo.sig.miss",
+    sum2 "psioa.memo.step.hit" "psioa.memo.step.miss",
+    List.assoc_opt "measure.truncation_deficit" snapshot.Cdse_obs.Obs.s_gauges )
+
+let test_wide_cones () =
+  let runs = ref 0 and reached = ref 0 in
+  List.iter
+    (fun (seed, branching, depth) ->
+      let auto =
+        Cdse_gen.Random_auto.make ~rng:(Rng.make seed) ~name:"walk" ~n_states:8
+          ~n_actions:branching ~branching ()
+      in
+      let sched = Scheduler.uniform auto in
+      let run domains =
+        Cdse_obs.Obs.with_stats (fun () ->
+            Measure.exec_dist ~memo:true ~domains auto sched ~depth)
+      in
+      let seq, seq_snap = run 1 in
+      List.iter
+        (fun domains ->
+          let par, snap = run domains in
+          let what = Printf.sprintf "seed=%d b=%d domains=%d" seed branching domains in
+          incr runs;
+          if counter snap "measure.subtree.roots" > 0 then incr reached;
+          Alcotest.(check bool) (what ^ ": bit-identical to the layer loop") true
+            (items_identical seq par);
+          if domains = 4 then
+            Alcotest.(check bool) (what ^ ": conserved totals match domains=1") true
+              (subtree_conserved seq_snap = subtree_conserved snap))
+        [ 2; 4 ])
+    (List.concat_map (fun seed -> [ (seed, 2, 8); (seed, 3, 6) ]) (List.init 40 Fun.id));
+  Alcotest.(check bool)
+    (Printf.sprintf "most runs reach the subtree workers (%d of %d)" !reached !runs)
+    true
+    (4 * !reached >= 3 * !runs)
 
 (* ------------------------------------------------- hash-consing audit *)
 
@@ -502,21 +529,17 @@ let test_corpus_traced () =
       Alcotest.(check bool)
         (Printf.sprintf "traced quotient run bit-identical for %s"
            (print_case case))
-        true
-        (let i1 = Dist.items plain and i2 = Dist.items traced in
-         List.length i1 = List.length i2
-         && List.for_all2
-              (fun (e, p) (e', p') -> Exec.compare e e' = 0 && Rat.equal p p')
-              i1 i2);
+        true (items_identical plain traced);
       Alcotest.(check bool)
         (Printf.sprintf "trace well-formed for %s" (print_case case))
         true
         (evs <> []
         && List.for_all (fun e -> e.Trace.ev_dur >= 0.) evs
-        && (* An active quotient keeps the layered engine (layer spans); a
+        && (* An active quotient keeps the layer loop (layer spans); a
               history-dependent scheduler degrades [`Quotient] to [`Hcons]
-              and the run takes the barrier-free engine (subtree spans, or
-              none when the cone bottoms out inside the seed phase). *)
+              and the run takes the subtree engine (subtree spans, or only
+              the seed span when the cone bottoms out inside the seed
+              phase). *)
         List.exists
           (fun e ->
             e.Trace.ev_name = "measure.layer"
@@ -619,12 +642,7 @@ let test_serve_corpus () =
               let auto, sched, depth = build case in
               let reference = Oracle.exec_dist auto sched ~depth in
               let identical =
-                let i1 = Dist.items served and i2 = Dist.items reference in
-                List.length i1 = List.length i2
-                && List.for_all2
-                     (fun (e, p) (e', p') ->
-                       Exec.compare e e' = 0 && Rat.equal p p')
-                     i1 i2
+                items_identical served reference
                 && Rat.equal (Dist.deficit served) (Dist.deficit reference)
               in
               Alcotest.(check bool)
@@ -647,7 +665,8 @@ let () =
           qtest prop_conformance;
           qtest prop_budgeted_conformance;
           qtest prop_budgeted_quotient;
-          qtest prop_chunk_independent;
+          Alcotest.test_case "wide cones: subtree engine = layer loop" `Quick
+            test_wide_cones;
         ] );
       ( "errors",
         [

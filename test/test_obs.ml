@@ -80,29 +80,6 @@ let test_histogram_percentiles () =
   Alcotest.(check int) "empty histogram: percentile 0" 0
     (Obs.hist_percentile empty 0.5)
 
-let test_event_sink () =
-  let got = ref [] in
-  let forced = ref 0 in
-  Obs.set_sink (Some (fun (e : Obs.event) -> got := e :: !got));
-  Obs.set_enabled false;
-  Obs.emit "test.ev" (fun () ->
-      incr forced;
-      "dropped");
-  Alcotest.(check int) "disabled: payload thunk never forced" 0 !forced;
-  let (), _ =
-    Obs.with_stats (fun () ->
-        Obs.emit "test.ev" (fun () ->
-            incr forced;
-            "kept"))
-  in
-  Obs.set_sink None;
-  Alcotest.(check int) "enabled: forced exactly once" 1 !forced;
-  match !got with
-  | [ e ] ->
-      Alcotest.(check string) "event name" "test.ev" e.Obs.name;
-      Alcotest.(check string) "event detail" "kept" e.Obs.detail
-  | _ -> Alcotest.fail "expected exactly one delivered event"
-
 (* -------------------------------------------------------- conservation *)
 
 let test_memo_counters_account_every_lookup () =
@@ -207,8 +184,7 @@ let () =
         [ Alcotest.test_case "counters, histograms, with_stats" `Quick
             test_instrument_basics;
           Alcotest.test_case "histogram min and percentiles" `Quick
-            test_histogram_percentiles;
-          Alcotest.test_case "event sink gating" `Quick test_event_sink ] );
+            test_histogram_percentiles ] );
       ( "conservation",
         [ Alcotest.test_case "memo hits + misses = lookups" `Quick
             test_memo_counters_account_every_lookup;

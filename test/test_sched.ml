@@ -351,56 +351,51 @@ let test_expected_steps () =
   let sched = Scheduler.bounded 3 (Scheduler.first_enabled f) in
   Alcotest.check rat "E[steps] = 7/4" (Rat.of_ints 7 4) (Measure.expected_steps f sched ~depth:5)
 
-(* ------------------------------------------------------------------- Pool *)
+(* ------------------------------------------------------------ Workers *)
 
 exception Job_boom of int
 
-(* Regression: a worker job that raises used to skip the pending-counter
-   decrement, leaving [Pool.run] waiting on the completion barrier forever
-   (the engine deadlocked the first time a scheduler raised on a multicore
-   run). [run] must complete the barrier, re-raise deterministically — the
-   recorded exception of the smallest worker id, independent of OS
-   scheduling — and leave the pool reusable. *)
+(* A raising job must neither deadlock the multicore engine nor leak a
+   domain: the worker helper joins every domain — the non-raising
+   workers finish their jobs — and re-raises deterministically, the
+   exception of the smallest worker id, independent of OS scheduling. A
+   later call runs normally. *)
 let test_pool_raise_no_deadlock () =
-  let module Pool = Par_measure.For_tests.Pool in
-  let pool = Pool.create 4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let run_workers = Par_measure.For_tests.run_workers in
   for _ = 1 to 3 do
     (* Workers 1 and 3 raise; worker 1 — the smallest raising id — wins,
        whichever domain finishes first. *)
+    let ran = Array.make 4 false in
     let got =
-      match Pool.run pool (fun w -> if w mod 2 = 1 then raise (Job_boom w)) with
+      match
+        run_workers 4 (fun w -> if w mod 2 = 1 then raise (Job_boom w) else ran.(w) <- true)
+      with
       | () -> None
       | exception Job_boom w -> Some w
     in
     Alcotest.(check (option int)) "smallest raising worker id re-raised"
-      (Some 1) got
+      (Some 1) got;
+    Alcotest.(check (array bool)) "every non-raising worker joined"
+      [| true; false; true; false |] ran
   done;
-  (* The pool survives raising runs: a clean job still runs on every
-     worker. *)
   let hits = Array.make 4 0 in
-  Pool.run pool (fun w -> hits.(w) <- hits.(w) + 1);
-  Alcotest.(check (array int)) "pool reusable after raises" [| 1; 1; 1; 1 |] hits
+  run_workers 4 (fun w -> hits.(w) <- hits.(w) + 1);
+  Alcotest.(check (array int)) "a clean job runs once per worker" [| 1; 1; 1; 1 |] hits
 
 let test_pool_caller_raise () =
-  (* The caller is worker 0; its own raise must also complete the barrier
-     (spawned workers finish their jobs) and re-raise. *)
-  let module Pool = Par_measure.For_tests.Pool in
-  let pool = Pool.create 2 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  (* The caller is worker 0; its own raise must still join the spawned
+     worker (which finishes its job) before re-raising. *)
   let others = Atomic.make 0 in
   let got =
     match
-      Pool.run pool (fun w ->
+      Par_measure.For_tests.run_workers 2 (fun w ->
           if w = 0 then raise (Job_boom 0) else Atomic.incr others)
     with
     | () -> None
     | exception Job_boom w -> Some w
   in
   Alcotest.(check (option int)) "caller's exception re-raised" (Some 0) got;
-  Alcotest.(check int) "spawned worker still ran" 1 (Atomic.get others);
-  Pool.run pool (fun _ -> ());
-  Alcotest.(check pass) "pool reusable after caller raise" () ()
+  Alcotest.(check int) "spawned worker still ran" 1 (Atomic.get others)
 
 (* ----------------------------------------------------------------- Schema *)
 

@@ -247,6 +247,34 @@ let test_malformed_requests () =
       let body = expect_ok (Client.ping c) in
       Alcotest.(check string) "connection still usable" "pong" (Client.str body))
 
+(* A request line is capped at 1 MiB. A client that never sends '\n'
+   gets a protocol error naming the request and has its connection
+   closed, instead of growing the daemon's memory without limit; other
+   connections are still served. *)
+let test_oversized_line () =
+  with_server (fun _ socket ->
+      let c = Client.connect socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let n = 2 lsl 20 in
+          (* The daemon closes once it has read past the cap, which can cut
+             the write short. *)
+          (try ignore (Unix.write c.Client.fd (Bytes.make n 'x') 0 n)
+           with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+          let r = Client.reply_of_line (Client.recv_line c) in
+          Alcotest.(check bool) "oversized line: error reply" false r.Client.r_ok;
+          Alcotest.(check (pair string string))
+            "oversized line: protocol error on the request" ("protocol", "request")
+            ( Client.str (Client.field "kind" r.Client.r_body),
+              Client.str (Client.field "field" r.Client.r_body) ));
+      let c = Client.connect socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          Alcotest.(check string) "a fresh connection still gets pong" "pong"
+            (Client.str (expect_ok (Client.ping c)))))
+
 let test_exception_printers () =
   let rendered_p =
     Printexc.to_string
@@ -417,7 +445,6 @@ let prop_cache_sound =
         };
       q_depth = depth mod 5;
       q_compress = (if comp mod 2 = 0 then `Off else `Hcons);
-      q_engine = `Auto;
       q_domains = Some test_domains;
       q_memo = false;
       q_max_execs = None;
@@ -556,6 +583,8 @@ let () =
           Alcotest.test_case "emulate round-trip" `Quick test_emulate_roundtrip;
           Alcotest.test_case "malformed requests get error replies" `Quick
             test_malformed_requests;
+          Alcotest.test_case "oversized request line is refused" `Quick
+            test_oversized_line;
           Alcotest.test_case "exception printers" `Quick test_exception_printers;
         ] );
       ( "cache",

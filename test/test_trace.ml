@@ -12,7 +12,7 @@ module Trace = Cdse_obs.Trace
 
 (* A conformance-corpus case ("42 0 0 5" in test/corpus/seeds.txt): a
    random 6-state PSIOA under a bounded uniform scheduler — wide enough
-   frontiers that the parallel engine actually chunks. *)
+   frontiers that the subtree engine actually hands out subtrees. *)
 let corpus_system () =
   let rng = Rng.make 42 in
   let auto = Cdse_gen.Random_auto.make ~rng ~name:"ca" ~n_states:6 ~n_actions:3 () in
@@ -50,7 +50,6 @@ let test_disabled_emits_nothing () =
       incr forced;
       [])
     "t.instant";
-  Trace.emit_span "t.emit" ~ts_us:0. ~dur_us:1.;
   Alcotest.(check int) "argument thunks never forced while disabled" 0 !forced;
   Alcotest.(check (list string)) "no events recorded" []
     (List.map (fun e -> e.Trace.ev_name) (Trace.events ()));
@@ -108,15 +107,14 @@ let test_spans_balanced () =
 
 (* The determinism contract lifted to the trace: one measure.layer span
    per frontier layer, so the count is a pure function of the system and
-   depth — identical across domain counts {1, 2, 4}, barriers and merge
-   spans notwithstanding. Layer spans are a layered-engine notion, so the
-   multicore runs pin [`Layered] — under [`Auto] an unbudgeted multicore
-   run takes the barrier-free subtree engine, which has no layers. *)
+   depth — identical across domain counts {1, 2, 4}. An active quotient
+   keeps a multicore run on the layer loop (an unbudgeted quotient-free
+   one takes the subtree engine, which has no layers). *)
 let test_layer_spans_domain_independent () =
   let auto, sched, depth = corpus_system () in
   let layer_spans domains =
     Trace.start ();
-    ignore (Measure.exec_dist ~engine:`Layered ~domains auto sched ~depth);
+    ignore (Measure.exec_dist ~compress:`Quotient ~domains auto sched ~depth);
     Trace.stop ();
     let n =
       List.length
@@ -132,9 +130,9 @@ let test_layer_spans_domain_independent () =
   Alcotest.(check int) "domains=2 matches sequential" n1 (layer_spans 2);
   Alcotest.(check int) "domains=4 matches sequential" n1 (layer_spans 4)
 
-(* The subtree engine's span vocabulary: an unbudgeted multicore run under
-   [`Auto] records the seed phase and per-subtree work spans, and — being
-   barrier-free — neither layer spans nor synthetic barrier waits. *)
+(* The subtree engine's span vocabulary: an unbudgeted multicore run
+   records the seed phase and per-subtree work spans, and no layer
+   spans. *)
 let test_subtree_spans () =
   let auto, sched, depth = corpus_system () in
   List.iter
@@ -149,9 +147,7 @@ let test_subtree_spans () =
       Alcotest.(check bool) "subtree work spans recorded" true
         (has "measure.subtree");
       Alcotest.(check bool) "single final merge span" true (has "measure.merge");
-      Alcotest.(check bool) "no layer spans" false (has "measure.layer");
-      Alcotest.(check bool) "no barrier-wait spans" false
-        (has "measure.barrier.wait"))
+      Alcotest.(check bool) "no layer spans" false (has "measure.layer"))
     [ 2; 4 ]
 
 (* Ring capacity: a full store drops (never blocks, never reallocates)
@@ -186,22 +182,21 @@ let test_buffer_drain () =
   Alcotest.(check bool) "buffered events carry the buffer's domain id" true
     (List.for_all (fun e -> e.Trace.ev_dom = 3) evs)
 
-(* The self-profiling summary on a real multicore run: fractions are
-   fractions, imbalance is max/mean, and the vocabulary was recognized
-   (layer rows and worker rows both present). Pinned to the layered
-   engine, which is what the layer rows describe. *)
+(* The self-profiling summary over a sequential and a multicore run of the
+   same system: fractions are fractions, imbalance is max/mean, and the
+   vocabulary was recognized — layer rows from the layer loop, worker rows
+   from the subtree engine. *)
 let test_summary_sane () =
   let auto, sched, depth = corpus_system () in
   Trace.start ();
-  ignore (Measure.exec_dist ~engine:`Layered ~domains:2 auto sched ~depth);
+  ignore (Measure.exec_dist auto sched ~depth);
+  ignore (Measure.exec_dist ~domains:2 auto sched ~depth);
   Trace.stop ();
   let sm = Trace.summary () in
   Trace.clear ();
   Alcotest.(check bool) "spans counted" true (sm.Trace.sm_spans > 0);
-  Alcotest.(check bool) "barrier-wait fraction in [0,1]" true
-    (sm.Trace.sm_barrier_wait_frac >= 0. && sm.Trace.sm_barrier_wait_frac <= 1.);
-  Alcotest.(check bool) "merge fraction in [0,1]" true
-    (sm.Trace.sm_merge_frac >= 0. && sm.Trace.sm_merge_frac <= 1.);
+  Alcotest.(check bool) "idle fraction in [0,1]" true
+    (sm.Trace.sm_idle_frac >= 0. && sm.Trace.sm_idle_frac <= 1.);
   Alcotest.(check bool) "imbalance is max/mean, so >= 1" true
     (sm.Trace.sm_imbalance >= 1.);
   Alcotest.(check bool) "layer rows parsed" true (sm.Trace.sm_layers <> []);
@@ -209,9 +204,9 @@ let test_summary_sane () =
   Alcotest.(check bool) "layer rows carry the frontier width" true
     (List.for_all (fun lr -> lr.Trace.lr_width > 0) sm.Trace.sm_layers)
 
-(* The summary over a subtree-engine run: worker rows come from the
-   measure.subtree spans, idle time from measure.steal.idle, and the
-   barrier-wait fraction is identically 0 — there are no barriers. *)
+(* The summary over a subtree-engine run alone: worker rows come from the
+   measure.subtree spans, idle time from measure.steal.idle, and there
+   are no layer rows. *)
 let test_summary_subtree () =
   let auto, sched, depth = corpus_system () in
   Trace.start ();
@@ -220,8 +215,7 @@ let test_summary_subtree () =
   let sm = Trace.summary () in
   Trace.clear ();
   Alcotest.(check bool) "spans counted" true (sm.Trace.sm_spans > 0);
-  Alcotest.(check (float 0.)) "no barrier waits in a barrier-free run" 0.
-    sm.Trace.sm_barrier_wait_frac;
+  Alcotest.(check bool) "no layer rows in a layer-free run" true (sm.Trace.sm_layers = []);
   Alcotest.(check bool) "idle fraction in [0,1]" true
     (sm.Trace.sm_idle_frac >= 0. && sm.Trace.sm_idle_frac <= 1.);
   Alcotest.(check bool) "worker rows parsed from subtree spans" true
