@@ -3,11 +3,34 @@
    [Measure.exec_dist] timings (depths 3-6 on the coin / random-walk /
    committee workloads) against the pre-optimization baseline hardcoded
    below, plus (schema cdse-bench/8) a serving-layer cell that drives an
-   in-process cdse_serve daemon over its Unix-socket wire protocol.
+   in-process cdse_serve daemon over its Unix-socket wire protocol. Every
+   cell is a [Json.t] rendered by the repo's one codec.
    Regenerate with [dune exec bench/main.exe -- micro]. *)
 
 open Cdse
-module Json = Cdse_serve.Json
+
+let int i = Json.Num (float_of_int i)
+
+(* A number rendered with exactly [digits] decimals. *)
+let fixed digits f = Json.Raw (Printf.sprintf "%.*f" digits f)
+
+(* An object whose members each end a line (then [indent] spaces), so the
+   file diffs cell by cell: only whitespace is added to what
+   [Json.to_string] renders. *)
+let lines ?(indent = 0) fields =
+  let eol = "\n" ^ String.make indent ' ' in
+  Json.Obj (List.map (fun (k, v) -> (k, Json.Raw (Json.to_string v ^ eol))) fields)
+
+(* A timing against its seed-revision baseline, when there is one. *)
+let entry ?(digits = 1) ?(extra = []) baseline current =
+  let baseline, speedup =
+    match baseline with
+    | Some b -> (fixed digits b, fixed 2 (b /. current))
+    | None -> (Json.Null, Json.Null)
+  in
+  Json.Obj
+    ([ ("baseline", baseline); ("current", fixed digits current); ("speedup", speedup) ]
+    @ extra)
 
 (* ns/op on the seed revision (list-backed Dist, Bignat-only Rat, memo-free
    Measure), same bechamel config as Micro.run. *)
@@ -70,7 +93,7 @@ let counter_keys =
     "memo_misses"; "choice_hits"; "choice_misses"; "rat_promotions";
     "sched_validations" ]
 
-(* Run [f] once with stats enabled and render the engine counters as the
+(* Run [f] once with stats enabled and return the engine counters as the
    JSON "counters" object. Collection is a separate run from the timing
    loop, which executes with stats in whatever state the caller left them
    — the emitted ms/op never includes instrumentation overhead. *)
@@ -105,11 +128,11 @@ let counters_json f =
           | "sched_validations" -> c "sched.validations"
           | k -> invalid_arg ("counters_json: " ^ k)
         in
-        Printf.sprintf "\"%s\": %d" k v)
+        (k, int v))
       counter_keys
   in
-  Printf.sprintf "{%s, \"memo_hit_rate\": %.4f, \"truncation_deficit\": \"%s\"}"
-    (String.concat ", " num) hit_rate deficit
+  Json.Obj
+    (num @ [ ("memo_hit_rate", fixed 4 hit_rate); ("truncation_deficit", Json.Str deficit) ])
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -128,14 +151,19 @@ let measure_macro () =
   in
   List.map
     (fun (name, auto) ->
+      let base = List.assoc_opt name macro_baseline in
       ( name,
-        List.map
-          (fun depth ->
-            let sched = Scheduler.bounded depth (Scheduler.uniform auto) in
-            let run () = Measure.exec_dist ~memo:true auto sched ~depth in
-            let counters = counters_json run in
-            (depth, wall run, counters))
-          depths ))
+        lines ~indent:2
+          (List.map
+             (fun depth ->
+               let sched = Scheduler.bounded depth (Scheduler.uniform auto) in
+               let run () = Measure.exec_dist ~memo:true auto sched ~depth in
+               let counters = counters_json run in
+               ( string_of_int depth,
+                 entry ~digits:4 ~extra:[ ("counters", counters) ]
+                   (Option.bind base (List.assoc_opt depth))
+                   (wall run) ))
+             depths) ))
     workloads
 
 let par_system (name, branching, default_depth) =
@@ -167,10 +195,10 @@ let subtree_trace_json run =
   Trace.stop ();
   let sm = Trace.summary () in
   Trace.clear ();
-  Printf.sprintf
-    "{\"domains\": %d, \"idle_frac\": %.4f, \"steal_frac\": %.4f, \
-     \"imbalance_max_over_mean\": %.4f}"
-    domains sm.Trace.sm_idle_frac steal_frac sm.Trace.sm_imbalance
+  Json.Obj
+    [ ("domains", int domains); ("idle_frac", fixed 4 sm.Trace.sm_idle_frac);
+      ("steal_frac", fixed 4 steal_frac);
+      ("imbalance_max_over_mean", fixed 4 sm.Trace.sm_imbalance) ]
 
 (* One scaling cell: wall-clock per domain count, plus the dispatch
    overhead of the domains-aware entry point at domains = 1 versus the
@@ -184,8 +212,15 @@ let measure_subtree () =
       let run ~domains () = Measure.exec_dist ~memo:true ~domains auto sched ~depth in
       let times = List.map (fun domains -> (domains, wall (run ~domains))) par_domains in
       let t_plain = wall (fun () -> Measure.exec_dist ~memo:true auto sched ~depth) in
-      let overhead_1 = List.assoc 1 times /. Float.max 1e-9 t_plain in
-      (name, depth, times, overhead_1, subtree_trace_json run))
+      let t1 = List.assoc 1 times in
+      let speedup d = fixed 2 (t1 /. Float.max 1e-9 (List.assoc d times)) in
+      ( name,
+        Json.Obj
+          [ ("depth", int depth);
+            ("ms", Json.Obj (List.map (fun (d, t) -> (string_of_int d, fixed 4 t)) times));
+            ("speedup_2", speedup 2); ("speedup_4", speedup 4);
+            ("overhead_1", fixed 3 (t1 /. Float.max 1e-9 t_plain));
+            ("trace", subtree_trace_json run) ] ))
     par_workloads
 
 (* One compression cell: wall-clock per level at [depth], the quotient
@@ -227,13 +262,16 @@ let measure_compress () =
           (List.assoc_opt "quotient.mass_merged" q_snap.Obs.s_gauges)
       in
       ( name,
-        Printf.sprintf
-          "{\"span\": %d, \"depth\": %d, \"depth_2x\": %d, \"ms\": {\"off\": %.4f, \
-           \"hcons\": %.4f, \"quotient\": %.4f, \"quotient_2x\": %.4f}, \
-           \"frontier_width_max\": %d, \"frontier_width_compressed\": %d, \
-           \"quotient_classes\": %d, \"mass_merged\": \"%s\"}"
-          span depth depth_2x ms_off ms_hcons ms_quotient ms_quotient_2x width_max
-          width_compressed classes mass_merged ))
+        Json.Obj
+          [ ("span", int span); ("depth", int depth); ("depth_2x", int depth_2x);
+            ( "ms",
+              Json.Obj
+                [ ("off", fixed 4 ms_off); ("hcons", fixed 4 ms_hcons);
+                  ("quotient", fixed 4 ms_quotient);
+                  ("quotient_2x", fixed 4 ms_quotient_2x) ] );
+            ("frontier_width_max", int width_max);
+            ("frontier_width_compressed", int width_compressed);
+            ("quotient_classes", int classes); ("mass_merged", Json.Str mass_merged) ] ))
     compress_workloads
 
 let measure_compromise () =
@@ -243,12 +281,13 @@ let measure_compromise () =
       let votp = Experiments.e18_otp Impl.default_engine k in
       let vcmt = Experiments.e18_committee Impl.default_engine k in
       let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-      ( k,
-        Printf.sprintf
-          "{\"otp_holds\": %b, \"otp_slack\": \"%s\", \"committee_holds\": %b, \
-           \"committee_slack\": \"%s\", \"ms\": %.4f}"
-          votp.Impl.holds (Rat.to_string votp.Impl.worst) vcmt.Impl.holds
-          (Rat.to_string vcmt.Impl.worst) ms ))
+      ( string_of_int k,
+        Json.Obj
+          [ ("otp_holds", Json.Bool votp.Impl.holds);
+            ("otp_slack", Json.Str (Rat.to_string votp.Impl.worst));
+            ("committee_holds", Json.Bool vcmt.Impl.holds);
+            ("committee_slack", Json.Str (Rat.to_string vcmt.Impl.worst));
+            ("ms", fixed 4 ms) ] ))
     compromise_budgets
 
 (* Serving-layer cell (schema cdse-bench/8): an in-process [Serve] daemon
@@ -267,7 +306,6 @@ let serve_depth = 8
 
 let measure_serve () =
   let module Client = Cdse_testkit.Serve_client in
-  let module Sjson = Cdse_serve.Json in
   let was_enabled = Obs.enabled () in
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -275,20 +313,19 @@ let measure_serve () =
   in
   let server = Cdse_serve.Server.start ~domains:1 ~workers:2 ~socket () in
   let c = Client.connect socket in
-  let num i = Sjson.Num (float_of_int i) in
   let measure_fields ~bound ~depth =
-    [ ("op", Sjson.Str "measure");
+    [ ("op", Json.Str "measure");
       ("model",
-       Sjson.Obj [ ("kind", Sjson.Str "random_walk"); ("span", num serve_span) ]);
-      ("sched", Sjson.Obj [ ("kind", Sjson.Str "uniform"); ("bound", num bound) ]);
-      ("depth", num depth) ]
+       Json.Obj [ ("kind", Json.Str "random_walk"); ("span", int serve_span) ]);
+      ("sched", Json.Obj [ ("kind", Json.Str "uniform"); ("bound", int bound) ]);
+      ("depth", int depth) ]
   in
   let timed fields =
     let t0 = Unix.gettimeofday () in
     let r = Client.request c fields in
     let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
     if not r.Client.r_ok then
-      failwith ("bench serve: query failed: " ^ Sjson.to_string r.Client.r_body);
+      failwith ("bench serve: query failed: " ^ Json.to_string r.Client.r_body);
     (ms, r.Client.r_body)
   in
   (* Cold: three fresh cache lines, averaged. Distinct scheduler bounds
@@ -320,7 +357,7 @@ let measure_serve () =
     timed (measure_fields ~bound:fresh_bound ~depth:serve_depth)
   in
   let resumed_from =
-    match Option.bind (Sjson.member "resumed_from" resume_body) Sjson.to_int with
+    match Option.bind (Json.member "resumed_from" resume_body) Json.to_int with
     | Some d -> d
     | None -> -1
   in
@@ -337,10 +374,10 @@ let measure_serve () =
   let stats = Client.stats c in
   let sfield path =
     List.fold_left
-      (fun j k -> match Sjson.member k j with Some v -> v | None -> Sjson.Null)
+      (fun j k -> match Json.member k j with Some v -> v | None -> Json.Null)
       stats.Client.r_body path
   in
-  let sint path = Option.value ~default:0 (Sjson.to_int (sfield path)) in
+  let sint path = Option.value ~default:0 (Json.to_int (sfield path)) in
   let hits = sint [ "cache"; "hits" ] and misses = sint [ "cache"; "misses" ] in
   let hit_rate =
     if hits + misses = 0 then 0.0
@@ -352,23 +389,14 @@ let measure_serve () =
   Cdse_serve.Server.wait server;
   Client.close c;
   Obs.set_enabled was_enabled;
-  Printf.sprintf
-    "{\"workload\": \"random_walk\", \"span\": %d, \"depth\": %d, \"domains\": 1, \
-     \"workers\": 2, \"cold_ms\": %.4f, \"warm_ms\": %.4f, \"warm_speedup\": %.2f, \
-     \"resumed_from\": %d, \"resume_ms\": %.4f, \"qps\": %.1f, \"p50_us\": %d, \
-     \"p99_us\": %d, \"cache_hit_rate\": %.4f, \"queries\": %d}"
-    serve_span serve_depth cold_ms warm_ms
-    (cold_ms /. Float.max 1e-9 warm_ms)
-    resumed_from resume_ms qps p50 p99 hit_rate queries
-
-let entry ?(digits = 1) ?(extra = "") baseline current =
-  match baseline with
-  | Some b ->
-      Printf.sprintf "{\"baseline\": %.*f, \"current\": %.*f, \"speedup\": %.2f%s}" digits b
-        digits current (b /. current) extra
-  | None ->
-      Printf.sprintf "{\"baseline\": null, \"current\": %.*f, \"speedup\": null%s}" digits
-        current extra
+  Json.Obj
+    [ ("workload", Json.Str "random_walk"); ("span", int serve_span);
+      ("depth", int serve_depth); ("domains", int 1); ("workers", int 2);
+      ("cold_ms", fixed 4 cold_ms); ("warm_ms", fixed 4 warm_ms);
+      ("warm_speedup", fixed 2 (cold_ms /. Float.max 1e-9 warm_ms));
+      ("resumed_from", int resumed_from); ("resume_ms", fixed 4 resume_ms);
+      ("qps", fixed 1 qps); ("p50_us", int p50); ("p99_us", int p99);
+      ("cache_hit_rate", fixed 4 hit_rate); ("queries", int queries) ]
 
 let emit micro_rows =
   (* The serve cell runs first: its round-trip timings are sensitive to
@@ -379,70 +407,32 @@ let emit micro_rows =
   let subtree = measure_subtree () in
   let compress = measure_compress () in
   let compromise = measure_compromise () in
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"cdse-bench/9\",\n";
-  add "  \"generated_by\": \"dune exec bench/main.exe -- micro\",\n";
-  add
-    "  \"units\": {\"micro\": \"ns/op\", \"exec_dist\": \"ms/op\", \"counters\": \"count per single run\", \"exec_dist_subtree\": \"ms/op wall-clock, barrier-free subtree engine above 1 domain\", \"trace\": \"dimensionless fractions from a traced run\", \"exec_dist_compress\": \"ms/op wall-clock\", \"compromise_sweep\": \"ms wall-clock, exact rational slacks\", \"serve\": \"ms wall-clock round-trip over a Unix socket, in-process daemon\"},\n";
-  add "  \"micro\": {\n";
-  List.iteri
-    (fun i (name, current) ->
-      add "    \"%s\": %s%s\n" name
-        (entry (List.assoc_opt name micro_baseline) current)
-        (if i < List.length micro_rows - 1 then "," else ""))
-    micro_rows;
-  add "  },\n";
-  add "  \"exec_dist\": {\n";
-  List.iteri
-    (fun i (name, rows) ->
-      let base = List.assoc_opt name macro_baseline in
-      add "    \"%s\": {\n" name;
-      List.iteri
-        (fun j (depth, current, counters) ->
-          let baseline = Option.bind base (List.assoc_opt depth) in
-          add "      \"%d\": %s%s\n" depth
-            (entry ~digits:4 ~extra:(", \"counters\": " ^ counters) baseline current)
-            (if j < List.length rows - 1 then "," else ""))
-        rows;
-      add "    }%s\n" (if i < List.length macro - 1 then "," else ""))
-    macro;
-  add "  },\n";
-  add "  \"exec_dist_subtree\": {\n";
-  List.iteri
-    (fun i (name, depth, times, overhead_1, trace) ->
-      let ms_of d = List.assoc d times in
-      let t1 = ms_of 1 in
-      add
-        "    \"%s\": {\"depth\": %d, \"ms\": {%s}, \"speedup_2\": %.2f, \"speedup_4\": %.2f, \"overhead_1\": %.3f, \"trace\": %s}%s\n"
-        name depth
-        (String.concat ", "
-           (List.map (fun (d, t) -> Printf.sprintf "\"%d\": %.4f" d t) times))
-        (t1 /. Float.max 1e-9 (ms_of 2))
-        (t1 /. Float.max 1e-9 (ms_of 4))
-        overhead_1 trace
-        (if i < List.length subtree - 1 then "," else ""))
-    subtree;
-  add "  },\n";
-  add "  \"exec_dist_compress\": {\n";
-  List.iteri
-    (fun i (name, cell) ->
-      add "    \"%s\": %s%s\n" name cell
-        (if i < List.length compress - 1 then "," else ""))
-    compress;
-  add "  },\n";
-  add "  \"compromise_sweep\": {\n";
-  List.iteri
-    (fun i (k, cell) ->
-      add "    \"%d\": %s%s\n" k cell
-        (if i < List.length compromise - 1 then "," else ""))
-    compromise;
-  add "  },\n";
-  add "  \"serve\": %s\n" serve;
-  add "}\n";
+  let units =
+    [ ("micro", "ns/op"); ("exec_dist", "ms/op"); ("counters", "count per single run");
+      ("exec_dist_subtree", "ms/op wall-clock, barrier-free subtree engine above 1 domain");
+      ("trace", "dimensionless fractions from a traced run");
+      ("exec_dist_compress", "ms/op wall-clock");
+      ("compromise_sweep", "ms wall-clock, exact rational slacks");
+      ("serve", "ms wall-clock round-trip over a Unix socket, in-process daemon") ]
+  in
+  let doc =
+    lines
+      [ ("schema", Json.Str "cdse-bench/9");
+        ("generated_by", Json.Str "dune exec bench/main.exe -- micro");
+        ("units", Json.Obj (List.map (fun (k, u) -> (k, Json.Str u)) units));
+        ( "micro",
+          lines ~indent:1
+            (List.map
+               (fun (name, current) -> (name, entry (List.assoc_opt name micro_baseline) current))
+               micro_rows) );
+        ("exec_dist", lines ~indent:1 macro);
+        ("exec_dist_subtree", lines ~indent:1 subtree);
+        ("exec_dist_compress", lines ~indent:1 compress);
+        ("compromise_sweep", lines ~indent:1 compromise);
+        ("serve", serve) ]
+  in
   let oc = open_out "BENCH_cdse.json" in
-  output_string oc (Buffer.contents buf);
+  output_string oc (Json.to_string doc ^ "\n");
   close_out oc;
   Printf.printf
     "Wrote BENCH_cdse.json (%d micro rows, %d exec_dist workloads x depths 3-6, %d subtree scaling cells, %d compression cells, %d compromise cells, 1 serve cell)\n%!"
@@ -451,8 +441,8 @@ let emit micro_rows =
 
 (* ----------------------------------------------------- stable-key check *)
 
-(* Read a file and parse it with the serve wire protocol's JSON reader;
-   [fail] reports an unreadable or unparseable file and exits. *)
+(* Read a file and parse it with the repo's JSON codec; an unreadable or
+   unparseable file is reported and exits. *)
 let read_json ~tool path =
   let contents =
     try

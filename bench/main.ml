@@ -47,15 +47,14 @@ let () =
         Workbench.compromise := Some (max 0 (int_of_string n));
         extract_flags acc rest
     | "--compress" :: level :: rest ->
-        (Workbench.compress :=
-           match level with
-           | "off" -> `Off
-           | "hcons" -> `Hcons
-           | "quotient" -> `Quotient
-           | other ->
-               prerr_endline
-                 ("--compress: expected off|hcons|quotient, got " ^ other);
-               exit 2);
+        let levels = Cdse.Par_measure.compress_levels in
+        (match List.assoc_opt level levels with
+        | Some c -> Workbench.compress := c
+        | None ->
+            prerr_endline
+              (Printf.sprintf "--compress: expected %s, got %s"
+                 (String.concat "|" (List.map fst levels)) level);
+            exit 2);
         extract_flags acc rest
     | a :: rest -> extract_flags (a :: acc) rest
     | [] -> List.rev acc

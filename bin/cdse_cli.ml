@@ -115,7 +115,7 @@ let domains_arg =
 let compress_arg =
   Arg.(
     value
-    & opt (enum [ ("off", `Off); ("hcons", `Hcons); ("quotient", `Quotient) ]) `Off
+    & opt (enum Par_measure.compress_levels) `Off
     & info [ "compress" ] ~docv:"LEVEL"
         ~doc:
           "State-space compression: off (no compression), hcons \

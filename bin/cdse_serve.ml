@@ -26,8 +26,8 @@ let domains_arg =
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Default domain count per query (requests may override with \
-           their \"domains\" field). Concurrent multicore queries batch \
-           onto one domain-pool budget.")
+           their \"domains\" field). Concurrent multicore queries run one \
+           after another.")
 
 let workers_arg =
   Arg.(

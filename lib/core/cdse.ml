@@ -9,7 +9,8 @@
 
     The layers, bottom-up:
 
-    - {!Bits}, {!Cost}, {!Poly}: encodings and the step meter (Section 4.1).
+    - {!Bits}, {!Cost}, {!Poly}: encodings and the step meter (Section 4.1);
+      {!Json}: the one JSON codec (wire protocol, trace export, bench files).
     - {!Obs}: engine observability — counters, histograms, gauges.
     - {!Trace}: span tracing — per-domain timelines, Chrome-trace export.
     - {!Bignat}, {!Rat}, {!Dist}, {!Stat}, {!Rng}: exact probability.
@@ -35,6 +36,7 @@ module Cost = Cdse_util.Cost
 module Poly = Cdse_util.Poly
 module Order = Cdse_util.Order
 module Pretty = Cdse_util.Pretty
+module Json = Cdse_util.Json
 
 (* obs *)
 module Obs = Cdse_obs.Obs
@@ -116,7 +118,6 @@ module Committee = Cdse_dynamic.Committee
 (* serve *)
 module Serve = Cdse_serve.Server
 module Serve_protocol = Cdse_serve.Protocol
-module Serve_json = Cdse_serve.Json
 
 (* gen *)
 module Workloads = Cdse_gen.Workloads

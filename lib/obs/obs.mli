@@ -7,11 +7,12 @@
     instruments once at module initialisation, so steady-state cost with
     stats off is one load + branch per instrumentation site.
 
-    All state is global to the process. Counters are safe to mutate from
-    worker domains {e through a shard} (see {!new_shard}): the multicore
-    measure engine installs a per-domain shard, increments accumulate
-    locally, and the coordinating domain folds them into the global records
-    once the workers have joined — no locks on the hot path. Histograms
+    All state is global to the process. Counters and trace events are
+    safe to record from worker domains {e through a probe} (see
+    {!with_worker}): the multicore measure engine installs one probe per
+    worker domain, increments and events accumulate locally, and the
+    coordinating domain folds them into the global records once the
+    workers have joined — no locks on the hot path. Histograms
     and gauges are coordinator-only: they must never be mutated from two
     domains at once (the engine only touches them outside parallel
     sections).
@@ -52,34 +53,67 @@ val count : counter -> int
 val counter_value : string -> int
 (** Value of a counter by name; 0 if it was never registered. *)
 
-(** {1 Domain shards}
+(** {1 Worker probes}
 
-    Per-domain accumulation buffers for counters, so worker domains of the
-    multicore measure engine can keep incrementing the ordinary global
-    counter handles without racing: while a shard is installed (via
-    {!with_shard}) in the calling domain, {!incr}/{!add} divert into it
-    instead of the global record. The coordinating domain merges shards
-    once the workers have joined, with {!merge_shard}. Counter {e sums} are
-    therefore conserved regardless of how work is split across domains.
-    Shards cover counters only — histograms and gauges must stay on the
-    coordinating domain. *)
+    One per-domain accumulator for everything a worker domain of the
+    multicore measure engine records: counter deltas and {!Trace} events.
+    While a probe is installed (via {!with_worker}) in the calling domain,
+    {!incr}/{!add} and every trace event divert into it instead of the
+    global records; the coordinating domain folds it in with {!join} once
+    the worker has finished. Counter {e sums} are therefore conserved
+    regardless of how work is split across domains. Histograms and gauges
+    must stay on the coordinating domain. *)
 
-type shard
+type probe
 
-val new_shard : unit -> shard
-(** A fresh, empty shard (all deltas zero). *)
+val probe : worker:int -> probe
+(** A fresh, empty probe for worker [worker]; its trace events carry that
+    index as their domain id (the Chrome [tid]). *)
 
-val with_shard : shard -> (unit -> 'a) -> 'a
-(** [with_shard sh f] installs [sh] in {e this} domain's local storage for
-    the duration of [f]: every {!incr}/{!add} performed by [f] (at any
-    depth) accumulates into [sh]. The previously installed shard, if any,
-    is restored afterwards. A shard must not be installed in two domains at
-    the same time. *)
+val with_worker : probe -> (unit -> 'a) -> 'a
+(** [with_worker p f] installs [p] in {e this} domain's local storage for
+    the duration of [f]: every {!incr}/{!add} and trace event recorded by
+    [f] (at any depth) accumulates into [p]. The previously installed probe,
+    if any, is restored afterwards. A probe must not be installed in two
+    domains at the same time. *)
 
-val merge_shard : shard -> unit
-(** Fold the shard's deltas into the global counters and zero the shard.
-    Call from the coordinating domain once the shard's worker has
-    finished; not safe concurrently with the owner still writing. *)
+val join : probe -> unit
+(** Fold the probe's counter deltas into the global counters and its events
+    and drop count into the trace event store, and empty the probe. Call
+    from the coordinating domain once the probe's worker has finished; not
+    safe concurrently with the owner still writing. *)
+
+(** {2 Trace event store}
+
+    The storage behind {!Trace}, which owns the clock, the on/off switch and
+    the exporters. Events recorded on the coordinator land in the store at
+    once; events recorded under a probe wait in it until {!join}. Both the
+    store and each probe hold at most [capacity] events and count the
+    rest as dropped. *)
+
+type event = {
+  ev_name : string;
+  ev_dom : int;
+  ev_ts : float;
+  ev_dur : float;
+  ev_instant : bool;
+  ev_args : (string * string) list;
+}
+
+val record : event -> unit
+(** Into the installed probe, or into the store when none is. *)
+
+val worker : unit -> int
+(** The installed probe's worker index; 0 (the coordinator) when none is. *)
+
+val clear_events : ?capacity:int -> unit -> unit
+(** Empty the store and reset its drop count; [capacity], when given,
+    becomes the bound for the store and for every probe. *)
+
+val events : unit -> event list
+(** The stored events, newest first. *)
+
+val dropped_events : unit -> int
 
 (** {1 Histograms}
 

@@ -1,12 +1,14 @@
 (* Span tracer. Mirrors the Obs discipline: one global on/off flag guards
-   every mutation, worker domains write only into a ring buffer installed
-   in their own domain-local storage, and the coordinating domain folds
-   those rings into the global store once the workers have joined. See
+   every mutation, and events go through [Obs.record], so worker domains
+   write only into the probe installed in their own domain-local storage
+   and the coordinating domain folds it in when the workers join. See
    trace.mli for the user contract. *)
+
+module Json = Cdse_util.Json
 
 type args = (string * string) list
 
-type event = {
+type event = Obs.event = {
   ev_name : string;
   ev_dom : int;
   ev_ts : float;
@@ -23,115 +25,19 @@ let t0 = ref 0.0
 let now_us () = (Unix.gettimeofday () -. !t0) *. 1e6
 
 let default_capacity = 65536
-let cap = ref default_capacity
-
-(* Global store: coordinator-only (the no-buffer recording path and
-   [drain] both run on the coordinating domain). Kept as a reversed list;
-   [events] sorts by timestamp anyway. *)
-let store : event list ref = ref []
-let n_store = ref 0
-let dropped_count = ref 0
-
-let push_global ev =
-  if !n_store >= !cap then incr dropped_count
-  else begin
-    store := ev :: !store;
-    incr n_store
-  end
-
-(* ----------------------------------------------------- per-domain rings *)
-
-type buffer = {
-  mutable buf_dom : int;
-  ring : event array;
-  mutable buf_len : int;
-  mutable buf_dropped : int;
-}
-
-let null_event =
-  { ev_name = ""; ev_dom = 0; ev_ts = 0.; ev_dur = 0.; ev_instant = true; ev_args = [] }
-
-let buffer ~dom =
-  { buf_dom = dom; ring = Array.make !cap null_event; buf_len = 0; buf_dropped = 0 }
-
-(* Freelist of retired ring buffers. A traced engine run used to allocate a
-   [!cap]-sized event array per worker per run (~0.5 MB each at the default
-   capacity) — bench sweeps and the churn CLI churned megabytes per call.
-   [acquire_buffer] reuses a retired ring of the current capacity when one
-   is available (resetting its cursor, drop count and owning domain — stale
-   events beyond [buf_len] are never read) and allocates only otherwise;
-   buffers whose capacity no longer matches [!cap] (a [start ~capacity] in
-   between) are discarded rather than kept forever. The freelist is
-   mutex-guarded: acquisition happens per engine run, never on the
-   recording hot path. *)
-let buf_pool : buffer list ref = ref []
-let buf_pool_mutex = Mutex.create ()
-
-let acquire_buffer ~dom =
-  Mutex.lock buf_pool_mutex;
-  let matching, _stale = List.partition (fun b -> Array.length b.ring = !cap) !buf_pool in
-  let reused, rest =
-    match matching with b :: rest -> (Some b, rest) | [] -> (None, [])
-  in
-  buf_pool := rest;
-  Mutex.unlock buf_pool_mutex;
-  match reused with
-  | Some b ->
-      b.buf_dom <- dom;
-      b.buf_len <- 0;
-      b.buf_dropped <- 0;
-      b
-  | None -> buffer ~dom
-
-let release_buffer b =
-  Mutex.lock buf_pool_mutex;
-  buf_pool := b :: !buf_pool;
-  Mutex.unlock buf_pool_mutex
-
-let buf_key : buffer option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let with_buffer b f =
-  let prev = Domain.DLS.get buf_key in
-  Domain.DLS.set buf_key (Some b);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set buf_key prev) f
-
-let drain b =
-  for i = 0 to b.buf_len - 1 do
-    push_global b.ring.(i)
-  done;
-  dropped_count := !dropped_count + b.buf_dropped;
-  b.buf_len <- 0;
-  b.buf_dropped <- 0
-
-let dom_of () =
-  match Domain.DLS.get buf_key with Some b -> b.buf_dom | None -> 0
-
-let push ev =
-  match Domain.DLS.get buf_key with
-  | Some b ->
-      if b.buf_len >= Array.length b.ring then b.buf_dropped <- b.buf_dropped + 1
-      else begin
-        b.ring.(b.buf_len) <- ev;
-        b.buf_len <- b.buf_len + 1
-      end
-  | None -> push_global ev
 
 (* --------------------------------------------------------- admin *)
 
-let clear () =
-  store := [];
-  n_store := 0;
-  dropped_count := 0
+let clear () = Obs.clear_events ()
 
 let start ?(capacity = default_capacity) () =
-  clear ();
-  cap := max 16 capacity;
+  Obs.clear_events ~capacity:(max 16 capacity) ();
   t0 := Unix.gettimeofday ();
   on := true
 
 let stop () = on := false
 
-let dropped () = !dropped_count
+let dropped () = Obs.dropped_events ()
 
 (* ----------------------------------------------------------- recording *)
 
@@ -139,8 +45,8 @@ let force_args = function None -> [] | Some f -> f ()
 
 let instant ?args name =
   if !on then
-    push
-      { ev_name = name; ev_dom = dom_of (); ev_ts = now_us (); ev_dur = 0.;
+    Obs.record
+      { ev_name = name; ev_dom = Obs.worker (); ev_ts = now_us (); ev_dur = 0.;
         ev_instant = true; ev_args = force_args args }
 
 type tok = { tk_name : string; tk_dom : int; tk_ts : float; tk_live : bool }
@@ -149,11 +55,11 @@ let null_tok = { tk_name = ""; tk_dom = 0; tk_ts = 0.; tk_live = false }
 
 let begin_span name =
   if not !on then null_tok
-  else { tk_name = name; tk_dom = dom_of (); tk_ts = now_us (); tk_live = true }
+  else { tk_name = name; tk_dom = Obs.worker (); tk_ts = now_us (); tk_live = true }
 
 let end_span ?args tok =
   if tok.tk_live && !on then
-    push
+    Obs.record
       { ev_name = tok.tk_name; ev_dom = tok.tk_dom; ev_ts = tok.tk_ts;
         ev_dur = Float.max 0. (now_us () -. tok.tk_ts); ev_instant = false;
         ev_args = force_args args }
@@ -170,72 +76,47 @@ let events () =
     (fun e1 e2 ->
       let c = Float.compare e1.ev_ts e2.ev_ts in
       if c <> 0 then c else Int.compare e1.ev_dom e2.ev_dom)
-    !store
+    (Obs.events ())
 
 (* -------------------------------------------------------- chrome export *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let args_json = function
-  | [] -> "{}"
-  | args ->
-      "{"
-      ^ String.concat ", "
-          (List.map
-             (fun (k, v) -> Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v))
-             args)
-      ^ "}"
-
+(* Timestamps keep three decimals (ns); each event ends its own line, so
+   an export can be read and grepped line by line. *)
 let to_chrome () =
   let evs = events () in
-  let doms =
-    List.sort_uniq Int.compare (List.map (fun e -> e.ev_dom) evs)
+  let doms = List.sort_uniq Int.compare (List.map (fun e -> e.ev_dom) evs) in
+  let int i = Json.Num (float_of_int i) in
+  let us t = Json.Raw (Printf.sprintf "%.3f" t) in
+  let line v = Json.Raw (Json.to_string v ^ "\n") in
+  let thread_name d =
+    Json.Obj
+      [ ("name", Json.Str "thread_name"); ("ph", Json.Str "M"); ("pid", int 0);
+        ("tid", int d);
+        ( "args",
+          Json.Obj
+            [ ( "name",
+                Json.Str
+                  (if d = 0 then "domain 0 (coordinator)"
+                   else Printf.sprintf "domain %d" d) ) ] ) ]
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\": [\n";
-  let first = ref true in
-  let emit s =
-    if not !first then Buffer.add_string b ",\n";
-    first := false;
-    Buffer.add_string b s
+  let event e =
+    let phase =
+      if e.ev_instant then [ ("ph", Json.Str "i"); ("s", Json.Str "t") ]
+      else [ ("ph", Json.Str "X") ]
+    in
+    let dur = if e.ev_instant then [] else [ ("dur", us e.ev_dur) ] in
+    Json.Obj
+      ((("name", Json.Str e.ev_name) :: ("cat", Json.Str "cdse") :: phase)
+      @ [ ("pid", int 0); ("tid", int e.ev_dom); ("ts", us e.ev_ts) ]
+      @ dur
+      @ [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) e.ev_args)) ])
   in
-  List.iter
-    (fun d ->
-      emit
-        (Printf.sprintf
-           "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": %d, \
-            \"args\": {\"name\": \"%s\"}}"
-           d
-           (if d = 0 then "domain 0 (coordinator)" else Printf.sprintf "domain %d" d)))
-    doms;
-  List.iter
-    (fun e ->
-      emit
-        (if e.ev_instant then
-           Printf.sprintf
-             "  {\"name\": \"%s\", \"cat\": \"cdse\", \"ph\": \"i\", \"s\": \"t\", \
-              \"pid\": 0, \"tid\": %d, \"ts\": %.3f, \"args\": %s}"
-             (json_escape e.ev_name) e.ev_dom e.ev_ts (args_json e.ev_args)
-         else
-           Printf.sprintf
-             "  {\"name\": \"%s\", \"cat\": \"cdse\", \"ph\": \"X\", \"pid\": 0, \
-              \"tid\": %d, \"ts\": %.3f, \"dur\": %.3f, \"args\": %s}"
-             (json_escape e.ev_name) e.ev_dom e.ev_ts e.ev_dur (args_json e.ev_args)))
-    evs;
-  Buffer.add_string b "\n], \"displayTimeUnit\": \"ms\"}\n";
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       [ ( "traceEvents",
+           Json.List (List.map line (List.map thread_name doms @ List.map event evs)) );
+         ("displayTimeUnit", Json.Str "ms") ])
+  ^ "\n"
 
 let write_chrome path =
   let oc = open_out path in
@@ -368,7 +249,7 @@ let summary () =
   in
   { sm_spans = List.length spans;
     sm_instants = List.length instants;
-    sm_dropped = !dropped_count;
+    sm_dropped = dropped ();
     sm_total_us = total_us;
     sm_idle_frac = idle_frac;
     sm_imbalance = imbalance;

@@ -2,8 +2,8 @@
 
     {!Obs} answers "how many" (counters, histograms); this module answers
     "when and for how long". It records {e complete spans} (a name, a
-    domain id, a start timestamp and a duration) and {e instant events}
-    into per-domain ring buffers, and exports them either as Chrome
+    domain id, a start timestamp and a duration) and {e instant events},
+    and exports them either as Chrome
     trace-event JSON — load the file in [chrome://tracing] or
     {{:https://ui.perfetto.dev}Perfetto} for an interactive per-domain
     timeline — or as a self-profiling text summary that attributes each
@@ -17,17 +17,17 @@
     one [bool ref], argument lists are thunks that are never forced while
     disabled, and {!begin_span} returns a shared null token without
     reading the clock. Enabled, a span costs two clock reads and one
-    record write into a preallocated ring.
+    list cell in the event store or the worker's probe.
 
     {2 Concurrency}
 
-    The same discipline as {!Obs} counters: a worker domain installs a
-    ring buffer in its domain-local storage ({!with_buffer}) and every
-    event it records lands there, written by that domain alone — no locks,
-    no atomics on the hot path. The coordinating domain folds worker
-    buffers into the global event store once the workers have joined
-    ({!drain}).
-    Recording {e without} an installed buffer is reserved for the
+    Events travel like {!Obs} counters: a worker domain records into the
+    {!Obs.probe} installed in its domain-local storage
+    ({!Obs.with_worker}), written by that domain alone — no locks, no
+    atomics on the hot path — and the coordinating domain folds the probe
+    into the global event store once the workers have joined
+    ({!Obs.join}). The probe's worker index becomes the events' domain id.
+    Recording {e without} an installed probe is reserved for the
     coordinating domain (the sequential engine, checker phases, CLI
     drivers), exactly like histograms and gauges in {!Obs}. Toggle tracing
     only between engine runs, never while worker domains are live.
@@ -47,10 +47,9 @@ val enabled : unit -> bool
 
 val start : ?capacity:int -> unit -> unit
 (** Clear every previously collected event, restart the clock origin and
-    enable tracing. [?capacity] (default [65536]) bounds each subsequently
-    created ring buffer {e and} is a per-run bound on the global store (a
-    full buffer drops further events and counts them, see {!dropped} —
-    recording never blocks and never reallocates). *)
+    enable tracing. [?capacity] (default [65536]) bounds the global event
+    store {e and} each worker probe's event list (a full one drops further
+    events and counts them, see {!dropped} — recording never blocks). *)
 
 val stop : unit -> unit
 (** Disable tracing. Collected events are kept for export. *)
@@ -59,8 +58,8 @@ val clear : unit -> unit
 (** Drop every collected event and reset the dropped-event count. *)
 
 val dropped : unit -> int
-(** Events discarded because a ring or the global store was full,
-    including drops folded in from drained worker buffers. *)
+(** Events discarded because a probe or the global store was full,
+    including drops folded in from joined worker probes. *)
 
 (** {1 Recording} *)
 
@@ -86,43 +85,9 @@ val end_span : ?args:(unit -> args) -> tok -> unit
 val instant : ?args:(unit -> args) -> string -> unit
 (** A zero-duration event (fault injections, takeovers, per-layer stats). *)
 
-(** {1 Per-domain buffers} *)
-
-type buffer
-
-val buffer : dom:int -> buffer
-(** A fresh ring buffer whose events carry domain id [dom] (the worker
-    index, used as the Chrome [tid]). Capacity is the value given to the
-    last {!start}. *)
-
-val acquire_buffer : dom:int -> buffer
-(** Like {!buffer}, but reuses a ring retired with {!release_buffer} when
-    one of the current capacity is available (its cursor, drop count and
-    owning domain are reset) and allocates only otherwise — the engines use
-    this so repeated traced runs stop churning a [capacity]-sized array per
-    worker per run. Retired rings whose capacity no longer matches the last
-    {!start} are discarded. Thread-safe (one mutex round-trip, off the
-    recording hot path). *)
-
-val release_buffer : buffer -> unit
-(** Return a buffer to the reuse freelist. Call after {!drain}, once the
-    buffer is no longer installed in any domain; the buffer must not be
-    used again until re-acquired. *)
-
-val with_buffer : buffer -> (unit -> 'a) -> 'a
-(** Install the buffer in {e this} domain's local storage for the duration
-    of the callback, diverting every event it records (at any depth) into
-    it. The previous buffer, if any, is restored afterwards. A buffer must
-    not be installed in two domains at once. *)
-
-val drain : buffer -> unit
-(** Fold the buffer's events (and its dropped count) into the global store
-    and empty it. Call from the coordinating domain once the buffer's
-    worker has finished. *)
-
 (** {1 Collected events} *)
 
-type event = {
+type event = Obs.event = {
   ev_name : string;
   ev_dom : int;  (** worker/domain index; 0 = coordinator *)
   ev_ts : float;  (** µs since {!start} *)
@@ -132,17 +97,18 @@ type event = {
 }
 
 val events : unit -> event list
-(** Everything drained or recorded on the coordinator so far, sorted by
-    start timestamp. Does not include still-undrained worker buffers. *)
+(** Everything recorded on the coordinator or joined from worker probes so
+    far, sorted by start timestamp. Does not include events still waiting
+    in an unjoined probe. *)
 
 (** {1 Exporters} *)
 
 val to_chrome : unit -> string
 (** The collected events as Chrome trace-event JSON (the catapult
-    ["traceEvents"] format): complete ["ph": "X"] spans and
-    ["ph": "i"] instants on [pid] 0, one [tid] per domain, with
-    [thread_name] metadata — loadable in [chrome://tracing] and
-    Perfetto. *)
+    ["traceEvents"] format), rendered by {!Cdse_util.Json} with one event
+    per line: complete ["ph":"X"] spans and ["ph":"i"] instants on
+    [pid] 0, one [tid] per domain, with [thread_name] metadata — loadable
+    in [chrome://tracing] and Perfetto. *)
 
 val write_chrome : string -> unit
 (** {!to_chrome} to a file. *)

@@ -7,6 +7,8 @@ type 'a budgeted = [ `Exact of 'a | `Truncated of 'a * Rat.t ]
 
 type compress = [ `Off | `Hcons | `Quotient ]
 
+let compress_levels = [ ("off", `Off); ("hcons", `Hcons); ("quotient", `Quotient) ]
+
 (* A resumable expansion frontier: the alive entries (each of length
    [f_depth]) plus the finished mass accumulated on the way there. Only
    frontiers of {e unbudgeted} runs are resumable — the budgeted entry
@@ -26,7 +28,7 @@ let start_frontier auto = function
    per layer; [measure.truncation_deficit] mirrors the [`Truncated]
    deficit exactly ([Rat.to_string], reparsable with [Rat.of_string]) and
    reads "0" after an [`Exact] run. Subtree workers only ever touch
-   counters, through per-domain {!Obs.shard}s merged when they join. *)
+   counters, through per-worker {!Obs.probe}s joined when they finish. *)
 let h_width = Obs.histogram "measure.frontier.width"
 let c_layers = Obs.counter "measure.layers"
 let c_finished = Obs.counter "measure.finished"
@@ -43,7 +45,7 @@ let g_deficit = Obs.gauge "measure.truncation_deficit"
    those absorbed entries carried ([Rat.to_string], reparsable). The
    quotient only ever runs in the sequential layer loop, while
    [hcons.hits]/[hcons.misses] (registered in {!Cdse_psioa.Hcons}) are
-   also worker counters that accumulate through the per-domain shards. *)
+   also worker counters that accumulate through the per-worker probes. *)
 let h_width_c = Obs.histogram "measure.frontier.width_compressed"
 let c_q_classes = Obs.counter "quotient.classes"
 let c_q_merged = Obs.counter "quotient.merged"
@@ -336,15 +338,6 @@ let min_fail a b =
 let subtree_exec_dist ~domains ~memo ~compress ?from auto sched ~depth =
   let n_workers = min domains 64 in
   let insts = Array.init n_workers (fun _ -> instance ~memo ~compress auto sched) in
-  let shards = Array.init n_workers (fun _ -> Obs.new_shard ()) in
-  let tracing = Trace.enabled () in
-  let tbufs =
-    if tracing then Array.init n_workers (fun w -> Trace.acquire_buffer ~dom:w)
-    else [||]
-  in
-  Fun.protect
-    ~finally:(fun () -> if tracing then Array.iter Trace.release_buffer tbufs)
-  @@ fun () ->
   (* Seed phase: breadth-first on the coordinator (worker 0's instance)
      until the frontier can feed every worker several subtrees. *)
   let seed_target = n_workers * 8 in
@@ -398,6 +391,7 @@ let subtree_exec_dist ~domains ~memo ~compress ?from auto sched ~depth =
     let outs = Array.make n_workers [] in
     let finisheds = Array.make n_workers [] in
     let fails = Array.make n_workers None in
+    let probes = Array.init n_workers (fun w -> Obs.probe ~worker:w) in
     run_workers n_workers (fun w ->
         let auto, choice_of = insts.(w) in
         let body () =
@@ -531,10 +525,8 @@ let subtree_exec_dist ~domains ~memo ~compress ?from auto sched ~depth =
               end)
             claim
         in
-        Obs.with_shard shards.(w) (fun () ->
-            if tracing then Trace.with_buffer tbufs.(w) body else body ()));
-    Array.iter Obs.merge_shard shards;
-    if tracing then Array.iter Trace.drain tbufs;
+        Obs.with_worker probes.(w) body);
+    Array.iter Obs.join probes;
     (match Array.fold_left min_fail !seed_fail fails with
     | Some (_, exn) -> raise exn
     | None -> ());

@@ -65,8 +65,8 @@
 
     Worker domains never touch shared mutable state on the hot path: each
     gets its own {!Cdse_psioa.Psioa.memoize} instance and validated-choice
-    cache, and its counter increments accumulate in a per-domain
-    {!Cdse_obs.Obs} shard merged when the workers join. The [domains - 1]
+    cache, and its counter increments and trace events accumulate in a
+    per-worker {!Cdse_obs.Obs.probe} joined when the workers finish. The [domains - 1]
     worker domains are spawned for the call and joined before it
     returns. *)
 
@@ -98,6 +98,12 @@ type compress = [ `Off | `Hcons | `Quotient ]
       {e compressed} frontier by the same (prob desc, [Exec.compare] asc)
       total order. For history-dependent schedulers [`Quotient] silently
       degrades to [`Hcons]. *)
+
+val compress_levels : (string * compress) list
+(** The level names every front end accepts — [off], [hcons] and
+    [quotient] — in that order: the CLI and bench [--compress] flags, the
+    serve protocol's ["compress"] field and the test suite's
+    [CDSE_TEST_COMPRESS]. *)
 
 val exec_dist_budgeted :
   ?memo:bool ->

@@ -48,10 +48,10 @@ let model t spec =
 
 (* Multicore queries serialize here: the measure engine spawns its own
    worker domains per call, so two concurrent domains=4 requests would want 8
-   cores. Batching them one-after-another onto the same budget keeps the
-   daemon's footprint at [max domains] regardless of client concurrency.
-   Single-domain queries bypass the lock and run fully concurrently. *)
-let with_pool t ~domains f =
+   cores. Running them one after another keeps the daemon's footprint at
+   [max domains] regardless of client concurrency. Single-domain queries
+   bypass the lock and run fully concurrently. *)
+let with_domains t ~domains f =
   if domains <= 1 then f ()
   else begin
     Mutex.lock t.par_mutex;
@@ -87,7 +87,7 @@ let measure t (q : Protocol.query) =
            neither storing nor resuming frontiers is sound. Exact-key
            caching still applies (budgets are part of the key). *)
         let res =
-          with_pool t ~domains (fun () ->
+          with_domains t ~domains (fun () ->
               Measure.exec_dist_budgeted ~memo:q.q_memo
                 ?max_execs:q.q_max_execs ?max_width:q.q_max_width ~domains
                 ~compress:q.q_compress auto sched ~depth:q.q_depth)
@@ -111,7 +111,7 @@ let measure t (q : Protocol.query) =
         let from = Cache.best_frontier t.cache ~line ~depth:q.q_depth in
         (match from with Some _ -> Obs.incr c_resume | None -> ());
         let dist, frontier =
-          with_pool t ~domains (fun () ->
+          with_domains t ~domains (fun () ->
               Measure.exec_dist_frontier ~memo:q.q_memo
                 ~domains ~compress:q.q_compress ?from auto sched
                 ~depth:q.q_depth)
@@ -140,7 +140,7 @@ let reach t (q : Protocol.query) ~state =
       let sched = Protocol.build_sched auto q.q_sched in
       let domains = Option.value ~default:t.default_domains q.q_domains in
       let p =
-        with_pool t ~domains (fun () ->
+        with_domains t ~domains (fun () ->
             Measure.reach_prob ~memo:q.q_memo ?max_execs:q.q_max_execs
               ?max_width:q.q_max_width ~domains ~compress:`Quotient auto
               sched ~depth:q.q_depth ~pred)

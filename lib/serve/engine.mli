@@ -5,8 +5,8 @@
 
     Thread-safe: the registry and cache take their own locks; queries that
     request more than one domain additionally serialize on an internal
-    mutex so concurrent multicore requests batch onto one domain-pool
-    budget instead of oversubscribing the machine. *)
+    mutex, so concurrent multicore requests run one after another instead
+    of oversubscribing the machine. *)
 
 open Cdse_prob
 open Cdse_psioa

@@ -74,148 +74,113 @@ type request = { r_id : int; r_op : op }
 
 (* Field extraction. Every failure funnels through [bad] so the reply can
    name the offending field; [id] is threaded through once the request id
-   has been recovered, so even mid-body failures echo it. *)
+   has been recovered, so even mid-body failures echo it, and [prefix]
+   qualifies the fields of a nested object ("model.span"). *)
 
 let bad ?id field msg = raise (Protocol_error { id; field; msg })
 
-let get_int ?id ~field ?default obj =
+let get_int ?id ?(prefix = "") ~field ?default obj =
   match Json.member field obj with
   | None -> (
       match default with
       | Some d -> d
-      | None -> bad ?id field "required integer field is missing")
+      | None -> bad ?id (prefix ^ field) "required integer field is missing")
   | Some v -> (
       match Json.to_int v with
       | Some i -> i
-      | None -> bad ?id field "expected an integer")
+      | None -> bad ?id (prefix ^ field) "expected an integer")
 
-let get_bool ?id ~field ~default obj =
+let get_bool ?id ?(prefix = "") ~field ~default obj =
   match Json.member field obj with
   | None -> default
   | Some (Json.Bool b) -> b
-  | Some _ -> bad ?id field "expected a boolean"
+  | Some _ -> bad ?id (prefix ^ field) "expected a boolean"
 
-let get_str ?id ~field obj =
+let get_str ?id ?(prefix = "") ~field obj =
   match Json.member field obj with
-  | None -> bad ?id field "required string field is missing"
+  | None -> bad ?id (prefix ^ field) "required string field is missing"
   | Some (Json.Str s) -> s
-  | Some _ -> bad ?id field "expected a string"
+  | Some _ -> bad ?id (prefix ^ field) "expected a string"
 
-let get_opt_int ?id ~field obj =
+let get_opt_int ?id ?(prefix = "") ~field obj =
   match Json.member field obj with
   | None -> None
   | Some v -> (
       match Json.to_int v with
       | Some i -> Some i
-      | None -> bad ?id field "expected an integer")
+      | None -> bad ?id (prefix ^ field) "expected an integer")
+
+let get_obj ~id ~field obj =
+  match Json.member field obj with
+  | None -> bad ~id field "required object field is missing"
+  | Some (Json.Obj _ as o) -> o
+  | Some _ -> bad ~id field "expected an object"
 
 let parse_model ~id obj =
-  match Json.member "model" obj with
-  | None -> bad ~id "model" "required object field is missing"
-  | Some (Json.Obj _ as m) -> (
-      match Json.member "kind" m with
-      | Some (Json.Str kind) -> (
-          let int_f field default =
-            match Json.member field m with
-            | None -> (
-                match default with
-                | Some d -> d
-                | None -> bad ~id ("model." ^ field) "required integer field is missing")
-            | Some v -> (
-                match Json.to_int v with
-                | Some i -> i
-                | None -> bad ~id ("model." ^ field) "expected an integer")
-          in
-          let bool_f field default =
-            match Json.member field m with
-            | None -> default
-            | Some (Json.Bool b) -> b
-            | Some _ -> bad ~id ("model." ^ field) "expected a boolean"
-          in
-          match kind with
-          | "coin" ->
-              let p =
-                match Json.member "p" m with
-                | None -> Rat.half
-                | Some (Json.Str s) -> (
-                    match Rat.of_string s with
-                    | r -> r
-                    | exception _ ->
-                        bad ~id "model.p" "not a rational (\"1/2\")")
-                | Some _ -> bad ~id "model.p" "expected a rational string"
-              in
-              Coin { p }
-          | "random_walk" -> Random_walk { span = int_f "span" (Some 4) }
-          | "counter" -> Counter { bound = int_f "bound" (Some 3) }
-          | "random_auto" ->
-              Random_auto
-                {
-                  seed = int_f "seed" None;
-                  states = int_f "states" (Some 6);
-                  actions = int_f "actions" (Some 4);
-                  branching = int_f "branching" (Some 2);
-                }
-          | "random_pca" ->
-              Random_pca
-                {
-                  seed = int_f "seed" None;
-                  members = int_f "members" (Some 4);
-                  faults = bool_f "faults" false;
-                }
-          | "faulty_channel" -> Faulty_channel { seed = int_f "seed" None }
-          | "committee" ->
-              Committee
-                {
-                  validators = int_f "validators" (Some 3);
-                  blocks = int_f "blocks" (Some 2);
-                }
-          | k ->
-              bad ~id "model.kind"
-                (Printf.sprintf
-                   "unknown model kind %S (expected coin | random_walk | \
-                    counter | random_auto | random_pca | faulty_channel | \
-                    committee)"
-                   k))
-      | Some _ -> bad ~id "model.kind" "expected a string"
-      | None -> bad ~id "model.kind" "required string field is missing")
-  | Some _ -> bad ~id "model" "expected an object"
+  let m = get_obj ~id ~field:"model" obj in
+  let int_f ?default field = get_int ~id ~prefix:"model." ~field ?default m in
+  match get_str ~id ~prefix:"model." ~field:"kind" m with
+  | "coin" ->
+      let p =
+        match Json.member "p" m with
+        | None -> Rat.half
+        | Some (Json.Str s) -> (
+            match Rat.of_string s with
+            | r -> r
+            | exception _ -> bad ~id "model.p" "not a rational (\"1/2\")")
+        | Some _ -> bad ~id "model.p" "expected a rational string"
+      in
+      Coin { p }
+  | "random_walk" -> Random_walk { span = int_f ~default:4 "span" }
+  | "counter" -> Counter { bound = int_f ~default:3 "bound" }
+  | "random_auto" ->
+      Random_auto
+        {
+          seed = int_f "seed";
+          states = int_f ~default:6 "states";
+          actions = int_f ~default:4 "actions";
+          branching = int_f ~default:2 "branching";
+        }
+  | "random_pca" ->
+      Random_pca
+        {
+          seed = int_f "seed";
+          members = int_f ~default:4 "members";
+          faults = get_bool ~id ~prefix:"model." ~field:"faults" ~default:false m;
+        }
+  | "faulty_channel" -> Faulty_channel { seed = int_f "seed" }
+  | "committee" ->
+      Committee
+        {
+          validators = int_f ~default:3 "validators";
+          blocks = int_f ~default:2 "blocks";
+        }
+  | k ->
+      bad ~id "model.kind"
+        (Printf.sprintf
+           "unknown model kind %S (expected coin | random_walk | counter | \
+            random_auto | random_pca | faulty_channel | committee)"
+           k)
 
 let parse_sched ~id obj =
-  match Json.member "sched" obj with
-  | None -> bad ~id "sched" "required object field is missing"
-  | Some (Json.Obj _ as s) ->
-      let kind =
-        match Json.member "kind" s with
-        | Some (Json.Str k) -> k
-        | Some _ -> bad ~id "sched.kind" "expected a string"
-        | None -> bad ~id "sched.kind" "required string field is missing"
-      in
-      let s_kind =
-        match kind with
-        | "uniform" -> Uniform
-        | "first_enabled" -> First_enabled
-        | "round_robin" -> Round_robin
-        | k ->
-            bad ~id "sched.kind"
-              (Printf.sprintf
-                 "unknown scheduler kind %S (expected uniform | \
-                  first_enabled | round_robin)"
-                 k)
-      in
-      let opt_int field =
-        match Json.member field s with
-        | None -> None
-        | Some v -> (
-            match Json.to_int v with
-            | Some i -> Some i
-            | None -> bad ~id ("sched." ^ field) "expected an integer")
-      in
-      {
-        s_kind;
-        s_fault_budget = opt_int "fault_budget";
-        s_bound = opt_int "bound";
-      }
-  | Some _ -> bad ~id "sched" "expected an object"
+  let s = get_obj ~id ~field:"sched" obj in
+  let s_kind =
+    match get_str ~id ~prefix:"sched." ~field:"kind" s with
+    | "uniform" -> Uniform
+    | "first_enabled" -> First_enabled
+    | "round_robin" -> Round_robin
+    | k ->
+        bad ~id "sched.kind"
+          (Printf.sprintf
+             "unknown scheduler kind %S (expected uniform | first_enabled | \
+              round_robin)"
+             k)
+  in
+  {
+    s_kind;
+    s_fault_budget = get_opt_int ~id ~prefix:"sched." ~field:"fault_budget" s;
+    s_bound = get_opt_int ~id ~prefix:"sched." ~field:"bound" s;
+  }
 
 let parse_query ~id obj =
   let q_model = parse_model ~id obj in
@@ -223,12 +188,14 @@ let parse_query ~id obj =
   let q_depth = get_int ~id ~field:"depth" obj in
   if q_depth < 0 then bad ~id "depth" "must be non-negative";
   let q_compress =
+    let levels = Par_measure.compress_levels in
     match Json.member "compress" obj with
     | None -> `Off
-    | Some (Json.Str "off") -> `Off
-    | Some (Json.Str "hcons") -> `Hcons
-    | Some (Json.Str "quotient") -> `Quotient
-    | Some _ -> bad ~id "compress" "expected \"off\" | \"hcons\" | \"quotient\""
+    | Some (Json.Str name) when List.mem_assoc name levels -> List.assoc name levels
+    | Some _ ->
+        bad ~id "compress"
+          ("expected "
+          ^ String.concat " | " (List.map (fun (name, _) -> Printf.sprintf "%S" name) levels))
   in
   let q_domains = get_opt_int ~id ~field:"domains" obj in
   (match q_domains with
@@ -254,14 +221,7 @@ let parse_request line =
   (match obj with
   | Json.Obj _ -> ()
   | _ -> bad "request" "expected a JSON object");
-  let id =
-    match Json.member "id" obj with
-    | Some v -> (
-        match Json.to_int v with
-        | Some i -> i
-        | None -> bad "id" "expected an integer")
-    | None -> bad "id" "required integer field is missing"
-  in
+  let id = get_int ~field:"id" obj in
   let op_name = get_str ~id ~field:"op" obj in
   let r_op =
     match op_name with

@@ -31,12 +31,19 @@ let test_domains =
 (* Compression level threaded through the budgeted / Obs properties, so a
    CI leg (CDSE_TEST_COMPRESS=quotient) replays the whole determinism
    battery on the compressed engine. The main [conforms] check
-   always exercises every level regardless. *)
+   always exercises every level regardless. An unknown level name fails
+   the suite, so a typo cannot silently test `Off. *)
 let test_compress : Measure.compress =
+  let levels = Par_measure.compress_levels in
   match Sys.getenv_opt "CDSE_TEST_COMPRESS" with
-  | Some "hcons" -> `Hcons
-  | Some "quotient" -> `Quotient
-  | _ -> `Off
+  | None -> `Off
+  | Some name -> (
+      match List.assoc_opt name levels with
+      | Some c -> c
+      | None ->
+          failwith
+            (Printf.sprintf "CDSE_TEST_COMPRESS=%S: expected one of %s" name
+               (String.concat ", " (List.map fst levels))))
 
 (* ------------------------------------------------------------ scenarios *)
 

@@ -243,6 +243,36 @@ let test_malformed_requests () =
              ("sched", sched_json "uniform");
              ("depth", Json.Str "three");
            ]);
+      (* Numbers past 2^53 are not integers, and must not wrap into one. *)
+      let measure ?(model = model_coin) ?(sched = sched_json "uniform")
+          ?(depth = Json.Num 3.) extra =
+        [ ("op", Json.Str "measure"); ("model", model); ("sched", sched); ("depth", depth) ]
+        @ extra
+      in
+      Alcotest.(check (pair string string))
+        "huge depth" ("protocol", "depth")
+        (error_field (measure ~depth:(Json.Num 1e300) []));
+      Alcotest.(check (pair string string))
+        "huge max_execs" ("protocol", "max_execs")
+        (error_field (measure [ ("max_execs", Json.Num 1e300) ]));
+      Client.send_line c {|{"id":5e18,"op":"ping"}|};
+      let r = Client.reply_of_line (Client.recv_line c) in
+      Alcotest.(check (pair (option int) string))
+        "huge id: rejected, not wrapped" (None, "id")
+        (r.Client.r_id, Client.str (Client.field "field" r.Client.r_body));
+      (* Fields of the nested model and sched objects are named in full. *)
+      Alcotest.(check (pair string string))
+        "bad model field" ("protocol", "model.span")
+        (error_field
+           (measure
+              ~model:(Json.Obj [ ("kind", Json.Str "random_walk"); ("span", Json.Bool true) ])
+              []));
+      Alcotest.(check (pair string string))
+        "bad sched field" ("protocol", "sched.bound")
+        (error_field
+           (measure
+              ~sched:(Json.Obj [ ("kind", Json.Str "uniform"); ("bound", Json.Num 1e300) ])
+              []));
       (* The connection survives every rejected request. *)
       let body = expect_ok (Client.ping c) in
       Alcotest.(check string) "connection still usable" "pong" (Client.str body))

@@ -1,14 +1,16 @@
 (* Tests for the span tracer (lib/obs/trace): the free-when-disabled
    guarantee (no events, no clock reads, bit-identical engine results),
    span balance (every recorded span is complete, even across raises),
-   the per-domain buffer/drain discipline, ring-capacity accounting, the
-   Chrome exporter's invariants and the determinism contract lifted to
-   spans — the layer-span count cannot depend on the domain count. *)
+   the per-worker probe/join discipline, capacity accounting, the Chrome
+   exporter's invariants and the determinism contract lifted to spans —
+   the layer-span count cannot depend on the domain count. *)
 
 open Cdse_prob
 open Cdse_psioa
 open Cdse_sched
+module Obs = Cdse_obs.Obs
 module Trace = Cdse_obs.Trace
+module Json = Cdse_util.Json
 
 (* A conformance-corpus case ("42 0 0 5" in test/corpus/seeds.txt): a
    random 6-state PSIOA under a bounded uniform scheduler — wide enough
@@ -76,7 +78,7 @@ let test_disabled_bit_identical () =
     (items_identical quot quot_t)
 
 (* Spans are balanced: every event in the store is complete (non-negative
-   duration, no dangling opens — the exporter only ever emits "X"/"i"/"M"
+   duration, no dangling opens — the parsed export holds only "X"/"i"/"M"
    phases), and a span body that raises still records its span. *)
 let test_spans_balanced () =
   Trace.start ();
@@ -95,15 +97,18 @@ let test_spans_balanced () =
        evs);
   let chrome = Trace.to_chrome () in
   Trace.clear ();
-  let contains needle =
-    Astring.String.is_infix ~affix:needle chrome
+  let events =
+    match Json.member "traceEvents" (Json.parse chrome) with
+    | Some (Json.List evs) -> evs
+    | _ -> Alcotest.fail "chrome export has no traceEvents array"
   in
-  Alcotest.(check bool) "chrome export has the traceEvents array" true
-    (contains "\"traceEvents\"");
+  let str k e = match Json.member k e with Some (Json.Str s) -> s | _ -> "" in
+  let phases = List.map (str "ph") events in
   Alcotest.(check bool) "chrome export names worker timelines" true
-    (contains "\"thread_name\"");
-  Alcotest.(check bool) "no unbalanced begin phase" false (contains "\"ph\": \"B\"");
-  Alcotest.(check bool) "no unbalanced end phase" false (contains "\"ph\": \"E\"")
+    (List.exists (fun e -> str "name" e = "thread_name") events);
+  Alcotest.(check bool) "chrome export has complete spans" true (List.mem "X" phases);
+  Alcotest.(check (list string)) "only complete spans, instants and metadata" []
+    (List.filter (fun ph -> not (List.mem ph [ "X"; "i"; "M" ])) phases)
 
 (* The determinism contract lifted to the trace: one measure.layer span
    per frontier layer, so the count is a pure function of the system and
@@ -164,22 +169,29 @@ let test_capacity_and_dropped () =
   Trace.clear ();
   Alcotest.(check int) "clear resets the dropped count" 0 (Trace.dropped ())
 
-(* Worker buffers divert events until drained, and stamp their domain id
-   on everything recorded under them. *)
-let test_buffer_drain () =
+(* A worker probe diverts events and counter increments until it is
+   joined, and stamps its worker index on every event recorded under it. *)
+let test_probe_join () =
+  let c = Obs.counter "test.trace.probe" in
+  let before = Obs.count c in
+  Obs.set_enabled true;
   Trace.start ();
-  let buf = Trace.buffer ~dom:3 in
-  Trace.with_buffer buf (fun () ->
+  let p = Obs.probe ~worker:3 in
+  Obs.with_worker p (fun () ->
+      Obs.incr c;
       Trace.instant "t.worker";
       Trace.span "t.worker.span" (fun () -> ()));
-  Alcotest.(check (list string)) "buffered events invisible before drain" []
+  Alcotest.(check (list string)) "probe events invisible before join" []
     (List.map (fun e -> e.Trace.ev_name) (Trace.events ()));
-  Trace.drain buf;
+  Alcotest.(check int) "probe counts invisible before join" before (Obs.count c);
+  Obs.join p;
   let evs = Trace.events () in
   Trace.stop ();
   Trace.clear ();
-  Alcotest.(check int) "drain delivered both events" 2 (List.length evs);
-  Alcotest.(check bool) "buffered events carry the buffer's domain id" true
+  Obs.set_enabled false;
+  Alcotest.(check int) "join delivered both events" 2 (List.length evs);
+  Alcotest.(check int) "join delivered the counter delta" (before + 1) (Obs.count c);
+  Alcotest.(check bool) "probe events carry the worker index" true
     (List.for_all (fun e -> e.Trace.ev_dom = 3) evs)
 
 (* The self-profiling summary over a sequential and a multicore run of the
@@ -232,7 +244,7 @@ let test_summary_subtree () =
    must report identical per-layer deltas. *)
 let test_probe_isolation () =
   let auto, sched, depth = corpus_system () in
-  Cdse_obs.Obs.set_enabled true;
+  Obs.set_enabled true;
   let stats_of () =
     ignore (Measure.exec_dist ~memo:true auto sched ~depth);
     let st =
@@ -250,38 +262,54 @@ let test_probe_isolation () =
   let run2 = stats_of () in
   Trace.stop ();
   Trace.clear ();
-  Cdse_obs.Obs.set_enabled false;
+  Obs.set_enabled false;
   Alcotest.(check bool) "stats instants recorded" true (run1 <> []);
   Alcotest.(check bool) "second run reports the same per-layer deltas" true
     (run1 = run2)
 
-(* Regression (ring reuse): acquire/release recycles the per-worker rings
-   instead of allocating a capacity-sized array per run, without leaking
-   events or drop counts from one run into the next; a capacity change
-   retires stale rings instead of reusing them. *)
-let test_buffer_pool_reuse () =
+(* Regression (probe isolation across runs): every traced multicore run
+   gets fresh worker probes, so two identical back-to-back runs record the
+   same work, on tids 0 and 1, with nothing dropped or carried over; and a
+   flooded probe keeps [capacity] events and counts every drop on join.
+   Steals and idle waits depend on the OS schedule, root claims do not. *)
+let test_probes_across_runs () =
+  let auto, sched, depth = corpus_system () in
+  let run () =
+    Trace.start ();
+    ignore (Measure.exec_dist ~domains:2 auto sched ~depth);
+    Trace.stop ();
+    let evs = Trace.events () and dropped = Trace.dropped () in
+    Trace.clear ();
+    (evs, dropped)
+  in
+  let work evs =
+    List.filter_map
+      (fun e ->
+        match (e.Trace.ev_name, List.assoc_opt "src" e.Trace.ev_args) with
+        | "measure.steal.idle", _ | _, Some "steal" -> None
+        | name, src -> Some (name, src))
+      evs
+    |> List.sort compare
+  in
+  let evs1, dropped1 = run () in
+  let evs2, dropped2 = run () in
+  Alcotest.(check bool) "the runs reached the workers" true
+    (List.exists (fun e -> e.Trace.ev_name = "measure.subtree") evs1);
+  Alcotest.(check (list (pair string (option string)))) "same events in both runs"
+    (work evs1) (work evs2);
+  Alcotest.(check bool) "events on tids 0 and 1 only" true
+    (List.for_all (fun e -> e.Trace.ev_dom = 0 || e.Trace.ev_dom = 1) (evs1 @ evs2));
+  Alcotest.(check (pair int int)) "no drops in either run" (0, 0) (dropped1, dropped2);
   Trace.start ~capacity:32 ();
-  let b1 = Trace.acquire_buffer ~dom:1 in
-  Trace.with_buffer b1 (fun () ->
+  let p = Obs.probe ~worker:1 in
+  Obs.with_worker p (fun () ->
       for i = 1 to 100 do
         Trace.instant ~args:(fun () -> [ ("i", string_of_int i) ]) "t.flood"
       done);
-  Trace.drain b1;
-  Alcotest.(check int) "ring overflow counted" 68 (Trace.dropped ());
-  Trace.release_buffer b1;
-  let b2 = Trace.acquire_buffer ~dom:2 in
-  Alcotest.(check bool) "ring physically reused" true (b1 == b2);
-  Trace.clear ();
-  Trace.with_buffer b2 (fun () -> Trace.instant "t.one");
-  Trace.drain b2;
-  Alcotest.(check (list string)) "no event leakage across runs" [ "t.one" ]
-    (List.map (fun e -> e.Trace.ev_name) (Trace.events ()));
-  Alcotest.(check int) "no drop-count leakage across runs" 0 (Trace.dropped ());
-  Trace.release_buffer b2;
-  Trace.start ~capacity:64 ();
-  let b3 = Trace.acquire_buffer ~dom:1 in
-  Alcotest.(check bool) "stale-capacity ring not reused" false (b3 == b2);
+  Obs.join p;
   Trace.stop ();
+  Alcotest.(check int) "probe kept its capacity" 32 (List.length (Trace.events ()));
+  Alcotest.(check int) "probe overflow counted" 68 (Trace.dropped ());
   Trace.clear ()
 
 let () =
@@ -303,8 +331,8 @@ let () =
             test_subtree_spans;
           Alcotest.test_case "capacity bound and dropped count" `Quick
             test_capacity_and_dropped;
-          Alcotest.test_case "worker buffers drain at barriers" `Quick
-            test_buffer_drain;
+          Alcotest.test_case "worker probes hold until joined" `Quick
+            test_probe_join;
         ] );
       ( "summary",
         [
@@ -315,7 +343,7 @@ let () =
         [
           Alcotest.test_case "layer-stats probe isolated per run" `Quick
             test_probe_isolation;
-          Alcotest.test_case "buffer pool reuses rings without leakage" `Quick
-            test_buffer_pool_reuse;
+          Alcotest.test_case "probes isolated across traced runs" `Quick
+            test_probes_across_runs;
         ] );
     ]
