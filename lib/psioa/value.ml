@@ -50,23 +50,45 @@ let hash v = Hashtbl.hash v
 
 open Cdse_util
 
-let str_bits s =
-  Bits.concat
-    (Bits.encode_nat (String.length s)
-    :: List.init (String.length s) (fun i -> Bits.of_int ~width:8 (Char.code s.[i])))
+module W = Bits.Writer
+
+let write_str w s =
+  W.nat w (String.length s);
+  String.iter (fun c -> W.int ~width:8 w (Char.code c)) s
 
 (* 3-bit constructor tag, then constructor-specific payload. Ints are
    encoded as sign bit + gamma-coded magnitude. *)
-let rec to_bits v =
-  let tag3 n rest = Bits.append (Bits.of_int ~width:3 n) rest in
+let rec write w v =
+  let tag3 n = W.int ~width:3 w n in
   match v with
-  | Unit -> tag3 0 Bits.empty
-  | Bool b -> tag3 1 (Bits.singleton b)
-  | Int n -> tag3 2 (Bits.append (Bits.singleton (n >= 0)) (Bits.encode_nat (abs n)))
-  | Str s -> tag3 3 (str_bits s)
-  | Pair (a, b) -> tag3 4 (Bits.append (to_bits a) (to_bits b))
-  | List l -> tag3 5 (Bits.concat (Bits.encode_nat (List.length l) :: List.map to_bits l))
-  | Tag (t, x) -> tag3 6 (Bits.append (str_bits t) (to_bits x))
+  | Unit -> tag3 0
+  | Bool b ->
+      tag3 1;
+      W.bit w b
+  | Int n ->
+      tag3 2;
+      W.bit w (n >= 0);
+      W.nat w (abs n)
+  | Str s ->
+      tag3 3;
+      write_str w s
+  | Pair (a, b) ->
+      tag3 4;
+      write w a;
+      write w b
+  | List l ->
+      tag3 5;
+      W.nat w (List.length l);
+      List.iter (write w) l
+  | Tag (t, x) ->
+      tag3 6;
+      write_str w t;
+      write w x
+
+let to_bits v =
+  let w = W.create () in
+  write w v;
+  W.contents w
 
 let decode_str r =
   let n = Bits.Reader.read_nat r in

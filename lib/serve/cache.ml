@@ -16,10 +16,10 @@ type entry = {
   e_frontier : Measure.frontier option;
   e_render : string option ref;
       (* Rendered dist JSON, filled by the server on first reply and
-         reused on every later hit — rendering costs more than the
-         measure for small models (Value.to_bits per state), so a warm
-         hit must skip it. A lost race double-renders the identical
-         string; last write wins, both are correct. *)
+         reused on every later hit — a render walks every execution of
+         the reply and still costs more than the measure for small
+         models, so a warm hit must skip it. A lost race double-renders
+         the identical string; last write wins, both are correct. *)
 }
 
 (* The LRU clock is a monotonic tick; eviction scans for the minimum. The

@@ -2,20 +2,51 @@ open Cdse_prob
 open Cdse_psioa
 module Bits = Cdse_util.Bits
 
-let value_str v = Bits.to_string (Value.to_bits v)
-let action_str a = Bits.to_string (Action.to_bits a)
+let bits_str b = Json.Str (Bits.to_string b)
 
-let exec_to_json e =
+let exec_json ~state ~action e =
   Json.Obj
     [
-      ("start", Json.Str (value_str (Exec.fstate e)));
+      ("start", state (Exec.fstate e));
       ( "steps",
         Json.List
-          (List.map
-             (fun (a, q) ->
-               Json.List [ Json.Str (action_str a); Json.Str (value_str q) ])
-             (Exec.steps e)) );
+          (List.map (fun (a, q) -> Json.List [ action a; state q ]) (Exec.steps e)) );
     ]
+
+let exec_to_json =
+  exec_json
+    ~state:(fun v -> bits_str (Value.to_bits v))
+    ~action:(fun a -> bits_str (Action.to_bits a))
+
+(* A per-reply table from each distinct state or action to its rendered
+   encoding. [Value.hash] stops after 10 leaves, so configurations that
+   differ only in a late member would share one bucket; this table hashes
+   up to 256 nodes of the term. *)
+module Memo (K : sig
+  type t
+
+  val equal : t -> t -> bool
+  val to_bits : t -> Bits.t
+end) =
+struct
+  module Tbl = Hashtbl.Make (struct
+    type t = K.t
+
+    let equal = K.equal
+    let hash = Hashtbl.hash_param 256 256
+  end)
+
+  let render tbl k =
+    match Tbl.find_opt tbl k with
+    | Some j -> j
+    | None ->
+        let j = bits_str (K.to_bits k) in
+        Tbl.add tbl k j;
+        j
+end
+
+module State_memo = Memo (Value)
+module Action_memo = Memo (Action)
 
 let malformed what = invalid_arg ("Serve.Codec: malformed " ^ what)
 
@@ -36,13 +67,16 @@ let exec_of_json j =
   | _ -> malformed "exec"
 
 let dist_to_json d =
+  let states = State_memo.Tbl.create 256 and actions = Action_memo.Tbl.create 64 in
+  let exec =
+    exec_json ~state:(State_memo.render states) ~action:(Action_memo.render actions)
+  in
   Json.Obj
     [
       ( "items",
         Json.List
           (List.map
-             (fun (e, p) ->
-               Json.List [ exec_to_json e; Json.Str (Rat.to_string p) ])
+             (fun (e, p) -> Json.List [ exec e; Json.Str (Rat.to_string p) ])
              (Dist.items d)) );
       ("mass", Json.Str (Rat.to_string (Dist.mass d)));
       ("deficit", Json.Str (Rat.to_string (Dist.deficit d)));

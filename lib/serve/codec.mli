@@ -19,7 +19,10 @@ val exec_of_json : Json.t -> Exec.t
 val dist_to_json : Exec.t Dist.t -> Json.t
 (** [{"items": [[exec, rat], ...], "mass": rat, "deficit": rat,
     "size": int}]. Items are emitted in the distribution's canonical
-    (sorted) order. *)
+    (sorted) order, each exactly as {!exec_to_json} renders it. Each
+    distinct state and action is encoded once per call, through a table
+    keyed by [Value.equal]/[Action.equal], however many executions repeat
+    it in their prefixes. *)
 
 val dist_of_json : Json.t -> Exec.t Dist.t
 (** Rebuilds via [Dist.make ~compare:Exec.compare], i.e. renormalizes to

@@ -26,6 +26,11 @@ type conn = {
           incoming chunk is scanned once, so reading a long line stays
           linear instead of rescanning the whole buffer per chunk *)
   write_mutex : Mutex.t;
+  reply : Buffer.t;
+      (** the reply being written, reused under [write_mutex]: once it has
+          grown to the connection's largest reply, sending allocates
+          nothing, not even for a megabyte-scale cached body *)
+  chunk : Bytes.t;  (** [reply] goes to the socket through this, 64 KB at a time *)
 }
 
 (* The longest request line the daemon buffers, in bytes. Every valid
@@ -62,17 +67,23 @@ let read_line_fd conn =
   take ()
 
 let send conn json =
-  let b = Bytes.of_string (Json.to_string json ^ "\n") in
   Mutex.lock conn.write_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock conn.write_mutex)
     (fun () ->
-      let n = Bytes.length b in
-      let rec go off =
-        if off < n then go (off + Unix.write conn.fd b off (n - off))
+      let b = conn.reply in
+      Buffer.clear b;
+      Json.to_buffer b json;
+      Buffer.add_char b '\n';
+      let rec write off =
+        let k = min (Buffer.length b - off) (Bytes.length conn.chunk) in
+        if k > 0 then begin
+          Buffer.blit b off conn.chunk 0 k;
+          write (off + Unix.write conn.fd conn.chunk 0 k)
+        end
       in
       (* A vanished client is not a server error: drop the reply. *)
-      try go 0 with Unix.Unix_error _ -> ())
+      try write 0 with Unix.Unix_error _ -> ())
 
 type job = { j_req : Protocol.request; j_conn : conn; j_enqueued : float }
 
@@ -386,6 +397,8 @@ let acceptor_loop t =
                   pending = Buffer.create 256;
                   scanned = 0;
                   write_mutex = Mutex.create ();
+                  reply = Buffer.create 4096;
+                  chunk = Bytes.create 65536;
                 }
               in
               Mutex.lock t.m;

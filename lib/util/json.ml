@@ -17,10 +17,25 @@ exception Parse_error of string
 
 let fail pos msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg pos))
 
+(* [plain_end s n i] is the first index from [i] holding '"' or '\\' (or
+   [n]). *)
+let plain_end s n i =
+  let i = ref i in
+  while
+    !i < n
+    &&
+    let c = String.unsafe_get s !i in
+    c <> '"' && c <> '\\'
+  do
+    incr i
+  done;
+  !i
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  (* [at c] tests the current character without allocating. *)
+  let at c = !pos < n && String.unsafe_get s !pos = c in
   let advance () = incr pos in
   let skip_ws () =
     while
@@ -29,11 +44,7 @@ let parse s =
       advance ()
     done
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail !pos (Printf.sprintf "expected %c" c)
-  in
+  let expect c = if at c then advance () else fail !pos (Printf.sprintf "expected %c" c) in
   let literal w v =
     let l = String.length w in
     if !pos + l <= n && String.sub s !pos l = w then begin
@@ -42,49 +53,60 @@ let parse s =
     end
     else fail !pos (Printf.sprintf "expected %s" w)
   in
+  (* From the first backslash on, a string is decoded into [buf]. *)
+  let rec unescape buf =
+    if !pos >= n then fail !pos "unterminated string"
+    else
+      match s.[!pos] with
+      | '"' -> advance ()
+      | '\\' ->
+          advance ();
+          (if !pos >= n then fail !pos "unterminated escape"
+           else
+             match s.[!pos] with
+             | '"' -> Buffer.add_char buf '"'
+             | '\\' -> Buffer.add_char buf '\\'
+             | '/' -> Buffer.add_char buf '/'
+             | 'n' -> Buffer.add_char buf '\n'
+             | 't' -> Buffer.add_char buf '\t'
+             | 'r' -> Buffer.add_char buf '\r'
+             | 'b' -> Buffer.add_char buf '\b'
+             | 'f' -> Buffer.add_char buf '\012'
+             | 'u' ->
+                 (* Code points are decoded to a single byte when they fit
+                    (the protocol is ASCII); larger ones are rejected. *)
+                 if !pos + 4 >= n then fail !pos "truncated \\u escape";
+                 let hex = String.sub s (!pos + 1) 4 in
+                 let code =
+                   try int_of_string ("0x" ^ hex)
+                   with _ -> fail !pos "bad \\u escape"
+                 in
+                 if code > 0xff then fail !pos "non-ASCII \\u escape"
+                 else Buffer.add_char buf (Char.chr code);
+                 pos := !pos + 4
+             | c -> fail !pos (Printf.sprintf "bad escape \\%c" c));
+          advance ();
+          unescape buf
+      | c ->
+          Buffer.add_char buf c;
+          advance ();
+          unescape buf
+  in
+  (* A string without escapes, the common case, is one [String.sub]. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail !pos "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then fail !pos "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char buf '"'
-               | '\\' -> Buffer.add_char buf '\\'
-               | '/' -> Buffer.add_char buf '/'
-               | 'n' -> Buffer.add_char buf '\n'
-               | 't' -> Buffer.add_char buf '\t'
-               | 'r' -> Buffer.add_char buf '\r'
-               | 'b' -> Buffer.add_char buf '\b'
-               | 'f' -> Buffer.add_char buf '\012'
-               | 'u' ->
-                   (* Code points are decoded to a single byte when they fit
-                      (the protocol is ASCII); larger ones are rejected. *)
-                   if !pos + 4 >= n then fail !pos "truncated \\u escape";
-                   let hex = String.sub s (!pos + 1) 4 in
-                   let code =
-                     try int_of_string ("0x" ^ hex)
-                     with _ -> fail !pos "bad \\u escape"
-                   in
-                   if code > 0xff then fail !pos "non-ASCII \\u escape"
-                   else Buffer.add_char buf (Char.chr code);
-                   pos := !pos + 4
-               | c -> fail !pos (Printf.sprintf "bad escape \\%c" c));
-            advance ();
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            advance ();
-            go ()
-    in
-    go ();
-    Buffer.contents buf
+    let start = !pos in
+    pos := plain_end s n start;
+    if at '"' then begin
+      advance ();
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (!pos - start + 16) in
+      Buffer.add_substring buf s start (!pos - start);
+      unescape buf;
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in
@@ -103,23 +125,23 @@ let parse s =
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail !pos "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
+    if !pos >= n then fail !pos "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if at ']' then begin
           advance ();
           List []
         end
         else begin
           let items = ref [ parse_value () ] in
           skip_ws ();
-          while peek () = Some ',' do
+          while at ',' do
             advance ();
             items := parse_value () :: !items;
             skip_ws ()
@@ -127,10 +149,10 @@ let parse s =
           expect ']';
           List (List.rev !items)
         end
-    | Some '{' ->
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if at '}' then begin
           advance ();
           Obj []
         end
@@ -145,7 +167,7 @@ let parse s =
           in
           let fields = ref [ field () ] in
           skip_ws ();
-          while peek () = Some ',' do
+          while at ',' do
             advance ();
             fields := field () :: !fields;
             skip_ws ()
@@ -153,31 +175,36 @@ let parse s =
           expect '}';
           Obj (List.rev !fields)
         end
-    | Some _ -> parse_number ()
+    | _ -> parse_number ()
   in
   let v = parse_value () in
   skip_ws ();
   if !pos <> n then fail !pos "trailing content";
   v
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Runs of characters that need no escaping are copied in one
+   [add_substring]; a string without any is appended as it is. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring buf s !start (i - !start);
+      Buffer.add_string buf
+        (match c with
+        | '"' -> "\\\""
+        | '\\' -> "\\\\"
+        | '\n' -> "\\n"
+        | '\t' -> "\\t"
+        | '\r' -> "\\r"
+        | c -> Printf.sprintf "\\u%04x" (Char.code c));
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start)
 
-let to_string v =
-  let buf = Buffer.create 256 in
+let to_buffer buf v =
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Raw s -> Buffer.add_string buf s
@@ -188,7 +215,7 @@ let to_string v =
         else Buffer.add_string buf (Printf.sprintf "%.17g" f)
     | Str s ->
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
+        add_escaped buf s;
         Buffer.add_char buf '"'
     | List items ->
         Buffer.add_char buf '[';
@@ -204,13 +231,17 @@ let to_string v =
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char buf ',';
             Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
+            add_escaped buf k;
             Buffer.add_string buf "\":";
             go v)
           fields;
         Buffer.add_char buf '}'
   in
-  go v;
+  go v
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  to_buffer buf v;
   Buffer.contents buf
 
 let member k = function

@@ -30,6 +30,10 @@ val to_string : t -> string
     Strings are escaped per RFC 8259; integral floats render without a
     fractional part. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** [to_buffer b v] appends [to_string v] to [b], so a caller can reuse
+    one buffer across many renderings. *)
+
 (** {2 Accessors} — conveniences for picking apart parsed requests. *)
 
 val member : string -> t -> t option

@@ -8,12 +8,9 @@ module Json = Cdse_serve.Json
 
 type t = {
   fd : Unix.file_descr;
-  rbuf : bytes;
-  pending : Buffer.t;
-  mutable scanned : int;
-      (* offset into [pending] below which no newline exists — large
-         replies (a dist at depth 12 is megabytes) arrive in 4 KB chunks,
-         and rescanning the whole buffer per chunk is quadratic *)
+  ic : in_channel;
+      (* buffered reads of [fd]; never closed itself, so [fd] is closed
+         exactly once, by [close] *)
   mutable next_id : int;
 }
 
@@ -34,13 +31,8 @@ let connect ?(retries = 50) path =
         (try Unix.close fd with Unix.Unix_error _ -> ());
         raise e
   in
-  {
-    fd = go retries;
-    rbuf = Bytes.create 4096;
-    pending = Buffer.create 256;
-    scanned = 0;
-    next_id = 0;
-  }
+  let fd = go retries in
+  { fd; ic = Unix.in_channel_of_descr fd; next_id = 0 }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -53,29 +45,9 @@ let send_line t line =
   go 0
 
 let recv_line t =
-  let rec take () =
-    let len = Buffer.length t.pending in
-    let rec find i =
-      if i >= len then None
-      else if Buffer.nth t.pending i = '\n' then Some i
-      else find (i + 1)
-    in
-    match find t.scanned with
-    | Some i ->
-        let s = Buffer.contents t.pending in
-        Buffer.clear t.pending;
-        Buffer.add_substring t.pending s (i + 1) (String.length s - i - 1);
-        t.scanned <- 0;
-        String.sub s 0 i
-    | None -> (
-        t.scanned <- len;
-        match Unix.read t.fd t.rbuf 0 (Bytes.length t.rbuf) with
-        | 0 -> failwith "Serve_client.recv_line: connection closed by server"
-        | n ->
-            Buffer.add_subbytes t.pending t.rbuf 0 n;
-            take ())
-  in
-  take ()
+  match input_line t.ic with
+  | line -> line
+  | exception End_of_file -> failwith "Serve_client.recv_line: connection closed by server"
 
 type reply = { r_id : int option; r_ok : bool; r_body : Json.t }
 (** [r_body] is the ["result"] field when [r_ok], the ["error"] object

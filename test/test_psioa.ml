@@ -67,6 +67,83 @@ let prop_decoder_total_on_garbage =
       | v -> Cdse_util.Bits.equal (Value.to_bits v) b
       | exception Invalid_argument _ -> true)
 
+(* The wire encoding, pinned: literal bit strings recorded before the
+   encoder was rewritten, one value per constructor; the long ones are
+   pinned by length and the MD5 of their '0'/'1' rendering. *)
+let long_str = String.init 300 (fun i -> Char.chr (i land 0xff))
+
+let cfg12 last =
+  Value.tag "cfg"
+    (Value.list
+       (List.init 12 (fun i ->
+            Value.pair (Value.str (Printf.sprintf "m%d" i)) (Value.int (if i = 11 then last else i)))))
+
+let golden_values =
+  [ ("Unit", Value.Unit, `Bits "000");
+    ("Bool true", Value.Bool true, `Bits "0011");
+    ("Bool false", Value.Bool false, `Bits "0010");
+    ("Int 0", Value.Int 0, `Bits "01011");
+    ("Int 5", Value.Int 5, `Bits "010100110");
+    ("Int (-3)", Value.Int (-3), `Bits "010000100");
+    ( "Int (1 lsl 40)", Value.Int (1 lsl 40),
+      `Bits "0101000000000000000000000000000000000000000010000000000000000000000000000000000000001" );
+    ( "Int (max_int - 1)", Value.Int (max_int - 1),
+      `Bits
+        "0101000000000000000000000000000000000000000000000000000000000000011111111111111111111111111111111111111111111111111111111111111"
+    );
+    ( "Int (min_int + 2)", Value.Int (min_int + 2),
+      `Bits
+        "0100000000000000000000000000000000000000000000000000000000000000011111111111111111111111111111111111111111111111111111111111111"
+    );
+    ("Str \"\"", Value.Str "", `Bits "0111");
+    ("Str \"a\\\"b\"", Value.Str "a\"b", `Bits "01100100011000010010001001100010");
+    ("Str \"\\000\\255\"", Value.Str "\000\255", `Bits "0110110000000011111111");
+    ("Pair (Int 1, Str \"x\")", Value.Pair (Value.Int 1, Value.Str "x"), `Bits "100010101001101001111000");
+    ("List []", Value.List [], `Bits "1011");
+    ( "List [Unit; Bool true; Int 7]", Value.List [ Value.Unit; Value.Bool true; Value.Int 7 ],
+      `Bits "10100100000001101010001000" );
+    ("Tag (\"walk\", Int 2)", Value.Tag ("walk", Value.Int 2), `Bits "11000101011101110110000101101100011010110101011");
+    ("Tag (\"go\", Unit)", Value.Tag ("go", Value.Unit), `Bits "1100110110011101101111000");
+    ("Str of 300 bytes", Value.Str long_str, `Digest (2420, "8c29a98ad735506cfe82c8b9cf4a6e49"));
+    ("12-member cfg", cfg12 11, `Digest (472, "3d001d73cfb8b0bc969ecb51f7f68f10")) ]
+
+let test_value_golden () =
+  List.iter
+    (fun (name, v, expected) ->
+      let got = Cdse_util.Bits.to_string (Value.to_bits v) in
+      match expected with
+      | `Bits b -> Alcotest.(check string) name b got
+      | `Digest (len, md5) ->
+          Alcotest.(check int) (name ^ " length") len (String.length got);
+          Alcotest.(check string) (name ^ " digest") md5 (Digest.to_hex (Digest.string got)))
+    golden_values
+
+(* Values over the whole input range: every int the encoding accepts
+   (|n| < max_int), strings of any bytes, and strings longer than 255. *)
+let wide_value_gen =
+  QCheck.Gen.(
+    let any_string = string_size ~gen:char (oneof [ int_bound 8; int_range 250 300 ]) in
+    let any_int = map (fun n -> if abs n >= max_int - 1 || n = min_int then n / 2 else n) int in
+    sized
+    @@ fix (fun self n ->
+           let base =
+             oneof
+               [ return Value.Unit; map Value.bool bool; map Value.int any_int;
+                 map Value.int small_signed_int; map Value.str any_string ]
+           in
+           if n = 0 then base
+           else
+             frequency
+               [ (3, base);
+                 (1, map2 Value.pair (self (n / 2)) (self (n / 2)));
+                 (1, map Value.list (list_size (int_bound 4) (self (n / 2))));
+                 (1, map2 Value.tag any_string (self (n / 2))) ]))
+
+let prop_value_bits_reference =
+  QCheck.Test.make ~name:"value: bits match the reference encoder" ~count:300
+    (QCheck.make ~print:Value.to_string wide_value_gen)
+    (fun v -> Cdse_util.Bits.to_string (Value.to_bits v) = Ref_bits.value v)
+
 (* ---------------------------------------------------------------- Action *)
 
 let prop_action_bits_roundtrip =
@@ -75,6 +152,19 @@ let prop_action_bits_roundtrip =
     (fun (n, p) ->
       let a = Action.make ~payload:p n in
       Action.equal a (Action.of_bits (Action.to_bits a)))
+
+let test_action_golden () =
+  Alcotest.(check string) "w.step" "11000111011101110010111001110011011101000110010101110000000"
+    (Cdse_util.Bits.to_string (Action.to_bits (Action.make "w.step")));
+  Alcotest.(check string) "send(Int 4)" "1100010101110011011001010110111001100100010100101"
+    (Cdse_util.Bits.to_string (Action.to_bits (Action.make ~payload:(Value.Int 4) "send")))
+
+let prop_action_bits_reference =
+  QCheck.Test.make ~name:"action: bits match the reference encoder"
+    (QCheck.pair (QCheck.string_gen_of_size (QCheck.Gen.int_range 0 8) QCheck.Gen.char) value_arb)
+    (fun (n, p) ->
+      let a = Action.make ~payload:p n in
+      Cdse_util.Bits.to_string (Action.to_bits a) = Ref_bits.action a)
 
 let test_action_pp () =
   Alcotest.(check string) "no payload" "go" (Action.to_string (act "go"));
@@ -438,9 +528,13 @@ let () =
           qtest prop_value_compare_refl;
           qtest prop_value_compare_antisym;
           qtest prop_value_encoding_injective;
-          qtest prop_decoder_total_on_garbage ] );
+          qtest prop_decoder_total_on_garbage;
+          Alcotest.test_case "wire encoding pinned (golden vectors)" `Quick test_value_golden;
+          qtest prop_value_bits_reference ] );
       ( "action",
-        [ Alcotest.test_case "pp" `Quick test_action_pp; qtest prop_action_bits_roundtrip ] );
+        [ Alcotest.test_case "pp" `Quick test_action_pp; qtest prop_action_bits_roundtrip;
+          Alcotest.test_case "wire encoding pinned (golden vectors)" `Quick test_action_golden;
+          qtest prop_action_bits_reference ] );
       ( "sigs",
         [ Alcotest.test_case "disjointness enforced" `Quick test_sigs_disjoint;
           Alcotest.test_case "composition (Def 2.4)" `Quick test_sigs_compose_def24;

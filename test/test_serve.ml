@@ -600,6 +600,43 @@ let test_shutdown_drains () =
       Alcotest.fail "connect after shutdown should fail"
   | exception Unix.Unix_error _ -> ())
 
+(* ------------------------------------------------------------- codec *)
+
+(* [dist_to_json] encodes each distinct state and action once per reply,
+   through a table keyed by [Value.equal]/[Action.equal]. These states
+   are 12-member configurations that differ only in their last member,
+   where [Value.hash] (a 10-leaf [Hashtbl.hash]) cannot tell them apart:
+   the reply must still render each state as itself. *)
+let test_codec_memo_on_hash_collisions () =
+  let cfg k =
+    Value.tag "cfg"
+      (Value.list
+         (List.init 12 (fun i ->
+              Value.pair (Value.str (Printf.sprintf "m%d" i)) (Value.int (if i = 11 then k else 0)))))
+  in
+  Alcotest.(check int) "the states collide under Value.hash" (Value.hash (cfg 0)) (Value.hash (cfg 1));
+  let n = 16 in
+  let exec k =
+    let step j = Action.make ~payload:(Value.int j) "step" in
+    Exec.extend (Exec.extend (Exec.init (cfg k)) (step k) (cfg ((k + 1) mod n))) (step 0) (cfg k)
+  in
+  let d = Dist.uniform ~compare:Exec.compare (List.init n exec) in
+  let by_item =
+    Json.Obj
+      [ ( "items",
+          Json.List
+            (List.map
+               (fun (e, p) -> Json.List [ Codec.exec_to_json e; Json.Str (Rat.to_string p) ])
+               (Dist.items d)) );
+        ("mass", Json.Str (Rat.to_string (Dist.mass d)));
+        ("deficit", Json.Str (Rat.to_string (Dist.deficit d)));
+        ("size", Json.Num (float_of_int (Dist.size d))) ]
+  in
+  let rendered = Json.to_string (Codec.dist_to_json d) in
+  Alcotest.(check string) "same bytes as exec_to_json per item" (Json.to_string by_item) rendered;
+  Alcotest.(check bool) "dist_of_json gives the dist back" true
+    (Dist.equal d (Codec.dist_of_json (Json.parse rendered)))
+
 (* ------------------------------------------------------------- runner *)
 
 let () =
@@ -616,6 +653,11 @@ let () =
           Alcotest.test_case "oversized request line is refused" `Quick
             test_oversized_line;
           Alcotest.test_case "exception printers" `Quick test_exception_printers;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "per-reply memo under Value.hash collisions" `Quick
+            test_codec_memo_on_hash_collisions;
         ] );
       ( "cache",
         [

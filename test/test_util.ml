@@ -87,6 +87,56 @@ let test_reader_sequence () =
   Alcotest.(check bool) "bit2" true (Bits.Reader.read_bit r);
   Alcotest.(check bool) "end" true (Bits.Reader.at_end r)
 
+let prop_bits_compare_is_string_order =
+  QCheck.Test.make ~name:"bits: compare is string order at equal length"
+    QCheck.(pair (int_bound 40) (pair (list_of_size (Gen.return 40) bool) (list_of_size (Gen.return 40) bool)))
+    (fun (n, (l1, l2)) ->
+      let take l = List.filteri (fun i _ -> i < n) l in
+      let a = Bits.of_bool_list (take l1) and b = Bits.of_bool_list (take l2) in
+      Int.compare (Bits.compare a b) 0
+      = Int.compare (String.compare (Bits.to_string a) (Bits.to_string b)) 0)
+
+let prop_bits_concat_is_string_concat =
+  QCheck.Test.make ~name:"bits: concat is string concatenation" (QCheck.small_list bits_arb)
+    (fun l ->
+      Bits.to_string (Bits.concat l) = String.concat "" (List.map Bits.to_string l))
+
+(* The same bits built from different splits — pieces written at
+   byte-aligned and unaligned offsets — are [equal] and compare 0. *)
+let prop_bits_equal_across_splits =
+  QCheck.Test.make ~name:"bits: equal across splits" QCheck.(pair bits_arb (pair small_nat small_nat))
+    (fun (b, (i, j)) ->
+      let s = Bits.to_string b in
+      let n = String.length s in
+      let i = min i n in
+      let j = i + min j (n - i) in
+      let piece a z = Bits.of_string (String.sub s a (z - a)) in
+      let split = Bits.concat [ piece 0 i; piece i j; piece j n ] in
+      let w = Bits.Writer.create ~capacity:1 () in
+      String.iter (fun c -> Bits.Writer.bit w (c = '1')) (String.sub s 0 i);
+      Bits.Writer.bits w (piece i n);
+      let written = Bits.Writer.contents w in
+      Bits.equal b split && Bits.equal b written && Bits.compare b split = 0
+      && Bits.equal b (Bits.append (piece 0 i) (piece i n)))
+
+let test_writer_matches_wrappers () =
+  let w = Bits.Writer.create () in
+  Bits.Writer.bit w true;
+  Bits.Writer.int ~width:5 w 3;
+  Bits.Writer.nat w 6;
+  Bits.Writer.int ~width:62 w (-1);
+  Bits.Writer.bits w (Bits.of_string "0110");
+  let expected =
+    Bits.concat
+      [ Bits.singleton true; Bits.of_int ~width:5 3; Bits.encode_nat 6;
+        Bits.of_int ~width:62 (-1); Bits.of_string "0110" ]
+  in
+  Alcotest.(check string) "writer" (Bits.to_string expected) (Bits.to_string (Bits.Writer.contents w));
+  Alcotest.(check string) "of_int masks" "00011" (Bits.to_string (Bits.of_int ~width:5 3));
+  Alcotest.(check string) "encode_nat 6" "00111" (Bits.to_string (Bits.encode_nat 6));
+  Alcotest.check_raises "nat max_int" (Invalid_argument "Bits.Writer.nat: max_int has no encoding")
+    (fun () -> ignore (Bits.encode_nat max_int))
+
 (* ------------------------------------------------------------------ Cost *)
 
 let test_cost_basic () =
@@ -194,6 +244,66 @@ let test_order_option () =
   Alcotest.(check bool) "none smallest" true (cmp None (Some 0) < 0);
   Alcotest.(check int) "some eq" 0 (cmp (Some 3) (Some 3))
 
+(* ------------------------------------------------------------------ Json *)
+
+(* Raw-free (parse never yields [Raw]), finite numbers; strings and keys
+   over all 256 bytes, so quotes, backslashes and control characters go
+   through the escape and unescape paths. *)
+let json_gen =
+  QCheck.Gen.(
+    let any_string = string_size ~gen:char (int_bound 12) in
+    let num =
+      oneof
+        [ map float_of_int (int_range (-1_000_000) 1_000_000);
+          float_range (-1e20) 1e20;
+          map (fun f -> f *. 1e-9) (float_range (-1.) 1.) ]
+    in
+    sized
+    @@ fix (fun self n ->
+           let base =
+             oneof
+               [ return Json.Null; map (fun b -> Json.Bool b) bool;
+                 map (fun f -> Json.Num f) num; map (fun s -> Json.Str s) any_string ]
+           in
+           if n = 0 then base
+           else
+             frequency
+               [ (2, base);
+                 (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 3))));
+                 (1, map (fun l -> Json.Obj l) (list_size (int_bound 4) (pair any_string (self (n / 3))))) ]))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json: parse (to_string j) = j" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun j -> Json.parse (Json.to_string j) = j)
+
+let test_json_errors () =
+  List.iter
+    (fun (input, msg) ->
+      Alcotest.check_raises input (Json.Parse_error msg) (fun () -> ignore (Json.parse input)))
+    [ ({|"abc|}, "unterminated string at offset 4");
+      ({|"ab\n|}, "unterminated string at offset 5");
+      ({|"abc\|}, "unterminated escape at offset 5");
+      ({|"a\qb"|}, "bad escape \\q at offset 3");
+      ({|"\u12"|}, "truncated \\u escape at offset 2");
+      ({|{"a":1} x|}, "trailing content at offset 8");
+      ({|["a",|}, "unexpected end of input at offset 5");
+      ({|{"a" 1}|}, "expected : at offset 5");
+      ({|[1 2]|}, "expected ] at offset 3") ]
+
+(* [Raw] payloads are copied verbatim, and [to_buffer] appends exactly
+   what [to_string] returns. *)
+let test_json_raw_and_to_buffer () =
+  let body = Json.to_string (Json.Obj [ ("d", Json.Str (String.make 5000 '1')) ]) in
+  let reply = Json.Obj [ ("id", Json.Num 1.); ("result", Json.Raw body); ("tail", Json.Raw "[1]") ] in
+  let expected = {|{"id":1,"result":|} ^ body ^ {|,"tail":[1]}|} in
+  Alcotest.(check string) "raw verbatim" expected (Json.to_string reply);
+  let b = Buffer.create 1 in
+  Buffer.add_string b "x";
+  Json.to_buffer b reply;
+  Json.to_buffer b Json.Null;
+  Alcotest.(check string) "to_buffer appends" ("x" ^ expected ^ "null") (Buffer.contents b)
+
 let () =
   Alcotest.run "cdse_util"
     [ ( "bits",
@@ -209,7 +319,15 @@ let () =
           qtest prop_bits_append_assoc;
           qtest prop_bits_compare_total;
           qtest prop_encode_nat_roundtrip;
-          qtest prop_encode_nat_self_delimiting ] );
+          qtest prop_encode_nat_self_delimiting;
+          qtest prop_bits_compare_is_string_order;
+          qtest prop_bits_concat_is_string_concat;
+          qtest prop_bits_equal_across_splits;
+          Alcotest.test_case "writer matches the wrappers" `Quick test_writer_matches_wrappers ] );
+      ( "json",
+        [ qtest prop_json_roundtrip;
+          Alcotest.test_case "parse errors keep their offsets" `Quick test_json_errors;
+          Alcotest.test_case "raw payloads and to_buffer" `Quick test_json_raw_and_to_buffer ] );
       ( "cost",
         [ Alcotest.test_case "tick/get" `Quick test_cost_basic;
           Alcotest.test_case "nested measure" `Quick test_cost_measure_nested;
