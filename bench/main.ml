@@ -47,7 +47,7 @@ let () =
         Workbench.compromise := Some (max 0 (int_of_string n));
         extract_flags acc rest
     | "--compress" :: level :: rest ->
-        let levels = Cdse.Par_measure.compress_levels in
+        let levels = Cdse.Measure.compress_levels in
         (match List.assoc_opt level levels with
         | Some c -> Workbench.compress := c
         | None ->

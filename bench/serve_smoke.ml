@@ -2,7 +2,8 @@
    daemon, drive the wire protocol end to end (ping, cold + warm measure,
    reach, stats), and assert a clean drain-and-shutdown — "bye" reply,
    socket unlinked, threads joined. Exits non-zero on any violation.
-   Honors --domains so CI can exercise the multicore engine path. *)
+   Honors --domains (the daemon's domain count) so CI can exercise the
+   multicore engine path. *)
 
 module Client = Cdse_testkit.Serve_client
 module Json = Cdse_serve.Json
@@ -16,12 +17,11 @@ let fail fmt =
 
 let num i = Json.Num (float_of_int i)
 
-let measure_fields ~domains ~depth =
+let measure_fields ~depth =
   [ ("op", Json.Str "measure");
     ("model", Json.Obj [ ("kind", Json.Str "random_walk"); ("span", num 4) ]);
     ("sched", Json.Obj [ ("kind", Json.Str "uniform"); ("bound", num depth) ]);
-    ("depth", num depth);
-    ("domains", num domains) ]
+    ("depth", num depth) ]
 
 let run ~domains () =
   let socket =
@@ -39,11 +39,11 @@ let run ~domains () =
   | Json.Str "pong" -> ()
   | j -> fail "ping replied %s, expected \"pong\"" (Json.to_string j));
   let depth = 6 in
-  let cold = ok "cold measure" (Client.request c (measure_fields ~domains ~depth)) in
+  let cold = ok "cold measure" (Client.request c (measure_fields ~depth)) in
   (match Json.member "cached" cold with
   | Some (Json.Bool false) -> ()
   | _ -> fail "cold measure should report cached=false");
-  let warm = ok "warm measure" (Client.request c (measure_fields ~domains ~depth)) in
+  let warm = ok "warm measure" (Client.request c (measure_fields ~depth)) in
   (match Json.member "cached" warm with
   | Some (Json.Bool true) -> ()
   | _ -> fail "warm measure should report cached=true");
@@ -70,7 +70,7 @@ let run ~domains () =
       (Client.request c
          (("state", Json.Str target)
          :: [ ("op", Json.Str "reach") ]
-         @ List.tl (measure_fields ~domains ~depth)))
+         @ List.tl (measure_fields ~depth)))
   in
   (match Json.member "prob" reach with
   | Some (Json.Str s) -> (

@@ -115,7 +115,7 @@ let domains_arg =
 let compress_arg =
   Arg.(
     value
-    & opt (enum Par_measure.compress_levels) `Off
+    & opt (enum Measure.compress_levels) `Off
     & info [ "compress" ] ~docv:"LEVEL"
         ~doc:
           "State-space compression: off (no compression), hcons \
@@ -179,11 +179,7 @@ let emulate_cmd =
   let protocol =
     Arg.(
       value
-      & opt
-          (enum
-             [ ("channel", `Channel); ("coin-flip", `Coin); ("secret-share", `Share);
-               ("broadcast", `Broadcast) ])
-          `Channel
+      & opt (enum Serve_protocol.protocol_names) `Channel
       & info [ "protocol" ] ~docv:"P"
           ~doc:"Protocol: channel, coin-flip, secret-share or broadcast")
   in
@@ -202,16 +198,15 @@ let emulate_cmd =
   in
   let run protocol broken compromise stats trace =
     match (compromise, protocol) with
-    | Some _, (`Coin | `Share | `Broadcast) ->
+    | Some _, (`Coin_flip | `Secret_share | `Broadcast) ->
         Format.eprintf "error: --compromise applies to --protocol channel only@.";
         2
     | _ ->
     let v =
       run_with_trace trace @@ fun () ->
       run_with_stats stats @@ fun () ->
-      match protocol with
-      | `Channel when compromise <> None ->
-          let k = Option.get compromise in
+      match compromise with
+      | Some k ->
           let base = if broken then Secure_channel.real_leaky "sc" else Secure_channel.real "sc" in
           let wrapped =
             Fault.compromise
@@ -235,44 +230,7 @@ let emulate_cmd =
             ~adversaries:[ Secure_channel.adversary "sc" ]
             ~sim_for:(fun _ -> Secure_channel.simulator "sc")
             ~real:(Structured.make sys ~eact) ~ideal:(Secure_channel.ideal "sc")
-      | `Channel ->
-          let real = if broken then Secure_channel.real_leaky "sc" else Secure_channel.real "sc" in
-          Emulation.check
-            ~schema:(Schema.deterministic ~bound:12)
-            ~insight_of:Insight.accept
-            ~envs:[ Secure_channel.env_guess ~msg:1 "sc" ]
-            ~eps:Rat.zero ~q1:12 ~q2:12 ~depth:14
-            ~adversaries:[ Secure_channel.adversary "sc" ]
-            ~sim_for:(fun _ -> Secure_channel.simulator "sc")
-            ~real ~ideal:(Secure_channel.ideal "sc")
-      | `Coin ->
-          let real = if broken then Coin_flip.real_cheating "cf" else Coin_flip.real "cf" in
-          Emulation.check
-            ~schema:(Schema.deterministic ~bound:14)
-            ~insight_of:Insight.accept
-            ~envs:[ Coin_flip.env_result "cf" ]
-            ~eps:Rat.zero ~q1:14 ~q2:14 ~depth:16 ~adversaries:[ Coin_flip.adversary "cf" ]
-            ~sim_for:(fun _ -> Coin_flip.simulator "cf")
-            ~real ~ideal:(Coin_flip.ideal "cf")
-      | `Share ->
-          let real = if broken then Secret_share.transparent "ss" else Secret_share.real "ss" in
-          Emulation.check
-            ~schema:(Schema.deterministic ~bound:12)
-            ~insight_of:Insight.accept
-            ~envs:[ Secret_share.env_guess ~secret:1 "ss" ]
-            ~eps:Rat.zero ~q1:12 ~q2:12 ~depth:14 ~adversaries:[ Secret_share.adversary "ss" ]
-            ~sim_for:(fun _ -> Secret_share.simulator "ss")
-            ~real ~ideal:(Secret_share.ideal "ss")
-      | `Broadcast ->
-          (* No broken variant: --broken is ignored for broadcast. *)
-          let k = 2 in
-          Emulation.check
-            ~schema:(Schema.deterministic ~bound:12)
-            ~insight_of:Insight.accept
-            ~envs:[ Broadcast.env_all_delivered ~k ~msg:1 "bc" ]
-            ~eps:Rat.zero ~q1:12 ~q2:12 ~depth:14 ~adversaries:[ Broadcast.adversary ~k "bc" ]
-            ~sim_for:(fun _ -> Broadcast.simulator ~k "bc")
-            ~real:(Broadcast.real ~k "bc") ~ideal:(Broadcast.ideal ~k "bc")
+      | None -> Serve_engine.emulate ~protocol ~broken
     in
     (match compromise with
     | Some k -> Format.printf "compromise budget: %d takeover%s@." k (if k = 1 then "" else "s")

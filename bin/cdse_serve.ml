@@ -25,9 +25,8 @@ let domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Default domain count per query (requests may override with \
-           their \"domains\" field). Concurrent multicore queries run one \
-           after another.")
+          "Domain count of every query (a request's \"domains\" field is \
+           ignored). Concurrent multicore queries run one after another.")
 
 let workers_arg =
   Arg.(

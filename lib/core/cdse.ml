@@ -70,7 +70,6 @@ module Dsl = Cdse_psioa.Dsl
 module Scheduler = Cdse_sched.Scheduler
 module Schema = Cdse_sched.Schema
 module Measure = Cdse_sched.Measure
-module Par_measure = Cdse_sched.Par_measure
 module Insight = Cdse_sched.Insight
 module Balance = Cdse_sched.Balance
 module Task = Cdse_sched.Task
@@ -118,6 +117,7 @@ module Committee = Cdse_dynamic.Committee
 (* serve *)
 module Serve = Cdse_serve.Server
 module Serve_protocol = Cdse_serve.Protocol
+module Serve_engine = Cdse_serve.Engine
 
 (* gen *)
 module Workloads = Cdse_gen.Workloads

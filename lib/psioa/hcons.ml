@@ -5,10 +5,9 @@ let c_hit = Obs.counter "hcons.hits"
 let c_miss = Obs.counter "hcons.misses"
 
 (* The intern table maps a value (structural hash / equality, with the [==]
-   fast path of [Value.compare] inside) to its canonical representative and
-   the hash computed when the representative was interned. Only canonical
-   values are retained as keys, so the table holds exactly one node per
-   distinct value ever interned. *)
+   fast path of [Value.compare] inside) to its canonical representative.
+   Only canonical values are retained as keys, so the table holds exactly
+   one node per distinct value ever interned. *)
 module Vtbl = Hashtbl.Make (struct
   type t = Value.t
 
@@ -16,7 +15,7 @@ module Vtbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-type t = { tbl : (Value.t * int) Vtbl.t }
+type t = { tbl : Value.t Vtbl.t }
 
 let create ?(size = 256) () = { tbl = Vtbl.create size }
 
@@ -25,7 +24,7 @@ let create ?(size = 256) () = { tbl = Vtbl.create size }
    allocates nothing and [make] is idempotent by table hit. *)
 let rec make t v =
   match Vtbl.find_opt t.tbl v with
-  | Some (c, _) ->
+  | Some c ->
       Obs.incr c_hit;
       c
   | None ->
@@ -43,17 +42,8 @@ let rec make t v =
             let x' = make t x in
             if x' == x then v else Value.tag name x'
       in
-      Vtbl.replace t.tbl c (c, Value.hash c);
+      Vtbl.replace t.tbl c c;
       c
-
-let hash t v =
-  match Vtbl.find_opt t.tbl v with
-  | Some (_, h) -> h
-  | None ->
-      let c = make t v in
-      (match Vtbl.find_opt t.tbl c with Some (_, h) -> h | None -> Value.hash c)
-
-let interned t = Vtbl.length t.tbl
 
 let auto t a =
   let intern_dist d = Dist.map ~compare:Value.compare (make t) d in

@@ -6,9 +6,9 @@
     physically equal, so — combined with the [==] fast path in
     {!Value.compare} — equality checks, {!Exec.compare} on sibling cone
     executions, and the {!Psioa.memoize} tables all short-circuit in O(1)
-    on interned states. The per-canonical-value hash is computed once at
-    interning time and retrieved by table lookup afterwards ({!hash}), so
-    repeated hashing never re-traverses the term.
+    on interned states. The table maps each value to its canonical
+    representative; a miss costs one {!Value.hash} for the lookup and
+    one for the insertion.
 
     Tables are {b not} domain-safe: like {!Psioa.memoize}, multicore
     callers (the measure engine under [~compress]) give each worker domain
@@ -29,14 +29,6 @@ val make : t -> Value.t -> Value.t
 (** The canonical representative of [v] in [t]. Idempotent:
     [make t (make t v) == make t v], and [make t v == make t w] iff
     [Value.compare v w = 0]. *)
-
-val hash : t -> Value.t -> int
-(** The hash of [v]'s canonical representative, precomputed at interning
-    time (interns [v] if it has not been seen). Consistent with
-    {!Value.hash} and hence with structural equality. *)
-
-val interned : t -> int
-(** Number of canonical values currently in the table. *)
 
 val auto : t -> Psioa.t -> Psioa.t
 (** Wrap an automaton so every state it emits is interned in [t]: the

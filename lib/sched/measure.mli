@@ -1,4 +1,4 @@
-(** The execution measure [ε_σ] (Section 3).
+(** The execution measure [ε_σ] (Section 3) and the engine that computes it.
 
     A scheduler [σ] induces a probability measure on the σ-field generated
     by cones of execution fragments. For a depth-bounded computation the
@@ -13,8 +13,10 @@
     The [?max_execs] / [?max_width] budgets bound the work while keeping
     the result {e exact about its own incompleteness}: the computed
     sub-distribution is a true lower bound of [ε_σ] on every execution it
-    contains, and the discarded mass is returned as an explicit deficit,
-    so [mass + deficit = 1] as exact rationals.
+    contains, and the discarded mass is returned as an explicit deficit
+    [lost] in a [`Truncated] tag, so [mass + lost = 1] as exact
+    rationals. Only the entry points that return that tag
+    ({!exec_dist_budgeted}, {!reach_prob_budgeted}) take budgets.
 
     - [?max_width w] prunes each frontier layer to its [w] most probable
       executions (ties broken by {!Exec.compare}, so truncation is
@@ -33,8 +35,9 @@
 
     - [`Off]: no compression.
     - [`Hcons]: hash-consing only. Every reached state is interned in a
-      {!Cdse_psioa.Hcons} table so equality checks, {!Exec.compare} and
-      the memo tables short-circuit on physical identity. The result —
+      {!Cdse_psioa.Hcons} table (one per engine instance, so one per
+      worker domain) so equality checks, {!Exec.compare} and the memo
+      tables short-circuit on physical identity. The result —
       distribution, [`Exact]/[`Truncated] tag, deficit — is {b identical}
       to [`Off].
     - [`Quotient]: hash-consing {e plus} an on-the-fly
@@ -43,30 +46,90 @@
       (trace, last state) have identical futures under a
       {!Scheduler.is_memoryless} scheduler, so their exact masses are
       pooled onto one representative (the {!Exec.compare}-least member).
-      {!trace_dist}, {!reach_prob} (via an internal visited-predicate
-      refinement), {!expected_steps} and the budget deficit are exact; the
+      {!trace_dist}, {!reach_prob} (the predicate refines the classes, so
+      pred-hitting and pred-missing executions are never merged),
+      {!expected_steps} and the budget deficit are exact; the
       {e execution-level} support of {!exec_dist} is a compressed
       representation (one representative per class), so it is not
       bit-identical to [`Off]. Budgets prune the compressed frontier by
       the same total order. For history-dependent schedulers the quotient
       is unsound and the engine silently degrades to [`Hcons].
 
-    Every compression level preserves the cross-domain determinism
-    contract: for a fixed [compress], results are bit-identical for every
-    [?domains] value.
+    {2 The engine}
 
-    {2 Parallelism}
+    One function expands a cone node; two schedules drive it:
 
-    [?domains n] (default 1) expands the cone across [n] OCaml 5 domains
-    via {!Par_measure}, under one rule: unbudgeted runs without an active
-    [`Quotient] use the barrier-free {e subtree} engine (workers own
-    whole cone subtrees and steal work cooperatively, one merge at the
-    end); every other run — any run at [domains = 1], and budgeted or
-    quotient runs at any domain count — uses the sequential layer loop.
-    Either way the result is bit-identical to the sequential run — same
-    distribution, same [`Exact]/[`Truncated] tag, same deficit, conserved
-    {!Cdse_obs.Obs} totals — for every domain count; see {!Par_measure}
-    for the determinism contract. *)
+    - the {b layer loop} (sequential): expands the frontier one layer at a
+      time and applies the layer post-step — the [`Quotient] merge, then
+      the [?max_width] budget, then the [?max_execs] budget — and resumes
+      from a previously returned frontier ({!exec_dist_frontier});
+    - the {b barrier-free subtree engine} (multicore, OCaml 5 domains):
+      the coordinator grows the frontier breadth-first until it holds
+      several subtree roots per worker, then workers claim whole
+      {e subtrees} — one root at a time off an atomic cursor — and expand
+      them depth-first to the full remaining depth with their own
+      memo/hcons/choice caches, with no synchronization until one
+      canonical merge at the very end. Load balancing is cooperative work
+      {e donation}: a busy worker that observes idle workers donates the
+      shallowest half of its pending stack (the largest remaining
+      subtrees) to a shared overflow queue.
+
+    [?domains n] (default 1, clamped to 64) picks the schedule under one
+    rule: the subtree engine runs {b iff} [n > 1], no budget is set and no
+    [`Quotient] is active. Every other run — any run at [n = 1], and
+    budgeted or quotient runs at any domain count — runs the layer loop,
+    so its result is the layer loop's bit for bit. Nothing else selects
+    the engine. The [n - 1] worker domains are spawned for the call and
+    joined before it returns.
+
+    [?memo] (default [false]) computes the same measure faster:
+    signature/transition lookups are cached per [(state, action)] across
+    the cone frontier ({!Psioa.memoize}), and for
+    {!Scheduler.is_memoryless} schedulers the validated choice is cached
+    keyed by [(length, last state)]. Caches live only for the call.
+
+    {2 Determinism contract}
+
+    For a fixed [compress], the result is {b bit-identical for every
+    domain count}, [memo] setting, donation pattern and OS scheduling of
+    the workers:
+
+    - the returned distribution satisfies {!Cdse_prob.Dist.equal} with the
+      sequential one {e and} has the same in-memory normal form (entries
+      sorted by {!Exec.compare}, exact rationals in canonical form —
+      rational arithmetic is exact, so merge order cannot perturb
+      masses);
+    - the [`Exact] / [`Truncated] tag and the truncation deficit are
+      identical — budget pruning sorts by the total order
+      [(probability descending, Exec.compare ascending)], which does not
+      depend on the arrival order of frontier entries;
+    - the {!Cdse_obs.Obs} engine totals are conserved: [measure.finished]
+      and the [measure.truncation_deficit] gauge are identical to a
+      sequential run, and the memoization and choice-cache counters are
+      conserved as {e sums} ([hit + miss] = one lookup per cone node; the
+      split between hit and miss depends on the domain count, because
+      each worker warms its own cache). The subtree engine has no layers
+      and does not emit the layer instruments ([measure.layers],
+      [measure.frontier.width]); it reports [measure.subtree.roots] /
+      [measure.subtree.steals] instead (work units claimed from the root
+      cursor / the donation queue; their split {e does} vary with the
+      schedule).
+
+    If the scheduler (or a transition lookup) raises — e.g.
+    {!Scheduler.Bad_choice} for a choice that violates the Definition 3.1
+    support condition — the layer loop raises at once, for the first
+    failing entry in frontier order. The subtree engine completes the
+    surviving work and re-raises the failure of the [Exec.compare]-least
+    {e minimal} failing execution (a failing node's subtree is never
+    entered, so the minimal failing set is partition-independent). When
+    exactly one execution fails — the common debugging situation — every
+    domain count surfaces the same exception, and the engine stays usable
+    after a raise.
+
+    Worker domains never touch shared mutable state on the hot path: each
+    gets its own {!Psioa.memoize} instance and validated-choice cache, and
+    its counter increments and trace events accumulate in a per-worker
+    {!Cdse_obs.Obs.probe} joined when the workers finish. *)
 
 open Cdse_prob
 open Cdse_psioa
@@ -76,61 +139,60 @@ type 'a budgeted = [ `Exact of 'a | `Truncated of 'a * Rat.t ]
     [`Truncated (v, deficit)] when pruning occurred — [deficit] is the
     exact probability mass the budgets discarded. *)
 
-type compress = Par_measure.compress
-(** [`Off | `Hcons | `Quotient] — see the module docs above and
-    {!Par_measure.compress}. *)
+type compress = [ `Off | `Hcons | `Quotient ]
+(** State-space compression level — see the module docs. *)
+
+val compress_levels : (string * compress) list
+(** The level names every front end accepts — [off], [hcons] and
+    [quotient] — in that order: the CLI and bench [--compress] flags, the
+    serve protocol's ["compress"] field and the test suite's
+    [CDSE_TEST_COMPRESS]. *)
 
 val exec_dist :
-  ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->
-  ?compress:compress ->
+  ?memo:bool -> ?domains:int -> ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Exec.t Dist.t
-(** Exact distribution over completed executions up to [depth] steps.
-    Raises {!Scheduler.Bad_choice} if the scheduler violates the
-    Definition 3.1 support condition.
-
-    [~memo:true] (default [false]) computes the same measure faster:
-    signature/transition lookups are cached per [(state, action)] across
-    the cone frontier (via {!Psioa.memoize}), and for
-    {!Scheduler.is_memoryless} schedulers the validated choice is cached
-    keyed by [(length, last state)] instead of being recomputed per
-    execution. Observationally identical; caches live only for the call.
-
-    [?compress] selects the state-space compression level (module docs).
-
-    With [?max_execs] / [?max_width] the result may be a sub-distribution
-    (truncation deficit silently folded into the distribution's own
-    {!Dist.deficit}); use {!exec_dist_budgeted} when the caller must
-    distinguish scheduler halting from budget truncation. *)
+(** Exact distribution over completed executions up to [depth] steps. *)
 
 val exec_dist_budgeted :
   ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->
   ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Exec.t Dist.t budgeted
-(** Like {!exec_dist}, but reports budget truncation explicitly:
-    [`Truncated (d, lost)] satisfies [Dist.mass d + Dist.deficit d' + lost]
-    accounting such that the measure's total mass plus [lost] is exactly
-    the unbudgeted total. Without budgets, always [`Exact]. *)
+(** {!exec_dist} under the budgets, reporting truncation explicitly:
+    [`Truncated (d, lost)] satisfies [Dist.mass d + lost = 1], [lost]
+    being the mass the budgets discarded (halting mass is booked as
+    completed executions). Without budgets, always [`Exact]. *)
 
-type frontier = Par_measure.frontier = {
-  f_depth : int;
+type frontier = {
+  f_depth : int;  (** Every entry of [f_alive] has exactly this length. *)
   f_alive : (Exec.t * Rat.t) list;
+      (** Executions the scheduler may still extend, with their exact mass.
+          Post-quotient representatives when the producing run compressed
+          with [`Quotient]. *)
   f_finished : (Exec.t * Rat.t) list;
+      (** Halting mass accumulated strictly before [f_depth]. *)
 }
-(** A resumable cone frontier — see {!Par_measure.frontier}. *)
+(** A resumable cone frontier, as returned by {!exec_dist_frontier}. The
+    final distribution of the producing run is exactly
+    [Dist.make ~compare:Exec.compare (f_finished @ f_alive)]. *)
 
 val exec_dist_frontier :
   ?memo:bool -> ?domains:int -> ?compress:compress -> ?from:frontier ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Exec.t Dist.t * frontier
-(** Unbudgeted {!exec_dist} that also returns its final frontier and can
-    resume from one ([?from]) — the incremental-deepening hook behind the
-    {!Cdse_serve} result cache. Resuming a depth-[d] frontier to depth
-    [d + k] is bit-identical to a one-shot run at depth [d + k] with the
-    same model, scheduler and compression; see
-    {!Par_measure.exec_dist_frontier} for the contract and the
-    [Invalid_argument] conditions. *)
+(** {!exec_dist} that also returns its final frontier and can resume from
+    one ([?from]) instead of the initial execution — the
+    incremental-deepening hook behind the {!Cdse_serve} result cache.
+    Resuming a depth-[d] frontier to depth [d + k] is {b bit-identical} to
+    a one-shot run at depth [d + k] with the same [auto], [sched] and
+    [compress], for every domain count on either side of the split:
+    frontier entry order is normalized away by {!Dist.make}, rational mass
+    addition is exact and commutative, and the quotient representative
+    choice is [Exec.compare]-minimal per class. Raises [Invalid_argument]
+    if [from.f_depth > depth]. The caller is responsible for resuming only
+    with the same [auto]/[sched]/[compress] that produced the frontier —
+    the serving cache keys enforce exactly that. *)
 
 val cone_prob : Psioa.t -> Scheduler.t -> Exec.t -> Rat.t
 (** [ε_σ(C_α)]: the probability that the scheduled run extends [α]
@@ -138,55 +200,32 @@ val cone_prob : Psioa.t -> Scheduler.t -> Exec.t -> Rat.t
     transition probabilities along [α]. *)
 
 val trace_dist :
-  ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->
-  ?compress:compress ->
+  ?memo:bool -> ?domains:int -> ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Action.t list Dist.t
 (** Pushforward of {!exec_dist} through the trace map (Definition 2.2).
     Exact at {e every} compression level — the quotient merges only
     executions with equal traces, so the pushforward is unchanged. *)
 
-val trace_dist_budgeted :
-  ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->
-  ?compress:compress ->
-  Psioa.t -> Scheduler.t -> depth:int ->
-  Action.t list Dist.t budgeted
-(** Budget-aware {!trace_dist}: the pushforward of {!exec_dist_budgeted},
-    carrying the truncation deficit through unchanged. *)
-
-val n_execs :
-  ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->
-  ?compress:compress ->
-  Psioa.t -> Scheduler.t -> depth:int -> int
-(** Support size of {!exec_dist} — used by the scaling benchmarks (E7).
-    Under [`Quotient] this counts equivalence classes, not raw
-    executions. *)
-
 val reach_prob :
-  ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->
-  ?compress:compress ->
-  Psioa.t -> Scheduler.t -> depth:int -> pred:(Value.t -> bool) -> Cdse_prob.Rat.t
+  ?memo:bool -> ?domains:int -> ?compress:compress ->
+  Psioa.t -> Scheduler.t -> depth:int -> pred:(Value.t -> bool) -> Rat.t
 (** Exact probability that a completed execution visits a state satisfying
-    [pred] within [depth] steps. Under budgets this is a lower bound.
-    Exact at every compression level: [pred] is forwarded to the engine as
-    the quotient's track refinement ({!Par_measure.exec_dist_budgeted}), so
-    pred-hitting and pred-missing executions are never merged. *)
+    [pred] within [depth] steps, at every compression level. *)
 
 val reach_prob_budgeted :
   ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->
   ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int -> pred:(Value.t -> bool) -> Rat.t budgeted
-(** Budget-aware reachability: [`Truncated (p, lost)] brackets the true
-    probability in [[p, p + lost]] — the deficit mass may or may not have
-    reached [pred]. *)
+(** {!reach_prob} under the budgets: [`Truncated (p, lost)] brackets the
+    true probability in [[p, p + lost]] — the deficit mass may or may not
+    have reached [pred]. *)
 
 val expected_steps :
-  ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->
-  ?compress:compress ->
+  ?memo:bool -> ?domains:int -> ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
-  Cdse_prob.Rat.t
-(** Expected length of the completed execution (exact; under budgets, the
-    expectation over the computed sub-distribution). Exact at every
+  Rat.t
+(** Expected length of the completed execution, exact at every
     compression level — merged executions share their length. *)
 
 (** {2 Monte-Carlo estimation}
@@ -208,3 +247,21 @@ val estimate_fdist :
   depth:int ->
   ('a * float) list
 (** Empirical observation distribution over [samples] sampled runs. *)
+
+(**/**)
+
+module For_tests : sig
+  val truncate_entries :
+    keep:int -> (Exec.t * Rat.t) list -> (Exec.t * Rat.t) list * Rat.t
+  (** The budget-pruning step, exposed so the regression suite can verify
+      that permuting the frontier leaves the kept entries and dropped mass
+      unchanged. *)
+
+  val run_workers : int -> (int -> unit) -> unit
+  (** [run_workers n job] runs [job] on worker ids [0 .. n-1] — the caller
+      is worker 0, [n - 1] domains are spawned for the call — and joins
+      every domain. If jobs raise, all domains are still joined, then the
+      exception of the smallest raising worker id is re-raised. Exposed so
+      the regression suite can pin that a raising job neither deadlocks
+      nor leaks a domain. *)
+end

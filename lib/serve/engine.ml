@@ -14,7 +14,7 @@ type t = {
   models : (string, Psioa.t) Hashtbl.t;
   models_mutex : Mutex.t;
   par_mutex : Mutex.t;
-  default_domains : int;
+  domains : int;
 }
 
 let create ?(cache_cap = 64) ?(domains = 1) () =
@@ -23,40 +23,33 @@ let create ?(cache_cap = 64) ?(domains = 1) () =
     models = Hashtbl.create 16;
     models_mutex = Mutex.create ();
     par_mutex = Mutex.create ();
-    default_domains = domains;
+    domains;
   }
 
 let model t spec =
   let key = Protocol.model_key spec in
-  Mutex.lock t.models_mutex;
-  let auto =
-    match Hashtbl.find_opt t.models key with
-    | Some auto ->
-        Obs.incr c_model_hit;
-        auto
-    | None ->
-        Obs.incr c_model_miss;
-        (* Built under the lock: elaboration is cheap (small generators)
-           and this guarantees one automaton per spec, which downstream
-           memo tables key on physically. *)
-        let auto = Protocol.build_model spec in
-        Hashtbl.add t.models key auto;
-        auto
-  in
-  Mutex.unlock t.models_mutex;
-  auto
+  Mutex.protect t.models_mutex @@ fun () ->
+  match Hashtbl.find_opt t.models key with
+  | Some auto ->
+      Obs.incr c_model_hit;
+      auto
+  | None ->
+      Obs.incr c_model_miss;
+      (* Built under the lock: elaboration is cheap (small generators)
+         and this guarantees one automaton per spec, which downstream
+         memo tables key on physically. A spec whose elaboration raises
+         releases the lock and registers nothing. *)
+      let auto = Protocol.build_model spec in
+      Hashtbl.add t.models key auto;
+      auto
 
 (* Multicore queries serialize here: the measure engine spawns its own
-   worker domains per call, so two concurrent domains=4 requests would want 8
-   cores. Running them one after another keeps the daemon's footprint at
-   [max domains] regardless of client concurrency. Single-domain queries
-   bypass the lock and run fully concurrently. *)
-let with_domains t ~domains f =
-  if domains <= 1 then f ()
-  else begin
-    Mutex.lock t.par_mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.par_mutex) f
-  end
+   worker domains per call, so two concurrent domains=4 queries would want
+   8 cores. Running them one after another keeps the daemon's footprint
+   at [domains] regardless of client concurrency. Single-domain engines
+   bypass the lock and run queries fully concurrently. *)
+let with_domains t f =
+  if t.domains <= 1 then f () else Mutex.protect t.par_mutex f
 
 type measure_result = {
   m_dist : Exec.t Dist.t;
@@ -80,16 +73,15 @@ let measure t (q : Protocol.query) =
   | None ->
       let auto = model t q.q_model in
       let sched = Protocol.build_sched auto q.q_sched in
-      let domains = Option.value ~default:t.default_domains q.q_domains in
       let line = Protocol.query_line q in
       if Protocol.is_budgeted q then begin
         (* Budgeted: the truncation frontier depends on the budget, so
            neither storing nor resuming frontiers is sound. Exact-key
            caching still applies (budgets are part of the key). *)
         let res =
-          with_domains t ~domains (fun () ->
-              Measure.exec_dist_budgeted ~memo:q.q_memo
-                ?max_execs:q.q_max_execs ?max_width:q.q_max_width ~domains
+          with_domains t (fun () ->
+              Measure.exec_dist_budgeted ?max_execs:q.q_max_execs
+                ?max_width:q.q_max_width ~domains:t.domains
                 ~compress:q.q_compress auto sched ~depth:q.q_depth)
         in
         let dist, deficit =
@@ -111,10 +103,9 @@ let measure t (q : Protocol.query) =
         let from = Cache.best_frontier t.cache ~line ~depth:q.q_depth in
         (match from with Some _ -> Obs.incr c_resume | None -> ());
         let dist, frontier =
-          with_domains t ~domains (fun () ->
-              Measure.exec_dist_frontier ~memo:q.q_memo
-                ~domains ~compress:q.q_compress ?from auto sched
-                ~depth:q.q_depth)
+          with_domains t (fun () ->
+              Measure.exec_dist_frontier ~domains:t.domains
+                ~compress:q.q_compress ?from auto sched ~depth:q.q_depth)
         in
         let render = ref None in
         Cache.add t.cache ~key ~line ~depth:q.q_depth ~dist ~frontier ~render ();
@@ -129,6 +120,10 @@ let measure t (q : Protocol.query) =
       end
 
 let reach t (q : Protocol.query) ~state =
+  if Protocol.is_budgeted q then
+    invalid_arg
+      "Engine.reach: a budgeted query would give an unlabelled lower bound; \
+       use measure, whose reply carries the truncation tag";
   let target = Value.of_bits state in
   let pred v = Value.equal v target in
   match q.q_compress with
@@ -138,12 +133,10 @@ let reach t (q : Protocol.query) ~state =
          (uncached — the refined computation is not the cached one). *)
       let auto = model t q.q_model in
       let sched = Protocol.build_sched auto q.q_sched in
-      let domains = Option.value ~default:t.default_domains q.q_domains in
       let p =
-        with_domains t ~domains (fun () ->
-            Measure.reach_prob ~memo:q.q_memo ?max_execs:q.q_max_execs
-              ?max_width:q.q_max_width ~domains ~compress:`Quotient auto
-              sched ~depth:q.q_depth ~pred)
+        with_domains t (fun () ->
+            Measure.reach_prob ~domains:t.domains ~compress:`Quotient auto sched
+              ~depth:q.q_depth ~pred)
       in
       (p, false)
   | `Off | `Hcons ->

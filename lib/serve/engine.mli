@@ -3,10 +3,10 @@
     exercised directly (the qcheck property suite drives this module with
     a tiny capacity to force LRU churn, without any sockets).
 
-    Thread-safe: the registry and cache take their own locks; queries that
-    request more than one domain additionally serialize on an internal
-    mutex, so concurrent multicore requests run one after another instead
-    of oversubscribing the machine. *)
+    Thread-safe: the registry and cache take their own locks; on an engine
+    created with more than one domain, queries additionally serialize on
+    an internal mutex, so concurrent multicore requests run one after
+    another instead of oversubscribing the machine. *)
 
 open Cdse_prob
 open Cdse_psioa
@@ -16,13 +16,14 @@ type t
 
 val create : ?cache_cap:int -> ?domains:int -> unit -> t
 (** [cache_cap] bounds the result cache (default 64 entries); [domains] is
-    the default per-query domain count (default 1), overridable per
-    request. *)
+    the domain count of every query (default 1). *)
 
 val model : t -> Protocol.model -> Psioa.t
 (** Hash-consed spec elaboration: the first request for a spec builds the
     automaton ([serve.model.miss]), later ones reuse it
-    ([serve.model.hit]). *)
+    ([serve.model.hit]). A spec whose elaboration raises re-raises to the
+    caller and leaves the registry as it was, usable from every
+    thread. *)
 
 type measure_result = {
   m_dist : Exec.t Dist.t;
@@ -50,7 +51,9 @@ val reach : t -> Protocol.query -> state:Cdse_util.Bits.t -> Rat.t * bool
     encoded-value match). Under [`Quotient] compression this delegates to
     [Measure.reach_prob] (the predicate must refine the quotient), else it
     folds over the — possibly cached — measure result. The boolean
-    reports whether the answer came from cache. *)
+    reports whether the answer came from cache. Raises [Invalid_argument]
+    on a budgeted query ({!Protocol.is_budgeted}): the answer would be an
+    unlabelled lower bound. *)
 
 val emulate :
   protocol:Protocol.protocol_name -> broken:bool -> Impl.verdict

@@ -54,13 +54,15 @@ type query = {
   q_sched : sched;
   q_depth : int;
   q_compress : Measure.compress;
-  q_domains : int option;
-  q_memo : bool;
   q_max_execs : int option;
   q_max_width : int option;
 }
 
 type protocol_name = [ `Channel | `Coin_flip | `Secret_share | `Broadcast ]
+
+let protocol_names =
+  [ ("channel", `Channel); ("coin-flip", `Coin_flip); ("secret-share", `Secret_share);
+    ("broadcast", `Broadcast) ]
 
 type op =
   | Ping
@@ -188,7 +190,7 @@ let parse_query ~id obj =
   let q_depth = get_int ~id ~field:"depth" obj in
   if q_depth < 0 then bad ~id "depth" "must be non-negative";
   let q_compress =
-    let levels = Par_measure.compress_levels in
+    let levels = Measure.compress_levels in
     match Json.member "compress" obj with
     | None -> `Off
     | Some (Json.Str name) when List.mem_assoc name levels -> List.assoc name levels
@@ -197,17 +199,11 @@ let parse_query ~id obj =
           ("expected "
           ^ String.concat " | " (List.map (fun (name, _) -> Printf.sprintf "%S" name) levels))
   in
-  let q_domains = get_opt_int ~id ~field:"domains" obj in
-  (match q_domains with
-  | Some d when d < 1 -> bad ~id "domains" "must be at least 1"
-  | _ -> ());
   {
     q_model;
     q_sched;
     q_depth;
     q_compress;
-    q_domains;
-    q_memo = get_bool ~id ~field:"memo" ~default:false obj;
     q_max_execs = get_opt_int ~id ~field:"max_execs" obj;
     q_max_width = get_opt_int ~id ~field:"max_width" obj;
   }
@@ -230,6 +226,13 @@ let parse_request line =
     | "shutdown" -> Shutdown
     | "measure" -> Measure (parse_query ~id obj)
     | "reach" ->
+        (* A reach reply has no tag or lost mass to report truncation
+           with, so a budget would turn it into a silent lower bound. *)
+        List.iter
+          (fun field ->
+            if Json.member field obj <> None then
+              bad ~id field "budgets apply to measure only; a reach reply cannot report truncation")
+          [ "max_execs"; "max_width" ];
         let q = parse_query ~id obj in
         let bits = get_str ~id ~field:"state" obj in
         let state =
@@ -240,17 +243,13 @@ let parse_request line =
         Reach (q, state)
     | "emulate" ->
         let protocol =
-          match get_str ~id ~field:"protocol" obj with
-          | "channel" -> `Channel
-          | "coin-flip" -> `Coin_flip
-          | "secret-share" -> `Secret_share
-          | "broadcast" -> `Broadcast
-          | p ->
+          let p = get_str ~id ~field:"protocol" obj in
+          match List.assoc_opt p protocol_names with
+          | Some protocol -> protocol
+          | None ->
               bad ~id "protocol"
-                (Printf.sprintf
-                   "unknown protocol %S (expected channel | coin-flip | \
-                    secret-share | broadcast)"
-                   p)
+                (Printf.sprintf "unknown protocol %S (expected %s)" p
+                   (String.concat " | " (List.map fst protocol_names)))
         in
         Emulate { protocol; broken = get_bool ~id ~field:"broken" ~default:false obj }
     | o ->

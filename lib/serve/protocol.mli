@@ -16,9 +16,9 @@
               | "stats" | "shutdown"
     measure  := { ..., "model": model, "sched": sched, "depth": int,
                   "compress"?: "off"|"hcons"|"quotient",
-                  "domains"?: int, "memo"?: bool,
                   "max_execs"?: int, "max_width"?: int }
-    reach    := measure fields + { "state": bits }
+    reach    := { ..., "model": model, "sched": sched, "depth": int,
+                  "compress"?: "off"|"hcons"|"quotient", "state": bits }
     emulate  := { ..., "protocol": "channel"|"coin-flip"|
                        "secret-share"|"broadcast", "broken"?: bool }
     model    := { "kind": "coin", "p"?: rat }
@@ -43,7 +43,15 @@
     Parsing applies the library defaults ([coin] p = 1/2, [random_auto]
     6 states / 4 actions / branching 2, …), so a spec written with explicit
     defaults and one relying on them produce the {e same} canonical key —
-    and hence hit the same cache entry. *)
+    and hence hit the same cache entry.
+
+    Fields outside the grammar are ignored. That includes the engine
+    knobs older clients sent per request ("engine", "memo", "domains"):
+    the daemon's [--domains] sets every query's domain count, and the
+    result is bit-identical for every domain count and [memo] setting
+    anyway. A [reach] carrying "max_execs" or "max_width" is rejected
+    with a [protocol] error naming the field: its reply has no tag or
+    lost mass, so a budget would make it a silent lower bound. *)
 
 open Cdse_prob
 open Cdse_psioa
@@ -90,13 +98,16 @@ type query = {
   q_sched : sched;
   q_depth : int;
   q_compress : Measure.compress;
-  q_domains : int option;  (** [None] = server default *)
-  q_memo : bool;
   q_max_execs : int option;
   q_max_width : int option;
 }
 
 type protocol_name = [ `Channel | `Coin_flip | `Secret_share | `Broadcast ]
+
+val protocol_names : (string * protocol_name) list
+(** The wire names of the [emulate] protocols — [channel], [coin-flip],
+    [secret-share] and [broadcast] — in that order; also the CLI's
+    [emulate --protocol] values. *)
 
 type op =
   | Ping
@@ -113,10 +124,7 @@ val parse_request : string -> request
 
 (** {1 Canonical cache keys}
 
-    The cache key deliberately {e excludes} domain count and memoization:
-    the measure engine guarantees bit-identical results across both (the
-    repo's determinism contract), so they are performance knobs, not
-    semantics. It {e includes} compression mode
+    The cache key {e includes} compression mode
     (a [`Quotient] distribution is over representatives) and the
     exec/width budgets (truncation changes the answer). *)
 

@@ -17,8 +17,8 @@
     Determinism: the daemon returns bit-identical results to in-process
     [Measure.exec_dist] — distributions, truncation tags and deficits —
     regardless of cache state, request interleaving, executor count or
-    per-request domain count. The protocol test suite enforces
-    this differentially. *)
+    domain count. The protocol test suite enforces this
+    differentially. *)
 
 exception
   Protocol_error of { id : int option; field : string; msg : string }
@@ -39,8 +39,8 @@ val start :
   t
 (** Bind [socket] (an existing socket file is replaced), spawn the
     acceptor and [workers] executor threads (default 2), and return
-    immediately. [domains] (default 1) is the default per-query domain
-    count; [cache_cap] (default 64) bounds the result cache; [max_queue]
+    immediately. [domains] (default 1) is the domain count of every
+    query; [cache_cap] (default 64) bounds the result cache; [max_queue]
     (default 64) bounds the job queue, beyond which measure-bearing
     requests are rejected with an [overloaded] error. Enables
     {!Cdse_obs.Obs} stats collection (the [stats] op reads them). *)

@@ -4,7 +4,7 @@
    execution measure: the naive list-based oracle (test/support/oracle.ml,
    shares no code with production), the sequential layer loop
    (Measure.exec_dist, domains = 1) and the multicore subtree engine
-   (Par_measure, domains ≥ 2, unbudgeted and quotient-free). The suite
+   (Measure, domains ≥ 2, unbudgeted and quotient-free). The suite
    generates random PSIOAs and PCAs (including fault-wrapped churning
    ones) and asserts all of them agree — distributions Dist.equal, budget
    tags and deficits identical, Obs totals conserved — for every domain
@@ -34,7 +34,7 @@ let test_domains =
    always exercises every level regardless. An unknown level name fails
    the suite, so a typo cannot silently test `Off. *)
 let test_compress : Measure.compress =
-  let levels = Par_measure.compress_levels in
+  let levels = Measure.compress_levels in
   match Sys.getenv_opt "CDSE_TEST_COMPRESS" with
   | None -> `Off
   | Some name -> (
@@ -292,12 +292,12 @@ let prop_truncate_permutation_invariant =
       let auto, sched, depth = build case in
       let entries = Dist.items (Measure.exec_dist auto sched ~depth) in
       let keep = 1 + (case.seed mod 5) in
-      let kept, lost = Par_measure.For_tests.truncate_entries ~keep entries in
+      let kept, lost = Measure.For_tests.truncate_entries ~keep entries in
       let rng = Rng.make (case.seed + 1) in
       List.for_all
         (fun _ ->
           let kept', lost' =
-            Par_measure.For_tests.truncate_entries ~keep (Rng.shuffle rng entries)
+            Measure.For_tests.truncate_entries ~keep (Rng.shuffle rng entries)
           in
           Rat.equal lost lost'
           && List.length kept = List.length kept'
@@ -338,7 +338,7 @@ let prop_obs_conserved =
       let run domains =
         snd
           (Cdse_obs.Obs.with_stats (fun () ->
-               Measure.exec_dist ~memo:true ~compress:test_compress ~domains
+               Measure.exec_dist_budgeted ~memo:true ~compress:test_compress ~domains
                  ~max_width:(2 + (case.seed mod 6))
                  auto sched ~depth))
       in
@@ -615,7 +615,6 @@ let case_request case =
     ("model", model);
     ("sched", sched);
     ("depth", num case.depth);
-    ("domains", num (List.hd test_domains));
   ]
 
 let test_serve_corpus () =
@@ -624,7 +623,9 @@ let test_serve_corpus () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "cdse-conf-%d.sock" (Unix.getpid ()))
   in
-  let server = Cdse_serve.Server.start ~workers:2 ~socket () in
+  let server =
+    Cdse_serve.Server.start ~domains:(List.hd test_domains) ~workers:2 ~socket ()
+  in
   Fun.protect
     ~finally:(fun () -> Cdse_serve.Server.stop server)
     (fun () ->

@@ -361,7 +361,7 @@ exception Job_boom of int
    exception of the smallest worker id, independent of OS scheduling. A
    later call runs normally. *)
 let test_pool_raise_no_deadlock () =
-  let run_workers = Par_measure.For_tests.run_workers in
+  let run_workers = Measure.For_tests.run_workers in
   for _ = 1 to 3 do
     (* Workers 1 and 3 raise; worker 1 — the smallest raising id — wins,
        whichever domain finishes first. *)
@@ -388,7 +388,7 @@ let test_pool_caller_raise () =
   let others = Atomic.make 0 in
   let got =
     match
-      Par_measure.For_tests.run_workers 2 (fun w ->
+      Measure.For_tests.run_workers 2 (fun w ->
           if w = 0 then raise (Job_boom 0) else Atomic.incr others)
     with
     | () -> None

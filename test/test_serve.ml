@@ -22,7 +22,7 @@ module Client = Serve_client
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* Per-request domain count: 1 by default, CDSE_TEST_DOMAINS when the CI
+(* The daemon's domain count: 1 by default, CDSE_TEST_DOMAINS when the CI
    leg asks for a multicore replay of the whole protocol battery. *)
 let test_domains =
   match Option.bind (Sys.getenv_opt "CDSE_TEST_DOMAINS") int_of_string_opt with
@@ -39,7 +39,9 @@ let fresh_socket () =
 
 let with_server ?workers ?cache_cap ?max_queue f =
   let socket = fresh_socket () in
-  let server = Server.start ?workers ?cache_cap ?max_queue ~socket () in
+  let server =
+    Server.start ~domains:test_domains ?workers ?cache_cap ?max_queue ~socket ()
+  in
   Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f server socket)
 
 let with_client ?workers ?cache_cap ?max_queue f =
@@ -86,7 +88,6 @@ let measure_fields ?(compress = "off") ?max_execs ?max_width ~model ~sched
     ("sched", sched);
     ("depth", Json.Num (float_of_int depth));
     ("compress", Json.Str compress);
-    ("domains", Json.Num (float_of_int test_domains));
   ]
   @ (match max_execs with
     | Some n -> [ ("max_execs", Json.Num (float_of_int n)) ]
@@ -305,6 +306,122 @@ let test_oversized_line () =
           Alcotest.(check string) "a fresh connection still gets pong" "pong"
             (Client.str (expect_ok (Client.ping c)))))
 
+(* A reach reply carries no tag or lost mass, so a budget on it would
+   return a silent lower bound: the daemon refuses it with a protocol
+   error naming the budget field, and the connection stays usable. *)
+let test_budgeted_reach_rejected () =
+  with_client (fun _ c ->
+      let state =
+        Cdse_util.Bits.to_string
+          (Value.to_bits (Psioa.start (Cdse_gen.Workloads.coin ~p:Rat.half "c")))
+      in
+      List.iter
+        (fun field ->
+          let e =
+            expect_error
+              (Client.request c
+                 ([ ("op", Json.Str "reach"); ("state", Json.Str state); (field, Json.Num 3.) ]
+                 @ List.remove_assoc "op"
+                     (measure_fields ~model:model_coin ~sched:(sched_json "uniform")
+                        ~depth:3 ())))
+          in
+          Alcotest.(check (pair string string))
+            ("reach with " ^ field) ("protocol", field)
+            (Client.str (Client.field "kind" e), Client.str (Client.field "field" e)))
+        [ "max_execs"; "max_width" ];
+      Alcotest.(check string) "connection still usable" "pong"
+        (Client.str (expect_ok (Client.ping c))))
+
+(* Older clients sent per-request "memo" and "domains" fields. They are
+   ignored: the reply is byte-identical to the same line without them,
+   each sent cold to a fresh daemon. *)
+let test_stale_engine_fields_ignored () =
+  let reply_line fields =
+    with_client (fun _ c ->
+        Client.send_line c (Json.to_string (Json.Obj (("id", Json.Num 1.) :: fields)));
+        Client.recv_line c)
+  in
+  let fields =
+    measure_fields ~model:(model_rauto 5) ~sched:(sched_json "uniform") ~depth:4 ()
+  in
+  Alcotest.(check string) "memo and domains change no reply byte"
+    (reply_line fields)
+    (reply_line (fields @ [ ("memo", Json.Bool true); ("domains", Json.Num 4.) ]))
+
+(* Hostile input: whatever the bytes, [parse_request] fails only with
+   [Protocol_error] — never another exception, a crash or a hang. Lines
+   reach the parser only up to the daemon's request-line cap. *)
+let line_cap = 1 lsl 20
+
+let valid_lines =
+  [
+    {|{"id":1,"op":"ping"}|};
+    {|{"id":2,"op":"measure","model":{"kind":"random_auto","seed":3,"states":5},"sched":{"kind":"uniform","bound":4},"depth":4,"compress":"hcons","max_execs":10}|};
+    {|{"id":3,"op":"reach","model":{"kind":"coin","p":"1/3"},"sched":{"kind":"round_robin"},"depth":3,"state":"0101"}|};
+    {|{"id":4,"op":"emulate","protocol":"coin-flip","broken":true}|};
+  ]
+
+let nested ~opener n =
+  let b = Buffer.create (n * String.length opener) in
+  for _ = 1 to n do
+    Buffer.add_string b opener
+  done;
+  Buffer.contents b
+
+let openers = [ "["; {|{"a":|} ]
+
+let rejected line =
+  match Protocol.parse_request line with
+  | _ -> false
+  | exception Protocol.Protocol_error _ -> true
+
+let prop_parse_hostile =
+  let open QCheck in
+  let json_char = Gen.oneofl [ '{'; '}'; '['; ']'; '"'; ':'; ','; '\\'; '1'; '-'; 'e'; ' '; 'a'; 't' ] in
+  let gen =
+    Gen.(
+      oneof
+        [
+          string_size ~gen:char (0 -- 300);
+          string_size ~gen:json_char (0 -- 300);
+          (let* line = oneofl valid_lines in
+           let* k = 0 -- (String.length line - 1) in
+           return (String.sub line 0 k));
+          (let* opener = oneofl openers in
+           let* scale = 0 -- 20 in
+           let* n = 1 -- (1 lsl scale) in
+           return (nested ~opener (min n (line_cap / String.length opener))));
+        ])
+  in
+  let print s =
+    if String.length s <= 80 then Printf.sprintf "%S" s
+    else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 80) (String.length s)
+  in
+  Test.make ~count:300 ~name:"parse_request: hostile input raises only Protocol_error"
+    (make ~print gen) rejected
+
+(* The fixed extremes of the same property: every proper prefix of each
+   valid line, and nesting that fills the whole line cap, parsed on the
+   main thread and on a systhread (the daemon parses on its reader
+   threads). *)
+let test_parse_prefixes_and_deep_nesting () =
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("parses: " ^ line) false (rejected line);
+      for k = 0 to String.length line - 1 do
+        if not (rejected (String.sub line 0 k)) then
+          Alcotest.failf "prefix of length %d of %s was accepted" k line
+      done)
+    valid_lines;
+  List.iter
+    (fun opener ->
+      let line = nested ~opener (line_cap / String.length opener) in
+      Alcotest.(check bool) (opener ^ " nested to the cap, main thread") true (rejected line);
+      let on_thread = ref false in
+      Thread.join (Thread.create (fun () -> on_thread := rejected line) ());
+      Alcotest.(check bool) (opener ^ " nested to the cap, systhread") true !on_thread)
+    openers
+
 let test_exception_printers () =
   let rendered_p =
     Printexc.to_string
@@ -475,8 +592,6 @@ let prop_cache_sound =
         };
       q_depth = depth mod 5;
       q_compress = (if comp mod 2 = 0 then `Off else `Hcons);
-      q_domains = Some test_domains;
-      q_memo = false;
       q_max_execs = None;
       q_max_width = None;
     }
@@ -498,6 +613,50 @@ let prop_cache_sound =
           in
           items_identical served fresh)
         ops)
+
+(* ------------------------------------------------------------- engine *)
+
+(* A spec whose elaboration raises must not leave the model registry
+   locked: a good spec then still resolves from another thread (bounded
+   wait, so a leaked lock fails the test instead of hanging it) and from
+   the same thread. *)
+let test_model_registry_survives_failure () =
+  let engine = Engine.create () in
+  let bad = Protocol.Random_auto { seed = 1; states = 6; actions = 0; branching = 2 } in
+  (match Engine.model engine bad with
+  | _ -> Alcotest.fail "a random_auto spec with no actions should not elaborate"
+  | exception Invalid_argument _ -> ());
+  let good = Protocol.Coin { p = Rat.half } in
+  let resolved = Atomic.make false in
+  let t = Thread.create (fun () -> ignore (Engine.model engine good); Atomic.set resolved true) () in
+  let rec wait polls =
+    Atomic.get resolved || (polls > 0 && (Thread.delay 0.01; wait (polls - 1)))
+  in
+  Alcotest.(check bool) "second thread resolves a good spec within 5 s" true (wait 500);
+  Thread.join t;
+  ignore (Engine.model engine good)
+
+(* In-process, a budgeted reach is refused as well, on both reach paths
+   (folded over the cached measure, and the quotient's direct run). *)
+let test_engine_reach_refuses_budget () =
+  let engine = Engine.create () in
+  let state = Value.to_bits (Psioa.start (Cdse_gen.Workloads.coin ~p:Rat.half "c")) in
+  List.iter
+    (fun (q_compress, q_max_execs, q_max_width) ->
+      let q =
+        {
+          Protocol.q_model = Protocol.Coin { p = Rat.half };
+          q_sched = { Protocol.s_kind = Protocol.Uniform; s_fault_budget = None; s_bound = None };
+          q_depth = 3;
+          q_compress;
+          q_max_execs;
+          q_max_width;
+        }
+      in
+      match Engine.reach engine q ~state with
+      | _ -> Alcotest.fail "a budgeted reach must raise"
+      | exception Invalid_argument _ -> ())
+    [ (`Off, Some 1, None); (`Hcons, None, Some 1); (`Quotient, Some 1, Some 1) ]
 
 (* --------------------------------------------------------- concurrency *)
 
@@ -562,7 +721,7 @@ let test_concurrent_clients () =
 
 let test_shutdown_drains () =
   let socket = fresh_socket () in
-  let server = Server.start ~workers:2 ~socket () in
+  let server = Server.start ~domains:test_domains ~workers:2 ~socket () in
   let a = Client.connect socket in
   let b = Client.connect socket in
   (* Pipeline three measures on A without reading, so at least two are
@@ -653,6 +812,20 @@ let () =
           Alcotest.test_case "oversized request line is refused" `Quick
             test_oversized_line;
           Alcotest.test_case "exception printers" `Quick test_exception_printers;
+          Alcotest.test_case "budgeted reach is a protocol error" `Quick
+            test_budgeted_reach_rejected;
+          Alcotest.test_case "stale memo/domains fields are ignored" `Quick
+            test_stale_engine_fields_ignored;
+          qtest prop_parse_hostile;
+          Alcotest.test_case "every prefix and cap-deep nesting rejected" `Quick
+            test_parse_prefixes_and_deep_nesting;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "model registry survives a failing spec" `Quick
+            test_model_registry_survives_failure;
+          Alcotest.test_case "budgeted reach refused in-process" `Quick
+            test_engine_reach_refuses_budget;
         ] );
       ( "codec",
         [
