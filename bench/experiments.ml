@@ -599,17 +599,13 @@ let e15 () =
         let ideal = Committee.ideal ~blocks:1 "cmt" in
         let v, t =
           time_it (fun () ->
-              (* The AAct universe surfaces within one round: cap the
-                 exploration rather than walking the full free-input
-                 space. *)
-              let sys_real adv = Emulation.hidden_system ~max_states:500 ~max_depth:bound real adv in
-              let sys_ideal adv = Emulation.hidden_system ~max_states:500 ~max_depth:bound ideal adv in
               Impl.approx_le
                 ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
                 ~insight_of:Insight.accept
                 ~envs:[ Committee.env_commit ~block:0 "cmt" ]
                 ~eps:Rat.zero ~q1:bound ~q2:bound ~depth:(bound + 2)
-                ~a:(sys_real nobody) ~b:(sys_ideal nobody))
+                ~a:(Emulation.hidden_system real nobody)
+                ~b:(Emulation.hidden_system ideal nobody))
         in
         ok := !ok && v.Impl.holds;
         [ cell k; string_of_bool v.Impl.holds; Rat.to_string v.Impl.worst; ms t ])
@@ -788,13 +784,13 @@ let e18_committee engine k =
   let real = Committee.structured_psioa (Compose.pair inj (Pca.psioa cmt)) "cmt" in
   let ideal = Committee.ideal ~blocks:1 "cmt" in
   let bound = 20 in
-  let sys_real = Emulation.hidden_system ~max_states:800 ~max_depth:bound real nobody in
-  let sys_ideal = Emulation.hidden_system ~max_states:800 ~max_depth:bound ideal nobody in
   Impl.approx_le_engine engine
     ~schema:(Fault.compromise_budget ~avoid:is_retire k)
     ~insight_of:Insight.accept
     ~envs:[ Committee.env_commit ~block:0 "cmt" ]
-    ~eps:Rat.zero ~q1:bound ~q2:bound ~depth:(bound + 2) ~a:sys_real ~b:sys_ideal
+    ~eps:Rat.zero ~q1:bound ~q2:bound ~depth:(bound + 2)
+    ~a:(Emulation.hidden_system real nobody)
+    ~b:(Emulation.hidden_system ideal nobody)
 
 let e18 () =
   Pretty.section "E18  dynamic compromise: ≤_SE slack vs k-of-n compromise budget";
@@ -928,8 +924,8 @@ let mut () =
          ~insight_of:Insight.accept
          ~envs:[ Committee.env_commit ~block:0 "cmt" ]
          ~eps:Rat.zero ~q1:bound ~q2:bound ~depth:(bound + 2)
-         ~a:(Emulation.hidden_system ~max_states:500 ~max_depth:bound real nobody)
-         ~b:(Emulation.hidden_system ~max_states:500 ~max_depth:bound ideal nobody))
+         ~a:(Emulation.hidden_system real nobody)
+         ~b:(Emulation.hidden_system ideal nobody))
         .Impl.holds
     in
     let baseline = holds v0 in

@@ -136,10 +136,8 @@ let () =
       ~insight_of:Insight.accept
       ~envs:[ Committee.env_commit ~block:0 "cmt" ]
       ~eps:Rat.zero ~q1:bound ~q2:bound ~depth:(bound + 2)
-      ~a:(Emulation.hidden_system ~max_states:800 ~max_depth:bound real nobody)
-      ~b:
-        (Emulation.hidden_system ~max_states:800 ~max_depth:bound
-           (Committee.ideal ~blocks:1 "cmt") nobody)
+      ~a:(Emulation.hidden_system real nobody)
+      ~b:(Emulation.hidden_system (Committee.ideal ~blocks:1 "cmt") nobody)
   in
   Pretty.table ~header:[ "budget k"; "holds"; "slack" ]
     (List.map

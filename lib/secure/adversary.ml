@@ -33,66 +33,50 @@ let violation ~structured ~adv ~state ~condition ~action =
       condition;
       action }
 
-let on_composite_states ?max_states ?max_depth ~structured ~adv check =
-  let a = Structured.psioa structured in
-  let comp = Compose.pair a adv in
-  List.fold_left
-    (fun acc q ->
-      match acc with
-      | Error _ -> acc
-      | Ok () ->
-          let qa, qadv = Compose.proj_pair q in
-          check ~q ~qa ~qadv)
-    (Ok ())
-    (Psioa.reachable ?max_states ?max_depth comp)
+(* The reachable states of [A ‖ Adv], in one sweep of the pair. A composed
+   signature that raises [Incompatible] during the sweep means the two are
+   not partially compatible. *)
+let composite_states ~structured ~adv =
+  match Psioa.reachable (Compose.pair (Structured.psioa structured) adv) with
+  | states -> states
+  | exception Compose.Incompatible _ ->
+      raise
+        (violation ~structured ~adv ~state:(Psioa.start adv)
+           ~condition:"not partially compatible with the structured automaton" ~action:None)
 
-let check_exn ?max_states ?max_depth ~structured adv =
-  if not (Compose.partially_compatible ?max_states ?max_depth [ Structured.psioa structured; adv ]) then
-    raise
-      (violation ~structured ~adv ~state:(Psioa.start adv)
-         ~condition:"not partially compatible with the structured automaton" ~action:None);
-  match
-    on_composite_states ?max_states ?max_depth ~structured ~adv (fun ~q ~qa ~qadv ->
-        let adv_sig = Psioa.signature adv qadv in
-        let missing = Action_set.diff (Structured.ai structured qa) (Sigs.output adv_sig) in
-        if not (Action_set.is_empty missing) then
-          Error
-            (violation ~structured ~adv ~state:q
-               ~condition:"AI_A ⊄ out(Adv) — an adversary input of the protocol is not driven"
-               ~action:(Action_set.min_elt_opt missing))
-        else
-          let touched = Action_set.inter (Structured.eact structured qa) (Sigs.all adv_sig) in
-          if not (Action_set.is_empty touched) then
-            Error
-              (violation ~structured ~adv ~state:q
-                 ~condition:"adversary touches EAct_A — an environment action is on its interface"
-                 ~action:(Action_set.min_elt_opt touched))
-          else Ok ())
-  with
-  | Ok () -> ()
-  | Error exn -> raise exn
+let check_exn ~structured adv =
+  List.iter
+    (fun q ->
+      let qa, qadv = Compose.proj_pair q in
+      let adv_sig = Psioa.signature adv qadv in
+      let missing = Action_set.diff (Structured.ai structured qa) (Sigs.output adv_sig) in
+      if not (Action_set.is_empty missing) then
+        raise
+          (violation ~structured ~adv ~state:q
+             ~condition:"AI_A ⊄ out(Adv) — an adversary input of the protocol is not driven"
+             ~action:(Action_set.min_elt_opt missing));
+      let touched = Action_set.inter (Structured.eact structured qa) (Sigs.all adv_sig) in
+      if not (Action_set.is_empty touched) then
+        raise
+          (violation ~structured ~adv ~state:q
+             ~condition:"adversary touches EAct_A — an environment action is on its interface"
+             ~action:(Action_set.min_elt_opt touched)))
+    (composite_states ~structured ~adv)
 
-let check ?max_states ?max_depth ~structured adv =
-  match check_exn ?max_states ?max_depth ~structured adv with
+let check ~structured adv =
+  match check_exn ~structured adv with
   | () -> Ok ()
   | exception (Not_adversary _ as exn) -> Error (Printexc.to_string exn)
 
-let is_adversary ?max_states ?max_depth ~structured adv =
-  match check ?max_states ?max_depth ~structured adv with Ok () -> true | Error _ -> false
+let is_adversary ~structured adv = Result.is_ok (check ~structured adv)
 
-let full_control ?max_states ?max_depth ~structured adv =
-  is_adversary ?max_states ?max_depth ~structured adv
-  &&
-  match
-    on_composite_states ?max_states ?max_depth ~structured ~adv (fun ~q:_ ~qa ~qadv ->
-        if
-          Action_set.subset (Structured.ao structured qa)
-            (Sigs.input (Psioa.signature adv qadv))
-        then Ok ()
-        else Error "AO_A ⊄ in(Adv)")
-  with
-  | Ok () -> true
-  | Error _ -> false
+let full_control ~structured adv =
+  is_adversary ~structured adv
+  && List.for_all
+       (fun q ->
+         let qa, qadv = Compose.proj_pair q in
+         Action_set.subset (Structured.ao structured qa) (Sigs.input (Psioa.signature adv qadv)))
+       (composite_states ~structured ~adv)
 
 (* ------------------------------------------------- adversarial takeover *)
 

@@ -20,23 +20,23 @@ exception
     violation renders both automaton names, the composite state and the
     offending action. *)
 
-val check :
-  ?max_states:int -> ?max_depth:int -> structured:Structured.t -> Psioa.t -> (unit, string) result
-(** Verify the two Definition 4.24 conditions on the explored reachable
-    states of [A ‖ Adv]. The [Error] carries the rendered
-    {!Not_adversary} — automaton names, composite state and offending
-    action. *)
+val check : structured:Structured.t -> Psioa.t -> (unit, string) result
+(** Verify partial compatibility and the two Definition 4.24 conditions
+    in one sweep of the reachable states of [A ‖ Adv] (under
+    {!Psioa.reachable}'s default limits). The [Error] carries the
+    rendered {!Not_adversary} — automaton names, composite state and
+    offending action. *)
 
-val check_exn : ?max_states:int -> ?max_depth:int -> structured:Structured.t -> Psioa.t -> unit
+val check_exn : structured:Structured.t -> Psioa.t -> unit
 (** Like {!check} but raises {!Not_adversary} on violation. *)
 
-val is_adversary : ?max_states:int -> ?max_depth:int -> structured:Structured.t -> Psioa.t -> bool
+val is_adversary : structured:Structured.t -> Psioa.t -> bool
 
-val full_control :
-  ?max_states:int -> ?max_depth:int -> structured:Structured.t -> Psioa.t -> bool
+val full_control : structured:Structured.t -> Psioa.t -> bool
 (** The stronger condition assumed by the dummy-adversary reduction
     (Lemma D.1): additionally every adversary output of [A] is an input of
-    [Adv], so all [AAct] traffic flows through the adversary. *)
+    [Adv], so all [AAct] traffic flows through the adversary. Two sweeps:
+    {!is_adversary}'s, then one for this condition. *)
 
 val silent_takeover : Psioa.t -> Psioa.t
 (** [silent_takeover a]: the adversarial reinterpretation of a member over

@@ -1,8 +1,8 @@
 open Cdse_psioa
 
-let hidden_system ?max_states ?max_depth structured adv =
-  let aact = Structured.aact_universe ?max_states ?max_depth structured in
-  Hide.psioa_const (Compose.pair (Structured.psioa structured) adv) aact
+let hidden_system structured adv =
+  Hide.psioa (Compose.pair (Structured.psioa structured) adv) (fun q ->
+      Structured.aact structured (fst (Compose.proj_pair q)))
 
 exception
   Check_failed of {

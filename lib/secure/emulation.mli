@@ -16,12 +16,11 @@ open Cdse_prob
 open Cdse_psioa
 open Cdse_sched
 
-val hidden_system : ?max_states:int -> ?max_depth:int -> Structured.t -> Psioa.t -> Psioa.t
-(** [hide(A ‖ Adv, AAct_A)] with the underlined (universe) adversary
-    action set of [A]. The optional limits bound the reachability
-    exploration computing the universe — callers must pick them large
-    enough that every adversary action name appears (protocol action
-    alphabets here surface within a few steps). *)
+val hidden_system : Structured.t -> Psioa.t -> Psioa.t
+(** [hide(A ‖ Adv, AAct_A)]: at each composite state [(q_A, q_Adv)] the
+    outputs in [AAct_A(q_A)] become internal (Defs 2.6–2.7 with the
+    state-indexed set of Def 4.17). Building it explores nothing; the
+    signature is computed per state as the measure reaches it. *)
 
 val check :
   schema:Schema.t ->

@@ -14,16 +14,16 @@ type setup = {
   dummy_auto : Psioa.t;
 }
 
-let make_setup ?max_states ?max_depth ~structured ~g ~env ~adv () =
-  let ai_univ = Structured.ai_universe ?max_states ?max_depth structured in
-  let ao_univ = Structured.ao_universe ?max_states ?max_depth structured in
+let make_setup ~structured ~g ~env ~adv () =
+  let ai_univ = Structured.ai_universe structured in
+  let ao_univ = Structured.ao_universe structured in
   let aact_univ = Action_set.union ai_univ ao_univ in
   let a = Structured.psioa structured in
   let g_a = Rename.psioa a (Rename.only aact_univ (fun _ act -> g.Dummy.apply act)) in
   let dummy_auto =
     Dummy.make ~name:(Psioa.name a ^ ".dummy") ~ai:ai_univ ~ao:ao_univ ~g
   in
-  let h = Hide.psioa_const (Compose.pair a dummy_auto) aact_univ in
+  let h = Emulation.hidden_system structured dummy_auto in
   let lhs_sys = Compose.parallel ~name:"lhs" [ env; g_a; adv ] in
   let rhs_sys = Compose.parallel ~name:"rhs" [ env; h; adv ] in
   { structured; g; env; adv; ai_univ; ao_univ; lhs_sys; rhs_sys; dummy_auto }

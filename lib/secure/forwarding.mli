@@ -7,7 +7,9 @@
 
     - lhs: [E ‖ g(A) ‖ Adv] — the adversary attached directly, and
     - rhs: [E ‖ hide(A ‖ Dummy(A,g), AAct_A) ‖ Adv] — the dummy forwarder
-      inserted in between,
+      inserted in between, its middle component built by
+      {!Emulation.hidden_system} (so [AAct_A(q_A)] is hidden state by
+      state, exactly as in a [≤_SE] check),
 
     and constructs, for every scheduler σ of the lhs, a scheduler
     [Forward^s(σ)] of the rhs that replays σ, expanding each adversary
@@ -21,17 +23,17 @@ open Cdse_sched
 type setup
 
 val make_setup :
-  ?max_states:int ->
-  ?max_depth:int ->
   structured:Structured.t ->
   g:Dummy.renaming ->
   env:Psioa.t ->
   adv:Psioa.t ->
   unit ->
   setup
-(** Computes the adversary-action universes of [A] and assembles both
-    systems. The adversary must have {!Adversary.full_control}; this is
-    checked lazily by {!check_lemma_d1}. *)
+(** Computes the adversary-action universes of [A] (the dummy's fixed
+    alphabet and the domain of [g], under {!Structured.ai_universe}'s
+    default exploration limits) and assembles both systems. The adversary
+    must have {!Adversary.full_control}; this is checked lazily by
+    {!check_lemma_d1}. *)
 
 val lhs : setup -> Psioa.t
 (** [E ‖ g(A) ‖ Adv] (state shape: [List [q_E; q_A; q_Adv]]). *)

@@ -19,8 +19,8 @@ let universe f ?max_states ?max_depth s =
     (Psioa.reachable ?max_states ?max_depth s.psioa)
 
 let aact_universe ?max_states ?max_depth s = universe aact ?max_states ?max_depth s
-let ai_universe ?max_states ?max_depth s = universe ai ?max_states ?max_depth s
-let ao_universe ?max_states ?max_depth s = universe ao ?max_states ?max_depth s
+let ai_universe s = universe ai s
+let ao_universe s = universe ao s
 
 let validate ?max_states ?max_depth s =
   match Psioa.validate ?max_states ?max_depth s.psioa with
@@ -41,23 +41,24 @@ let validate ?max_states ?max_depth s =
         (Ok ())
         (Psioa.reachable ?max_states ?max_depth s.psioa)
 
-let compatible ?max_states ?max_depth s1 s2 =
-  Compose.partially_compatible ?max_states ?max_depth [ s1.psioa; s2.psioa ]
-  && begin
-       (* Definition 4.18 at every reachable composite state: shared enabled
-          actions must be environment actions of both. *)
-       let comp = Compose.pair s1.psioa s2.psioa in
-       List.for_all
-         (fun q ->
-           let q1, q2 = Compose.proj_pair q in
-           let shared =
-             Action_set.inter
-               (Sigs.all (Psioa.signature s1.psioa q1))
-               (Sigs.all (Psioa.signature s2.psioa q2))
-           in
-           Action_set.equal shared (Action_set.inter (eact s1 q1) (eact s2 q2)))
-         (Psioa.reachable ?max_states ?max_depth comp)
-     end
+(* One sweep of the pair: a composed signature that raises [Incompatible]
+   is a partial-compatibility failure (Definition 2.18); otherwise
+   Definition 4.18 at every reachable composite state: shared enabled
+   actions must be environment actions of both. *)
+let compatible s1 s2 =
+  match Psioa.reachable (Compose.pair s1.psioa s2.psioa) with
+  | exception Compose.Incompatible _ -> false
+  | states ->
+      List.for_all
+        (fun q ->
+          let q1, q2 = Compose.proj_pair q in
+          let shared =
+            Action_set.inter
+              (Sigs.all (Psioa.signature s1.psioa q1))
+              (Sigs.all (Psioa.signature s2.psioa q2))
+          in
+          Action_set.equal shared (Action_set.inter (eact s1 q1) (eact s2 q2)))
+        states
 
 let compose ?name s1 s2 =
   let psioa = Compose.pair ?name s1.psioa s2.psioa in

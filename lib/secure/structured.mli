@@ -29,20 +29,30 @@ val ai : t -> Value.t -> Action_set.t
 val ao : t -> Value.t -> Action_set.t
 
 val aact_universe : ?max_states:int -> ?max_depth:int -> t -> Action_set.t
-(** The underlined [AAct_A]: union of [AAct_A(q)] over explored reachable
-    states — domain of the adversary renamings [g] of Section 4.9. *)
+(** The underlined [AAct_A]: union of [AAct_A(q)] over the reachable
+    states a breadth-first sweep explores within the limits (with an
+    explicit cap, the union over the explored prefix). It is the alphabet
+    of automata built apart from [A], such as the renamed adversary of
+    Theorem 4.30's {!Emulation.composite_simulator}, and the domain of the
+    adversary renamings [g] of Section 4.9. No verdict calls it:
+    {!Emulation.hidden_system} reads [AAct_A(q_A)] state by state. *)
 
-val ai_universe : ?max_states:int -> ?max_depth:int -> t -> Action_set.t
-val ao_universe : ?max_states:int -> ?max_depth:int -> t -> Action_set.t
+val ai_universe : t -> Action_set.t
+(** Union of [AI_A(q)] over the reachable states ({!Psioa.reachable}'s
+    default limits): the dummy adversary's command alphabet. *)
+
+val ao_universe : t -> Action_set.t
+(** Union of [AO_A(q)], as {!ai_universe}. *)
 
 val validate : ?max_states:int -> ?max_depth:int -> t -> (unit, string) result
 (** Check [EAct_A(q) ⊆ ext(A)(q)] on the explored states (and the
     underlying PSIOA constraints). *)
 
-val compatible : ?max_states:int -> ?max_depth:int -> t -> t -> bool
+val compatible : t -> t -> bool
 (** Definition 4.18: partial compatibility of the underlying PSIOA, plus
     "every shared action is an environment action of both" at reachable
-    composite states. *)
+    composite states — checked in one sweep of {!Compose.pair} under
+    {!Psioa.reachable}'s default limits. *)
 
 val compose : ?name:string -> t -> t -> t
 (** Definition 4.19: [A₁ ‖ A₂] with [EAct = EAct₁ ∪ EAct₂] (pointwise on

@@ -124,10 +124,8 @@ let committee_holds mutant =
      ~insight_of:Insight.accept
      ~envs:[ Committee.env_commit ~block:0 "cmt" ]
      ~eps:Rat.zero ~q1:bound ~q2:bound ~depth:(bound + 2)
-     ~a:(Emulation.hidden_system ~max_states:500 ~max_depth:bound real nobody)
-     ~b:
-       (Emulation.hidden_system ~max_states:500 ~max_depth:bound
-          (Committee.ideal ~blocks:1 "cmt") nobody))
+     ~a:(Emulation.hidden_system real nobody)
+     ~b:(Emulation.hidden_system (Committee.ideal ~blocks:1 "cmt") nobody))
     .Impl.holds
 
 let test_committee_checker_kills_all () =

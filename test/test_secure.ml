@@ -99,6 +99,23 @@ let test_adversary_rejected_missing_ai () =
 
 let contains ~sub s = Astring.String.is_infix ~affix:sub s
 
+let test_adversary_rejected_incompatible () =
+  (* An adversary that also outputs the relay's leak(0): once the relay
+     holds a message, both sides output it, so the pair is not partially
+     compatible (Definition 2.18) and Definition 4.24 cannot apply. *)
+  let leak0 = act ~payload:(Value.int 0) "proto.leak" in
+  let loud =
+    Psioa.make ~name:"loud" ~start:Value.unit
+      ~signature:(fun _ -> Fixtures.sig_io ~o:[ leak0; act "proto.deliver" ] ())
+      ~transition:(fun q _ -> Some (Vdist.dirac q))
+  in
+  (match Adversary.check ~structured:relay loud with
+  | Ok () -> Alcotest.fail "incompatible adversary accepted"
+  | Error msg ->
+      Alcotest.(check bool) "message says not partially compatible" true
+        (contains ~sub:"not partially compatible" msg));
+  Alcotest.(check bool) "no full control" false (Adversary.full_control ~structured:relay loud)
+
 let test_adversary_error_actionable () =
   (* The rejection must name both automata, the violated Definition 4.24
      condition and the offending action — enough to fix the adversary
@@ -516,6 +533,55 @@ let test_emulation_detects_leaky_ideal () =
   Alcotest.(check bool) "distinguished" false v.Impl.holds;
   Alcotest.check rat "full distance" Rat.one v.Impl.worst
 
+let nobody =
+  Psioa.make ~name:"nobody" ~start:Value.unit
+    ~signature:(fun _ -> Sigs.empty)
+    ~transition:(fun _ _ -> None)
+
+let test_hidden_system_per_state () =
+  (* Def 4.26 hides AAct_A(q_A) at each state: x is an adversary output at
+     state 0 and an environment output at state 1, so it is internal at
+     (0, _) and visible at (1, _). A fixed union would hide it at both. *)
+  let x = act "x" in
+  let two_step =
+    Structured.make
+      (Psioa.make ~name:"two-step" ~start:(Value.int 0)
+         ~signature:(function
+           | Value.Int n when n < 2 -> Fixtures.sig_io ~o:[ x ] ()
+           | _ -> Sigs.empty)
+         ~transition:(fun q a ->
+           match q with
+           | Value.Int n when n < 2 && Action.equal a x -> Some (Vdist.dirac (Value.int (n + 1)))
+           | _ -> None))
+      ~eact:(fun q -> if Value.equal q (Value.int 1) then Action_set.singleton x else Action_set.empty)
+  in
+  let sys = Emulation.hidden_system two_step nobody in
+  let at n = Psioa.signature sys (Value.pair (Value.int n) Value.unit) in
+  Alcotest.(check bool) "x hidden at (0, _)" true (Action_set.mem x (Sigs.internal (at 0)));
+  Alcotest.(check bool) "x visible at (1, _)" true (Action_set.mem x (Sigs.output (at 1)))
+
+let test_hidden_system_explores_nothing () =
+  (* An unbounded counter whose every tick is an adversary output: building
+     the ≤_SE system must not evaluate a single signature. *)
+  let calls = ref 0 in
+  let tick = act "tick" in
+  let counter =
+    Structured.make
+      (Psioa.make ~name:"counter" ~start:(Value.int 0)
+         ~signature:(fun _ ->
+           incr calls;
+           Fixtures.sig_io ~o:[ tick ] ())
+         ~transition:(fun q a ->
+           match q with
+           | Value.Int n when Action.equal a tick -> Some (Vdist.dirac (Value.int (n + 1)))
+           | _ -> None))
+      ~eact:(fun _ -> Action_set.empty)
+  in
+  let sys = Emulation.hidden_system counter nobody in
+  Alcotest.(check int) "no signature evaluated" 0 !calls;
+  Alcotest.(check bool) "tick hidden at the start" true
+    (Action_set.mem tick (Sigs.internal (Psioa.signature sys (Psioa.start sys))))
+
 let test_composite_simulator_shape () =
   (* Theorem 4.30 construction on one component reduces to
      hide(DSim || g(Adv), g(AAct)). Sanity: the composite simulator is a
@@ -549,6 +615,8 @@ let () =
           Alcotest.test_case "missing AI coverage rejected" `Quick test_adversary_rejected_missing_ai;
           Alcotest.test_case "restriction (Lemma 4.25)" `Quick test_lemma_425_restriction;
           Alcotest.test_case "rejection is actionable" `Quick test_adversary_error_actionable;
+          Alcotest.test_case "not partially compatible rejected" `Quick
+            test_adversary_rejected_incompatible;
           Alcotest.test_case "silent takeover shape" `Quick test_silent_takeover_shape ] );
       ( "impl",
         [ Alcotest.test_case "identical holds at ε=0" `Quick test_impl_identical_holds;
@@ -575,4 +643,7 @@ let () =
         [ Alcotest.test_case "reflexivity (Def 4.26)" `Quick test_emulation_reflexive;
           Alcotest.test_case "detects broken ideal" `Quick test_emulation_detects_leaky_ideal;
           Alcotest.test_case "Thm 4.30 composite simulator" `Quick test_composite_simulator_shape;
-          Alcotest.test_case "Check_failed printer" `Quick test_emulation_check_failed_printer ] ) ]
+          Alcotest.test_case "Check_failed printer" `Quick test_emulation_check_failed_printer;
+          Alcotest.test_case "AAct hidden per state (Def 4.26)" `Quick test_hidden_system_per_state;
+          Alcotest.test_case "building the system explores nothing" `Quick
+            test_hidden_system_explores_nothing ] ) ]
