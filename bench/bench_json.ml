@@ -57,15 +57,6 @@ let macro_baseline =
 
 let depths = [ 3; 4; 5; 6 ]
 
-(* Parallel-scaling cells (schema cdse-bench/7, [exec_dist_subtree]): E7's
-   widest uniform random-walk workloads, the exact cone expanded with 1,
-   2 and 4 domains — the sequential layer loop at 1, the barrier-free
-   subtree engine above. Times are wall-clock — the speedups reflect the
-   recording host's core count, the distributions are bit-identical by
-   contract either way. *)
-let par_workloads = [ ("walk_b2", 2, 8); ("walk_b3", 3, 6) ]
-let par_domains = [ 1; 2; 4 ]
-
 (* State-space-compression cells (schema cdse-bench/4): lazy random walks
    whose executions are all-internal, so the on-the-fly quotient collapses
    a 2^depth frontier to at most span+1 classes per layer. Each cell
@@ -166,63 +157,6 @@ let measure_macro () =
              depths) ))
     workloads
 
-let par_system (name, branching, default_depth) =
-  let depth = Option.value ~default:default_depth !Workbench.par_depth in
-  let rng = Rng.make (branching * 1000) in
-  let auto =
-    Cdse_gen.Random_auto.make ~rng ~name:"walk" ~n_states:8 ~n_actions:branching
-      ~branching ()
-  in
-  (name, depth, auto, Scheduler.uniform auto)
-
-(* Attribution block for one exec_dist_subtree cell (schema cdse-bench/7):
-   the steal fraction — donated work units over all claimed work units —
-   from a stats run, and the idle fraction and worker imbalance from a
-   traced run, both off the timing path. *)
-let subtree_trace_json run =
-  let domains = List.fold_left max 1 par_domains in
-  let (), snap =
-    Obs.with_stats (fun () -> ignore (Sys.opaque_identity (run ~domains ())))
-  in
-  let c name = Option.value ~default:0 (List.assoc_opt name snap.Obs.s_counters) in
-  let roots = c "measure.subtree.roots" and steals = c "measure.subtree.steals" in
-  let steal_frac =
-    if roots + steals = 0 then 0.0
-    else float_of_int steals /. float_of_int (roots + steals)
-  in
-  Trace.start ();
-  ignore (Sys.opaque_identity (run ~domains ()));
-  Trace.stop ();
-  let sm = Trace.summary () in
-  Trace.clear ();
-  Json.Obj
-    [ ("domains", int domains); ("idle_frac", fixed 4 sm.Trace.sm_idle_frac);
-      ("steal_frac", fixed 4 steal_frac);
-      ("imbalance_max_over_mean", fixed 4 sm.Trace.sm_imbalance) ]
-
-(* One scaling cell: wall-clock per domain count, plus the dispatch
-   overhead of the domains-aware entry point at domains = 1 versus the
-   plain sequential call — both run the layer loop, so this isolates the
-   cost of the parallel plumbing (expected ≈ 1.0; tracked as a regression
-   guard on the engine dispatch). *)
-let measure_subtree () =
-  List.map
-    (fun workload ->
-      let name, depth, auto, sched = par_system workload in
-      let run ~domains () = Measure.exec_dist ~memo:true ~domains auto sched ~depth in
-      let times = List.map (fun domains -> (domains, wall (run ~domains))) par_domains in
-      let t_plain = wall (fun () -> Measure.exec_dist ~memo:true auto sched ~depth) in
-      let t1 = List.assoc 1 times in
-      let speedup d = fixed 2 (t1 /. Float.max 1e-9 (List.assoc d times)) in
-      ( name,
-        Json.Obj
-          [ ("depth", int depth);
-            ("ms", Json.Obj (List.map (fun (d, t) -> (string_of_int d, fixed 4 t)) times));
-            ("speedup_2", speedup 2); ("speedup_4", speedup 4);
-            ("overhead_1", fixed 3 (t1 /. Float.max 1e-9 t_plain));
-            ("trace", subtree_trace_json run) ] ))
-    par_workloads
-
 (* One compression cell: wall-clock per level at [depth], the quotient
    engine at [2 × depth], and the frontier geometry from two stats runs —
    [frontier_width_max] from the uncompressed engine ("frontier actually
@@ -292,7 +226,7 @@ let measure_compromise () =
 
 (* Serving-layer cell (schema cdse-bench/8): an in-process [Serve] daemon
    on a temp socket, driven over the wire protocol by the testkit client.
-   Honest 1-core numbers (domains = 1, workers = 2): cold wall-clock on a
+   Honest 1-core numbers (workers = 2): cold wall-clock on a
    fresh cache line, warm round-trip on an exact cache hit — the ≥ 2×
    warm speedup is part of the recorded contract, enforced by check-json
    — plus an incremental-deepening resume, sustained synchronous
@@ -311,7 +245,7 @@ let measure_serve () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "cdse-bench-%d.sock" (Unix.getpid ()))
   in
-  let server = Cdse_serve.Server.start ~domains:1 ~workers:2 ~socket () in
+  let server = Cdse_serve.Server.start ~workers:2 ~socket () in
   let c = Client.connect socket in
   let measure_fields ~bound ~depth =
     [ ("op", Json.Str "measure");
@@ -391,7 +325,7 @@ let measure_serve () =
   Obs.set_enabled was_enabled;
   Json.Obj
     [ ("workload", Json.Str "random_walk"); ("span", int serve_span);
-      ("depth", int serve_depth); ("domains", int 1); ("workers", int 2);
+      ("depth", int serve_depth); ("workers", int 2);
       ("cold_ms", fixed 4 cold_ms); ("warm_ms", fixed 4 warm_ms);
       ("warm_speedup", fixed 2 (cold_ms /. Float.max 1e-9 warm_ms));
       ("resumed_from", int resumed_from); ("resume_ms", fixed 4 resume_ms);
@@ -404,20 +338,17 @@ let emit micro_rows =
      sweeps churn up. *)
   let serve = measure_serve () in
   let macro = measure_macro () in
-  let subtree = measure_subtree () in
   let compress = measure_compress () in
   let compromise = measure_compromise () in
   let units =
     [ ("micro", "ns/op"); ("exec_dist", "ms/op"); ("counters", "count per single run");
-      ("exec_dist_subtree", "ms/op wall-clock, barrier-free subtree engine above 1 domain");
-      ("trace", "dimensionless fractions from a traced run");
       ("exec_dist_compress", "ms/op wall-clock");
       ("compromise_sweep", "ms wall-clock, exact rational slacks");
       ("serve", "ms wall-clock round-trip over a Unix socket, in-process daemon") ]
   in
   let doc =
     lines
-      [ ("schema", Json.Str "cdse-bench/9");
+      [ ("schema", Json.Str "cdse-bench/10");
         ("generated_by", Json.Str "dune exec bench/main.exe -- micro");
         ("units", Json.Obj (List.map (fun (k, u) -> (k, Json.Str u)) units));
         ( "micro",
@@ -426,7 +357,6 @@ let emit micro_rows =
                (fun (name, current) -> (name, entry (List.assoc_opt name micro_baseline) current))
                micro_rows) );
         ("exec_dist", lines ~indent:1 macro);
-        ("exec_dist_subtree", lines ~indent:1 subtree);
         ("exec_dist_compress", lines ~indent:1 compress);
         ("compromise_sweep", lines ~indent:1 compromise);
         ("serve", serve) ]
@@ -435,9 +365,9 @@ let emit micro_rows =
   output_string oc (Json.to_string doc ^ "\n");
   close_out oc;
   Printf.printf
-    "Wrote BENCH_cdse.json (%d micro rows, %d exec_dist workloads x depths 3-6, %d subtree scaling cells, %d compression cells, %d compromise cells, 1 serve cell)\n%!"
-    (List.length micro_rows) (List.length macro) (List.length subtree)
-    (List.length compress) (List.length compromise)
+    "Wrote BENCH_cdse.json (%d micro rows, %d exec_dist workloads x depths 3-6, %d compression cells, %d compromise cells, 1 serve cell)\n%!"
+    (List.length micro_rows) (List.length macro) (List.length compress)
+    (List.length compromise)
 
 (* ----------------------------------------------------- stable-key check *)
 
@@ -477,8 +407,8 @@ let check ?(path = "BENCH_cdse.json") () =
       fmt
   in
   (match List.assoc_opt "schema" fields with
-  | Some (Json.Str "cdse-bench/9") -> ()
-  | Some (Json.Str other) -> fail "schema is %S, expected \"cdse-bench/9\"" other
+  | Some (Json.Str "cdse-bench/10") -> ()
+  | Some (Json.Str other) -> fail "schema is %S, expected \"cdse-bench/10\"" other
   | _ -> fail "missing string key \"schema\"");
   List.iter
     (fun k -> if not (List.mem_assoc k fields) then fail "missing key %S" k)
@@ -554,57 +484,6 @@ let check ?(path = "BENCH_cdse.json") () =
             base
       | _ -> fail "exec_dist: stable workload %S missing" name)
     macro_baseline;
-  (* Schema 7: per-domain wall-clock cells of the subtree engine. Each
-     workload carries its depth, a "ms" object with one number per
-     recorded domain count, and the derived 2-/4-domain speedups; the
-     timing-attribution "trace" block carries the idle and steal
-     fractions, which live in [0,1] by construction; the imbalance is a
-     max-over-mean, ≥ 1 up to float rendering. *)
-  let subtree_block = objf "exec_dist_subtree" in
-  List.iter
-    (fun (name, _, _) ->
-      let ctx = "exec_dist_subtree." ^ name in
-      match List.assoc_opt name subtree_block with
-      | Some (Json.Obj cell) ->
-          (match List.assoc_opt "depth" cell with
-          | Some (Json.Num _) -> ()
-          | _ -> fail "%s: missing numeric field \"depth\"" ctx);
-          (match List.assoc_opt "ms" cell with
-          | Some (Json.Obj ms) ->
-              List.iter
-                (fun d ->
-                  match List.assoc_opt (string_of_int d) ms with
-                  | Some (Json.Num t) when t > 0.0 -> ()
-                  | Some (Json.Num _) -> fail "%s: ms[%d] is not positive" ctx d
-                  | _ -> fail "%s: ms missing domain count %d" ctx d)
-                par_domains
-          | _ -> fail "%s: missing object field \"ms\"" ctx);
-          List.iter
-            (fun k ->
-              match List.assoc_opt k cell with
-              | Some (Json.Num _) -> ()
-              | _ -> fail "%s: missing numeric field %S" ctx k)
-            [ "speedup_2"; "speedup_4"; "overhead_1" ];
-          (match List.assoc_opt "trace" cell with
-          | Some (Json.Obj tr) ->
-              let tnum k =
-                match List.assoc_opt k tr with
-                | Some (Json.Num v) -> v
-                | _ -> fail "%s: trace missing numeric field %S" ctx k
-              in
-              if tnum "domains" < 1.0 then fail "%s: trace.domains < 1" ctx;
-              List.iter
-                (fun k ->
-                  let v = tnum k in
-                  if v < 0.0 || v > 1.0 then
-                    fail "%s: trace.%s %.4f is not in [0,1]" ctx k v)
-                [ "idle_frac"; "steal_frac" ];
-              if tnum "imbalance_max_over_mean" < 0.999 then
-                fail "%s: trace.imbalance_max_over_mean %.4f < 1" ctx
-                  (tnum "imbalance_max_over_mean")
-          | _ -> fail "%s: missing object field \"trace\"" ctx)
-      | _ -> fail "exec_dist_subtree: stable workload %S missing" name)
-    par_workloads;
   (* Schema 4: state-space-compression cells. Structural validation plus
      the one timing-independent invariant — the quotient frontier can
      never be wider than the uncompressed one. *)
@@ -712,8 +591,7 @@ let check ?(path = "BENCH_cdse.json") () =
   | _ -> fail "serve: missing string field \"workload\"");
   List.iter
     (fun k -> if snum k <= 0.0 then fail "serve: %S is not positive" k)
-    [ "span"; "depth"; "domains"; "workers"; "cold_ms"; "warm_ms"; "resume_ms";
-      "qps"; "queries" ];
+    [ "span"; "depth"; "workers"; "cold_ms"; "warm_ms"; "resume_ms"; "qps"; "queries" ];
   if snum "warm_speedup" < 2.0 then
     fail "serve: warm_speedup %.2f < 2 — the cache hit is not paying for itself"
       (snum "warm_speedup");
@@ -725,10 +603,9 @@ let check ?(path = "BENCH_cdse.json") () =
     fail "serve: resumed_from %.0f is not a proper prefix of depth %.0f" rf
       (snum "depth");
   Printf.printf
-    "check-json: %s OK (schema cdse-bench/9, %d micro keys, %d workloads x %d depths, %d subtree scaling cells with trace blocks, %d compression cells, %d compromise cells, 1 serve cell, counters validated)\n"
+    "check-json: %s OK (schema cdse-bench/10, %d micro keys, %d workloads x %d depths, %d compression cells, %d compromise cells, 1 serve cell, counters validated)\n"
     path (List.length micro_baseline) (List.length macro_baseline) (List.length depths)
-    (List.length par_workloads) (List.length compress_workloads)
-    (List.length compromise_budgets)
+    (List.length compress_workloads) (List.length compromise_budgets)
 
 (* ------------------------------------------------------ trace-file check *)
 
@@ -736,9 +613,8 @@ let check ?(path = "BENCH_cdse.json") () =
    top-level object with a "traceEvents" array of complete spans ("X"),
    instants ("i") and thread-name metadata ("M") — never unbalanced
    begin/end ("B"/"E") pairs — with numeric coordinates, nonnegative
-   durations, and at least one engine work span (a layer-loop
-   [measure.layer] or a subtree-engine [measure.subtree]/[measure.seed],
-   whichever engine produced the trace). The CI trace-smoke gate. *)
+   durations, and at least one engine work span ([measure.layer]). The CI
+   trace-smoke gate. *)
 let check_trace path =
   let fields = read_json ~tool:"check-trace" path in
   let fail fmt =
@@ -753,7 +629,7 @@ let check_trace path =
     | Some (Json.List evs) -> evs
     | _ -> fail "missing array key \"traceEvents\""
   in
-  let spans = ref 0 and layers = ref 0 and subtrees = ref 0 in
+  let spans = ref 0 and layers = ref 0 in
   List.iteri
     (fun i ev ->
       let ctx = Printf.sprintf "traceEvents[%d]" i in
@@ -775,8 +651,6 @@ let check_trace path =
           | "X" ->
               incr spans;
               if String.equal name "measure.layer" then incr layers;
-              if String.equal name "measure.subtree" || String.equal name "measure.seed"
-              then incr subtrees;
               ignore (num "ts");
               ignore (num "pid");
               ignore (num "tid");
@@ -790,8 +664,6 @@ let check_trace path =
       | _ -> fail "%s: not an object" ctx)
     events;
   if !spans = 0 then fail "no complete spans";
-  if !layers = 0 && !subtrees = 0 then
-    fail "no engine work spans (neither measure.layer nor measure.subtree/seed)";
-  Printf.printf
-    "check-trace: %s OK (%d events, %d spans, %d layer + %d subtree spans)\n" path
-    (List.length events) !spans !layers !subtrees
+  if !layers = 0 then fail "no engine work spans (measure.layer)";
+  Printf.printf "check-trace: %s OK (%d events, %d spans, %d layer spans)\n" path
+    (List.length events) !spans !layers

@@ -718,8 +718,8 @@ let e17 () =
    is a silenced validator, tolerance 1). The ≤_SE slack must be exactly 0
    strictly below each tolerance threshold and exactly the predicted
    positive rational at and above it — and every verdict must be
-   bit-identical across the engine knobs (domains 1/2/4, memoisation,
-   state-space compression). *)
+   bit-identical across the engine knobs (memoisation, state-space
+   compression). *)
 
 (* "cmt.retire<i>" is chair bookkeeping, not an attack: a first-enabled
    scheduler would retire the whole committee before the submit arrives
@@ -731,8 +731,8 @@ let is_retire a =
 (* The engine-knob grid every verdict is recomputed under. *)
 let e18_engines =
   [ Impl.default_engine;
-    { Impl.memo = true; domains = 2; compress = `Hcons };
-    { Impl.memo = true; domains = 4; compress = `Quotient } ]
+    { Impl.memo = true; compress = `Hcons };
+    { Impl.memo = true; compress = `Quotient } ]
 
 let e18_otp engine k =
   let names = [ "n0"; "n1" ] in
@@ -835,7 +835,7 @@ let e18 () =
   Printf.printf
     "claim: slack is exactly 0 below the tolerance threshold (OTP: 0 takeovers;\n\
      2-of-3 committee: 1) and exactly the predicted positive rational above it\n\
-     (1/2 resp. 1), bit-identical across domains ∈ {1,2,4} and compression: %s\n"
+     (1/2 resp. 1), bit-identical across memo and hcons/quotient: %s\n"
     (verdict ok)
 
 (* ----------------------------------------------------------------- MUT *)
@@ -947,62 +947,7 @@ let mut () =
     "claim: the unmutated members pass at slack 0 and the checker kills every\n\
      drop/redirect/bias mutant at a co-reachable site (0 survivors): %s\n" (verdict ok)
 
-(* ----------------------------------------------------------------- par *)
-(* Multicore engine smoke: E7's widest workloads expanded sequentially and
-   with --domains (default 2) domains. The check is conformance — the
-   parallel distribution must be Dist.equal to the sequential one — not
-   speedup, which depends on the host's core count (wall-clock is printed
-   so the recording host's scaling is visible). Unbudgeted runs take the
-   barrier-free subtree engine; under --compress quotient the multicore
-   run takes the sequential layer loop, so the check then pins the
-   dispatch rule. *)
-
-let par () =
-  let domains = !Workbench.domains in
-  let compress = !Workbench.compress in
-  Pretty.section
-    (Printf.sprintf "PAR  multicore exact measure: %d domains, conformance + wall-clock%s"
-       domains
-       (match compress with
-       | `Off -> ""
-       | `Hcons -> " (compress: hcons)"
-       | `Quotient -> " (compress: quotient)"));
-  let ok = ref true in
-  let rows =
-    List.map
-      (fun (branching, default_depth) ->
-        let depth = Option.value ~default:default_depth !Workbench.par_depth in
-        let rng = Rng.make (branching * 1000) in
-        let auto =
-          Cdse_gen.Random_auto.make ~rng ~name:"walk" ~n_states:8 ~n_actions:branching
-            ~branching ()
-        in
-        let sched = Scheduler.uniform auto in
-        let seq, t1 =
-          wall_it (fun () -> Measure.exec_dist ~memo:true ~compress auto sched ~depth)
-        in
-        let par_d, tn =
-          wall_it (fun () ->
-              Measure.exec_dist ~memo:true ~compress ~domains auto sched ~depth)
-        in
-        let identical = Dist.equal seq par_d in
-        ok := !ok && identical;
-        [ cell branching; cell depth; cell (Dist.size seq); ms t1; ms tn;
-          Printf.sprintf "%.2f" (t1 /. Float.max 1e-9 tn);
-          (if identical then "yes" else "NO") ])
-      [ (2, 8); (3, 6) ]
-  in
-  Pretty.table
-    ~header:
-      [ "branching"; "depth"; "#execs"; "seq(ms)";
-        Printf.sprintf "%dd(ms)" domains; "speedup"; "identical" ]
-    rows;
-  let ok = record_check ~experiment:"PAR" !ok in
-  Printf.printf
-    "claim: the multicore engine returns the bit-identical measure on every domain count\n\
-     (speedup tracks the host's cores; determinism does not): %s\n" (verdict ok)
-
 let all = [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
             ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12);
             ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16); ("E17", e17); ("E18", e18);
-            ("MUT", mut); ("A3", a3); ("par", par) ]
+            ("MUT", mut); ("A3", a3) ]

@@ -5,28 +5,6 @@ let time_it f =
   let v = f () in
   (v, Sys.time () -. t0)
 
-(* Wall-clock variant: [Sys.time] sums CPU time over every domain, which
-   makes a parallel run look no faster than sequential — multicore
-   experiments must time the clock on the wall. *)
-let wall_it f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
-(* Domain count for the multicore smoke experiment ("par"); set by
-   bench/main.ml's --domains flag. *)
-let domains = ref 2
-
-(* Depth override for the "par" experiment and the exec_dist_subtree
-   bench cells; [None] keeps each workload's recorded default. Set by
-   --depth. *)
-let par_depth : int option ref = ref None
-
-(* State-space compression level applied by the "par" experiment (both
-   the sequential reference and the parallel run, so the conformance
-   check stays meaningful). Set by --compress. *)
-let compress : [ `Off | `Hcons | `Quotient ] ref = ref `Off
-
 (* Compromise-budget override for the E18 sweep: [Some k] clamps the
    sweep to that single budget (the CI smoke runs one cell), [None]
    sweeps k = 0..3. Set by --compromise. *)

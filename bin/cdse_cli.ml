@@ -37,9 +37,8 @@ let trace_arg =
         ~doc:
           "Record a span trace of the run (lib/obs Trace) and write it to \
            $(docv) as Chrome trace-event JSON — load in chrome://tracing or \
-           https://ui.perfetto.dev for a per-domain timeline. A text timing \
-           summary (per-layer time, worker idle and imbalance attribution) \
-           is printed to stdout.")
+           https://ui.perfetto.dev for a timeline. A text timing summary \
+           (per-layer time attribution) is printed to stdout.")
 
 (* Run [f] under span tracing if requested. The Chrome JSON goes to [file];
    the self-profiling summary goes to stdout after the command's own
@@ -101,16 +100,20 @@ let validate_cmd =
 
 (* ---------------------------------------------------------------- measure *)
 
+(* A negative depth never stops the measure's layer loop on a
+   non-halting automaton, so the parser refuses it up front. *)
+let depth_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some d when d >= 0 -> Ok d
+    | _ -> Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let depth_arg =
-  Arg.(value & opt int 6 & info [ "depth" ] ~docv:"N" ~doc:"Exploration depth")
+  Arg.(value & opt depth_conv 6 & info [ "depth" ] ~docv:"N" ~doc:"Exploration depth")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed")
-
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Expand the cone across $(docv) OCaml domains (bit-identical results)")
 
 let compress_arg =
   Arg.(
@@ -136,7 +139,7 @@ let measure_cmd =
       & opt (enum [ ("first", `First); ("uniform", `Uniform); ("round-robin", `Rr) ]) `Uniform
       & info [ "sched" ] ~docv:"S" ~doc:"Scheduler: first, uniform or round-robin")
   in
-  let run workload sched_kind depth seed domains compress stats trace =
+  let run workload sched_kind depth seed compress stats trace =
     let auto =
       match workload with
       | `Coin -> Cdse_gen.Workloads.coin "coin"
@@ -155,7 +158,7 @@ let measure_cmd =
     let d =
       run_with_trace trace (fun () ->
           run_with_stats stats (fun () ->
-              Measure.exec_dist ~domains ~compress auto
+              Measure.exec_dist ~compress auto
                 (Scheduler.bounded depth sched) ~depth))
     in
     Format.printf "%d completed executions, total mass %s@." (Dist.size d)
@@ -170,8 +173,8 @@ let measure_cmd =
   Cmd.v
     (Cmd.info "measure" ~doc:"Exact execution measure of a workload under a scheduler")
     Term.(
-      const run $ workload $ sched_kind $ depth_arg $ seed_arg $ domains_arg
-      $ compress_arg $ stats_arg $ trace_arg)
+      const run $ workload $ sched_kind $ depth_arg $ seed_arg $ compress_arg
+      $ stats_arg $ trace_arg)
 
 (* ---------------------------------------------------------------- emulate *)
 

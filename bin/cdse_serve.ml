@@ -25,8 +25,8 @@ let domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Domain count of every query (a request's \"domains\" field is \
-           ignored). Concurrent multicore queries run one after another.")
+          "Accepted for launch scripts that still pass it; only 1 is \
+           allowed. Every query runs on one domain.")
 
 let workers_arg =
   Arg.(
@@ -49,15 +49,18 @@ let max_queue_arg =
            jobs are rejected with an \"overloaded\" error.")
 
 let run socket domains workers cache_cap max_queue =
-  if domains < 1 || workers < 1 || cache_cap < 1 || max_queue < 1 then begin
-    Format.eprintf
-      "error: --domains, --workers, --cache-cap and --max-queue must be >= 1@.";
+  if domains <> 1 then begin
+    Format.eprintf "error: --domains must be 1@.";
+    2
+  end
+  else if workers < 1 || cache_cap < 1 || max_queue < 1 then begin
+    Format.eprintf "error: --workers, --cache-cap and --max-queue must be >= 1@.";
     2
   end
   else begin
     let server =
       try
-        Serve.start ~domains ~workers ~cache_cap ~max_queue ~socket ()
+        Serve.start ~workers ~cache_cap ~max_queue ~socket ()
       with Unix.Unix_error (e, _, _) ->
         Format.eprintf "error: cannot bind %s: %s@." socket
           (Unix.error_message e);
@@ -73,8 +76,7 @@ let run socket domains workers cache_cap max_queue =
      with Invalid_argument _ -> ());
     (try Sys.set_signal Sys.sigterm (Sys.Signal_handle graceful)
      with Invalid_argument _ -> ());
-    Format.printf "cdse_serve: listening on %s (domains=%d workers=%d)@."
-      socket domains workers;
+    Format.printf "cdse_serve: listening on %s (workers=%d)@." socket workers;
     Serve.wait server;
     Format.printf "cdse_serve: shut down cleanly@.";
     0

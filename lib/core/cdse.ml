@@ -12,7 +12,7 @@
     - {!Bits}, {!Cost}, {!Poly}: encodings and the step meter (Section 4.1);
       {!Json}: the one JSON codec (wire protocol, trace export, bench files).
     - {!Obs}: engine observability — counters, histograms, gauges.
-    - {!Trace}: span tracing — per-domain timelines, Chrome-trace export.
+    - {!Trace}: span tracing — per-layer timelines, Chrome-trace export.
     - {!Bignat}, {!Rat}, {!Dist}, {!Stat}, {!Rng}: exact probability.
     - {!Value}, {!Action}, {!Action_set}, {!Sigs}, {!Psioa}, {!Exec},
       {!Compose}, {!Hide}, {!Rename}, {!Registry}: PSIOA (Section 2).

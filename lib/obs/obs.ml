@@ -1,17 +1,10 @@
 (* Global instrument registry. Mutations branch on [on] first so that
    disabled-mode cost is a load and a conditional per site; instruments are
    registered once at module-init time by the code they instrument, so the
-   registry hashtables are cold after startup.
-
-   Counters and trace events are the two things recorded from worker
-   domains (the measure engine's multicore path): a worker installs a
-   [probe] in its domain-local storage, counter increments and events are
-   diverted into it, and the coordinating domain folds it into the global
-   records once the workers join. Histograms and gauges stay
-   coordinator-only. Registration takes a mutex (cold path: instruments
-   are registered at module init, plus the occasional construction-time
-   lookup), so concurrent registration from two domains cannot corrupt the
-   registry tables. *)
+   registry hashtables are cold after startup. Registration takes a mutex
+   (cold path: module init, plus the occasional construction-time lookup),
+   so the daemon's threads cannot corrupt the registry tables by
+   registering concurrently. *)
 
 let on = ref false
 let enabled () = !on
@@ -34,135 +27,19 @@ let registered tbl name make =
 
 (* Counters *)
 
-type counter = { mutable c : int; id : int }
+type counter = { mutable c : int }
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
 
-(* Dense counter ids back the probes' delta arrays; [by_id] resolves a
-   delta slot back to its counter at join time. Both are only touched under
-   [registry_mutex]. *)
-let by_id : counter array ref = ref [||]
-let n_ids = ref 0
+let counter name = registered counters name (fun () -> { c = 0 })
 
-let counter name =
-  registered counters name (fun () ->
-      let c = { c = 0; id = !n_ids } in
-      n_ids := !n_ids + 1;
-      if !n_ids > Array.length !by_id then begin
-        let bigger = Array.make (max 16 (2 * !n_ids)) c in
-        Array.blit !by_id 0 bigger 0 (Array.length !by_id);
-        by_id := bigger
-      end;
-      !by_id.(c.id) <- c;
-      c)
-
-(* Worker probes: counter deltas indexed by counter id plus the worker's
-   trace events, installed under the one DLS key of the process (DLS slots
-   are never reclaimed, so a key per probe would leak). The event list
-   grows only with the events actually recorded, capped by [event_cap]. *)
-
-type event = {
-  ev_name : string;
-  ev_dom : int;
-  ev_ts : float;
-  ev_dur : float;
-  ev_instant : bool;
-  ev_args : (string * string) list;
-}
-
-type probe = {
-  p_worker : int;
-  mutable p_deltas : int array;
-  mutable p_events : event list;  (* newest first *)
-  mutable p_n_events : int;
-  mutable p_dropped : int;
-}
-
-let probe_key : probe option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let probe ~worker =
-  { p_worker = worker; p_deltas = [||]; p_events = []; p_n_events = 0; p_dropped = 0 }
-
-let with_worker p f =
-  let prev = Domain.DLS.get probe_key in
-  Domain.DLS.set probe_key (Some p);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set probe_key prev) f
-
-let bump p id k =
-  let n = Array.length p.p_deltas in
-  if id >= n then begin
-    let bigger = Array.make (max 16 (max (id + 1) (2 * n))) 0 in
-    Array.blit p.p_deltas 0 bigger 0 n;
-    p.p_deltas <- bigger
-  end;
-  p.p_deltas.(id) <- p.p_deltas.(id) + k
-
-let incr c =
-  if !on then
-    match Domain.DLS.get probe_key with
-    | None -> c.c <- c.c + 1
-    | Some p -> bump p c.id 1
-
-let add c k =
-  if !on then
-    match Domain.DLS.get probe_key with
-    | None -> c.c <- c.c + k
-    | Some p -> bump p c.id k
+let incr c = if !on then c.c <- c.c + 1
+let add c k = if !on then c.c <- c.c + k
 
 let count c = c.c
 
 let counter_value name =
   match Hashtbl.find_opt counters name with Some c -> c.c | None -> 0
-
-(* The trace event store: coordinator-only, kept newest first. *)
-
-let event_cap = ref 65536
-let store : event list ref = ref []
-let n_store = ref 0
-let n_dropped = ref 0
-
-let store_event ev =
-  if !n_store >= !event_cap then Stdlib.incr n_dropped
-  else begin
-    store := ev :: !store;
-    Stdlib.incr n_store
-  end
-
-let record ev =
-  match Domain.DLS.get probe_key with
-  | None -> store_event ev
-  | Some p ->
-      if p.p_n_events >= !event_cap then p.p_dropped <- p.p_dropped + 1
-      else begin
-        p.p_events <- ev :: p.p_events;
-        p.p_n_events <- p.p_n_events + 1
-      end
-
-let worker () = match Domain.DLS.get probe_key with Some p -> p.p_worker | None -> 0
-
-let clear_events ?capacity () =
-  Option.iter (fun c -> event_cap := c) capacity;
-  store := [];
-  n_store := 0;
-  n_dropped := 0
-
-let events () = !store
-let dropped_events () = !n_dropped
-
-let join p =
-  Array.iteri
-    (fun id d ->
-      if d <> 0 then begin
-        let c = !by_id.(id) in
-        c.c <- c.c + d;
-        p.p_deltas.(id) <- 0
-      end)
-    p.p_deltas;
-  List.iter store_event (List.rev p.p_events);
-  n_dropped := !n_dropped + p.p_dropped;
-  p.p_events <- [];
-  p.p_n_events <- 0;
-  p.p_dropped <- 0
 
 (* Histograms: bucket 0 holds v <= 0, bucket i >= 1 holds 2^(i-1) <= v < 2^i.
    63 buckets cover every positive int. *)

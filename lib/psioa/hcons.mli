@@ -10,10 +10,8 @@
     representative; a miss costs one {!Value.hash} for the lookup and
     one for the insertion.
 
-    Tables are {b not} domain-safe: like {!Psioa.memoize}, multicore
-    callers (the measure engine under [~compress]) give each worker domain
-    its own table. Physical uniqueness then holds per table — structural
-    equality across tables still works, only without the O(1) fast path.
+    Physical uniqueness holds per table — structural equality across
+    tables still works, only without the O(1) fast path.
 
     {!Cdse_obs.Obs} counters: [hcons.hits] (value already interned) and
     [hcons.misses] (new canonical node built), counted per {!make} call

@@ -44,9 +44,8 @@ val rename_auto : string -> t -> t
 
 val memoize : t -> t
 (** Cache signature and transition lookups per state (ablation A2). The
-    result is observationally identical. The cache is a plain hashtable and
-    is {b not} domain-safe: multicore callers (the parallel measure engine)
-    give each worker domain its own [memoize] instance. *)
+    result is observationally identical. The cache is a plain hashtable,
+    not safe to share between domains. *)
 
 val reachable : ?max_states:int -> ?max_depth:int -> t -> Value.t list
 (** Breadth-first exploration of the reachable states ([reachable(A)],

@@ -42,4 +42,4 @@ val merge_frontier :
     mass. The output is independent of the input order (representatives
     are order-insensitive minima, rational addition is exact and
     commutative, and the result is sorted), which is what keeps the
-    multicore determinism contract intact under compression. *)
+    measure's determinism contract intact under compression. *)

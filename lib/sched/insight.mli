@@ -40,9 +40,12 @@ val apply :
   ?memo:bool -> ?domains:int -> ?compress:Measure.compress ->
   t -> Psioa.t -> Scheduler.t -> depth:int -> Value.t Dist.t
 (** [f-dist(σ)] (Definition 3.5): the image of [ε_σ] under the insight.
-    The optional engine knobs are passed through to {!Measure.exec_dist}
+    [?memo] and [?compress] are passed through to {!Measure.exec_dist}
     verbatim and inherit its determinism contract: the image distribution
-    is bit-identical for every [?domains] count and compression level. *)
+    is bit-identical for every [memo] setting and compression level.
+    [?domains] accepts only [1] (the default) and raises
+    [Invalid_argument] on any other value; it stays only for callers that
+    still pass it. *)
 
 (** {2 Stability by composition (Definition 3.7)}
 

@@ -26,8 +26,7 @@ let initial auto =
    registration is idempotent). The frontier-width histogram is fed once
    per layer; [measure.truncation_deficit] mirrors the [`Truncated]
    deficit exactly ([Rat.to_string], reparsable with [Rat.of_string]) and
-   reads "0" after an [`Exact] run. Subtree workers only ever touch
-   counters, through per-worker {!Obs.probe}s joined when they finish. *)
+   reads "0" after an [`Exact] run. *)
 let h_width = Obs.histogram "measure.frontier.width"
 let c_layers = Obs.counter "measure.layers"
 let c_finished = Obs.counter "measure.finished"
@@ -41,23 +40,11 @@ let g_deficit = Obs.gauge "measure.truncation_deficit"
    layer; [quotient.classes] / [quotient.merged] count the surviving
    classes and the entries absorbed into another representative across
    the run; [quotient.mass_merged] is the cumulative exact-rational mass
-   those absorbed entries carried ([Rat.to_string], reparsable). The
-   quotient only ever runs in the sequential layer loop, while
-   [hcons.hits]/[hcons.misses] (registered in {!Cdse_psioa.Hcons}) are
-   also worker counters that accumulate through the per-worker probes. *)
+   those absorbed entries carried ([Rat.to_string], reparsable). *)
 let h_width_c = Obs.histogram "measure.frontier.width_compressed"
 let c_q_classes = Obs.counter "quotient.classes"
 let c_q_merged = Obs.counter "quotient.merged"
 let g_q_mass = Obs.gauge "quotient.mass_merged"
-
-(* Subtree-engine instruments. [measure.subtree.roots] counts work units
-   claimed off the shared root cursor, [measure.subtree.steals] work units
-   claimed from the donation queue by an otherwise-idle worker; their ratio
-   is the steal fraction reported in the bench cells. The layer
-   instruments ([measure.layers], [measure.frontier.width]) are {e not}
-   emitted by the subtree engine — it has no layers. *)
-let c_sub_roots = Obs.counter "measure.subtree.roots"
-let c_sub_steals = Obs.counter "measure.subtree.steals"
 
 (* Per-layer memo/hcons/choice-cache hit deltas, emitted as a
    [measure.layer.stats] instant for the trace summary. One probe per
@@ -90,12 +77,11 @@ let layer_stats_probe () =
           "measure.layer.stats"
     end
 
-(* ---------------------------------------------------------- shared parts *)
+(* ------------------------------------------------------- building blocks *)
 
 (* [(probability desc, Exec.compare asc)]: a total order on any frontier
    (two distinct cone branches are distinct executions, so [Exec.compare]
-   never ties). Budget pruning keeps a prefix of it and the subtree engine
-   hands out roots in it. *)
+   never ties). Budget pruning keeps a prefix of it. *)
 let by_mass (e1, p1) (e2, p2) =
   let c = Rat.compare p2 p1 in
   if c <> 0 then c else Exec.compare e1 e2
@@ -120,10 +106,7 @@ let truncate_entries ~keep entries =
 
 (* Validated scheduler choice, optionally cached. With [~memo:true] and a
    {!Scheduler.is_memoryless} scheduler the validated choice is a function
-   of [(length, lstate)] alone, so it is cached per engine instance. The
-   subtree engine builds one instance per worker domain, so the hit/miss
-   split depends on the domain count but the {e sum} (one lookup per cone
-   node) does not. *)
+   of [(length, lstate)] alone, so it is cached for the run. *)
 let choice_fn ~memo auto sched =
   if memo && Scheduler.is_memoryless sched then begin
     let tbl = Hashtbl.create 32 in
@@ -141,13 +124,10 @@ let choice_fn ~memo auto sched =
   end
   else fun e -> Scheduler.validate_choice auto sched e
 
-(* One engine instance's view of the model: [`Hcons] and [`Quotient] route
-   every state through an intern table, [~memo:true] caches signature and
-   transition lookups ({!Psioa.memoize}) and validated choices. All of
-   these are plain hashtables, so the subtree engine builds one instance
-   per worker domain — domain-safe without locks on the hot path.
-   Physical uniqueness of interned states then holds per worker;
-   cross-worker comparisons fall back to the structural path. *)
+(* One run's view of the model: [`Hcons] and [`Quotient] route every
+   state through an intern table, [~memo:true] caches signature and
+   transition lookups ({!Psioa.memoize}) and validated choices. The
+   tables live only for the run. *)
 let instance ~memo ~compress auto sched =
   let auto =
     match compress with
@@ -191,16 +171,10 @@ let add_halt e h finished =
     (e, h) :: finished
   end
 
-(* One cone node's expansion — the only code that expands a node, shared
-   by the layer loop, the seed phase and the subtree workers. Pushes the
-   node's children onto [kids] and returns its halting mass. A raise from
-   the scheduler or a transition lookup can leave some children pushed;
-   the layer loop then aborts the run, and the subtree engine, which
-   carries on past failures, passes a fresh ref and commits it only when
-   the call returns. A failing node thus contributes neither mass nor
-   children and its descendants are never visited: the visited node set —
-   and with it the set of {e minimal} failing nodes — is a function of the
-   model alone, not of how the tree was partitioned. *)
+(* One cone node's expansion. Pushes the node's children onto [kids] and
+   returns its halting mass. A raise from the scheduler or a transition
+   lookup can leave some children pushed; the layer loop then aborts the
+   run, so they are never seen. *)
 let expand_node auto choice_of (e, p) kids =
   let choice = choice_of e in
   let q = Exec.lstate e in
@@ -286,286 +260,33 @@ let layer_loop ~memo ~compress ~track ?max_execs ?max_width ~from auto sched ~de
   ( finish alive finished lost,
     { f_depth = depth; f_alive = alive; f_finished = finished } )
 
-(* -------------------------------------- barrier-free subtree engine *)
-
-(* Run [job] on [n] workers — the caller is worker 0, [n - 1] domains are
-   spawned for this one call — and join them all. If jobs raise, every
-   domain is still joined before the exception of the smallest raising
-   worker id is re-raised, a choice independent of OS scheduling. *)
-let run_workers n job =
-  let catch w = match job w with () -> None | exception exn -> Some exn in
-  let doms = List.init (n - 1) (fun i -> Domain.spawn (fun () -> catch (i + 1))) in
-  let err0 = catch 0 in
-  match List.find_map Fun.id (err0 :: List.map Domain.join doms) with
-  | Some exn -> raise exn
-  | None -> ()
-
-(* The smaller of two recorded failures, by [Exec.compare] on the failing
-   execution — a total order on cone nodes, so the surviving failure is
-   independent of the worker count, the donation pattern and the OS
-   schedule. *)
-let min_fail a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some (e1, _), Some (e2, _) -> if Exec.compare e1 e2 <= 0 then a else b
-
-(* Barrier-free expansion for unbudgeted, quotient-free multicore runs: no
-   layer barriers, no per-layer merge. The coordinator first grows the
-   frontier breadth-first ({e seed phase}) until it is wide enough to feed
-   every worker several roots, sorts the roots by {!by_mass} — so
-   high-mass subtrees are handed out first — and then lets the workers
-   loose: each claims one root at a time off an atomic cursor and expands
-   the whole subtree depth-first with its own engine instance,
-   accumulating local finished/alive lists. Load balancing is cooperative
-   work donation: a busy worker that sees idle workers ([hungry] > 0)
-   donates the {e shallowest} half of its stack — the largest remaining
-   subtrees — to a shared overflow queue; idle workers take the queue's
-   contents as their next work unit. The single merge at the end
-   concatenates the per-worker lists and normalizes through {!Dist.make}
-   (sorted by [Exec.compare], exact rational mass merging) —
-   permutation-invariant, hence bit-identical to the layer loop.
-
-   Failures are recorded, not raised, until all surviving work is done;
-   the engine then raises the [Exec.compare]-least one ({!min_fail}).
-
-   Termination: [busy] counts workers holding work, guarded by [qm]. A
-   worker goes idle only with the cursor exhausted and the queue empty;
-   the last one to do so ([busy] = 0) broadcasts completion. A donor is
-   busy for the whole donation, so the last idle transition cannot race
-   with a concurrent donation. *)
-let subtree_exec_dist ~domains ~memo ~compress ~from auto sched ~depth =
-  let n_workers = min domains 64 in
-  let insts = Array.init n_workers (fun _ -> instance ~memo ~compress auto sched) in
-  (* Seed phase: breadth-first on the coordinator (worker 0's instance)
-     until the frontier can feed every worker several subtrees. *)
-  let seed_target = n_workers * 8 in
-  let seed_finished = ref from.f_finished in
-  let seed_fail = ref None in
-  let seed_layers = ref 0 in
-  let rec seed step alive =
-    if step = depth || alive = [] || List.length alive >= seed_target then alive
-    else begin
-      incr seed_layers;
-      let auto0, choice0 = insts.(0) in
-      let next = ref [] in
-      List.iter
-        (fun ((e, _) as entry) ->
-          let kids = ref !next in
-          match expand_node auto0 choice0 entry kids with
-          | exception exn -> seed_fail := min_fail !seed_fail (Some (e, exn))
-          | h ->
-              next := !kids;
-              seed_finished := add_halt e h !seed_finished)
-        alive;
-      seed (step + 1) !next
-    end
-  in
-  let seed_frontier =
-    Trace.span
-      ~args:(fun () -> [ ("layers", string_of_int !seed_layers) ])
-      "measure.seed"
-      (fun () -> seed from.f_depth from.f_alive)
-  in
-  if seed_frontier = [] || Exec.length (fst (List.hd seed_frontier)) >= depth
-  then begin
-    (* The cone emptied or bottomed out before growing wide enough — the
-       seed phase already did all the work. *)
-    (match !seed_fail with Some (_, exn) -> raise exn | None -> ());
-    ( finish seed_frontier !seed_finished Rat.zero,
-      { f_depth = depth; f_alive = seed_frontier; f_finished = !seed_finished } )
-  end
-  else begin
-    let roots = Array.of_list seed_frontier in
-    Array.sort by_mass roots;
-    let n_roots = Array.length roots in
-    let next = Atomic.make 0 in
-    let qm = Mutex.create () in
-    let qc = Condition.create () in
-    let overflow = ref [] in
-    let hungry = Atomic.make 0 in
-    let busy = ref n_workers in
-    let all_done = ref false in
-    let outs = Array.make n_workers [] in
-    let finisheds = Array.make n_workers [] in
-    let fails = Array.make n_workers None in
-    let probes = Array.init n_workers (fun w -> Obs.probe ~worker:w) in
-    run_workers n_workers (fun w ->
-        let auto, choice_of = insts.(w) in
-        let body () =
-          let stack = ref [] in
-          let out = ref [] and fin = ref [] in
-          let am_busy = ref true in
-          let donate () =
-            if Atomic.get hungry > 0 then
-              match !stack with
-              | [] | [ _ ] -> ()
-              | s ->
-                  (* Keep the top (deepest) entries, donate the bottom
-                     half — the shallowest nodes, i.e. the largest
-                     remaining subtrees. Donation is rare (only while
-                     somebody is idle), so the list split is off the
-                     common path. *)
-                  let n = List.length s in
-                  let rec split i l =
-                    if i = 0 then ([], l)
-                    else
-                      match l with
-                      | [] -> ([], [])
-                      | x :: tl ->
-                          let k, d = split (i - 1) tl in
-                          (x :: k, d)
-                  in
-                  let kept, donated = split (n - (n / 2)) s in
-                  stack := kept;
-                  Mutex.lock qm;
-                  overflow := List.rev_append donated !overflow;
-                  Condition.broadcast qc;
-                  Mutex.unlock qm
-          in
-          let run_unit src entries =
-            let tok = Trace.begin_span "measure.subtree" in
-            let nodes = ref 0 in
-            stack := entries;
-            let running = ref true in
-            while !running do
-              match !stack with
-              | [] -> running := false
-              | ((e, _) as entry) :: rest ->
-                  stack := rest;
-                  incr nodes;
-                  if Exec.length e >= depth then out := entry :: !out
-                  else begin
-                    donate ();
-                    let kids = ref !stack in
-                    match expand_node auto choice_of entry kids with
-                    | exception exn -> fails.(w) <- min_fail fails.(w) (Some (e, exn))
-                    | h ->
-                        stack := !kids;
-                        fin := add_halt e h !fin
-                  end
-            done;
-            Trace.end_span
-              ~args:(fun () -> [ ("src", src); ("nodes", string_of_int !nodes) ])
-              tok
-          in
-          let rec claim () =
-            let i = Atomic.fetch_and_add next 1 in
-            if i < n_roots then begin
-              Obs.incr c_sub_roots;
-              run_unit (Printf.sprintf "root:%d" i) [ roots.(i) ];
-              claim ()
-            end
-            else idle ()
-          and idle () =
-            Mutex.lock qm;
-            if !overflow <> [] then begin
-              let work = !overflow in
-              overflow := [];
-              Mutex.unlock qm;
-              Obs.incr c_sub_steals;
-              run_unit "steal" work;
-              claim ()
-            end
-            else begin
-              busy := !busy - 1;
-              am_busy := false;
-              if !busy = 0 then begin
-                all_done := true;
-                Condition.broadcast qc;
-                Mutex.unlock qm
-              end
-              else begin
-                Atomic.incr hungry;
-                let tok = Trace.begin_span "measure.steal.idle" in
-                let rec wait () =
-                  if !all_done then begin
-                    Atomic.decr hungry;
-                    Mutex.unlock qm;
-                    Trace.end_span tok
-                  end
-                  else if !overflow <> [] then begin
-                    let work = !overflow in
-                    overflow := [];
-                    busy := !busy + 1;
-                    am_busy := true;
-                    Atomic.decr hungry;
-                    Mutex.unlock qm;
-                    Trace.end_span tok;
-                    Obs.incr c_sub_steals;
-                    run_unit "steal" work;
-                    claim ()
-                  end
-                  else begin
-                    Condition.wait qc qm;
-                    wait ()
-                  end
-                in
-                wait ()
-              end
-            end
-          in
-          Fun.protect
-            ~finally:(fun () ->
-              outs.(w) <- !out;
-              finisheds.(w) <- !fin;
-              if !am_busy then begin
-                (* Exceptional escape past the claim loop (e.g. an
-                   allocation failure): keep the termination protocol
-                   sound so the surviving workers still finish. *)
-                Mutex.lock qm;
-                busy := !busy - 1;
-                if !busy = 0 then begin
-                  all_done := true;
-                  Condition.broadcast qc
-                end;
-                Mutex.unlock qm
-              end)
-            claim
-        in
-        Obs.with_worker probes.(w) body);
-    Array.iter Obs.join probes;
-    (match Array.fold_left min_fail !seed_fail fails with
-    | Some (_, exn) -> raise exn
-    | None -> ());
-    Trace.span "measure.merge" @@ fun () ->
-    let alive = Array.fold_left (fun acc o -> List.rev_append o acc) [] outs in
-    let finished =
-      Array.fold_left (fun acc f -> List.rev_append f acc) !seed_finished finisheds
-    in
-    ( finish alive finished Rat.zero,
-      { f_depth = depth; f_alive = alive; f_finished = finished } )
-  end
-
 (* ---------------------------------------------------------- entry points *)
 
-(* The one engine choice, made from the domain count, the budgets and an
-   active quotient only: the subtree engine iff the run is multicore,
-   unbudgeted and quotient-free, the layer loop otherwise. Every exact
-   entry point funnels through here, so one span covers the whole engine
-   run; it carries [resume_from] exactly when the caller asked for a
-   resumable frontier. *)
-let run ?(memo = false) ?max_execs ?max_width ?(domains = 1) ?(compress = `Off) ?track
-    ?from auto sched ~depth =
+(* Every exact entry point funnels through here, so one span covers the
+   whole engine run; it carries [resume_from] exactly when the caller
+   asked for a resumable frontier. The layer loop stops at [step = depth],
+   so a negative depth would never stop on a non-halting automaton. *)
+let run ?(memo = false) ?max_execs ?max_width ?(compress = `Off) ?track ?from auto sched
+    ~depth =
+  if depth < 0 then
+    invalid_arg (Printf.sprintf "Measure: depth %d is negative" depth);
   Trace.span "measure.exec_dist"
     ~args:(fun () ->
-      [ ("depth", string_of_int depth) ]
-      @ (match from with
-        | Some f -> [ ("resume_from", string_of_int f.f_depth) ]
-        | None -> [])
-      @ [ ("domains", string_of_int domains) ])
+      ("depth", string_of_int depth)
+      :: (match from with
+         | Some f -> [ ("resume_from", string_of_int f.f_depth) ]
+         | None -> []))
   @@ fun () ->
   let from = match from with Some f -> f | None -> initial auto in
-  if domains > 1 && max_execs = None && max_width = None && not (quotient_on ~compress sched)
-  then subtree_exec_dist ~domains ~memo ~compress ~from auto sched ~depth
-  else layer_loop ~memo ~compress ~track ?max_execs ?max_width ~from auto sched ~depth
+  layer_loop ~memo ~compress ~track ?max_execs ?max_width ~from auto sched ~depth
 
 let drop_tag = function `Exact d | `Truncated (d, _) -> d
 
-let exec_dist_budgeted ?memo ?max_execs ?max_width ?domains ?compress auto sched ~depth =
-  fst (run ?memo ?max_execs ?max_width ?domains ?compress auto sched ~depth)
+let exec_dist_budgeted ?memo ?max_execs ?max_width ?compress auto sched ~depth =
+  fst (run ?memo ?max_execs ?max_width ?compress auto sched ~depth)
 
-let exec_dist ?memo ?domains ?compress auto sched ~depth =
-  drop_tag (fst (run ?memo ?domains ?compress auto sched ~depth))
+let exec_dist ?memo ?compress auto sched ~depth =
+  drop_tag (fst (run ?memo ?compress auto sched ~depth))
 
 (* Resuming is bit-identical to a one-shot run at the larger depth: every
    alive entry of a depth-[d] frontier has length [d], {!Dist.make}
@@ -573,7 +294,7 @@ let exec_dist ?memo ?domains ?compress auto sched ~depth =
    commutative, and the quotient's representative choice is
    [Exec.compare]-minimal per class — none of them can see how the prefix
    layers were computed. *)
-let exec_dist_frontier ?memo ?domains ?compress ?from auto sched ~depth =
+let exec_dist_frontier ?memo ?compress ?from auto sched ~depth =
   let from =
     match from with
     | Some f when f.f_depth > depth ->
@@ -585,7 +306,7 @@ let exec_dist_frontier ?memo ?domains ?compress ?from auto sched ~depth =
     | Some f -> f
     | None -> initial auto
   in
-  let res, frontier = run ?memo ?domains ?compress ~from auto sched ~depth in
+  let res, frontier = run ?memo ?compress ~from auto sched ~depth in
   (drop_tag res, frontier)
 
 (* ------------------------------------- cones, traces, reachability *)
@@ -608,11 +329,11 @@ let cone_prob auto sched alpha =
 
 let trace_of auto = Exec.trace ~sig_of:(Psioa.signature auto)
 
-let trace_dist ?memo ?domains ?compress auto sched ~depth =
+let trace_dist ?memo ?compress auto sched ~depth =
   Dist.map
     ~compare:(Cdse_util.Order.list Action.compare)
     (trace_of auto)
-    (exec_dist ?memo ?domains ?compress auto sched ~depth)
+    (exec_dist ?memo ?compress auto sched ~depth)
 
 (* Probabilistic reachability: mass of completed executions that visit a
    state satisfying the predicate within the depth bound. [pred] is passed
@@ -624,26 +345,28 @@ let reach_mass ~pred d =
     (fun acc e p -> if List.exists pred (Exec.states e) then Rat.add acc p else acc)
     Rat.zero d
 
-let reach_prob_budgeted ?memo ?max_execs ?max_width ?domains ?compress auto sched
+let reach_prob_budgeted ?memo ?max_execs ?max_width ?compress auto sched
     ~depth ~pred =
-  match fst (run ?memo ?max_execs ?max_width ?domains ?compress ~track:pred auto sched ~depth) with
+  match fst (run ?memo ?max_execs ?max_width ?compress ~track:pred auto sched ~depth) with
   | `Exact d -> `Exact (reach_mass ~pred d)
   | `Truncated (d, lost) -> `Truncated (reach_mass ~pred d, lost)
 
-let reach_prob ?memo ?domains ?compress auto sched ~depth ~pred =
-  drop_tag (reach_prob_budgeted ?memo ?domains ?compress auto sched ~depth ~pred)
+let reach_prob ?memo ?compress auto sched ~depth ~pred =
+  drop_tag (reach_prob_budgeted ?memo ?compress auto sched ~depth ~pred)
 
 (* Expected number of scheduled steps of the completed execution. *)
-let expected_steps ?memo ?domains ?compress auto sched ~depth =
+let expected_steps ?memo ?compress auto sched ~depth =
   Dist.expect
     (fun e -> Rat.of_int (Exec.length e))
-    (exec_dist ?memo ?domains ?compress auto sched ~depth)
+    (exec_dist ?memo ?compress auto sched ~depth)
 
 (* Monte-Carlo estimation: drive sampled runs instead of expanding the
    exact cone tree. The estimator trades exactness for scale — the exact
    computation is exponential in depth on branching systems (experiment
    E7), while sampling is linear in [samples × depth]. *)
 let sample_exec auto sched ~rng ~depth =
+  if depth < 0 then
+    invalid_arg (Printf.sprintf "Measure.sample_exec: depth %d is negative" depth);
   let rec go e n =
     if n = 0 then e
     else
@@ -668,5 +391,4 @@ let estimate_fdist auto sched ~observe ~rng ~samples ~depth =
 
 module For_tests = struct
   let truncate_entries = truncate_entries
-  let run_workers = run_workers
 end

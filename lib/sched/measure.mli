@@ -35,11 +35,10 @@
 
     - [`Off]: no compression.
     - [`Hcons]: hash-consing only. Every reached state is interned in a
-      {!Cdse_psioa.Hcons} table (one per engine instance, so one per
-      worker domain) so equality checks, {!Exec.compare} and the memo
-      tables short-circuit on physical identity. The result —
-      distribution, [`Exact]/[`Truncated] tag, deficit — is {b identical}
-      to [`Off].
+      {!Cdse_psioa.Hcons} table (one per run) so equality checks,
+      {!Exec.compare} and the memo tables short-circuit on physical
+      identity. The result — distribution, [`Exact]/[`Truncated] tag,
+      deficit — is {b identical} to [`Off].
     - [`Quotient]: hash-consing {e plus} an on-the-fly
       probabilistic-bisimulation quotient of each frontier layer
       ({!Cdse_psioa.Quotient}). Frontier executions with the same
@@ -57,30 +56,11 @@
 
     {2 The engine}
 
-    One function expands a cone node; two schedules drive it:
-
-    - the {b layer loop} (sequential): expands the frontier one layer at a
-      time and applies the layer post-step — the [`Quotient] merge, then
-      the [?max_width] budget, then the [?max_execs] budget — and resumes
-      from a previously returned frontier ({!exec_dist_frontier});
-    - the {b barrier-free subtree engine} (multicore, OCaml 5 domains):
-      the coordinator grows the frontier breadth-first until it holds
-      several subtree roots per worker, then workers claim whole
-      {e subtrees} — one root at a time off an atomic cursor — and expand
-      them depth-first to the full remaining depth with their own
-      memo/hcons/choice caches, with no synchronization until one
-      canonical merge at the very end. Load balancing is cooperative work
-      {e donation}: a busy worker that observes idle workers donates the
-      shallowest half of its pending stack (the largest remaining
-      subtrees) to a shared overflow queue.
-
-    [?domains n] (default 1, clamped to 64) picks the schedule under one
-    rule: the subtree engine runs {b iff} [n > 1], no budget is set and no
-    [`Quotient] is active. Every other run — any run at [n = 1], and
-    budgeted or quotient runs at any domain count — runs the layer loop,
-    so its result is the layer loop's bit for bit. Nothing else selects
-    the engine. The [n - 1] worker domains are spawned for the call and
-    joined before it returns.
+    One schedule, the {b layer loop}, computes every measure: it expands
+    the frontier one layer at a time, applies the layer post-step — the
+    [`Quotient] merge, then the [?max_width] budget, then the [?max_execs]
+    budget — and can resume from a previously returned frontier
+    ({!exec_dist_frontier}). A negative [depth] raises [Invalid_argument].
 
     [?memo] (default [false]) computes the same measure faster:
     signature/transition lookups are cached per [(state, action)] across
@@ -91,45 +71,25 @@
     {2 Determinism contract}
 
     For a fixed [compress], the result is {b bit-identical for every
-    domain count}, [memo] setting, donation pattern and OS scheduling of
-    the workers:
+    [memo] setting}; at [`Off] and [`Hcons] it is also bit-identical
+    across the two levels:
 
     - the returned distribution satisfies {!Cdse_prob.Dist.equal} with the
-      sequential one {e and} has the same in-memory normal form (entries
-      sorted by {!Exec.compare}, exact rationals in canonical form —
-      rational arithmetic is exact, so merge order cannot perturb
-      masses);
+      plain one {e and} has the same in-memory normal form (entries sorted
+      by {!Exec.compare}, exact rationals in canonical form — rational
+      arithmetic is exact, so merge order cannot perturb masses);
     - the [`Exact] / [`Truncated] tag and the truncation deficit are
       identical — budget pruning sorts by the total order
       [(probability descending, Exec.compare ascending)], which does not
       depend on the arrival order of frontier entries;
-    - the {!Cdse_obs.Obs} engine totals are conserved: [measure.finished]
-      and the [measure.truncation_deficit] gauge are identical to a
-      sequential run, and the memoization and choice-cache counters are
-      conserved as {e sums} ([hit + miss] = one lookup per cone node; the
-      split between hit and miss depends on the domain count, because
-      each worker warms its own cache). The subtree engine has no layers
-      and does not emit the layer instruments ([measure.layers],
-      [measure.frontier.width]); it reports [measure.subtree.roots] /
-      [measure.subtree.steals] instead (work units claimed from the root
-      cursor / the donation queue; their split {e does} vary with the
-      schedule).
+    - the {!Cdse_obs.Obs} engine totals [measure.layers],
+      [measure.finished], [measure.truncated], the quotient counters and
+      the [measure.truncation_deficit] gauge are identical.
 
     If the scheduler (or a transition lookup) raises — e.g.
     {!Scheduler.Bad_choice} for a choice that violates the Definition 3.1
-    support condition — the layer loop raises at once, for the first
-    failing entry in frontier order. The subtree engine completes the
-    surviving work and re-raises the failure of the [Exec.compare]-least
-    {e minimal} failing execution (a failing node's subtree is never
-    entered, so the minimal failing set is partition-independent). When
-    exactly one execution fails — the common debugging situation — every
-    domain count surfaces the same exception, and the engine stays usable
-    after a raise.
-
-    Worker domains never touch shared mutable state on the hot path: each
-    gets its own {!Psioa.memoize} instance and validated-choice cache, and
-    its counter increments and trace events accumulate in a per-worker
-    {!Cdse_obs.Obs.probe} joined when the workers finish. *)
+    support condition — the raise surfaces at once, for the first failing
+    entry in frontier order, and the engine stays usable afterwards. *)
 
 open Cdse_prob
 open Cdse_psioa
@@ -149,13 +109,13 @@ val compress_levels : (string * compress) list
     [CDSE_TEST_COMPRESS]. *)
 
 val exec_dist :
-  ?memo:bool -> ?domains:int -> ?compress:compress ->
+  ?memo:bool -> ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Exec.t Dist.t
 (** Exact distribution over completed executions up to [depth] steps. *)
 
 val exec_dist_budgeted :
-  ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->
+  ?memo:bool -> ?max_execs:int -> ?max_width:int ->
   ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Exec.t Dist.t budgeted
@@ -178,7 +138,7 @@ type frontier = {
     [Dist.make ~compare:Exec.compare (f_finished @ f_alive)]. *)
 
 val exec_dist_frontier :
-  ?memo:bool -> ?domains:int -> ?compress:compress -> ?from:frontier ->
+  ?memo:bool -> ?compress:compress -> ?from:frontier ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Exec.t Dist.t * frontier
 (** {!exec_dist} that also returns its final frontier and can resume from
@@ -186,8 +146,8 @@ val exec_dist_frontier :
     incremental-deepening hook behind the {!Cdse_serve} result cache.
     Resuming a depth-[d] frontier to depth [d + k] is {b bit-identical} to
     a one-shot run at depth [d + k] with the same [auto], [sched] and
-    [compress], for every domain count on either side of the split:
-    frontier entry order is normalized away by {!Dist.make}, rational mass
+    [compress], whatever [memo] is on either side of the split: frontier
+    entry order is normalized away by {!Dist.make}, rational mass
     addition is exact and commutative, and the quotient representative
     choice is [Exec.compare]-minimal per class. Raises [Invalid_argument]
     if [from.f_depth > depth]. The caller is responsible for resuming only
@@ -200,7 +160,7 @@ val cone_prob : Psioa.t -> Scheduler.t -> Exec.t -> Rat.t
     transition probabilities along [α]. *)
 
 val trace_dist :
-  ?memo:bool -> ?domains:int -> ?compress:compress ->
+  ?memo:bool -> ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Action.t list Dist.t
 (** Pushforward of {!exec_dist} through the trace map (Definition 2.2).
@@ -208,13 +168,13 @@ val trace_dist :
     executions with equal traces, so the pushforward is unchanged. *)
 
 val reach_prob :
-  ?memo:bool -> ?domains:int -> ?compress:compress ->
+  ?memo:bool -> ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int -> pred:(Value.t -> bool) -> Rat.t
 (** Exact probability that a completed execution visits a state satisfying
     [pred] within [depth] steps, at every compression level. *)
 
 val reach_prob_budgeted :
-  ?memo:bool -> ?max_execs:int -> ?max_width:int -> ?domains:int ->
+  ?memo:bool -> ?max_execs:int -> ?max_width:int ->
   ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int -> pred:(Value.t -> bool) -> Rat.t budgeted
 (** {!reach_prob} under the budgets: [`Truncated (p, lost)] brackets the
@@ -222,7 +182,7 @@ val reach_prob_budgeted :
     have reached [pred]. *)
 
 val expected_steps :
-  ?memo:bool -> ?domains:int -> ?compress:compress ->
+  ?memo:bool -> ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Rat.t
 (** Expected length of the completed execution, exact at every
@@ -236,7 +196,8 @@ val expected_steps :
     checkers. *)
 
 val sample_exec : Psioa.t -> Scheduler.t -> rng:Rng.t -> depth:int -> Exec.t
-(** One sampled completed execution (halting when the scheduler does). *)
+(** One sampled completed execution (halting when the scheduler does).
+    Raises [Invalid_argument] if [depth < 0]. *)
 
 val estimate_fdist :
   Psioa.t ->
@@ -256,12 +217,4 @@ module For_tests : sig
   (** The budget-pruning step, exposed so the regression suite can verify
       that permuting the frontier leaves the kept entries and dropped mass
       unchanged. *)
-
-  val run_workers : int -> (int -> unit) -> unit
-  (** [run_workers n job] runs [job] on worker ids [0 .. n-1] — the caller
-      is worker 0, [n - 1] domains are spawned for the call — and joins
-      every domain. If jobs raise, all domains are still joined, then the
-      exception of the smallest raising worker id is re-raised. Exposed so
-      the regression suite can pin that a raising job neither deadlocks
-      nor leaks a domain. *)
 end

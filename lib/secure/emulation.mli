@@ -55,7 +55,7 @@ val check_engine :
   Impl.verdict
 (** {!check} with explicit {!Impl.engine} knobs, threaded through
     {!Impl.approx_le_engine} to every measure computation; verdicts are
-    bit-identical across domain counts and compression levels. *)
+    bit-identical across [memo] settings and compression levels. *)
 
 exception
   Check_failed of {

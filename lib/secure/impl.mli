@@ -23,14 +23,14 @@ type verdict = {
           distance *)
 }
 
-type engine = { memo : bool; domains : int; compress : Measure.compress }
+type engine = { memo : bool; compress : Measure.compress }
 (** Measure-engine knobs threaded into every {!Measure.exec_dist} call a
     checker performs. Passed positionally (the checkers have no positional
     parameter over which optional arguments could be erased). *)
 
 val default_engine : engine
-(** [{ memo = false; domains = 1; compress = `Off }] — the historical
-    sequential path; what the knob-less entry points use. *)
+(** [{ memo = false; compress = `Off }] — what the knob-less entry points
+    use. *)
 
 val approx_le :
   schema:Schema.t ->
@@ -61,7 +61,7 @@ val approx_le_engine :
   verdict
 (** {!approx_le} with explicit engine knobs. Inherits the
     {!Measure.exec_dist} determinism contract: the verdict (holds, worst
-    distance, details) is bit-identical for every [domains] count and
+    distance, details) is bit-identical for every [memo] setting and
     compression level — experiment E18 asserts this on the compromise
     sweeps. *)
 

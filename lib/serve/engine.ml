@@ -13,18 +13,13 @@ type t = {
   cache : Cache.t;
   models : (string, Psioa.t) Hashtbl.t;
   models_mutex : Mutex.t;
-  par_mutex : Mutex.t;
-  domains : int;
 }
 
 let create ?(cache_cap = 64) ?(domains = 1) () =
-  {
-    cache = Cache.create ~cap:cache_cap;
-    models = Hashtbl.create 16;
-    models_mutex = Mutex.create ();
-    par_mutex = Mutex.create ();
-    domains;
-  }
+  if domains <> 1 then
+    invalid_arg (Printf.sprintf "Engine.create: ~domains:%d, but only 1 is accepted" domains);
+  { cache = Cache.create ~cap:cache_cap; models = Hashtbl.create 16;
+    models_mutex = Mutex.create () }
 
 let model t spec =
   let key = Protocol.model_key spec in
@@ -42,14 +37,6 @@ let model t spec =
       let auto = Protocol.build_model spec in
       Hashtbl.add t.models key auto;
       auto
-
-(* Multicore queries serialize here: the measure engine spawns its own
-   worker domains per call, so two concurrent domains=4 queries would want
-   8 cores. Running them one after another keeps the daemon's footprint
-   at [domains] regardless of client concurrency. Single-domain engines
-   bypass the lock and run queries fully concurrently. *)
-let with_domains t f =
-  if t.domains <= 1 then f () else Mutex.protect t.par_mutex f
 
 type measure_result = {
   m_dist : Exec.t Dist.t;
@@ -79,10 +66,8 @@ let measure t (q : Protocol.query) =
            neither storing nor resuming frontiers is sound. Exact-key
            caching still applies (budgets are part of the key). *)
         let res =
-          with_domains t (fun () ->
-              Measure.exec_dist_budgeted ?max_execs:q.q_max_execs
-                ?max_width:q.q_max_width ~domains:t.domains
-                ~compress:q.q_compress auto sched ~depth:q.q_depth)
+          Measure.exec_dist_budgeted ?max_execs:q.q_max_execs ?max_width:q.q_max_width
+            ~compress:q.q_compress auto sched ~depth:q.q_depth
         in
         let dist, deficit =
           match res with
@@ -103,9 +88,8 @@ let measure t (q : Protocol.query) =
         let from = Cache.best_frontier t.cache ~line ~depth:q.q_depth in
         (match from with Some _ -> Obs.incr c_resume | None -> ());
         let dist, frontier =
-          with_domains t (fun () ->
-              Measure.exec_dist_frontier ~domains:t.domains
-                ~compress:q.q_compress ?from auto sched ~depth:q.q_depth)
+          Measure.exec_dist_frontier ~compress:q.q_compress ?from auto sched
+            ~depth:q.q_depth
         in
         let render = ref None in
         Cache.add t.cache ~key ~line ~depth:q.q_depth ~dist ~frontier ~render ();
@@ -133,11 +117,7 @@ let reach t (q : Protocol.query) ~state =
          (uncached — the refined computation is not the cached one). *)
       let auto = model t q.q_model in
       let sched = Protocol.build_sched auto q.q_sched in
-      let p =
-        with_domains t (fun () ->
-            Measure.reach_prob ~domains:t.domains ~compress:`Quotient auto sched
-              ~depth:q.q_depth ~pred)
-      in
+      let p = Measure.reach_prob ~compress:`Quotient auto sched ~depth:q.q_depth ~pred in
       (p, false)
   | `Off | `Hcons ->
       let r = measure t q in

@@ -3,10 +3,8 @@
     exercised directly (the qcheck property suite drives this module with
     a tiny capacity to force LRU churn, without any sockets).
 
-    Thread-safe: the registry and cache take their own locks; on an engine
-    created with more than one domain, queries additionally serialize on
-    an internal mutex, so concurrent multicore requests run one after
-    another instead of oversubscribing the machine. *)
+    Thread-safe: the registry and cache take their own locks, and queries
+    run fully concurrently. *)
 
 open Cdse_prob
 open Cdse_psioa
@@ -15,8 +13,9 @@ open Cdse_secure
 type t
 
 val create : ?cache_cap:int -> ?domains:int -> unit -> t
-(** [cache_cap] bounds the result cache (default 64 entries); [domains] is
-    the domain count of every query (default 1). *)
+(** [cache_cap] bounds the result cache (default 64 entries). [domains]
+    accepts only [1] (the default) and raises [Invalid_argument] on any
+    other value; it stays only for callers that still pass it. *)
 
 val model : t -> Protocol.model -> Psioa.t
 (** Hash-consed spec elaboration: the first request for a spec builds the

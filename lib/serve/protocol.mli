@@ -47,9 +47,8 @@
 
     Fields outside the grammar are ignored. That includes the engine
     knobs older clients sent per request ("engine", "memo", "domains"):
-    the daemon's [--domains] sets every query's domain count, and the
-    result is bit-identical for every domain count and [memo] setting
-    anyway. A [reach] carrying "max_execs" or "max_width" is rejected
+    every query runs the one sequential engine, and the result is
+    bit-identical for every [memo] setting anyway. A [reach] carrying "max_execs" or "max_width" is rejected
     with a [protocol] error naming the field: its reply has no tag or
     lost mass, so a budget would make it a silent lower bound. *)
 

@@ -417,8 +417,7 @@ let acceptor_loop t =
 
 (* Lifecycle *)
 
-let start ?(domains = 1) ?(workers = 2) ?(cache_cap = 64) ?(max_queue = 64)
-    ~socket () =
+let start ?(workers = 2) ?(cache_cap = 64) ?(max_queue = 64) ~socket () =
   Obs.set_enabled true;
   (* A client vanishing mid-reply must not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -434,7 +433,7 @@ let start ?(domains = 1) ?(workers = 2) ?(cache_cap = 64) ?(max_queue = 64)
     {
       sock;
       path = socket;
-      engine = Engine.create ~cache_cap ~domains ();
+      engine = Engine.create ~cache_cap ();
       max_queue;
       jobs = Queue.create ();
       m = Mutex.create ();

@@ -6,8 +6,7 @@
     connection's reader thread; measure-bearing ops ([measure], [reach],
     [emulate]) are enqueued onto a bounded job queue drained by a pool of
     executor threads backed by one shared {!Engine} — so every connection
-    sees the same model registry and result cache, and multicore queries
-    batch onto one domain budget.
+    sees the same model registry and result cache.
 
     Replies carry the request's [id], so a client may pipeline; replies to
     {e queued} ops can overtake each other, which is what the id is for.
@@ -16,9 +15,8 @@
 
     Determinism: the daemon returns bit-identical results to in-process
     [Measure.exec_dist] — distributions, truncation tags and deficits —
-    regardless of cache state, request interleaving, executor count or
-    domain count. The protocol test suite enforces this
-    differentially. *)
+    regardless of cache state, request interleaving or executor count.
+    The protocol test suite enforces this differentially. *)
 
 exception
   Protocol_error of { id : int option; field : string; msg : string }
@@ -30,7 +28,6 @@ exception Overloaded of { id : int option; queue_depth : int; cap : int }
 type t
 
 val start :
-  ?domains:int ->
   ?workers:int ->
   ?cache_cap:int ->
   ?max_queue:int ->
@@ -39,8 +36,7 @@ val start :
   t
 (** Bind [socket] (an existing socket file is replaced), spawn the
     acceptor and [workers] executor threads (default 2), and return
-    immediately. [domains] (default 1) is the domain count of every
-    query; [cache_cap] (default 64) bounds the result cache; [max_queue]
+    immediately. [cache_cap] (default 64) bounds the result cache; [max_queue]
     (default 64) bounds the job queue, beyond which measure-bearing
     requests are rejected with an [overloaded] error. Enables
     {!Cdse_obs.Obs} stats collection (the [stats] op reads them). *)

@@ -5,8 +5,8 @@
    can express the Section 3 semantics: plain lists, no memoization, no
    budgets, no arrays, no instrumentation — each layer rebuilt by literal
    list comprehension over the previous one. Deliberately shares no code
-   with the production engines (sequential or multicore), so agreement is
-   evidence about the semantics, not about a common implementation. *)
+   with the production engine, so agreement is evidence about the
+   semantics, not about a common implementation. *)
 
 open Cdse_prob
 open Cdse_psioa

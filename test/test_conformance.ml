@@ -1,14 +1,13 @@
 (* Differential conformance suite for the exact-measure engines.
 
-   Three independent implementations compute the Section 3 depth-bounded
+   Two independent implementations compute the Section 3 depth-bounded
    execution measure: the naive list-based oracle (test/support/oracle.ml,
-   shares no code with production), the sequential layer loop
-   (Measure.exec_dist, domains = 1) and the multicore subtree engine
-   (Measure, domains ≥ 2, unbudgeted and quotient-free). The suite
-   generates random PSIOAs and PCAs (including fault-wrapped churning
-   ones) and asserts all of them agree — distributions Dist.equal, budget
-   tags and deficits identical, Obs totals conserved — for every domain
-   count.
+   shares no code with production) and the engine's layer loop
+   (Measure.exec_dist). The suite generates random PSIOAs and PCAs
+   (including fault-wrapped churning ones) and asserts that they agree,
+   and that the engine's memo and compression settings change nothing
+   they promise to keep — distributions Dist.equal, budget tags and
+   deficits identical, Obs totals conserved.
 
    A committed corpus of previously interesting seeds (test/corpus/) is
    replayed first, then the randomized properties run with shrinking. *)
@@ -19,14 +18,6 @@ open Cdse_sched
 open Cdse_testkit
 
 let qtest = QCheck_alcotest.to_alcotest
-
-(* Domain counts exercised against the sequential engine: always 2 and 4,
-   plus CDSE_TEST_DOMAINS when the environment (CI) asks for another. *)
-let test_domains =
-  let base = [ 2; 4 ] in
-  match Option.bind (Sys.getenv_opt "CDSE_TEST_DOMAINS") int_of_string_opt with
-  | Some n when n > 1 && not (List.mem n base) -> base @ [ n ]
-  | _ -> base
 
 (* Compression level threaded through the budgeted / Obs properties, so a
    CI leg (CDSE_TEST_COMPRESS=quotient) replays the whole determinism
@@ -119,102 +110,88 @@ let trace_push auto d =
     (Exec.trace ~sig_of:(Psioa.signature auto))
     d
 
-(* The full conformance check for one case: oracle vs sequential (plain
-   and memoized) vs every multicore configuration, then the compression
-   levels — [`Hcons] must be bit-identical (checked entry by entry, not
-   just [Dist.equal], so a normal-form drift would also be caught);
-   [`Quotient] must agree with the oracle's trace pushforward and preserve
-   the total mass/deficit, and be bit-identical to itself across domain
-   counts. *)
+(* The full conformance check for one case: oracle vs plain vs memoized,
+   then the compression levels — [`Hcons] must be bit-identical (checked
+   entry by entry, not just [Dist.equal], so a normal-form drift would
+   also be caught), memoized too; [`Quotient] must agree with the oracle's
+   trace pushforward and preserve the total mass/deficit, and be
+   bit-identical to itself with memo on. *)
 let conforms case =
   let auto, sched, depth = build case in
   let reference = Oracle.exec_dist auto sched ~depth in
   let seq = Measure.exec_dist auto sched ~depth in
   Dist.equal reference seq
   && Dist.equal seq (Measure.exec_dist ~memo:true auto sched ~depth)
-  && List.for_all
-       (fun domains ->
-         Dist.equal seq (Measure.exec_dist ~domains auto sched ~depth)
-         && Dist.equal seq (Measure.exec_dist ~memo:true ~domains auto sched ~depth))
-       test_domains
   && items_identical seq (Measure.exec_dist ~compress:`Hcons auto sched ~depth)
-  && List.for_all
-       (fun domains ->
-         Dist.equal seq
-           (Measure.exec_dist ~compress:`Hcons ~memo:true ~domains auto sched ~depth))
-       test_domains
+  && Dist.equal seq (Measure.exec_dist ~compress:`Hcons ~memo:true auto sched ~depth)
   &&
   let q = Measure.exec_dist ~compress:`Quotient auto sched ~depth in
   Dist.equal (trace_push auto reference)
     (Measure.trace_dist ~compress:`Quotient auto sched ~depth)
   && Rat.equal (Dist.mass seq) (Dist.mass q)
   && Rat.equal (Dist.deficit seq) (Dist.deficit q)
-  && List.for_all
-       (fun domains ->
-         items_identical q
-           (Measure.exec_dist ~compress:`Quotient ~memo:true ~domains auto sched
-              ~depth))
-       test_domains
+  && items_identical q (Measure.exec_dist ~compress:`Quotient ~memo:true auto sched ~depth)
 
 let prop_conformance =
   QCheck.Test.make ~count:200
-    ~name:"oracle = sequential = memoized = multicore (exec_dist)" case_arb
+    ~name:"oracle = sequential = memoized = multi-level compressed (exec_dist)" case_arb
     conforms
 
-(* Budgets: the oracle has none, so the sequential engine is the reference;
-   tag ([`Exact] / [`Truncated]) and exact deficit must survive sharding. *)
+(* Quantities the determinism contract keeps across [memo] settings: the
+   layer, finished and truncation counts, the quotient counters, the
+   deficit gauge and the frontier widths. The memo and choice caches'
+   own counters are absent: with memo off they are never touched. *)
+let conserved snapshot =
+  let c = counter snapshot in
+  ( c "measure.layers",
+    c "measure.finished",
+    c "measure.truncated",
+    c "quotient.classes",
+    c "quotient.merged",
+    List.assoc_opt "measure.truncation_deficit" snapshot.Cdse_obs.Obs.s_gauges,
+    List.assoc_opt "measure.frontier.width" snapshot.Cdse_obs.Obs.s_histograms )
+
+(* Budgets: the oracle has none, so the plain engine is the reference; the
+   tag ([`Exact] / [`Truncated]), the exact deficit and the Obs totals
+   must not depend on [memo]. *)
 let prop_budgeted_conformance =
   QCheck.Test.make ~count:100
-    ~name:"budget tag and deficit identical across domain counts" case_arb
+    ~name:"budget tag and deficit identical across memo settings" case_arb
     (fun case ->
       let auto, sched, depth = build case in
       let width = 1 + (case.seed mod 7) in
       let cap = 2 + (case.seed mod 11) in
-      let run ?domains () =
-        Measure.exec_dist_budgeted ~compress:test_compress ~max_width:width
-          ~max_execs:cap ?domains auto sched ~depth
+      let run memo =
+        Cdse_obs.Obs.with_stats (fun () ->
+            Measure.exec_dist_budgeted ~memo ~compress:test_compress ~max_width:width
+              ~max_execs:cap auto sched ~depth)
       in
-      let seq = run () in
-      List.for_all
-        (fun domains -> budgeted_equal Dist.equal seq (run ~domains ()))
-        test_domains)
+      let plain, plain_snap = run false and memo, memo_snap = run true in
+      budgeted_equal Dist.equal plain memo && conserved plain_snap = conserved memo_snap)
 
-(* The same invariant on the quotient engine unconditionally: at a fixed
-   compression level the budget tag and exact deficit cannot depend on the
-   domain count (the quotient merge happens before the budgets and is
-   permutation-insensitive). *)
+(* The same invariant on the quotient engine unconditionally: the budget
+   tag and exact deficit cannot depend on [memo] (the quotient merge
+   happens before the budgets and is permutation-insensitive). *)
 let prop_budgeted_quotient =
   QCheck.Test.make ~count:60
-    ~name:"quotient: budget tag and deficit identical across domain counts"
+    ~name:"quotient: budget tag and deficit identical across memo settings"
     case_arb
     (fun case ->
       let auto, sched, depth = build case in
       let width = 1 + (case.seed mod 7) in
-      let run ?domains () =
-        Measure.exec_dist_budgeted ~compress:`Quotient ~max_width:width ?domains
-          auto sched ~depth
+      let run memo =
+        Measure.exec_dist_budgeted ~memo ~compress:`Quotient ~max_width:width auto sched
+          ~depth
       in
-      let seq = run () in
-      List.for_all
-        (fun domains -> budgeted_equal Dist.equal seq (run ~domains ()))
-        test_domains)
+      budgeted_equal Dist.equal (run false) (run true))
 
 (* ------------------------------------------- error-propagation audit *)
 
-(* A scheduler raise must surface deterministically at every domain
-   count: when exactly one execution fails, the same exception — carrying
-   the same failing entry — comes out of the sequential layer loop and the
-   subtree engine at 2 and 4 domains, and the engine stays usable
-   afterwards. The failing execution is a prefix of the
+(* A scheduler raise must surface at once, for the failing entry, and
+   leave the engine usable: the failing execution is a prefix of the
    [Exec.compare]-least completed execution of full depth, so it is
-   visited as a cone node under every partitioning. On this cone the seed
-   phase stops at length 3 (2 domains) and 4 (4 domains): the length-2
-   target fails inside the seed phase, the length-4 target inside a
-   worker, which exercises the worker's failure slot, the min-fail merge
-   and the termination guard of a worker that stops holding work. Two
-   length-4 targets in different subtrees pin the merge itself: every
-   domain count raises the [Exec.compare]-least, whichever worker meets
-   its node first. *)
+   visited as a cone node, whether it fails at length 2 or 4. With two
+   failing entries, the one met first in frontier order is raised. *)
 exception Boom of int
 
 let prefix_exec n e =
@@ -231,54 +208,39 @@ let test_error_propagation () =
   (* Dist items are sorted by Exec.compare: the least and the greatest
      completed executions of full depth. *)
   let deepest = fst (List.hd full) and last = fst (List.hd (List.rev full)) in
-  let failure_of ?domains targets =
+  let failure_of targets =
     let raising =
       Scheduler.make ~validated:true ~name:"raising" (fun e ->
           if List.exists (fun t -> Exec.compare e t = 0) targets then
             raise (Boom (Exec.hash e))
           else Scheduler.validate_choice auto sched e)
     in
-    match Measure.exec_dist ?domains auto raising ~depth with
+    match Measure.exec_dist auto raising ~depth with
     | (_ : Exec.t Dist.t) -> None
     | exception Boom h -> Some h
   in
   List.iter
     (fun len ->
       let target = prefix_exec len deepest in
-      let failure_of ?domains () = failure_of ?domains [ target ] in
-      let expected = failure_of () in
+      Alcotest.(check (option int))
+        (Printf.sprintf "the failing entry is raised (length-%d target)" len)
+        (Some (Exec.hash target))
+        (failure_of [ target ]);
+      (* Usable after the raise: the same call produces the clean
+         measure again with a non-raising scheduler. *)
       Alcotest.(check bool)
-        (Printf.sprintf "sequential run raises (length-%d target)" len)
-        true (expected <> None);
-      List.iter
-        (fun domains ->
-          let got, snap = Cdse_obs.Obs.with_stats (failure_of ~domains) in
-          Alcotest.(check (option int))
-            (Printf.sprintf "domains=%d raises the same entry (length-%d target)"
-               domains len)
-            expected got;
-          Alcotest.(check bool)
-            (Printf.sprintf "domains=%d reached the subtree workers" domains)
-            true
-            (counter snap "measure.subtree.roots" > 0);
-          (* Usable after the raise: the same call produces the clean
-             measure again with a non-raising scheduler. *)
-          Alcotest.(check bool)
-            (Printf.sprintf "engine usable after raise (domains=%d)" domains)
-            true
-            (Dist.equal clean (Measure.exec_dist ~domains auto sched ~depth)))
-        [ 2; 4 ])
+        (Printf.sprintf "engine usable after raise (length-%d target)" len)
+        true
+        (Dist.equal clean (Measure.exec_dist auto sched ~depth)))
     [ 2; 4 ];
   let t1 = prefix_exec 4 deepest and t2 = prefix_exec 4 last in
   Alcotest.(check bool) "two distinct targets, told apart by their hashes" true
     (Exec.compare t1 t2 < 0 && Exec.hash t1 <> Exec.hash t2);
-  List.iter
-    (fun domains ->
-      Alcotest.(check (option int))
-        (Printf.sprintf "domains=%d raises the least of two failing entries" domains)
-        (Some (Exec.hash t1))
-        (failure_of ~domains [ t2; t1 ]))
-    [ 2; 4 ]
+  let first = failure_of [ t1; t2 ] in
+  Alcotest.(check bool) "one of two failing entries is raised" true
+    (first = Some (Exec.hash t1) || first = Some (Exec.hash t2));
+  Alcotest.(check (option int)) "a second run raises the same one" first
+    (failure_of [ t1; t2 ])
 
 (* Budget pruning is the only frontier-order-sensitive step in the engine
    (everything else folds with exact, commutative rational arithmetic into
@@ -305,97 +267,6 @@ let prop_truncate_permutation_invariant =
                (fun (e, p) (e', p') -> Exec.compare e e' = 0 && Rat.equal p p')
                kept kept')
         [ 1; 2; 3 ])
-
-(* --------------------------------------------------- Obs conservation *)
-
-(* Quantities the determinism contract promises are conserved across
-   domain counts. The hit/miss *split* of the memo and choice caches is
-   not conserved (each worker warms its own cache) — only the sums are;
-   sched.validations and rat.promotions vary for the same reason. *)
-let conserved snapshot =
-  let c = counter snapshot in
-  let sum2 a b = c a + c b in
-  ( c "measure.layers",
-    c "measure.finished",
-    c "measure.truncated",
-    (* Conserved at a fixed compression level; the hcons hit/miss split is
-       NOT conserved (per-worker intern tables, like the memo caches) and
-       not even its sum is (interning recurses over structure), so it is
-       deliberately absent here. *)
-    c "quotient.classes",
-    c "quotient.merged",
-    sum2 "measure.choice.hit" "measure.choice.miss",
-    sum2 "psioa.memo.sig.hit" "psioa.memo.sig.miss",
-    sum2 "psioa.memo.step.hit" "psioa.memo.step.miss",
-    List.assoc_opt "measure.truncation_deficit" snapshot.s_gauges,
-    List.assoc_opt "measure.frontier.width" snapshot.s_histograms )
-
-let prop_obs_conserved =
-  QCheck.Test.make ~count:40
-    ~name:"Obs totals conserved between domains=1 and domains=4" case_arb
-    (fun case ->
-      let auto, sched, depth = build case in
-      let run domains =
-        snd
-          (Cdse_obs.Obs.with_stats (fun () ->
-               Measure.exec_dist_budgeted ~memo:true ~compress:test_compress ~domains
-                 ~max_width:(2 + (case.seed mod 6))
-                 auto sched ~depth))
-      in
-      conserved (run 1) = conserved (run 4))
-
-(* ------------------------------------------------------- wide cones *)
-
-(* Cones wide enough that the seed phase hands most runs to the subtree
-   workers: [case_arb]'s depth-2–4 cases mostly bottom out inside the
-   seed phase, so they test the seed phase rather than the workers. Over
-   40 seeds of E7's walk shape (8 states, branching 2 at depth 8 and
-   branching 3 at depth 6), every run at 2 and 4 domains must be
-   bit-identical to the layer loop, and the totals the subtree engine
-   conserves must match between 1 and 4 domains: finished executions,
-   one choice lookup and one memo lookup per node (the hit/miss split
-   varies with the per-worker caches), and the deficit gauge. The test
-   also requires that most runs actually reach the workers. *)
-let subtree_conserved snapshot =
-  let c = counter snapshot in
-  let sum2 a b = c a + c b in
-  ( c "measure.finished",
-    sum2 "measure.choice.hit" "measure.choice.miss",
-    sum2 "psioa.memo.sig.hit" "psioa.memo.sig.miss",
-    sum2 "psioa.memo.step.hit" "psioa.memo.step.miss",
-    List.assoc_opt "measure.truncation_deficit" snapshot.Cdse_obs.Obs.s_gauges )
-
-let test_wide_cones () =
-  let runs = ref 0 and reached = ref 0 in
-  List.iter
-    (fun (seed, branching, depth) ->
-      let auto =
-        Cdse_gen.Random_auto.make ~rng:(Rng.make seed) ~name:"walk" ~n_states:8
-          ~n_actions:branching ~branching ()
-      in
-      let sched = Scheduler.uniform auto in
-      let run domains =
-        Cdse_obs.Obs.with_stats (fun () ->
-            Measure.exec_dist ~memo:true ~domains auto sched ~depth)
-      in
-      let seq, seq_snap = run 1 in
-      List.iter
-        (fun domains ->
-          let par, snap = run domains in
-          let what = Printf.sprintf "seed=%d b=%d domains=%d" seed branching domains in
-          incr runs;
-          if counter snap "measure.subtree.roots" > 0 then incr reached;
-          Alcotest.(check bool) (what ^ ": bit-identical to the layer loop") true
-            (items_identical seq par);
-          if domains = 4 then
-            Alcotest.(check bool) (what ^ ": conserved totals match domains=1") true
-              (subtree_conserved seq_snap = subtree_conserved snap))
-        [ 2; 4 ])
-    (List.concat_map (fun seed -> [ (seed, 2, 8); (seed, 3, 6) ]) (List.init 40 Fun.id));
-  Alcotest.(check bool)
-    (Printf.sprintf "most runs reach the subtree workers (%d of %d)" !reached !runs)
-    true
-    (4 * !reached >= 3 * !runs)
 
 (* ------------------------------------------------- hash-consing audit *)
 
@@ -516,10 +387,11 @@ let test_corpus () =
     (corpus ())
 
 (* The corpus again with the span tracer live: tracing a quotient-
-   compressed multicore run must not perturb the measure (bit-identical
-   entries), and the trace itself must be well-formed — balanced spans
-   with non-negative durations, layer spans present. Catches any
-   instrumentation that accidentally reorders or re-times engine work. *)
+   compressed run must not perturb the measure (bit-identical entries),
+   and the trace itself must be well-formed — balanced spans with
+   non-negative durations, layer spans present, every event on domain 0.
+   Catches any instrumentation that accidentally reorders or re-times
+   engine work. *)
 let test_corpus_traced () =
   let module Trace = Cdse_obs.Trace in
   List.iter
@@ -527,9 +399,7 @@ let test_corpus_traced () =
       let auto, sched, depth = build case in
       let plain = Measure.exec_dist ~compress:`Quotient auto sched ~depth in
       Trace.start ();
-      let traced =
-        Measure.exec_dist ~compress:`Quotient ~domains:2 auto sched ~depth
-      in
+      let traced = Measure.exec_dist ~compress:`Quotient auto sched ~depth in
       Trace.stop ();
       let evs = Trace.events () in
       Trace.clear ();
@@ -541,18 +411,8 @@ let test_corpus_traced () =
         (Printf.sprintf "trace well-formed for %s" (print_case case))
         true
         (evs <> []
-        && List.for_all (fun e -> e.Trace.ev_dur >= 0.) evs
-        && (* An active quotient keeps the layer loop (layer spans); a
-              history-dependent scheduler degrades [`Quotient] to [`Hcons]
-              and the run takes the subtree engine (subtree spans, or only
-              the seed span when the cone bottoms out inside the seed
-              phase). *)
-        List.exists
-          (fun e ->
-            e.Trace.ev_name = "measure.layer"
-            || e.Trace.ev_name = "measure.subtree"
-            || e.Trace.ev_name = "measure.seed")
-          evs))
+        && List.for_all (fun e -> e.Trace.ev_dur >= 0. && e.Trace.ev_dom = 0) evs
+        && List.exists (fun e -> e.Trace.ev_name = "measure.layer") evs))
     (corpus ())
 
 (* ---------------------------------------------------------------- serve *)
@@ -623,9 +483,7 @@ let test_serve_corpus () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "cdse-conf-%d.sock" (Unix.getpid ()))
   in
-  let server =
-    Cdse_serve.Server.start ~domains:(List.hd test_domains) ~workers:2 ~socket ()
-  in
+  let server = Cdse_serve.Server.start ~workers:2 ~socket () in
   Fun.protect
     ~finally:(fun () -> Cdse_serve.Server.stop server)
     (fun () ->
@@ -665,7 +523,7 @@ let () =
       ( "corpus",
         [
           Alcotest.test_case "replay committed seed corpus" `Quick test_corpus;
-          Alcotest.test_case "replay corpus traced (quotient, domains=2)" `Quick
+          Alcotest.test_case "replay corpus traced (quotient, domain 0)" `Quick
             test_corpus_traced;
         ] );
       ( "differential",
@@ -673,16 +531,14 @@ let () =
           qtest prop_conformance;
           qtest prop_budgeted_conformance;
           qtest prop_budgeted_quotient;
-          Alcotest.test_case "wide cones: subtree engine = layer loop" `Quick
-            test_wide_cones;
         ] );
       ( "errors",
         [
-          Alcotest.test_case "raise surfaces deterministically from every engine"
+          Alcotest.test_case "raise surfaces deterministically from the layer loop"
             `Quick test_error_propagation;
         ] );
       ( "determinism",
-        [ qtest prop_truncate_permutation_invariant; qtest prop_obs_conserved ] );
+        [ qtest prop_truncate_permutation_invariant ] );
       ( "hcons",
         [
           qtest prop_hcons_idempotent;

@@ -206,6 +206,19 @@ let test_accept_insight () =
   (* first_enabled: flip; if heads then acc eventually fires. *)
   Alcotest.check rat "accept prob 1/2" Rat.half (Dist.prob d (Value.bool true))
 
+(* [~domains] survives only for callers that still pass it: 1 is the
+   plain measure, anything else is refused. *)
+let test_apply_domains_only_one () =
+  let _, comp = coin_env_composite "c" Rat.half in
+  let sched = Scheduler.bounded 3 (Scheduler.first_enabled comp) in
+  let f = Insight.accept comp in
+  Alcotest.(check bool) "~domains:1 is the plain f-dist" true
+    (Dist.equal (Insight.apply f comp sched ~depth:5)
+       (Insight.apply ~domains:1 f comp sched ~depth:5));
+  match Insight.apply ~domains:2 f comp sched ~depth:5 with
+  | _ -> Alcotest.fail "~domains:2 accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_accept_detects_bias () =
   let _, comp_fair = coin_env_composite "c" Rat.half in
   let _, comp_biased = coin_env_composite "c" (Rat.of_ints 3 4) in
@@ -286,6 +299,27 @@ let test_stability_by_composition () =
   in
   Alcotest.(check bool) "accept stable by composition" true ok
 
+(* The layer loop stops at [step = depth], so on an automaton that never
+   halts a negative depth would expand forever; the engine and the sampler
+   reject it instead. *)
+let test_negative_depth_rejected () =
+  let tick = act "t.tick" in
+  let forever =
+    Psioa.make ~name:"t" ~start:Value.unit
+      ~signature:(fun _ -> Fixtures.sig_io ~h:[ tick ] ())
+      ~transition:(fun q a ->
+        if Action.equal a tick then Some (Dist.dirac ~compare:Value.compare q) else None)
+  in
+  let sched = Scheduler.first_enabled forever in
+  let rejected what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted depth -1" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejected "exec_dist" (fun () -> ignore (Measure.exec_dist forever sched ~depth:(-1)));
+  rejected "sample_exec" (fun () ->
+      ignore (Measure.sample_exec forever sched ~rng:(Rng.make 1) ~depth:(-1)))
+
 let test_sample_exec_in_cone () =
   (* Every sampled execution has positive exact cone probability. *)
   let c = Fixtures.coin "c" in
@@ -351,52 +385,6 @@ let test_expected_steps () =
   let sched = Scheduler.bounded 3 (Scheduler.first_enabled f) in
   Alcotest.check rat "E[steps] = 7/4" (Rat.of_ints 7 4) (Measure.expected_steps f sched ~depth:5)
 
-(* ------------------------------------------------------------ Workers *)
-
-exception Job_boom of int
-
-(* A raising job must neither deadlock the multicore engine nor leak a
-   domain: the worker helper joins every domain — the non-raising
-   workers finish their jobs — and re-raises deterministically, the
-   exception of the smallest worker id, independent of OS scheduling. A
-   later call runs normally. *)
-let test_pool_raise_no_deadlock () =
-  let run_workers = Measure.For_tests.run_workers in
-  for _ = 1 to 3 do
-    (* Workers 1 and 3 raise; worker 1 — the smallest raising id — wins,
-       whichever domain finishes first. *)
-    let ran = Array.make 4 false in
-    let got =
-      match
-        run_workers 4 (fun w -> if w mod 2 = 1 then raise (Job_boom w) else ran.(w) <- true)
-      with
-      | () -> None
-      | exception Job_boom w -> Some w
-    in
-    Alcotest.(check (option int)) "smallest raising worker id re-raised"
-      (Some 1) got;
-    Alcotest.(check (array bool)) "every non-raising worker joined"
-      [| true; false; true; false |] ran
-  done;
-  let hits = Array.make 4 0 in
-  run_workers 4 (fun w -> hits.(w) <- hits.(w) + 1);
-  Alcotest.(check (array int)) "a clean job runs once per worker" [| 1; 1; 1; 1 |] hits
-
-let test_pool_caller_raise () =
-  (* The caller is worker 0; its own raise must still join the spawned
-     worker (which finishes its job) before re-raising. *)
-  let others = Atomic.make 0 in
-  let got =
-    match
-      Measure.For_tests.run_workers 2 (fun w ->
-          if w = 0 then raise (Job_boom 0) else Atomic.incr others)
-    with
-    | () -> None
-    | exception Job_boom w -> Some w
-  in
-  Alcotest.(check (option int)) "caller's exception re-raised" (Some 0) got;
-  Alcotest.(check int) "spawned worker still ran" 1 (Atomic.get others)
-
 (* ----------------------------------------------------------------- Schema *)
 
 let test_schema_standard () =
@@ -431,7 +419,8 @@ let () =
           Alcotest.test_case "sampling stays in support" `Quick test_sample_exec_in_cone;
           Alcotest.test_case "Monte-Carlo converges" `Quick test_estimate_fdist_converges;
           Alcotest.test_case "reachability probability (exact)" `Quick test_reach_prob_walk;
-          Alcotest.test_case "expected steps (exact)" `Quick test_expected_steps ] );
+          Alcotest.test_case "expected steps (exact)" `Quick test_expected_steps;
+          Alcotest.test_case "negative depth rejected" `Quick test_negative_depth_rejected ] );
       ( "budgeted-measure",
         [ Alcotest.test_case "loose budgets are exact" `Quick test_budget_exact_when_unhit;
           Alcotest.test_case "truncation: mass + deficit = 1" `Quick
@@ -443,17 +432,13 @@ let () =
       ( "insight",
         [ Alcotest.test_case "accept (Def 3.4)" `Quick test_accept_insight;
           Alcotest.test_case "accept detects bias" `Quick test_accept_detects_bias;
+          Alcotest.test_case "apply accepts only ~domains:1" `Quick test_apply_domains_only_one;
           Alcotest.test_case "balanced at ε=0 (Def 3.6)" `Quick test_balanced_identical_renamed;
           Alcotest.test_case "trace observation" `Quick test_trace_insight_observation;
           Alcotest.test_case "print: environment view" `Quick test_print_insight_env_view;
           Alcotest.test_case "print_nth agrees with print_left" `Quick test_print_nth_matches_print_left;
           Alcotest.test_case "stability by composition (Def 3.7)" `Quick test_stability_by_composition;
           Alcotest.test_case "print stability (Def 3.7)" `Quick test_stability_print_insight ] );
-      ( "pool",
-        [ Alcotest.test_case "raising jobs neither deadlock nor poison" `Quick
-            test_pool_raise_no_deadlock;
-          Alcotest.test_case "caller raise completes the barrier" `Quick
-            test_pool_caller_raise ] );
       ( "schema",
         [ Alcotest.test_case "standard schema" `Quick test_schema_standard;
           Alcotest.test_case "oblivious schema" `Quick test_schema_oblivious ] ) ]

@@ -22,13 +22,6 @@ module Client = Serve_client
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* The daemon's domain count: 1 by default, CDSE_TEST_DOMAINS when the CI
-   leg asks for a multicore replay of the whole protocol battery. *)
-let test_domains =
-  match Option.bind (Sys.getenv_opt "CDSE_TEST_DOMAINS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | _ -> 1
-
 let sock_counter = ref 0
 
 let fresh_socket () =
@@ -40,7 +33,7 @@ let fresh_socket () =
 let with_server ?workers ?cache_cap ?max_queue f =
   let socket = fresh_socket () in
   let server =
-    Server.start ~domains:test_domains ?workers ?cache_cap ?max_queue ~socket ()
+    Server.start ?workers ?cache_cap ?max_queue ~socket ()
   in
   Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f server socket)
 
@@ -144,8 +137,7 @@ let test_measure_roundtrip () =
       Alcotest.(check string) "no loss" "0" (Client.str (Client.field "lost" r));
       let auto = Cdse_gen.Workloads.coin ~p:Rat.half "c" in
       check_identical "coin depth 3" (dist_of_result r)
-        (Measure.exec_dist ~domains:test_domains auto (Scheduler.uniform auto)
-           ~depth:3))
+        (Measure.exec_dist auto (Scheduler.uniform auto) ~depth:3))
 
 let test_reach_roundtrip () =
   with_client (fun _ c ->
@@ -542,7 +534,7 @@ let test_incremental_deepening () =
           check_identical
             (name ^ ": resumed vs one-shot")
             (dist_of_result deep)
-            (Measure.exec_dist ~domains:test_domains auto sched ~depth:6);
+            (Measure.exec_dist auto sched ~depth:6);
           check_identical
             (name ^ ": resumed vs oracle")
             (dist_of_result deep)
@@ -600,7 +592,7 @@ let prop_cache_sound =
     (list_of_size Gen.(int_range 1 12)
        (quad (int_bound 7) (int_bound 5) (int_bound 6) (int_bound 1)))
     (fun ops ->
-      let engine = Engine.create ~cache_cap:4 ~domains:test_domains () in
+      let engine = Engine.create ~cache_cap:4 () in
       List.for_all
         (fun op ->
           let q = query_of op in
@@ -657,6 +649,14 @@ let test_engine_reach_refuses_budget () =
       | _ -> Alcotest.fail "a budgeted reach must raise"
       | exception Invalid_argument _ -> ())
     [ (`Off, Some 1, None); (`Hcons, None, Some 1); (`Quotient, Some 1, Some 1) ]
+
+(* [~domains] survives only for callers that still pass it: 1 builds an
+   engine, anything else is refused. *)
+let test_engine_domains_only_one () =
+  ignore (Engine.create ~domains:1 ());
+  match Engine.create ~domains:2 () with
+  | _ -> Alcotest.fail "~domains:2 accepted"
+  | exception Invalid_argument _ -> ()
 
 (* --------------------------------------------------------- concurrency *)
 
@@ -721,7 +721,7 @@ let test_concurrent_clients () =
 
 let test_shutdown_drains () =
   let socket = fresh_socket () in
-  let server = Server.start ~domains:test_domains ~workers:2 ~socket () in
+  let server = Server.start ~workers:2 ~socket () in
   let a = Client.connect socket in
   let b = Client.connect socket in
   (* Pipeline three measures on A without reading, so at least two are
@@ -826,6 +826,8 @@ let () =
             test_model_registry_survives_failure;
           Alcotest.test_case "budgeted reach refused in-process" `Quick
             test_engine_reach_refuses_budget;
+          Alcotest.test_case "create accepts only ~domains:1" `Quick
+            test_engine_domains_only_one;
         ] );
       ( "codec",
         [
