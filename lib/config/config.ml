@@ -34,12 +34,13 @@ let member_sigs reg c =
 
 (* Definition 2.11: outputs and internals are unions; inputs are the union
    of inputs minus the configuration's own outputs. *)
-let signature reg c =
-  let sigs = member_sigs reg c in
+let signature_of_sigs sigs =
   let out = List.fold_left (fun acc s -> Action_set.union acc (Sigs.output s)) Action_set.empty sigs in
   let int_ = List.fold_left (fun acc s -> Action_set.union acc (Sigs.internal s)) Action_set.empty sigs in
   let in_all = List.fold_left (fun acc s -> Action_set.union acc (Sigs.input s)) Action_set.empty sigs in
   Sigs.make ~input:(Action_set.diff in_all out) ~output:out ~internal:int_
+
+let signature reg c = signature_of_sigs (member_sigs reg c)
 
 let compatible reg c = Sigs.compatible_list (member_sigs reg c)
 

@@ -37,6 +37,12 @@ val signature : Registry.t -> t -> Sigs.t
     [out(C) = ∪ out(Aᵢ)(S(Aᵢ))], [int(C) = ∪ int(...)], and
     [in(C) = (∪ in(...)) ∖ out(C)]. Requires compatibility. *)
 
+val signature_of_sigs : Sigs.t list -> Sigs.t
+(** The union step of {!signature}, from member signatures already
+    evaluated: [signature reg c] is [signature_of_sigs] of the members'
+    signatures at their states, in [entries c] order. Raises
+    [Sigs.Not_disjoint] when the union overlaps. *)
+
 val compatible : Registry.t -> t -> bool
 (** Definition 2.10: the member signatures are pairwise compatible. *)
 

@@ -2,21 +2,27 @@ open Cdse_prob
 open Cdse_psioa
 
 let preserving reg config act =
-  let sg = Config.signature reg config in
-  if not (Action_set.mem act (Sigs.all sg)) then None
+  (* One signature evaluation per member: the configuration signature is
+     built from the member signatures that also decide participation. *)
+  let members =
+    List.map
+      (fun (id, q) ->
+        let auto = Registry.find reg id in
+        (id, q, auto, Psioa.signature auto q))
+      (Config.entries config)
+  in
+  let sg = Config.signature_of_sigs (List.map (fun (_, _, _, s) -> s) members) in
+  if not (Sigs.mem act sg) then None
   else begin
     (* Each member either participates (its own measure) or stays (Dirac),
        exactly the joint transition of Definition 2.5 lifted to named
        members. *)
     let per_member =
       List.map
-        (fun (id, q) ->
-          let auto = Registry.find reg id in
-          let d =
-            if Psioa.is_enabled auto q act then Psioa.step auto q act else Vdist.dirac q
-          in
+        (fun (id, q, auto, s) ->
+          let d = if Sigs.mem act s then Psioa.step auto q act else Vdist.dirac q in
           Dist.map ~compare:(Cdse_util.Order.pair String.compare Value.compare) (fun q' -> (id, q')) d)
-        (Config.entries config)
+        members
     in
     let joint =
       Dist.product_list ~compare:(Cdse_util.Order.pair String.compare Value.compare) per_member

@@ -28,13 +28,13 @@ let make ~name ~registry ~init ?(created = fun _ _ -> []) ?(hidden = fun _ -> Ac
     let c = Config.of_value q in
     Sigs.hide (Config.signature registry c) (hidden c)
   in
+  (* Hiding never changes [Sigs.all], so the intrinsic transition's own
+     membership test on the configuration signature is the one needed. *)
   let transition q act =
     let c = Config.of_value q in
-    if not (Action_set.mem act (Sigs.all (signature q))) then None
-    else
-      Option.map
-        (Dist.map ~compare:Value.compare Config.to_value)
-        (Ctrans.intrinsic registry c act ~created:(created c act))
+    Option.map
+      (Dist.map ~compare:Value.compare Config.to_value)
+      (Ctrans.intrinsic registry c act ~created:(created c act))
   in
   let psioa = Psioa.make ~name ~start:(Config.to_value init) ~signature ~transition in
   { name;
@@ -65,7 +65,7 @@ let compose_pair ?name x1 x2 =
   let created q act =
     let q1, q2 = proj q in
     let from x q' =
-      if Action_set.mem act (Sigs.all (Psioa.signature x.psioa q')) then x.created q' act else []
+      if Psioa.is_enabled x.psioa q' act then x.created q' act else []
     in
     List.sort_uniq String.compare (from x1 q1 @ from x2 q2)
   in

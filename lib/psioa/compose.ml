@@ -12,18 +12,24 @@ let compose_sigs ~name states sigs =
               (Format.pp_print_list Value.pp)
               states msg))
 
-(* Joint transition at a compatible state (Definition 2.5): participating
-   components move, the rest stay via Dirac. *)
-let joint_transition autos qs act =
-  let participates = List.map2 (fun a q -> Psioa.is_enabled a q act) autos qs in
-  if not (List.exists Fun.id participates) then None
+(* Joint transition (Definition 2.5) from one evaluation of each component
+   signature at [qs]. The composed signature still raises [Incompatible]
+   as [signature] does and decides membership (only actions of the
+   composite signature are enabled: absent actions yield None); each
+   component's own signature decides whether it moves by its measure or
+   stays via Dirac. *)
+let joint_transition ~name autos qs act =
+  let sigs = List.map2 Psioa.signature autos qs in
+  if not (Sigs.mem act (compose_sigs ~name qs sigs)) then None
   else
-    let per_component =
-      List.map2
-        (fun a q -> if Psioa.is_enabled a q act then Psioa.step a q act else Vdist.dirac q)
-        autos qs
+    let rec moves autos qs sigs =
+      match (autos, qs, sigs) with
+      | a :: autos, q :: qs, s :: sigs ->
+          let d = if Sigs.mem act s then Psioa.step a q act else Vdist.dirac q in
+          d :: moves autos qs sigs
+      | _ -> []
     in
-    Some (Dist.product_list ~compare:Value.compare per_component)
+    Some (Dist.product_list ~compare:Value.compare (moves autos qs sigs))
 
 let parallel ?name autos =
   if autos = [] then invalid_arg "Compose.parallel: empty list";
@@ -39,13 +45,9 @@ let parallel ?name autos =
     compose_sigs ~name qs (List.map2 Psioa.signature autos qs)
   in
   let transition q act =
-    let qs = proj q in
-    (* Only actions of the composite signature are enabled (an input shared
-       with an output becomes an output of the composite but stays a single
-       action; absent actions yield None). *)
-    if not (Action_set.mem act (Sigs.all (signature q))) then None
-    else
-      Option.map (Dist.map ~compare:Value.compare Value.list) (joint_transition autos qs act)
+    Option.map
+      (Dist.map ~compare:Value.compare Value.list)
+      (joint_transition ~name autos (proj q) act)
   in
   Psioa.make ~name ~start:(Value.list (List.map Psioa.start autos)) ~signature ~transition
 
@@ -61,13 +63,11 @@ let pair ?name a b =
   in
   let transition q act =
     let qa, qb = proj q in
-    if not (Action_set.mem act (Sigs.all (signature q))) then None
-    else
-      Option.map
-        (Dist.map ~compare:Value.compare (function
-          | [ qa'; qb' ] -> Value.pair qa' qb'
-          | _ -> assert false))
-        (joint_transition [ a; b ] [ qa; qb ] act)
+    Option.map
+      (Dist.map ~compare:Value.compare (function
+        | [ qa'; qb' ] -> Value.pair qa' qb'
+        | _ -> assert false))
+      (joint_transition ~name [ a; b ] [ qa; qb ] act)
   in
   Psioa.make ~name ~start:(Value.pair (Psioa.start a) (Psioa.start b)) ~signature ~transition
 
@@ -92,7 +92,7 @@ let proj_exec autos i exec =
     | (act, q') :: rest ->
         let ql = local q and ql' = local q' in
         let acc =
-          if Action_set.mem act (Psioa.enabled nth_auto ql) then Exec.extend acc act ql' else acc
+          if Psioa.is_enabled nth_auto ql act then Exec.extend acc act ql' else acc
         in
         go acc q' rest
   in

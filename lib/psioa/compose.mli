@@ -4,7 +4,15 @@
     [Value.List]), the composed signature of Definition 2.4 at each state,
     and joint transitions: on action [a], every component with [a] in its
     signature moves by its own measure and the others stay put, the results
-    combined by the product measure [η₁ ⊗ … ⊗ ηₙ] (Definition 2.5). *)
+    combined by the product measure [η₁ ⊗ … ⊗ ηₙ] (Definition 2.5).
+
+    A transition of the composite evaluates each component's signature at
+    its source state once: the composed signature (which raises
+    {!Incompatible} as the composite's signature does), the membership
+    test and each component's participation all come from that one
+    evaluation. A component that is itself a composite does the same one
+    level down, so a leaf under [d] levels of nesting is read [d] times
+    per step. *)
 
 exception Incompatible of string
 (** Raised when a reachable state's component signatures violate

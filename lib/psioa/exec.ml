@@ -14,6 +14,9 @@ let actions e = List.rev_map fst e.rev_steps
 
 let states e = e.first :: List.map snd (steps e)
 
+(* Walks the stored (reversed) steps: no state list is built. *)
+let exists_state p e = p e.first || List.exists (fun (_, q) -> p q) e.rev_steps
+
 let of_steps first steps =
   { first; rev_steps = List.rev steps; len = List.length steps }
 

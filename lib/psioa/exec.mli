@@ -25,6 +25,10 @@ val steps : t -> (Action.t * Value.t) list
 val states : t -> Value.t list
 (** [q⁰; q¹; …] in order (length + 1 entries). *)
 
+val exists_state : (Value.t -> bool) -> t -> bool
+(** [List.exists p (states e)], without building the list. The states are
+    not visited in order, so [p] should be pure. *)
+
 val actions : t -> Action.t list
 
 val of_steps : Value.t -> (Action.t * Value.t) list -> t

@@ -27,7 +27,7 @@ let start a = a.start
 let signature a q = a.signature q
 let transition a q act = a.transition q act
 let enabled a q = Sigs.all (a.signature q)
-let is_enabled a q act = Action_set.mem act (enabled a q)
+let is_enabled a q act = Sigs.mem act (a.signature q)
 
 let step a q act =
   match a.transition q act with
@@ -81,7 +81,9 @@ let memoize a =
    state beyond the cap is {e dropped}, never materialised, so callers
    that need soundness (e.g. {!Bisim}) can detect truncation without the
    engine ever holding [max_states + 1] states. *)
-let reachable_trunc ?(max_states = 10_000) ?(max_depth = max_int) a =
+let default_max_states = 10_000
+
+let reachable_trunc ?(max_states = default_max_states) ?(max_depth = max_int) a =
   let seen = Vtbl.create 64 in
   let queue = Queue.create () in
   Queue.add (a.start, 0) queue;

@@ -35,6 +35,11 @@ val enabled : t -> Value.t -> Action_set.t
 (** [sig-hat(A)(q)]: all actions executable at [q]. *)
 
 val is_enabled : t -> Value.t -> Action.t -> bool
+(** [a ∈ sig-hat(A)(q)], from one evaluation of the signature at [q] and
+    at most three set lookups, without building {!enabled}'s union. A
+    caller that needs the signature at [q] for more than this test should
+    evaluate it once with {!signature} and test it with {!Sigs.mem}, as
+    {!Compose} and {!Cdse_config.Ctrans} do. *)
 
 val step : t -> Value.t -> Action.t -> Value.t Dist.t
 (** Raises {!Not_enabled} when [a ∉ sig-hat(A)(q)]. *)
@@ -47,10 +52,14 @@ val memoize : t -> t
     result is observationally identical. The cache is a plain hashtable,
     not safe to share between domains. *)
 
+val default_max_states : int
+(** The state cap of {!reachable} and {!reachable_trunc} when none is
+    given: 10_000. *)
+
 val reachable : ?max_states:int -> ?max_depth:int -> t -> Value.t list
 (** Breadth-first exploration of the reachable states ([reachable(A)],
-    Definition 2.2), truncated by the optional limits (defaults: 10_000
-    states, unlimited depth). *)
+    Definition 2.2), truncated by the optional limits (defaults:
+    {!default_max_states} states, unlimited depth). *)
 
 val reachable_trunc :
   ?max_states:int -> ?max_depth:int -> t -> Value.t list * bool

@@ -33,6 +33,7 @@ val local : t -> Action_set.t
 (** Locally controlled: output ∪ internal. *)
 
 val mem : Action.t -> t -> bool
+(** [a ∈ all s], by at most three lookups; the union is not built. *)
 
 val classify : Action.t -> t -> [ `Input | `Output | `Internal | `Absent ]
 

@@ -27,7 +27,7 @@ let print_left env _composite =
         | (act, q') :: rest ->
             let qe = env_state q and qe' = env_state q' in
             let acc =
-              if Action_set.mem act (Psioa.enabled env qe) then
+              if Psioa.is_enabled env qe act then
                 Value.pair (Value.Tag (Action.name act, Action.payload act)) qe' :: acc
               else acc
             in
@@ -45,7 +45,7 @@ let print_nth env idx _composite =
         | (act, q') :: rest ->
             let qe = env_state q and qe' = env_state q' in
             let acc =
-              if Action_set.mem act (Psioa.enabled env qe) then
+              if Psioa.is_enabled env qe act then
                 Value.pair (Value.Tag (Action.name act, Action.payload act)) qe' :: acc
               else acc
             in

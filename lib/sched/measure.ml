@@ -341,9 +341,7 @@ let trace_dist ?memo ?compress auto sched ~depth =
    pred-hitting execution with a pred-missing one — the mass below stays
    exact under every compression level. *)
 let reach_mass ~pred d =
-  Dist.fold
-    (fun acc e p -> if List.exists pred (Exec.states e) then Rat.add acc p else acc)
-    Rat.zero d
+  Dist.fold (fun acc e p -> if Exec.exists_state pred e then Rat.add acc p else acc) Rat.zero d
 
 let reach_prob_budgeted ?memo ?max_execs ?max_width ?compress auto sched
     ~depth ~pred =

@@ -173,6 +173,10 @@ val reach_prob :
 (** Exact probability that a completed execution visits a state satisfying
     [pred] within [depth] steps, at every compression level. *)
 
+val reach_mass : pred:(Value.t -> bool) -> Exec.t Dist.t -> Rat.t
+(** The mass of the executions in a distribution that visit a state
+    satisfying [pred]: what {!reach_prob} sums over {!exec_dist}. *)
+
 val reach_prob_budgeted :
   ?memo:bool -> ?max_execs:int -> ?max_width:int ->
   ?compress:compress ->

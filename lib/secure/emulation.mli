@@ -104,4 +104,5 @@ val composite_simulator : components:component list -> adv:Psioa.t -> Psioa.t
 
 val dummy_for : component -> Psioa.t
 (** [Dummy(realᵢ, gᵢ)] — the dummy adversary each component's emulation is
-    instantiated with inside the composability proof. *)
+    instantiated with inside the composability proof. Raises
+    {!Structured.Universe_truncated} as {!Structured.ai_universe} does. *)

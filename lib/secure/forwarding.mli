@@ -30,8 +30,9 @@ val make_setup :
   unit ->
   setup
 (** Computes the adversary-action universes of [A] (the dummy's fixed
-    alphabet and the domain of [g], under {!Structured.ai_universe}'s
-    default exploration limits) and assembles both systems. The adversary
+    alphabet and the domain of [g]; raises
+    {!Structured.Universe_truncated} when [A] reaches more states than
+    {!Structured.ai_universe} explores) and assembles both systems. The adversary
     must have {!Adversary.full_control}; this is checked lazily by
     {!check_lemma_d1}. *)
 

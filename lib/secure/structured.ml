@@ -5,22 +5,53 @@ type t = { psioa : Psioa.t; eact : Value.t -> Action_set.t }
 let make psioa ~eact = { psioa; eact }
 let psioa s = s.psioa
 let name s = Psioa.name s.psioa
-let eact s q = Action_set.inter (s.eact q) (Sigs.ext (Psioa.signature s.psioa q))
-let aact s q = Action_set.diff (Sigs.ext (Psioa.signature s.psioa q)) (eact s q)
-let ei s q = Action_set.inter (eact s q) (Sigs.input (Psioa.signature s.psioa q))
-let eo s q = Action_set.inter (eact s q) (Sigs.output (Psioa.signature s.psioa q))
-let ai s q = Action_set.inter (aact s q) (Sigs.input (Psioa.signature s.psioa q))
-let ao s q = Action_set.inter (aact s q) (Sigs.output (Psioa.signature s.psioa q))
+(* Each per-state part below evaluates the signature at [q] once. *)
+let eact_at s q sg = Action_set.inter (s.eact q) (Sigs.ext sg)
 
-let universe f ?max_states ?max_depth s =
-  List.fold_left
-    (fun acc q -> Action_set.union acc (f s q))
-    Action_set.empty
-    (Psioa.reachable ?max_states ?max_depth s.psioa)
+let aact_at s q sg =
+  let ext = Sigs.ext sg in
+  Action_set.diff ext (Action_set.inter (s.eact q) ext)
 
-let aact_universe ?max_states ?max_depth s = universe aact ?max_states ?max_depth s
-let ai_universe s = universe ai s
-let ao_universe s = universe ao s
+let eact s q = eact_at s q (Psioa.signature s.psioa q)
+let aact s q = aact_at s q (Psioa.signature s.psioa q)
+
+let part of_sig within s q =
+  let sg = Psioa.signature s.psioa q in
+  Action_set.inter (of_sig s q sg) (within sg)
+
+let ei = part eact_at Sigs.input
+let eo = part eact_at Sigs.output
+let ai = part aact_at Sigs.input
+let ao = part aact_at Sigs.output
+
+exception Universe_truncated of { automaton : string; max_states : int }
+
+let () =
+  Printexc.register_printer (function
+    | Universe_truncated { automaton; max_states } ->
+        Some
+          (Printf.sprintf
+             "Structured.Universe_truncated: automaton %S reaches more than %d states, so its \
+              adversary-action universe is incomplete"
+             automaton max_states)
+    | _ -> None)
+
+let union_over f s states =
+  List.fold_left (fun acc q -> Action_set.union acc (f s q)) Action_set.empty states
+
+let aact_universe ?max_states ?max_depth s =
+  union_over aact s (Psioa.reachable ?max_states ?max_depth s.psioa)
+
+(* A fixed alphabet built from a truncated sweep would silently miss
+   actions, so the complete universes raise instead. *)
+let complete_universe f s =
+  let max_states = Psioa.default_max_states in
+  match Psioa.reachable_trunc ~max_states s.psioa with
+  | states, false -> union_over f s states
+  | _, true -> raise (Universe_truncated { automaton = name s; max_states })
+
+let ai_universe s = complete_universe ai s
+let ao_universe s = complete_universe ao s
 
 let validate ?max_states ?max_depth s =
   match Psioa.validate ?max_states ?max_depth s.psioa with

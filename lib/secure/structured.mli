@@ -19,7 +19,8 @@ val eact : t -> Value.t -> Action_set.t
 (** [EAct_A(q) ⊆ ext(A)(q)]. *)
 
 val aact : t -> Value.t -> Action_set.t
-(** [AAct_A(q) = ext(A)(q) ∖ EAct_A(q)]. *)
+(** [AAct_A(q) = ext(A)(q) ∖ EAct_A(q)]. This and the other per-state
+    parts below evaluate [A]'s signature at [q] once. *)
 
 val ei : t -> Value.t -> Action_set.t
 (** Environment inputs [EAct ∩ in]. *)
@@ -37,9 +38,15 @@ val aact_universe : ?max_states:int -> ?max_depth:int -> t -> Action_set.t
     adversary renamings [g] of Section 4.9. No verdict calls it:
     {!Emulation.hidden_system} reads [AAct_A(q_A)] state by state. *)
 
+exception Universe_truncated of { automaton : string; max_states : int }
+(** Raised by {!ai_universe} and {!ao_universe} when [A] reaches more than
+    [max_states] states, so the union would miss the states beyond. *)
+
 val ai_universe : t -> Action_set.t
-(** Union of [AI_A(q)] over the reachable states ({!Psioa.reachable}'s
-    default limits): the dummy adversary's command alphabet. *)
+(** Union of [AI_A(q)] over every reachable state: the dummy adversary's
+    command alphabet. Raises {!Universe_truncated} when [A] reaches more
+    than {!Psioa.default_max_states} states; an alphabet from a truncated
+    sweep would silently lack actions. *)
 
 val ao_universe : t -> Action_set.t
 (** Union of [AO_A(q)], as {!ai_universe}. *)

@@ -121,13 +121,7 @@ let reach t (q : Protocol.query) ~state =
       (p, false)
   | `Off | `Hcons ->
       let r = measure t q in
-      let p =
-        Dist.fold
-          (fun acc e pr ->
-            if List.exists pred (Exec.states e) then Rat.add acc pr else acc)
-          Rat.zero r.m_dist
-      in
-      (p, r.m_cached)
+      (Measure.reach_mass ~pred r.m_dist, r.m_cached)
 
 let emulate ~protocol ~broken =
   match protocol with

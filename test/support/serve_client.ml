@@ -66,17 +66,27 @@ let reply_of_line line =
 (* Send [fields] as a request object with a fresh id; block for the reply
    with that id (buffering any interleaved replies would require real
    pipelining — the blocking client simply trusts the id match, which
-   holds because it never has more than one request outstanding). *)
-let request t fields =
+   holds because it never has more than one request outstanding).
+   [request_line] returns the id and the raw reply line, unparsed, so a
+   caller can time the round trip apart from its own parse; [reply_for]
+   then parses the line and checks the id. *)
+let request_line t fields =
   t.next_id <- t.next_id + 1;
   let id = t.next_id in
   send_line t
     (Json.to_string (Json.Obj (("id", Json.Num (float_of_int id)) :: fields)));
-  let r = reply_of_line (recv_line t) in
+  (id, recv_line t)
+
+let reply_for id line =
+  let r = reply_of_line line in
   (match r.r_id with
   | Some i when i = id -> ()
   | _ -> failwith "Serve_client.request: reply id mismatch");
   r
+
+let request t fields =
+  let id, line = request_line t fields in
+  reply_for id line
 
 let ping t = request t [ ("op", Json.Str "ping") ]
 let stats t = request t [ ("op", Json.Str "stats") ]

@@ -260,6 +260,26 @@ let test_pca_parallel_three () =
   Alcotest.(check (list string)) "three members" [ "ak"; "bk"; "ck" ]
     (Pca.alive comp (Psioa.start (Pca.psioa comp)))
 
+let test_pca_one_signature_per_member_step () =
+  (* All three members take part in send(1): the PCA's transition reads
+     each member's signature at its source state once, for both the
+     configuration signature and the member's participation. *)
+  let members =
+    List.map Fixtures.counted
+      [ Fixtures.sender ~channel_name:"ch" ~script:[ 1 ] "s";
+        Fixtures.channel "ch";
+        Fixtures.acceptor ~watch:[ ("ch.send", Some (Value.int 1)) ] "env" ]
+  in
+  let reg = Registry.of_list (List.map (fun (a, _, _) -> a) members) in
+  let pca = Pca.make ~name:"trio" ~registry:reg ~init:(Config.start_of reg [ "s"; "ch"; "env" ]) () in
+  List.iter (fun (_, _, reset) -> reset ()) members;
+  let x = Pca.psioa pca in
+  ignore (Psioa.step x (Psioa.start x) (act ~payload:(Value.int 1) "ch.send"));
+  List.iter
+    (fun (a, evals, _) ->
+      Alcotest.(check int) (Psioa.name a ^ " read once") 1 (evals (Psioa.start a)))
+    members
+
 let test_pca_compose_shared_member_rejected () =
   (* Two PCAs owning the same automaton identifier cannot compose: their
      configurations would not be a disjoint union (Definition 2.19). *)
@@ -298,4 +318,6 @@ let () =
           Alcotest.test_case "scheduled measure over dynamics" `Quick test_pca_scheduled_measure;
           Alcotest.test_case "shared member rejected (Def 2.19)" `Quick
             test_pca_compose_shared_member_rejected;
-          Alcotest.test_case "n-ary composition" `Quick test_pca_parallel_three ] ) ]
+          Alcotest.test_case "n-ary composition" `Quick test_pca_parallel_three;
+          Alcotest.test_case "one signature read per member per step" `Quick
+            test_pca_one_signature_per_member_step ] ) ]

@@ -346,6 +346,17 @@ let test_exec_trace_hides_internal () =
   let tr = Exec.trace ~sig_of:(Psioa.signature c) e in
   Alcotest.(check (list string)) "only external" [ "c.heads" ] (List.map Action.name tr)
 
+let prop_exec_exists_state =
+  QCheck.Test.make ~name:"exec: exists_state = exists over states"
+    QCheck.(triple (int_bound 4) (small_list (pair (int_bound 2) (int_bound 4))) (int_bound 4))
+    (fun (first, steps, target) ->
+      let e =
+        Exec.of_steps (Value.int first)
+          (List.map (fun (a, q) -> (act (Printf.sprintf "a%d" a), Value.int q)) steps)
+      in
+      let p v = Value.equal v (Value.int target) in
+      Exec.exists_state p e = List.exists p (Exec.states e))
+
 (* --------------------------------------------------------------- Compose *)
 
 let test_compose_sync () =
@@ -423,6 +434,32 @@ let test_proj_exec () =
   Alcotest.(check int) "sender took 1 step" 1 (Exec.length es);
   let ech = Compose.proj_exec [ s; ch ] 1 e in
   Alcotest.(check int) "channel took 2 steps" 2 (Exec.length ech)
+
+(* One transition of a composite reads each component's signature at its
+   source state once: the composed signature, the membership test and
+   each component's participation all come from that one evaluation. *)
+let test_compose_one_signature_per_step () =
+  let s, s_evals, s_reset = Fixtures.counted (Fixtures.sender ~channel_name:"ch" ~script:[ 1 ] "s") in
+  let ch, ch_evals, ch_reset = Fixtures.counted (Fixtures.channel "ch") in
+  let c = Compose.pair s ch in
+  s_reset ();
+  ch_reset ();
+  ignore (Psioa.step c (Psioa.start c) (act ~payload:(Value.int 1) "ch.send"));
+  Alcotest.(check int) "sender read once" 1 (s_evals (Psioa.start s));
+  Alcotest.(check int) "channel read once" 1 (ch_evals (Psioa.start ch))
+
+let test_compose_nested_one_signature_per_level () =
+  (* ((leaf ‖ b) ‖ c) ‖ d stepping the leaf's own action: each of the
+     three levels reads the leaf once on the way down. *)
+  let leaf, evals, reset = Fixtures.counted (Fixtures.counter "a") in
+  let c =
+    List.fold_left
+      (fun acc n -> Compose.pair acc (Fixtures.counter n))
+      leaf [ "b"; "c"; "d" ]
+  in
+  reset ();
+  ignore (Psioa.step c (Psioa.start c) (act "a.inc"));
+  Alcotest.(check int) "leaf read once per level" 3 (evals (Psioa.start leaf))
 
 (* ------------------------------------------------------- extra workloads *)
 
@@ -555,13 +592,18 @@ let () =
         [ Alcotest.test_case "basics" `Quick test_exec_basic;
           Alcotest.test_case "concat" `Quick test_exec_concat;
           Alcotest.test_case "prefix" `Quick test_exec_prefix;
-          Alcotest.test_case "trace hides internal" `Quick test_exec_trace_hides_internal ] );
+          Alcotest.test_case "trace hides internal" `Quick test_exec_trace_hides_internal;
+          qtest prop_exec_exists_state ] );
       ( "compose",
         [ Alcotest.test_case "synchronization" `Quick test_compose_sync;
           Alcotest.test_case "product measure (Def 2.5)" `Quick test_compose_product_measure;
           Alcotest.test_case "shared outputs incompatible" `Quick test_compose_incompatible_outputs;
           Alcotest.test_case "three-way pipeline" `Quick test_compose_parallel_three;
-          Alcotest.test_case "execution projection" `Quick test_proj_exec ] );
+          Alcotest.test_case "execution projection" `Quick test_proj_exec;
+          Alcotest.test_case "one signature read per component per step" `Quick
+            test_compose_one_signature_per_step;
+          Alcotest.test_case "nested pair: one leaf read per level" `Quick
+            test_compose_nested_one_signature_per_level ] );
       ( "workloads",
         [ Alcotest.test_case "fifo preserves order" `Quick test_fifo_order;
           Alcotest.test_case "timer fires once" `Quick test_timer_fires_once;

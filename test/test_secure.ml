@@ -34,6 +34,44 @@ let test_structured_universes () =
   Alcotest.(check int) "AO universe = {leak(0)}" 1 (Action_set.cardinal ao);
   Alcotest.(check bool) "deliver in AI" true (Action_set.mem (act "proto.deliver") ai)
 
+let test_structured_universe_truncation () =
+  (* An unbounded counter reaches more states than the sweep explores: its
+     adversary alphabets must be refused by name, never silently cut. *)
+  let tick = act "u.tick" in
+  let unbounded =
+    Structured.make
+      (Psioa.make ~name:"u" ~start:(Value.int 0)
+         ~signature:(fun _ -> Fixtures.sig_io ~i:[ act "u.poke" ] ~o:[ tick ] ())
+         ~transition:(fun q a ->
+           match q with
+           | Value.Int n when Action.equal a tick -> Some (Vdist.dirac (Value.int (n + 1)))
+           | _ when Action.equal a (act "u.poke") -> Some (Vdist.dirac q)
+           | _ -> None))
+      ~eact:(fun _ -> Action_set.empty)
+  in
+  let truncated =
+    Structured.Universe_truncated { automaton = "u"; max_states = Psioa.default_max_states }
+  in
+  Alcotest.check_raises "AI universe" truncated (fun () ->
+      ignore (Structured.ai_universe unbounded));
+  Alcotest.check_raises "AO universe" truncated (fun () ->
+      ignore (Structured.ao_universe unbounded));
+  Alcotest.(check string) "the error names the automaton and the cap"
+    "Structured.Universe_truncated: automaton \"u\" reaches more than 10000 states, so its \
+     adversary-action universe is incomplete"
+    (Printexc.to_string truncated);
+  (* An explicit cap keeps the union over the explored prefix. *)
+  Alcotest.(check int) "AAct over a 5-state prefix" 2
+    (Action_set.cardinal (Structured.aact_universe ~max_states:5 unbounded))
+
+let test_structured_aact_one_signature () =
+  let a, evals, reset = Fixtures.counted (Structured.psioa relay) in
+  let s = Structured.make a ~eact:(Structured.eact relay) in
+  let q = Sfixtures.q_got 0 in
+  reset ();
+  ignore (Structured.aact s q);
+  Alcotest.(check int) "signature read once" 1 (evals q)
+
 let test_structured_validate () =
   (match Structured.validate relay with Ok () -> () | Error e -> Alcotest.fail e);
   (* Declaring an EAct action outside ext must be caught. *)
@@ -605,6 +643,8 @@ let () =
     [ ( "structured",
         [ Alcotest.test_case "partitions (Def 4.17)" `Quick test_structured_partitions;
           Alcotest.test_case "action universes" `Quick test_structured_universes;
+          Alcotest.test_case "truncated universe refused" `Quick test_structured_universe_truncation;
+          Alcotest.test_case "AAct reads the signature once" `Quick test_structured_aact_one_signature;
           Alcotest.test_case "validation" `Quick test_structured_validate;
           Alcotest.test_case "hiding (Def 4.17)" `Quick test_structured_hide;
           Alcotest.test_case "composition EAct union (Def 4.19)" `Quick test_structured_compose_eact_union;
