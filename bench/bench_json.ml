@@ -148,7 +148,7 @@ let measure_macro () =
           (List.map
              (fun depth ->
                let sched = Scheduler.bounded depth (Scheduler.uniform auto) in
-               let run () = Measure.exec_dist ~memo:true auto sched ~depth in
+               let run () = Measure.exec_dist auto sched ~depth in
                let counters = counters_json run in
                ( string_of_int depth,
                  entry ~digits:4 ~extra:[ ("counters", counters) ]
@@ -167,12 +167,9 @@ let measure_compress () =
     (fun (name, span, depth) ->
       let auto = Cdse_gen.Workloads.random_walk ~span "w" in
       let sched d = Scheduler.bounded d (Scheduler.uniform auto) in
-      let run ~compress d () =
-        Measure.exec_dist ~memo:true ~compress auto (sched d) ~depth:d
-      in
+      let run ~compress d () = Measure.exec_dist ~compress auto (sched d) ~depth:d in
       let depth_2x = 2 * depth in
       let ms_off = wall (run ~compress:`Off depth) in
-      let ms_hcons = wall (run ~compress:`Hcons depth) in
       let ms_quotient = wall (run ~compress:`Quotient depth) in
       let ms_quotient_2x = wall (run ~compress:`Quotient depth_2x) in
       let snap_of f =
@@ -200,8 +197,7 @@ let measure_compress () =
           [ ("span", int span); ("depth", int depth); ("depth_2x", int depth_2x);
             ( "ms",
               Json.Obj
-                [ ("off", fixed 4 ms_off); ("hcons", fixed 4 ms_hcons);
-                  ("quotient", fixed 4 ms_quotient);
+                [ ("off", fixed 4 ms_off); ("quotient", fixed 4 ms_quotient);
                   ("quotient_2x", fixed 4 ms_quotient_2x) ] );
             ("frontier_width_max", int width_max);
             ("frontier_width_compressed", int width_compressed);
@@ -352,7 +348,7 @@ let emit micro_rows =
   in
   let doc =
     lines
-      [ ("schema", Json.Str "cdse-bench/10");
+      [ ("schema", Json.Str "cdse-bench/11");
         ("generated_by", Json.Str "dune exec bench/main.exe -- micro");
         ("units", Json.Obj (List.map (fun (k, u) -> (k, Json.Str u)) units));
         ( "micro",
@@ -411,8 +407,8 @@ let check ?(path = "BENCH_cdse.json") () =
       fmt
   in
   (match List.assoc_opt "schema" fields with
-  | Some (Json.Str "cdse-bench/10") -> ()
-  | Some (Json.Str other) -> fail "schema is %S, expected \"cdse-bench/10\"" other
+  | Some (Json.Str "cdse-bench/11") -> ()
+  | Some (Json.Str other) -> fail "schema is %S, expected \"cdse-bench/11\"" other
   | _ -> fail "missing string key \"schema\"");
   List.iter
     (fun k -> if not (List.mem_assoc k fields) then fail "missing key %S" k)
@@ -514,7 +510,7 @@ let check ?(path = "BENCH_cdse.json") () =
                   | Some (Json.Num t) when t > 0.0 -> ()
                   | Some (Json.Num _) -> fail "%s: ms.%s is not positive" ctx level
                   | _ -> fail "%s: ms missing level %S" ctx level)
-                [ "off"; "hcons"; "quotient"; "quotient_2x" ]
+                [ "off"; "quotient"; "quotient_2x" ]
           | _ -> fail "%s: missing object field \"ms\"" ctx);
           let wmax = num "frontier_width_max" in
           let wc = num "frontier_width_compressed" in
@@ -607,7 +603,7 @@ let check ?(path = "BENCH_cdse.json") () =
     fail "serve: resumed_from %.0f is not a proper prefix of depth %.0f" rf
       (snum "depth");
   Printf.printf
-    "check-json: %s OK (schema cdse-bench/10, %d micro keys, %d workloads x %d depths, %d compression cells, %d compromise cells, 1 serve cell, counters validated)\n"
+    "check-json: %s OK (schema cdse-bench/11, %d micro keys, %d workloads x %d depths, %d compression cells, %d compromise cells, 1 serve cell, counters validated)\n"
     path (List.length micro_baseline) (List.length macro_baseline) (List.length depths)
     (List.length compress_workloads) (List.length compromise_budgets)
 

@@ -121,10 +121,9 @@ let compress_arg =
     & opt (enum Measure.compress_levels) `Off
     & info [ "compress" ] ~docv:"LEVEL"
         ~doc:
-          "State-space compression: off (no compression), hcons \
-           (hash-consed states, identical results) or quotient (on-the-fly \
-           bisimulation quotient of each frontier layer; trace-exact, \
-           compressed execution support)")
+          "State-space compression: off (no compression) or quotient \
+           (on-the-fly bisimulation quotient of each frontier layer; \
+           trace-exact, compressed execution support)")
 
 let measure_cmd =
   let workload =

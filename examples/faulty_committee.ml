@@ -61,7 +61,7 @@ let () =
       | Value.Pair (_, qc) -> Committee.committed cmt qc = [ 0 ]
       | _ -> false
     in
-    Measure.reach_prob ~memo:true sys sched ~depth:12 ~pred
+    Measure.reach_prob sys sched ~depth:12 ~pred
   in
   Pretty.table
     ~header:[ "crash budget"; "P(commit) unanimity"; "P(commit) quorum 2-of-3" ]

@@ -111,7 +111,7 @@ type layer_row = {
   lr_total_us : float;  (** full layer span *)
   lr_expand_us : float;  (** node expansion *)
   lr_quotient_us : float;  (** bisimulation-quotient pass *)
-  lr_stats : args;  (** memo/hcons deltas from [measure.layer.stats] *)
+  lr_stats : args;  (** memo/choice deltas from [measure.layer.stats] *)
 }
 
 type summary = {

@@ -36,11 +36,21 @@ let step a q act =
 
 let rename_auto name a = { a with name }
 
+(* The memo and sweep tables hash a state all the way down: [Value.hash]
+   stops after 10 meaningful leaves, so large configurations that differ
+   only in a late member would share one bucket chain. *)
 module Vtbl = Hashtbl.Make (struct
   type t = Value.t
 
   let equal = Value.equal
-  let hash = Value.hash
+  let hash q = Hashtbl.hash_param 256 256 q
+end)
+
+module Stbl = Hashtbl.Make (struct
+  type t = Value.t * Action.t
+
+  let equal (q1, a1) (q2, a2) = Value.equal q1 q2 && Action.equal a1 a2
+  let hash k = Hashtbl.hash_param 256 256 k
 end)
 
 let c_sig_hit = Obs.counter "psioa.memo.sig.hit"
@@ -50,7 +60,7 @@ let c_step_miss = Obs.counter "psioa.memo.step.miss"
 
 let memoize a =
   let sig_cache = Vtbl.create 64 in
-  let tr_cache = Hashtbl.create 64 in
+  let tr_cache = Stbl.create 64 in
   let signature q =
     match Vtbl.find_opt sig_cache q with
     | Some s ->
@@ -64,14 +74,14 @@ let memoize a =
   in
   let transition q act =
     let key = (q, act) in
-    match Hashtbl.find_opt tr_cache key with
+    match Stbl.find_opt tr_cache key with
     | Some d ->
         Obs.incr c_step_hit;
         d
     | None ->
         Obs.incr c_step_miss;
         let d = a.transition q act in
-        Hashtbl.add tr_cache key d;
+        Stbl.add tr_cache key d;
         d
   in
   { a with signature; transition }

@@ -50,7 +50,9 @@ val rename_auto : string -> t -> t
 val memoize : t -> t
 (** Cache signature and transition lookups per state (ablation A2). The
     result is observationally identical. The cache is a plain hashtable,
-    not safe to share between domains. *)
+    not safe to share between domains; it hashes a state all the way
+    down, not with {!Value.hash}, which stops after 10 meaningful leaves
+    and so gives large configurations one bucket chain. *)
 
 val default_max_states : int
 (** The state cap of {!reachable} and {!reachable_trunc} when none is

@@ -24,10 +24,9 @@ let ctor_rank = function
   | List _ -> 5
   | Tag _ -> 6
 
-(* Physical equality short-circuits the structural descent: hash-consed
-   values ({!Hcons}) are physically unique, so equal interned values (and
-   shared sub-terms of unequal ones) compare in O(1). Plain values are
-   unaffected beyond the one pointer test. *)
+(* Physical equality short-circuits the structural descent: a state
+   shared by sibling cone executions, or a sub-term shared by two unequal
+   values, compares in O(1). Other values pay only the one pointer test. *)
 let rec compare a b =
   if a == b then 0
   else

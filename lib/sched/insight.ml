@@ -53,11 +53,11 @@ let print_nth env idx _composite =
       in
       Value.pair (env_state (Exec.fstate e)) (Value.list (go [] (Exec.fstate e) (Exec.steps e))))
 
-let apply ?memo ?(domains = 1) ?compress insight composite sched ~depth =
+let apply ?memo:_ ?(domains = 1) ?compress insight composite sched ~depth =
   if domains <> 1 then
     invalid_arg (Printf.sprintf "Insight.apply: ~domains:%d, but only 1 is accepted" domains);
   Dist.map ~compare:Value.compare insight.observe
-    (Measure.exec_dist ?memo ?compress composite sched ~depth)
+    (Measure.exec_dist ?compress composite sched ~depth)
 
 let check_stability ~make_insight ~env ~ctx ~a1 ~a2 ~sched_of ~depth =
   (* Distance when E observes B||Ai, vs when E||B observes Ai. The two

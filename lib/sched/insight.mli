@@ -40,12 +40,11 @@ val apply :
   ?memo:bool -> ?domains:int -> ?compress:Measure.compress ->
   t -> Psioa.t -> Scheduler.t -> depth:int -> Value.t Dist.t
 (** [f-dist(σ)] (Definition 3.5): the image of [ε_σ] under the insight.
-    [?memo] and [?compress] are passed through to {!Measure.exec_dist}
-    verbatim and inherit its determinism contract: the image distribution
-    is bit-identical for every [memo] setting and compression level.
+    [?compress] is passed through to {!Measure.exec_dist} and inherits its
+    determinism contract. [?memo] is ignored (every measure memoizes), and
     [?domains] accepts only [1] (the default) and raises
-    [Invalid_argument] on any other value; it stays only for callers that
-    still pass it. *)
+    [Invalid_argument] on any other value; both stay only for callers that
+    still pass them. *)
 
 (** {2 Stability by composition (Definition 3.7)}
 

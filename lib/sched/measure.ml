@@ -5,9 +5,9 @@ module Trace = Cdse_obs.Trace
 
 type 'a budgeted = [ `Exact of 'a | `Truncated of 'a * Rat.t ]
 
-type compress = [ `Off | `Hcons | `Quotient ]
+type compress = [ `Off | `Quotient ]
 
-let compress_levels = [ ("off", `Off); ("hcons", `Hcons); ("quotient", `Quotient) ]
+let compress_levels = [ ("off", `Off); ("quotient", `Quotient) ]
 
 (* A resumable expansion frontier: the alive entries (each of length
    [f_depth]) plus the finished mass accumulated on the way there. Only
@@ -46,7 +46,7 @@ let c_q_classes = Obs.counter "quotient.classes"
 let c_q_merged = Obs.counter "quotient.merged"
 let g_q_mass = Obs.gauge "quotient.mass_merged"
 
-(* Per-layer memo/hcons/choice-cache hit deltas, emitted as a
+(* Per-layer memo/choice-cache hit deltas, emitted as a
    [measure.layer.stats] instant for the trace summary. One probe per
    engine run; the deltas are against the previous layer of the same run,
    so [prev] must start from the counters' values {e at probe creation}
@@ -57,8 +57,7 @@ let g_q_mass = Obs.gauge "quotient.mass_merged"
 let layer_stats_probe () =
   let tracked =
     [| ("choice_hit", "measure.choice.hit"); ("choice_miss", "measure.choice.miss");
-       ("memo_hit", "psioa.memo.step.hit"); ("memo_miss", "psioa.memo.step.miss");
-       ("hcons_hit", "hcons.hits"); ("hcons_miss", "hcons.misses") |]
+       ("memo_hit", "psioa.memo.step.hit"); ("memo_miss", "psioa.memo.step.miss") |]
   in
   let prev = Array.map (fun (_, name) -> Obs.counter_value name) tracked in
   fun ~layer ->
@@ -104,38 +103,34 @@ let truncate_entries ~keep entries =
   Obs.add c_truncated (Stdlib.max 0 (Array.length arr - keep));
   (List.rev !kept, !lost)
 
-(* Validated scheduler choice, optionally cached. With [~memo:true] and a
-   {!Scheduler.is_memoryless} scheduler the validated choice is a function
-   of [(length, lstate)] alone, so it is cached for the run. *)
-let choice_fn ~memo auto sched =
-  if memo && Scheduler.is_memoryless sched then begin
-    let tbl = Hashtbl.create 32 in
+(* Keyed by [(length, last state)], hashed all the way down like
+   {!Psioa.memoize}'s tables. *)
+module Ctbl = Hashtbl.Make (struct
+  type t = int * Value.t
+
+  let equal (n1, q1) (n2, q2) = n1 = n2 && Value.equal q1 q2
+  let hash k = Hashtbl.hash_param 256 256 k
+end)
+
+(* Validated scheduler choice. For a {!Scheduler.is_memoryless} scheduler
+   the validated choice is a function of [(length, lstate)] alone, so it
+   is cached for the run. *)
+let choice_fn auto sched =
+  if Scheduler.is_memoryless sched then begin
+    let tbl = Ctbl.create 32 in
     fun e ->
       let key = (Exec.length e, Exec.lstate e) in
-      match Hashtbl.find_opt tbl key with
+      match Ctbl.find_opt tbl key with
       | Some d ->
           Obs.incr c_choice_hit;
           d
       | None ->
           Obs.incr c_choice_miss;
           let d = Scheduler.validate_choice auto sched e in
-          Hashtbl.add tbl key d;
+          Ctbl.add tbl key d;
           d
   end
   else fun e -> Scheduler.validate_choice auto sched e
-
-(* One run's view of the model: [`Hcons] and [`Quotient] route every
-   state through an intern table, [~memo:true] caches signature and
-   transition lookups ({!Psioa.memoize}) and validated choices. The
-   tables live only for the run. *)
-let instance ~memo ~compress auto sched =
-  let auto =
-    match compress with
-    | `Off -> auto
-    | `Hcons | `Quotient -> Hcons.auto (Hcons.create ()) auto
-  in
-  let auto = if memo then Psioa.memoize auto else auto in
-  (auto, choice_fn ~memo auto sched)
 
 let finish alive finished lost =
   if Obs.enabled () then Obs.set_gauge g_deficit (Rat.to_string lost);
@@ -145,9 +140,9 @@ let finish alive finished lost =
 (* Quotient merging is sound exactly when the scheduler's future choices
    are a function of [(length, last state)] — the {!Scheduler.is_memoryless}
    promise. With a history-dependent scheduler [`Quotient] silently
-   degrades to [`Hcons] (interning only), which is always sound. *)
+   degrades to [`Off], which is always sound. *)
 let quotient_on ~compress sched =
-  (match compress with `Quotient -> true | `Off | `Hcons -> false)
+  (match compress with `Quotient -> true | `Off -> false)
   && Scheduler.is_memoryless sched
 
 (* One layer of on-the-fly quotient: pool probabilistically-bisimilar
@@ -194,8 +189,12 @@ let expand_node auto choice_of (e, p) kids =
    applies, in this order: the quotient, the width budget, the exec
    budget. A raise from the scheduler surfaces at once, for the first
    failing entry in frontier order. *)
-let layer_loop ~memo ~compress ~track ?max_execs ?max_width ~from auto sched ~depth =
-  let auto, choice_of = instance ~memo ~compress auto sched in
+let layer_loop ~compress ~track ?max_execs ?max_width ~from auto sched ~depth =
+  (* One run's view of the model: signature and transition lookups cached
+     per [(state, action)], plus the validated-choice cache. The tables
+     live only for the run. *)
+  let auto = Psioa.memoize auto in
+  let choice_of = choice_fn auto sched in
   let quotient = quotient_on ~compress sched in
   let sig_of = Psioa.signature auto in
   let qmass = ref Rat.zero in
@@ -266,8 +265,7 @@ let layer_loop ~memo ~compress ~track ?max_execs ?max_width ~from auto sched ~de
    whole engine run; it carries [resume_from] exactly when the caller
    asked for a resumable frontier. The layer loop stops at [step = depth],
    so a negative depth would never stop on a non-halting automaton. *)
-let run ?(memo = false) ?max_execs ?max_width ?(compress = `Off) ?track ?from auto sched
-    ~depth =
+let run ?max_execs ?max_width ?(compress = `Off) ?track ?from auto sched ~depth =
   if depth < 0 then
     invalid_arg (Printf.sprintf "Measure: depth %d is negative" depth);
   Trace.span "measure.exec_dist"
@@ -278,15 +276,15 @@ let run ?(memo = false) ?max_execs ?max_width ?(compress = `Off) ?track ?from au
          | None -> []))
   @@ fun () ->
   let from = match from with Some f -> f | None -> initial auto in
-  layer_loop ~memo ~compress ~track ?max_execs ?max_width ~from auto sched ~depth
+  layer_loop ~compress ~track ?max_execs ?max_width ~from auto sched ~depth
 
 let drop_tag = function `Exact d | `Truncated (d, _) -> d
 
-let exec_dist_budgeted ?memo ?max_execs ?max_width ?compress auto sched ~depth =
-  fst (run ?memo ?max_execs ?max_width ?compress auto sched ~depth)
+let exec_dist_budgeted ?max_execs ?max_width ?compress auto sched ~depth =
+  fst (run ?max_execs ?max_width ?compress auto sched ~depth)
 
-let exec_dist ?memo ?compress auto sched ~depth =
-  drop_tag (fst (run ?memo ?compress auto sched ~depth))
+let exec_dist ?compress auto sched ~depth =
+  drop_tag (fst (run ?compress auto sched ~depth))
 
 (* Resuming is bit-identical to a one-shot run at the larger depth: every
    alive entry of a depth-[d] frontier has length [d], {!Dist.make}
@@ -294,7 +292,7 @@ let exec_dist ?memo ?compress auto sched ~depth =
    commutative, and the quotient's representative choice is
    [Exec.compare]-minimal per class — none of them can see how the prefix
    layers were computed. *)
-let exec_dist_frontier ?memo ?compress ?from auto sched ~depth =
+let exec_dist_frontier ?compress ?from auto sched ~depth =
   let from =
     match from with
     | Some f when f.f_depth > depth ->
@@ -306,7 +304,7 @@ let exec_dist_frontier ?memo ?compress ?from auto sched ~depth =
     | Some f -> f
     | None -> initial auto
   in
-  let res, frontier = run ?memo ?compress ~from auto sched ~depth in
+  let res, frontier = run ?compress ~from auto sched ~depth in
   (drop_tag res, frontier)
 
 (* ------------------------------------- cones, traces, reachability *)
@@ -329,11 +327,11 @@ let cone_prob auto sched alpha =
 
 let trace_of auto = Exec.trace ~sig_of:(Psioa.signature auto)
 
-let trace_dist ?memo ?compress auto sched ~depth =
+let trace_dist ?compress auto sched ~depth =
   Dist.map
     ~compare:(Cdse_util.Order.list Action.compare)
     (trace_of auto)
-    (exec_dist ?memo ?compress auto sched ~depth)
+    (exec_dist ?compress auto sched ~depth)
 
 (* Probabilistic reachability: mass of completed executions that visit a
    state satisfying the predicate within the depth bound. [pred] is passed
@@ -343,20 +341,20 @@ let trace_dist ?memo ?compress auto sched ~depth =
 let reach_mass ~pred d =
   Dist.fold (fun acc e p -> if Exec.exists_state pred e then Rat.add acc p else acc) Rat.zero d
 
-let reach_prob_budgeted ?memo ?max_execs ?max_width ?compress auto sched
+let reach_prob_budgeted ?max_execs ?max_width ?compress auto sched
     ~depth ~pred =
-  match fst (run ?memo ?max_execs ?max_width ?compress ~track:pred auto sched ~depth) with
+  match fst (run ?max_execs ?max_width ?compress ~track:pred auto sched ~depth) with
   | `Exact d -> `Exact (reach_mass ~pred d)
   | `Truncated (d, lost) -> `Truncated (reach_mass ~pred d, lost)
 
-let reach_prob ?memo ?compress auto sched ~depth ~pred =
-  drop_tag (reach_prob_budgeted ?memo ?compress auto sched ~depth ~pred)
+let reach_prob ?compress auto sched ~depth ~pred =
+  drop_tag (reach_prob_budgeted ?compress auto sched ~depth ~pred)
 
 (* Expected number of scheduled steps of the completed execution. *)
-let expected_steps ?memo ?compress auto sched ~depth =
+let expected_steps ?compress auto sched ~depth =
   Dist.expect
     (fun e -> Rat.of_int (Exec.length e))
-    (exec_dist ?memo ?compress auto sched ~depth)
+    (exec_dist ?compress auto sched ~depth)
 
 (* Monte-Carlo estimation: drive sampled runs instead of expanding the
    exact cone tree. The estimator trades exactness for scale — the exact

@@ -34,14 +34,8 @@
     size, without giving up exactness where it matters:
 
     - [`Off]: no compression.
-    - [`Hcons]: hash-consing only. Every reached state is interned in a
-      {!Cdse_psioa.Hcons} table (one per run) so equality checks,
-      {!Exec.compare} and the memo tables short-circuit on physical
-      identity. The result — distribution, [`Exact]/[`Truncated] tag,
-      deficit — is {b identical} to [`Off].
-    - [`Quotient]: hash-consing {e plus} an on-the-fly
-      probabilistic-bisimulation quotient of each frontier layer
-      ({!Cdse_psioa.Quotient}). Frontier executions with the same
+    - [`Quotient]: an on-the-fly probabilistic-bisimulation quotient of
+      each frontier layer ({!Cdse_psioa.Quotient}). Frontier executions with the same
       (trace, last state) have identical futures under a
       {!Scheduler.is_memoryless} scheduler, so their exact masses are
       pooled onto one representative (the {!Exec.compare}-least member).
@@ -52,7 +46,7 @@
       representation (one representative per class), so it is not
       bit-identical to [`Off]. Budgets prune the compressed frontier by
       the same total order. For history-dependent schedulers the quotient
-      is unsound and the engine silently degrades to [`Hcons].
+      is unsound and the engine silently degrades to [`Off].
 
     {2 The engine}
 
@@ -62,22 +56,20 @@
     budget — and can resume from a previously returned frontier
     ({!exec_dist_frontier}). A negative [depth] raises [Invalid_argument].
 
-    [?memo] (default [false]) computes the same measure faster:
-    signature/transition lookups are cached per [(state, action)] across
-    the cone frontier ({!Psioa.memoize}), and for
+    Every run memoizes: signature/transition lookups are cached per
+    [(state, action)] across the cone frontier ({!Psioa.memoize}), and for
     {!Scheduler.is_memoryless} schedulers the validated choice is cached
     keyed by [(length, last state)]. Caches live only for the call.
 
     {2 Determinism contract}
 
     For a fixed [compress], the result is {b bit-identical for every
-    [memo] setting}; at [`Off] and [`Hcons] it is also bit-identical
-    across the two levels:
+    arrival order of the frontier entries} (the order in which a layer's
+    children are produced and met):
 
-    - the returned distribution satisfies {!Cdse_prob.Dist.equal} with the
-      plain one {e and} has the same in-memory normal form (entries sorted
-      by {!Exec.compare}, exact rationals in canonical form — rational
-      arithmetic is exact, so merge order cannot perturb masses);
+    - the returned distribution has one in-memory normal form (entries
+      sorted by {!Exec.compare}, exact rationals in canonical form —
+      rational arithmetic is exact, so merge order cannot perturb masses);
     - the [`Exact] / [`Truncated] tag and the truncation deficit are
       identical — budget pruning sorts by the total order
       [(probability descending, Exec.compare ascending)], which does not
@@ -99,23 +91,22 @@ type 'a budgeted = [ `Exact of 'a | `Truncated of 'a * Rat.t ]
     [`Truncated (v, deficit)] when pruning occurred — [deficit] is the
     exact probability mass the budgets discarded. *)
 
-type compress = [ `Off | `Hcons | `Quotient ]
+type compress = [ `Off | `Quotient ]
 (** State-space compression level — see the module docs. *)
 
 val compress_levels : (string * compress) list
-(** The level names every front end accepts — [off], [hcons] and
-    [quotient] — in that order: the CLI and bench [--compress] flags, the
-    serve protocol's ["compress"] field and the test suite's
-    [CDSE_TEST_COMPRESS]. *)
+(** The level names every front end accepts — [off] and [quotient], in
+    that order: the CLI's [--compress] flag and the serve protocol's
+    ["compress"] field. *)
 
 val exec_dist :
-  ?memo:bool -> ?compress:compress ->
+  ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Exec.t Dist.t
 (** Exact distribution over completed executions up to [depth] steps. *)
 
 val exec_dist_budgeted :
-  ?memo:bool -> ?max_execs:int -> ?max_width:int ->
+  ?max_execs:int -> ?max_width:int ->
   ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Exec.t Dist.t budgeted
@@ -138,7 +129,7 @@ type frontier = {
     [Dist.make ~compare:Exec.compare (f_finished @ f_alive)]. *)
 
 val exec_dist_frontier :
-  ?memo:bool -> ?compress:compress -> ?from:frontier ->
+  ?compress:compress -> ?from:frontier ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Exec.t Dist.t * frontier
 (** {!exec_dist} that also returns its final frontier and can resume from
@@ -146,10 +137,9 @@ val exec_dist_frontier :
     incremental-deepening hook behind the {!Cdse_serve} result cache.
     Resuming a depth-[d] frontier to depth [d + k] is {b bit-identical} to
     a one-shot run at depth [d + k] with the same [auto], [sched] and
-    [compress], whatever [memo] is on either side of the split: frontier
-    entry order is normalized away by {!Dist.make}, rational mass
-    addition is exact and commutative, and the quotient representative
-    choice is [Exec.compare]-minimal per class. Raises [Invalid_argument]
+    [compress]: frontier entry order is normalized away by {!Dist.make},
+    rational mass addition is exact and commutative, and the quotient
+    representative choice is [Exec.compare]-minimal per class. Raises [Invalid_argument]
     if [from.f_depth > depth]. The caller is responsible for resuming only
     with the same [auto]/[sched]/[compress] that produced the frontier —
     the serving cache keys enforce exactly that. *)
@@ -160,7 +150,7 @@ val cone_prob : Psioa.t -> Scheduler.t -> Exec.t -> Rat.t
     transition probabilities along [α]. *)
 
 val trace_dist :
-  ?memo:bool -> ?compress:compress ->
+  ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Action.t list Dist.t
 (** Pushforward of {!exec_dist} through the trace map (Definition 2.2).
@@ -168,7 +158,7 @@ val trace_dist :
     executions with equal traces, so the pushforward is unchanged. *)
 
 val reach_prob :
-  ?memo:bool -> ?compress:compress ->
+  ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int -> pred:(Value.t -> bool) -> Rat.t
 (** Exact probability that a completed execution visits a state satisfying
     [pred] within [depth] steps, at every compression level. *)
@@ -178,7 +168,7 @@ val reach_mass : pred:(Value.t -> bool) -> Exec.t Dist.t -> Rat.t
     satisfying [pred]: what {!reach_prob} sums over {!exec_dist}. *)
 
 val reach_prob_budgeted :
-  ?memo:bool -> ?max_execs:int -> ?max_width:int ->
+  ?max_execs:int -> ?max_width:int ->
   ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int -> pred:(Value.t -> bool) -> Rat.t budgeted
 (** {!reach_prob} under the budgets: [`Truncated (p, lost)] brackets the
@@ -186,7 +176,7 @@ val reach_prob_budgeted :
     have reached [pred]. *)
 
 val expected_steps :
-  ?memo:bool -> ?compress:compress ->
+  ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Rat.t
 (** Expected length of the completed execution, exact at every

@@ -21,8 +21,9 @@ type t = {
 
     [memoryless] declares that [choose α] depends on [α] only through
     [(length α, lstate α)] — not on the rest of the history. The measure
-    engine ({!Measure.exec_dist} with [~memo:true]) exploits this to key
-    its validated-choice cache by last state instead of whole executions.
+    engine ({!Measure}) exploits this to key its validated-choice cache by
+    [(length, last state)] instead of whole executions, and its [`Quotient]
+    level to merge executions that share their future.
     It is a promise, not a checked property: defaults to [false] in
     {!make}, and all the standard schedulers below set it.
 

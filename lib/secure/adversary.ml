@@ -35,9 +35,10 @@ let violation ~structured ~adv ~state ~condition ~action =
 
 (* The reachable states of [A ‖ Adv], in one sweep of the pair. A composed
    signature that raises [Incompatible] during the sweep means the two are
-   not partially compatible. *)
+   not partially compatible; a sweep past the state cap raises
+   [Structured.Universe_truncated]. *)
 let composite_states ~structured ~adv =
-  match Psioa.reachable (Compose.pair (Structured.psioa structured) adv) with
+  match Structured.sweep (Compose.pair (Structured.psioa structured) adv) with
   | states -> states
   | exception Compose.Incompatible _ ->
       raise

@@ -22,10 +22,13 @@ exception
 
 val check : structured:Structured.t -> Psioa.t -> (unit, string) result
 (** Verify partial compatibility and the two Definition 4.24 conditions
-    in one sweep of the reachable states of [A ‖ Adv] (under
-    {!Psioa.reachable}'s default limits). The [Error] carries the
-    rendered {!Not_adversary} — automaton names, composite state and
-    offending action. *)
+    in one {!Structured.sweep} of the reachable states of [A ‖ Adv]. The
+    [Error] carries the rendered {!Not_adversary} — automaton names,
+    composite state and offending action. Raises
+    {!Structured.Universe_truncated} when [A ‖ Adv] reaches more than
+    {!Psioa.default_max_states} states, as do {!check_exn},
+    {!is_adversary} and {!full_control}: no verdict comes from a
+    truncated sweep. *)
 
 val check_exn : structured:Structured.t -> Psioa.t -> unit
 (** Like {!check} but raises {!Not_adversary} on violation. *)

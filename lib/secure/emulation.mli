@@ -53,9 +53,8 @@ val check_engine :
   real:Structured.t ->
   ideal:Structured.t ->
   Impl.verdict
-(** {!check} with explicit {!Impl.engine} knobs, threaded through
-    {!Impl.approx_le_engine} to every measure computation; verdicts are
-    bit-identical across [memo] settings and compression levels. *)
+(** {!check} at an explicit {!Impl.engine} compression level, threaded
+    through {!Impl.approx_le_engine} to every measure computation. *)
 
 exception
   Check_failed of {

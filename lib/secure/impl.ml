@@ -4,23 +4,21 @@ open Cdse_sched
 
 type verdict = { holds : bool; worst : Rat.t; detail : (string * Rat.t) list }
 
-(* Engine knobs threaded into every underlying [Measure.exec_dist] call.
-   A record passed positionally (not optional arguments): the checker
-   entry points below have no positional parameter, so optional arguments
-   could never be erased. *)
-type engine = { memo : bool; compress : Measure.compress }
+(* The compression level threaded into every underlying
+   [Measure.exec_dist] call. Passed positionally (not as an optional
+   argument): the checker entry points below have no positional
+   parameter, so an optional argument could never be erased. *)
+type engine = Measure.compress
 
-let default_engine = { memo = false; compress = `Off }
+let default_engine = `Off
 
 let fdist ~engine ~insight_of composite sched ~depth =
-  Insight.apply ~memo:engine.memo ~compress:engine.compress (insight_of composite)
-    composite sched ~depth
+  Insight.apply ~compress:engine (insight_of composite) composite sched ~depth
 
 (* Core loop shared by the search and explicit-matcher variants: for each
    environment and each σ over E‖A, obtain candidate σ' over E‖B and record
-   the best distance. The engine knobs are passed to every measure
-   computation unchanged, so a verdict is bit-identical across [memo]
-   and [compress] by the {!Cdse_sched.Measure} determinism contract. *)
+   the best distance. The engine is passed to every measure computation
+   unchanged. *)
 let run ~engine ~insight_of ~envs ~eps ~depth ~scheds_for_a ~candidates_for ~a ~b =
   let detail = ref [] in
   let worst = ref Rat.zero in

@@ -23,14 +23,13 @@ type verdict = {
           distance *)
 }
 
-type engine = { memo : bool; compress : Measure.compress }
-(** Measure-engine knobs threaded into every {!Measure.exec_dist} call a
+type engine = Measure.compress
+(** The compression level threaded into every {!Measure.exec_dist} call a
     checker performs. Passed positionally (the checkers have no positional
-    parameter over which optional arguments could be erased). *)
+    parameter over which an optional argument could be erased). *)
 
 val default_engine : engine
-(** [{ memo = false; compress = `Off }] — what the knob-less entry points
-    use. *)
+(** [`Off] — what the knob-less entry points use. *)
 
 val approx_le :
   schema:Schema.t ->
@@ -59,11 +58,10 @@ val approx_le_engine :
   a:Psioa.t ->
   b:Psioa.t ->
   verdict
-(** {!approx_le} with explicit engine knobs. Inherits the
-    {!Measure.exec_dist} determinism contract: the verdict (holds, worst
-    distance, details) is bit-identical for every [memo] setting and
-    compression level — experiment E18 asserts this on the compromise
-    sweeps. *)
+(** {!approx_le} at an explicit compression level. Each f-dist inherits
+    the {!Measure.exec_dist} determinism contract at that level;
+    experiment E18 asserts that the verdicts (holds, worst distance) of
+    its compromise sweeps agree at both levels. *)
 
 val approx_le_with :
   matcher:(env:Psioa.t -> comp_a:Psioa.t -> comp_b:Psioa.t -> Scheduler.t -> Scheduler.t) ->

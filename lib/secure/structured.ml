@@ -31,8 +31,8 @@ let () =
     | Universe_truncated { automaton; max_states } ->
         Some
           (Printf.sprintf
-             "Structured.Universe_truncated: automaton %S reaches more than %d states, so its \
-              adversary-action universe is incomplete"
+             "Structured.Universe_truncated: automaton %S reaches more than %d states, so a \
+              sweep of its reachable states is incomplete"
              automaton max_states)
     | _ -> None)
 
@@ -42,16 +42,16 @@ let union_over f s states =
 let aact_universe ?max_states ?max_depth s =
   union_over aact s (Psioa.reachable ?max_states ?max_depth s.psioa)
 
-(* A fixed alphabet built from a truncated sweep would silently miss
-   actions, so the complete universes raise instead. *)
-let complete_universe f s =
+(* An alphabet or a check built from a truncated sweep would silently miss
+   the states beyond the cap, so the complete sweep raises instead. *)
+let sweep a =
   let max_states = Psioa.default_max_states in
-  match Psioa.reachable_trunc ~max_states s.psioa with
-  | states, false -> union_over f s states
-  | _, true -> raise (Universe_truncated { automaton = name s; max_states })
+  match Psioa.reachable_trunc ~max_states a with
+  | states, false -> states
+  | _, true -> raise (Universe_truncated { automaton = Psioa.name a; max_states })
 
-let ai_universe s = complete_universe ai s
-let ao_universe s = complete_universe ao s
+let ai_universe s = union_over ai s (sweep s.psioa)
+let ao_universe s = union_over ao s (sweep s.psioa)
 
 let validate ?max_states ?max_depth s =
   match Psioa.validate ?max_states ?max_depth s.psioa with
@@ -77,7 +77,7 @@ let validate ?max_states ?max_depth s =
    Definition 4.18 at every reachable composite state: shared enabled
    actions must be environment actions of both. *)
 let compatible s1 s2 =
-  match Psioa.reachable (Compose.pair s1.psioa s2.psioa) with
+  match sweep (Compose.pair s1.psioa s2.psioa) with
   | exception Compose.Incompatible _ -> false
   | states ->
       List.for_all

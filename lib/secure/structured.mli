@@ -39,8 +39,14 @@ val aact_universe : ?max_states:int -> ?max_depth:int -> t -> Action_set.t
     {!Emulation.hidden_system} reads [AAct_A(q_A)] state by state. *)
 
 exception Universe_truncated of { automaton : string; max_states : int }
-(** Raised by {!ai_universe} and {!ao_universe} when [A] reaches more than
-    [max_states] states, so the union would miss the states beyond. *)
+(** Raised by {!sweep}, and so by every alphabet and check built on it,
+    when [automaton] reaches more than [max_states] states: the result
+    would miss the states beyond. *)
+
+val sweep : Psioa.t -> Value.t list
+(** Every reachable state, in breadth-first order. Raises
+    {!Universe_truncated} when the automaton reaches more than
+    {!Psioa.default_max_states} states. *)
 
 val ai_universe : t -> Action_set.t
 (** Union of [AI_A(q)] over every reachable state: the dummy adversary's
@@ -58,8 +64,9 @@ val validate : ?max_states:int -> ?max_depth:int -> t -> (unit, string) result
 val compatible : t -> t -> bool
 (** Definition 4.18: partial compatibility of the underlying PSIOA, plus
     "every shared action is an environment action of both" at reachable
-    composite states — checked in one sweep of {!Compose.pair} under
-    {!Psioa.reachable}'s default limits. *)
+    composite states — checked in one {!sweep} of {!Compose.pair}, so it
+    raises {!Universe_truncated} rather than answer from a truncated
+    sweep. *)
 
 val compose : ?name:string -> t -> t -> t
 (** Definition 4.19: [A₁ ‖ A₂] with [EAct = EAct₁ ∪ EAct₂] (pointwise on

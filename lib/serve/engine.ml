@@ -119,7 +119,7 @@ let reach t (q : Protocol.query) ~state =
       let sched = Protocol.build_sched auto q.q_sched in
       let p = Measure.reach_prob ~compress:`Quotient auto sched ~depth:q.q_depth ~pred in
       (p, false)
-  | `Off | `Hcons ->
+  | `Off ->
       let r = measure t q in
       (Measure.reach_mass ~pred r.m_dist, r.m_cached)
 

@@ -290,7 +290,6 @@ let sched_key s =
 
 let compress_key = function
   | `Off -> "off"
-  | `Hcons -> "hcons"
   | `Quotient -> "quot"
 
 let is_budgeted q = q.q_max_execs <> None || q.q_max_width <> None

@@ -15,10 +15,10 @@
     op       := "ping" | "measure" | "reach" | "emulate"
               | "stats" | "shutdown"
     measure  := { ..., "model": model, "sched": sched, "depth": int,
-                  "compress"?: "off"|"hcons"|"quotient",
+                  "compress"?: "off"|"quotient",
                   "max_execs"?: int, "max_width"?: int }
     reach    := { ..., "model": model, "sched": sched, "depth": int,
-                  "compress"?: "off"|"hcons"|"quotient", "state": bits }
+                  "compress"?: "off"|"quotient", "state": bits }
     emulate  := { ..., "protocol": "channel"|"coin-flip"|
                        "secret-share"|"broadcast", "broken"?: bool }
     model    := { "kind": "coin", "p"?: rat }
@@ -47,10 +47,12 @@
 
     Fields outside the grammar are ignored. That includes the engine
     knobs older clients sent per request ("engine", "memo", "domains"):
-    every query runs the one sequential engine, and the result is
-    bit-identical for every [memo] setting anyway. A [reach] carrying "max_execs" or "max_width" is rejected
-    with a [protocol] error naming the field: its reply has no tag or
-    lost mass, so a budget would make it a silent lower bound. *)
+    every query runs the one memoizing engine. The retired compression
+    level ["compress": "hcons"] is an unknown level and gets a [protocol]
+    error naming ["compress"]. A [reach] carrying "max_execs" or
+    "max_width" is rejected with a [protocol] error naming the field: its
+    reply has no tag or lost mass, so a budget would make it a silent
+    lower bound. *)
 
 open Cdse_prob
 open Cdse_psioa

@@ -4,10 +4,9 @@
    execution measure: the naive list-based oracle (test/support/oracle.ml,
    shares no code with production) and the engine's layer loop
    (Measure.exec_dist). The suite generates random PSIOAs and PCAs
-   (including fault-wrapped churning ones) and asserts that they agree,
-   and that the engine's memo and compression settings change nothing
-   they promise to keep — distributions Dist.equal, budget tags and
-   deficits identical, Obs totals conserved.
+   (including fault-wrapped churning ones) and asserts that they agree
+   entry by entry, budgets included, and that the quotient keeps what it
+   promises to keep — trace distributions, total mass and deficit.
 
    A committed corpus of previously interesting seeds (test/corpus/) is
    replayed first, then the randomized properties run with shrinking. *)
@@ -18,23 +17,6 @@ open Cdse_sched
 open Cdse_testkit
 
 let qtest = QCheck_alcotest.to_alcotest
-
-(* Compression level threaded through the budgeted / Obs properties, so a
-   CI leg (CDSE_TEST_COMPRESS=quotient) replays the whole determinism
-   battery on the compressed engine. The main [conforms] check
-   always exercises every level regardless. An unknown level name fails
-   the suite, so a typo cannot silently test `Off. *)
-let test_compress : Measure.compress =
-  let levels = Measure.compress_levels in
-  match Sys.getenv_opt "CDSE_TEST_COMPRESS" with
-  | None -> `Off
-  | Some name -> (
-      match List.assoc_opt name levels with
-      | Some c -> c
-      | None ->
-          failwith
-            (Printf.sprintf "CDSE_TEST_COMPRESS=%S: expected one of %s" name
-               (String.concat ", " (List.map fst levels))))
 
 (* ------------------------------------------------------------ scenarios *)
 
@@ -110,80 +92,69 @@ let trace_push auto d =
     (Exec.trace ~sig_of:(Psioa.signature auto))
     d
 
-(* The full conformance check for one case: oracle vs plain vs memoized,
-   then the compression levels — [`Hcons] must be bit-identical (checked
-   entry by entry, not just [Dist.equal], so a normal-form drift would
-   also be caught), memoized too; [`Quotient] must agree with the oracle's
-   trace pushforward and preserve the total mass/deficit, and be
-   bit-identical to itself with memo on. *)
+(* The full conformance check for one case: the engine at [`Off] equals
+   the oracle entry by entry (not just [Dist.equal], so a normal-form
+   drift would also be caught); [`Quotient] must agree with the oracle's
+   trace pushforward and preserve the total mass/deficit. *)
 let conforms case =
   let auto, sched, depth = build case in
   let reference = Oracle.exec_dist auto sched ~depth in
-  let seq = Measure.exec_dist auto sched ~depth in
-  Dist.equal reference seq
-  && Dist.equal seq (Measure.exec_dist ~memo:true auto sched ~depth)
-  && items_identical seq (Measure.exec_dist ~compress:`Hcons auto sched ~depth)
-  && Dist.equal seq (Measure.exec_dist ~compress:`Hcons ~memo:true auto sched ~depth)
+  items_identical reference (Measure.exec_dist auto sched ~depth)
   &&
   let q = Measure.exec_dist ~compress:`Quotient auto sched ~depth in
   Dist.equal (trace_push auto reference)
     (Measure.trace_dist ~compress:`Quotient auto sched ~depth)
-  && Rat.equal (Dist.mass seq) (Dist.mass q)
-  && Rat.equal (Dist.deficit seq) (Dist.deficit q)
-  && items_identical q (Measure.exec_dist ~compress:`Quotient ~memo:true auto sched ~depth)
+  && Rat.equal (Dist.mass reference) (Dist.mass q)
+  && Rat.equal (Dist.deficit reference) (Dist.deficit q)
 
 let prop_conformance =
   QCheck.Test.make ~count:200
     ~name:"oracle = sequential = memoized = multi-level compressed (exec_dist)" case_arb
     conforms
 
-(* Quantities the determinism contract keeps across [memo] settings: the
-   layer, finished and truncation counts, the quotient counters, the
-   deficit gauge and the frontier widths. The memo and choice caches'
-   own counters are absent: with memo off they are never touched. *)
-let conserved snapshot =
-  let c = counter snapshot in
-  ( c "measure.layers",
-    c "measure.finished",
-    c "measure.truncated",
-    c "quotient.classes",
-    c "quotient.merged",
-    List.assoc_opt "measure.truncation_deficit" snapshot.Cdse_obs.Obs.s_gauges,
-    List.assoc_opt "measure.frontier.width" snapshot.Cdse_obs.Obs.s_histograms )
-
-(* Budgets: the oracle has none, so the plain engine is the reference; the
-   tag ([`Exact] / [`Truncated]), the exact deficit and the Obs totals
-   must not depend on [memo]. *)
+(* Budgets against the oracle's budgets: the tag ([`Exact] /
+   [`Truncated]), every kept entry and the exact deficit, plus the
+   [measure.truncated] count and the deficit gauge. *)
 let prop_budgeted_conformance =
-  QCheck.Test.make ~count:100
-    ~name:"budget tag and deficit identical across memo settings" case_arb
+  QCheck.Test.make ~count:100 ~name:"budgeted engine = budgeted oracle" case_arb
     (fun case ->
       let auto, sched, depth = build case in
-      let width = 1 + (case.seed mod 7) in
-      let cap = 2 + (case.seed mod 11) in
-      let run memo =
-        Cdse_obs.Obs.with_stats (fun () ->
-            Measure.exec_dist_budgeted ~memo ~compress:test_compress ~max_width:width
-              ~max_execs:cap auto sched ~depth)
+      let max_width = 1 + (case.seed mod 7) in
+      let max_execs = 2 + (case.seed mod 11) in
+      let reference, pruned =
+        Oracle.exec_dist_budgeted ~max_execs ~max_width auto sched ~depth
       in
-      let plain, plain_snap = run false and memo, memo_snap = run true in
-      budgeted_equal Dist.equal plain memo && conserved plain_snap = conserved memo_snap)
+      let res, snap =
+        Cdse_obs.Obs.with_stats (fun () ->
+            Measure.exec_dist_budgeted ~max_execs ~max_width auto sched ~depth)
+      in
+      let lost = match reference with `Exact _ -> Rat.zero | `Truncated (_, l) -> l in
+      budgeted_equal items_identical reference res
+      && counter snap "measure.truncated" = pruned
+      && List.assoc_opt "measure.truncation_deficit" snap.Cdse_obs.Obs.s_gauges
+         = Some (Rat.to_string lost))
 
-(* The same invariant on the quotient engine unconditionally: the budget
-   tag and exact deficit cannot depend on [memo] (the quotient merge
-   happens before the budgets and is permutation-insensitive). *)
+(* A budgeted quotient run keeps exact books and never invents mass: its
+   kept mass plus the deficit is 1, and no trace carries more mass than
+   the oracle's unbudgeted trace distribution gives it. *)
 let prop_budgeted_quotient =
   QCheck.Test.make ~count:60
-    ~name:"quotient: budget tag and deficit identical across memo settings"
-    case_arb
+    ~name:"budgeted quotient: oracle-bounded" case_arb
     (fun case ->
       let auto, sched, depth = build case in
-      let width = 1 + (case.seed mod 7) in
-      let run memo =
-        Measure.exec_dist_budgeted ~memo ~compress:`Quotient ~max_width:width auto sched
-          ~depth
+      let max_width = 1 + (case.seed mod 7) in
+      let d, lost =
+        match
+          Measure.exec_dist_budgeted ~compress:`Quotient ~max_width auto sched ~depth
+        with
+        | `Exact d -> (d, Rat.zero)
+        | `Truncated (d, lost) -> (d, lost)
       in
-      budgeted_equal Dist.equal (run false) (run true))
+      let full = trace_push auto (Oracle.exec_dist auto sched ~depth) in
+      Rat.equal Rat.one (Rat.add (Dist.mass d) lost)
+      && Dist.fold
+           (fun ok tr p -> ok && Rat.compare p (Dist.prob full tr) <= 0)
+           true (trace_push auto d))
 
 (* ------------------------------------------- error-propagation audit *)
 
@@ -267,78 +238,6 @@ let prop_truncate_permutation_invariant =
                (fun (e, p) (e', p') -> Exec.compare e e' = 0 && Rat.equal p p')
                kept kept')
         [ 1; 2; 3 ])
-
-(* ------------------------------------------------- hash-consing audit *)
-
-(* Random value trees, biased toward a small alphabet so structurally
-   equal values are actually generated from distinct seeds and the
-   interning paths (hit, miss, child-sharing) all fire. *)
-let gen_value seed =
-  let rng = Rng.make seed in
-  let rec go fuel =
-    match Rng.int rng (if fuel = 0 then 4 else 7) with
-    | 0 -> Value.unit
-    | 1 -> Value.bool (Rng.bool rng)
-    | 2 -> Value.int (Rng.int rng 5)
-    | 3 -> Value.str (String.make 1 (Char.chr (Char.code 'a' + Rng.int rng 3)))
-    | 4 -> Value.pair (go (fuel - 1)) (go (fuel - 1))
-    | 5 -> Value.list [ go (fuel - 1); go (fuel - 1) ]
-    | _ -> Value.tag "t" (go (fuel - 1))
-  in
-  go 3
-
-let seed_pair_arb = QCheck.(pair (int_bound 100_000) (int_bound 100_000))
-
-(* make is idempotent and semantics-preserving: the canonical
-   representative is structurally equal to the input, and re-interning a
-   canonical value is physically the identity. *)
-let prop_hcons_idempotent =
-  QCheck.Test.make ~count:300 ~name:"hcons: make (make v) == make v, compare = 0"
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let t = Hcons.create () in
-      let v = gen_value seed in
-      let c = Hcons.make t v in
-      Hcons.make t c == c && Value.compare c v = 0)
-
-(* Within one table, physical equality of representatives is exactly
-   structural equality of the sources. *)
-let prop_hcons_phys_eq =
-  QCheck.Test.make ~count:300
-    ~name:"hcons: make a == make b iff Value.compare a b = 0" seed_pair_arb
-    (fun (s1, s2) ->
-      let t = Hcons.create () in
-      let a = gen_value s1 and b = gen_value s2 in
-      Hcons.make t a == Hcons.make t b = (Value.compare a b = 0))
-
-(* Exec.compare cannot distinguish an execution built from raw values from
-   one built from their canonical representatives — interning never
-   changes an ordering decision, in either mixed direction. *)
-let prop_hcons_exec_compare =
-  QCheck.Test.make ~count:300 ~name:"hcons: Exec.compare unchanged by interning"
-    seed_pair_arb
-    (fun (s1, s2) ->
-      let t = Hcons.create () in
-      let step = Action.make "step" in
-      let exec_of seed =
-        let rng = Rng.make seed in
-        let e = ref (Exec.init (gen_value (Rng.int rng 100_000))) in
-        for _ = 1 to 1 + Rng.int rng 3 do
-          e := Exec.extend !e step (gen_value (Rng.int rng 100_000))
-        done;
-        !e
-      in
-      let intern e =
-        List.fold_left
-          (fun acc (a, q) -> Exec.extend acc a (Hcons.make t q))
-          (Exec.init (Hcons.make t (Exec.fstate e)))
-          (Exec.steps e)
-      in
-      let e1 = exec_of s1 and e2 = exec_of s2 in
-      let c = Exec.compare e1 e2 in
-      Exec.compare (intern e1) (intern e2) = c
-      && Exec.compare (intern e1) e2 = c
-      && Exec.compare e1 (intern e2) = c)
 
 (* ------------------------------------------------------- corpus replay *)
 
@@ -539,12 +438,6 @@ let () =
         ] );
       ( "determinism",
         [ qtest prop_truncate_permutation_invariant ] );
-      ( "hcons",
-        [
-          qtest prop_hcons_idempotent;
-          qtest prop_hcons_phys_eq;
-          qtest prop_hcons_exec_compare;
-        ] );
       ( "serve",
         [
           Alcotest.test_case "replay corpus through the daemon" `Quick

@@ -277,7 +277,7 @@ let test_fault_budget_commit_prob () =
       | Value.Pair (_, qc) -> Committee.committed cmt qc = [ 0 ]
       | _ -> false
     in
-    Cdse_sched.Measure.reach_prob ~memo:true sys sched ~depth:12 ~pred
+    Cdse_sched.Measure.reach_prob sys sched ~depth:12 ~pred
   in
   Alcotest.check rat "quorum 2-of-3 tolerates one crash: P(commit) = 1 exactly" Rat.one
     (commit_prob ~quorum:(`At_least 2) ~budget:1);

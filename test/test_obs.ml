@@ -165,7 +165,7 @@ let test_disabled_mode_free_and_identical () =
   let sched = Scheduler.bounded 4 (Scheduler.uniform sys) in
   Obs.set_enabled false;
   Obs.reset ();
-  let d_off = Measure.exec_dist ~memo:true sys sched ~depth:4 in
+  let d_off = Measure.exec_dist sys sched ~depth:4 in
   let s = Obs.snapshot () in
   Alcotest.(check bool) "no counter moved while disabled" true
     (List.for_all (fun (_, v) -> v = 0) s.Obs.s_counters);
@@ -173,7 +173,7 @@ let test_disabled_mode_free_and_identical () =
     (List.for_all (fun (_, h) -> h.Obs.h_count = 0) s.Obs.s_histograms);
   Alcotest.(check bool) "no gauge set while disabled" true (s.Obs.s_gauges = []);
   let d_on, _ =
-    Obs.with_stats (fun () -> Measure.exec_dist ~memo:true sys sched ~depth:4)
+    Obs.with_stats (fun () -> Measure.exec_dist sys sched ~depth:4)
   in
   Alcotest.(check bool) "stats on/off compute the identical measure" true
     (Dist.equal d_off d_on)

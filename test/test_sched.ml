@@ -156,12 +156,12 @@ let test_budget_truncation_mass_accounting () =
       Alcotest.(check bool) "deficit strictly positive" true (Rat.sign lost > 0);
       Alcotest.check rat "dist mass + deficit = 1 exactly" Rat.one
         (Rat.add (Dist.mass d) lost);
-      (* the memoized path truncates identically *)
-      (match Measure.exec_dist_budgeted ~memo:true ~max_execs:3 w sched ~depth:7 with
+      (* the reference oracle truncates identically *)
+      (match fst (Oracle.exec_dist_budgeted ~max_execs:3 w sched ~depth:7) with
       | `Truncated (d', lost') ->
-          Alcotest.(check bool) "memo: same dist" true (Dist.equal d d');
-          Alcotest.check rat "memo: same deficit" lost lost'
-      | `Exact _ -> Alcotest.fail "memoized path must truncate too")
+          Alcotest.(check bool) "oracle: same dist" true (Dist.equal d d');
+          Alcotest.check rat "oracle: same deficit" lost lost'
+      | `Exact _ -> Alcotest.fail "the oracle must truncate too")
 
 let test_budget_width_is_exact_submeasure () =
   (* Width pruning drops whole cones but never rescales: every retained

@@ -57,12 +57,51 @@ let test_structured_universe_truncation () =
   Alcotest.check_raises "AO universe" truncated (fun () ->
       ignore (Structured.ao_universe unbounded));
   Alcotest.(check string) "the error names the automaton and the cap"
-    "Structured.Universe_truncated: automaton \"u\" reaches more than 10000 states, so its \
-     adversary-action universe is incomplete"
+    "Structured.Universe_truncated: automaton \"u\" reaches more than 10000 states, so a \
+     sweep of its reachable states is incomplete"
     (Printexc.to_string truncated);
   (* An explicit cap keeps the union over the explored prefix. *)
   Alcotest.(check int) "AAct over a 5-state prefix" 2
     (Action_set.cardinal (Structured.aact_universe ~max_states:5 unbounded))
+
+(* The checks refuse a truncated sweep too. A counter gains its only
+   adversary input at state 20 000, beyond the 10 000-state cap, and the
+   candidate adversary outputs nothing: a sweep that stopped at the cap
+   would pass it. *)
+let test_checks_refuse_truncated_sweep () =
+  let far = 20_000 and tick = act "far.tick" and cmd = act "far.cmd" in
+  let counter =
+    Structured.make
+      (Psioa.make ~name:"far" ~start:(Value.int 0)
+         ~signature:(fun q ->
+           if Value.equal q (Value.int far) then Fixtures.sig_io ~i:[ cmd ] ()
+           else Fixtures.sig_io ~h:[ tick ] ())
+         ~transition:(fun q a ->
+           match q with
+           | Value.Int n when n < far && Action.equal a tick ->
+               Some (Vdist.dirac (Value.int (n + 1)))
+           | Value.Int n when n = far && Action.equal a cmd -> Some (Vdist.dirac q)
+           | _ -> None))
+      ~eact:(fun _ -> Action_set.empty)
+  in
+  let mute =
+    Psioa.make ~name:"mute" ~start:Value.unit ~signature:(fun _ -> Sigs.empty)
+      ~transition:(fun _ _ -> None)
+  in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s answered from a truncated sweep" what
+    | exception Structured.Universe_truncated { automaton = _; max_states } ->
+        Alcotest.(check int) (what ^ " names the cap") Psioa.default_max_states max_states
+  in
+  refused "Adversary.check" (fun () -> ignore (Adversary.check ~structured:counter mute));
+  refused "Adversary.check_exn" (fun () -> Adversary.check_exn ~structured:counter mute);
+  refused "Adversary.is_adversary" (fun () ->
+      ignore (Adversary.is_adversary ~structured:counter mute));
+  refused "Adversary.full_control" (fun () ->
+      ignore (Adversary.full_control ~structured:counter mute));
+  refused "Structured.compatible" (fun () ->
+      ignore (Structured.compatible counter (Structured.make mute ~eact:(fun _ -> Action_set.empty))))
 
 let test_structured_aact_one_signature () =
   let a, evals, reset = Fixtures.counted (Structured.psioa relay) in
@@ -644,6 +683,8 @@ let () =
         [ Alcotest.test_case "partitions (Def 4.17)" `Quick test_structured_partitions;
           Alcotest.test_case "action universes" `Quick test_structured_universes;
           Alcotest.test_case "truncated universe refused" `Quick test_structured_universe_truncation;
+          Alcotest.test_case "checks refuse a truncated sweep" `Quick
+            test_checks_refuse_truncated_sweep;
           Alcotest.test_case "AAct reads the signature once" `Quick test_structured_aact_one_signature;
           Alcotest.test_case "validation" `Quick test_structured_validate;
           Alcotest.test_case "hiding (Def 4.17)" `Quick test_structured_hide;

@@ -248,6 +248,9 @@ let test_malformed_requests () =
       Alcotest.(check (pair string string))
         "huge max_execs" ("protocol", "max_execs")
         (error_field (measure [ ("max_execs", Json.Num 1e300) ]));
+      Alcotest.(check (pair string string))
+        "retired compression level" ("protocol", "compress")
+        (error_field (measure [ ("compress", Json.Str "hcons") ]));
       Client.send_line c {|{"id":5e18,"op":"ping"}|};
       let r = Client.reply_of_line (Client.recv_line c) in
       Alcotest.(check (pair (option int) string))
@@ -348,7 +351,7 @@ let line_cap = 1 lsl 20
 let valid_lines =
   [
     {|{"id":1,"op":"ping"}|};
-    {|{"id":2,"op":"measure","model":{"kind":"random_auto","seed":3,"states":5},"sched":{"kind":"uniform","bound":4},"depth":4,"compress":"hcons","max_execs":10}|};
+    {|{"id":2,"op":"measure","model":{"kind":"random_auto","seed":3,"states":5},"sched":{"kind":"uniform","bound":4},"depth":4,"compress":"quotient","max_execs":10}|};
     {|{"id":3,"op":"reach","model":{"kind":"coin","p":"1/3"},"sched":{"kind":"round_robin"},"depth":3,"state":"0101"}|};
     {|{"id":4,"op":"emulate","protocol":"coin-flip","broken":true}|};
   ]
@@ -583,7 +586,7 @@ let prop_cache_sound =
           s_bound = None;
         };
       q_depth = depth mod 5;
-      q_compress = (if comp mod 2 = 0 then `Off else `Hcons);
+      q_compress = (if comp mod 2 = 0 then `Off else `Quotient);
       q_max_execs = None;
       q_max_width = None;
     }
@@ -648,7 +651,7 @@ let test_engine_reach_refuses_budget () =
       match Engine.reach engine q ~state with
       | _ -> Alcotest.fail "a budgeted reach must raise"
       | exception Invalid_argument _ -> ())
-    [ (`Off, Some 1, None); (`Hcons, None, Some 1); (`Quotient, Some 1, Some 1) ]
+    [ (`Off, Some 1, None); (`Off, None, Some 1); (`Quotient, Some 1, Some 1) ]
 
 (* [~domains] survives only for callers that still pass it: 1 builds an
    engine, anything else is refused. *)

@@ -153,7 +153,7 @@ let test_probe_isolation () =
   let auto, sched, depth = corpus_system () in
   Obs.set_enabled true;
   let stats_of () =
-    ignore (Measure.exec_dist ~memo:true auto sched ~depth);
+    ignore (Measure.exec_dist auto sched ~depth);
     let st =
       List.filter_map
         (fun e ->
