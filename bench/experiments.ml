@@ -717,8 +717,7 @@ let e17 () =
    3-validator committee with a 2-of-3 quorum (the compromised behaviour
    is a silenced validator, tolerance 1). The ≤_SE slack must be exactly 0
    strictly below each tolerance threshold and exactly the predicted
-   positive rational at and above it — and every verdict must be
-   bit-identical at both state-space compression levels. *)
+   positive rational at and above it. *)
 
 (* "cmt.retire<i>" is chair bookkeeping, not an attack: a first-enabled
    scheduler would retire the whole committee before the submit arrives
@@ -727,10 +726,9 @@ let is_retire a =
   let name = Action.name a in
   String.length name >= 10 && String.equal (String.sub name 0 10) "cmt.retire"
 
-(* The compression levels every verdict is recomputed under. *)
-let e18_engines : Impl.engine list = [ `Off; `Quotient ]
-
-let e18_otp engine k =
+(* E18's two checks. The ignored first parameter is the one
+   [Impl.engine]; it stays because [perfbench/e18.ml] passes it. *)
+let e18_otp (_ : Impl.engine) k =
   let names = [ "n0"; "n1" ] in
   let wrapped n =
     Fault.compromise
@@ -753,14 +751,14 @@ let e18_otp engine k =
   let adv = Compose.parallel (List.map Secure_channel.adversary names) in
   let sim = Compose.parallel (List.map Secure_channel.simulator names) in
   let bound = 24 in
-  Emulation.check_engine engine
+  Emulation.check
     ~schema:(Fault.compromise_budget k)
     ~insight_of:Insight.accept
     ~envs:[ Secure_channel.env_guess ~msg:1 "n0" ]
     ~eps:Rat.zero ~q1:bound ~q2:bound ~depth:(bound + 2) ~adversaries:[ adv ]
     ~sim_for:(fun _ -> sim) ~real ~ideal
 
-let e18_committee engine k =
+let e18_committee (_ : Impl.engine) k =
   let nobody =
     Psioa.make ~name:"nobody" ~start:Value.unit
       ~signature:(fun _ -> Sigs.empty)
@@ -780,7 +778,7 @@ let e18_committee engine k =
   let real = Committee.structured_psioa (Compose.pair inj (Pca.psioa cmt)) "cmt" in
   let ideal = Committee.ideal ~blocks:1 "cmt" in
   let bound = 20 in
-  Impl.approx_le_engine engine
+  Impl.approx_le
     ~schema:(Fault.compromise_budget ~avoid:is_retire k)
     ~insight_of:Insight.accept
     ~envs:[ Committee.env_commit ~block:0 "cmt" ]
@@ -792,46 +790,32 @@ let e18 () =
   Pretty.section "E18  dynamic compromise: ≤_SE slack vs k-of-n compromise budget";
   let ks = match !Workbench.compromise with Some k -> [ k ] | None -> [ 0; 1; 2; 3 ] in
   let ok = ref true in
-  let agree check =
-    (* Recompute the verdict under every engine configuration: holds AND
-       worst slack must be bit-identical (the Measure determinism
-       contract, here exercised through the budgeted scheduler). *)
-    match List.map check e18_engines with
-    | [] -> assert false
-    | v0 :: rest ->
-        ( v0,
-          List.for_all
-            (fun v -> v.Impl.holds = v0.Impl.holds && Rat.equal v.Impl.worst v0.Impl.worst)
-            rest )
-  in
   let rows =
     List.map
       (fun k ->
-        let (votp, aotp), t = time_it (fun () -> agree (fun e -> e18_otp e k)) in
-        let vcmt, acmt = agree (fun e -> e18_committee e k) in
+        let votp, t = time_it (fun () -> e18_otp Impl.default_engine k) in
+        let vcmt = e18_committee Impl.default_engine k in
         let expected_otp = if k = 0 then "0" else "1/2" in
         let expected_cmt = if k <= 1 then "0" else "1" in
         ok :=
-          !ok && aotp && acmt
+          !ok
           && votp.Impl.holds = (k = 0)
           && String.equal (Rat.to_string votp.Impl.worst) expected_otp
           && vcmt.Impl.holds = (k <= 1)
           && String.equal (Rat.to_string vcmt.Impl.worst) expected_cmt;
         [ cell k; string_of_bool votp.Impl.holds; Rat.to_string votp.Impl.worst;
-          string_of_bool vcmt.Impl.holds; Rat.to_string vcmt.Impl.worst;
-          (if aotp && acmt then "yes" else "NO"); ms t ])
+          string_of_bool vcmt.Impl.holds; Rat.to_string vcmt.Impl.worst; ms t ])
       ks
   in
   Pretty.table
     ~header:
-      [ "budget k"; "OTP holds"; "OTP slack"; "committee holds"; "committee slack";
-        "engines agree"; "time(ms)" ]
+      [ "budget k"; "OTP holds"; "OTP slack"; "committee holds"; "committee slack"; "time(ms)" ]
     rows;
   let ok = record_check ~experiment:"E18" !ok in
   Printf.printf
     "claim: slack is exactly 0 below the tolerance threshold (OTP: 0 takeovers;\n\
      2-of-3 committee: 1) and exactly the predicted positive rational above it\n\
-     (1/2 resp. 1), bit-identical across off/quotient: %s\n"
+     (1/2 resp. 1): %s\n"
     (verdict ok)
 
 (* ----------------------------------------------------------------- MUT *)

@@ -350,25 +350,6 @@ let default_is_fault a = fault_kind a <> None
 
 let is_compromise a = fault_kind a = Some Compromise
 
-(* The pre-structural heuristic, kept reachable for callers that relied on
-   substring matching (e.g. fault actions buried mid-name by a later
-   renaming). Known to misclassify: [report.crash_count] counts as a
-   fault. *)
-let contains ~sub s =
-  let ls = String.length s and lb = String.length sub in
-  let rec go i = i + lb <= ls && (String.equal (String.sub s i lb) sub || go (i + 1)) in
-  go 0
-
-let ends_with ~suffix s =
-  let ls = String.length s and lx = String.length suffix in
-  ls >= lx && String.equal (String.sub s (ls - lx) lx) suffix
-
-let substring_is_fault a =
-  let n = Action.name a in
-  contains ~sub:".crash" n || contains ~sub:".recover" n
-  || ends_with ~suffix:".drop" n || ends_with ~suffix:".dup" n
-  || ends_with ~suffix:".skip" n
-
 let count_faults ?(is_fault = default_is_fault) e =
   List.fold_left (fun k a -> if is_fault a then k + 1 else k) 0 (Exec.actions e)
 

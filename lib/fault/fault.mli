@@ -177,13 +177,6 @@ val is_compromise : Action.t -> bool
     k-of-n budget caps takeovers, and handing a member back never costs
     the adversary anything. *)
 
-val substring_is_fault : Action.t -> bool
-(** The pre-structural heuristic (a name {e containing} [".crash"] or
-    [".recover"], or ending in [".drop"]/[".dup"]/[".skip"]), kept for
-    callers whose fault actions end up mid-name after renaming. Beware:
-    it misclassifies ordinary actions such as [report.crash_count]; pass
-    it explicitly as [~is_fault] if you need it. *)
-
 val count_faults : ?is_fault:(Action.t -> bool) -> Exec.t -> int
 (** Number of fault actions along an execution fragment. *)
 

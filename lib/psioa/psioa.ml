@@ -36,14 +36,14 @@ let step a q act =
 
 let rename_auto name a = { a with name }
 
-(* The memo and sweep tables hash a state all the way down: [Value.hash]
-   stops after 10 meaningful leaves, so large configurations that differ
-   only in a late member would share one bucket chain. *)
+(* The memo and sweep tables hash a state all the way down
+   ({!Value.hash}); the transition table hashes its (state, action) pair
+   the same way in one pass. *)
 module Vtbl = Hashtbl.Make (struct
   type t = Value.t
 
   let equal = Value.equal
-  let hash q = Hashtbl.hash_param 256 256 q
+  let hash = Value.hash
 end)
 
 module Stbl = Hashtbl.Make (struct

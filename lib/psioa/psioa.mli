@@ -51,8 +51,7 @@ val memoize : t -> t
 (** Cache signature and transition lookups per state (ablation A2). The
     result is observationally identical. The cache is a plain hashtable,
     not safe to share between domains; it hashes a state all the way
-    down, not with {!Value.hash}, which stops after 10 meaningful leaves
-    and so gives large configurations one bucket chain. *)
+    down ({!Value.hash}). *)
 
 val default_max_states : int
 (** The state cap of {!reachable} and {!reachable_trunc} when none is

@@ -13,8 +13,8 @@ module Ktbl = Hashtbl.Make (struct
     && Value.equal k1.state k2.state
     && List.compare Action.compare k1.trace k2.trace = 0
 
-  let hash k =
-    Hashtbl.hash (List.map Action.hash k.trace, Value.hash k.state, k.flag)
+  (* The whole key in one pass, all the way down as {!Value.hash} goes. *)
+  let hash k = Hashtbl.hash_param 256 256 k
 end)
 
 let key ~sig_of ~track e =

@@ -45,7 +45,13 @@ let rec compare a b =
   | _ -> Int.compare (ctor_rank a) (ctor_rank b)
 
 let equal a b = a == b || compare a b = 0
-let hash v = Hashtbl.hash v
+
+(* All the way down, up to 256 nodes: [Hashtbl.hash] stops after 10
+   meaningful leaves, so configurations that differ only in a late member
+   would share one bucket chain. On a value with at most 10 meaningful
+   leaves the two agree; E2 hides actions by [Action.hash], so its output
+   depends on that. *)
+let hash v = Hashtbl.hash_param 256 256 v
 
 open Cdse_util
 

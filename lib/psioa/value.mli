@@ -29,7 +29,12 @@ val tag : string -> t -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** Hashes the value all the way down (up to 256 nodes), so values that
+    differ only in a late member of a large configuration hash apart.
+    Value-keyed tables use it; tables keyed by a pair of a value and
+    something else hash the pair the same way in one call. *)
 
 val to_bits : t -> Cdse_util.Bits.t
 (** Canonical self-delimiting encoding — the ⟨q⟩ of Section 4.1. *)

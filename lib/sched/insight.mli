@@ -37,14 +37,19 @@ val print_nth : Psioa.t -> int -> Psioa.t -> t
     [Compose.parallel] composites with the environment at index [idx]. *)
 
 val apply :
-  ?memo:bool -> ?domains:int -> ?compress:Measure.compress ->
+  ?memo:bool -> ?domains:int -> ?compress:[ `Off ] ->
   t -> Psioa.t -> Scheduler.t -> depth:int -> Value.t Dist.t
-(** [f-dist(σ)] (Definition 3.5): the image of [ε_σ] under the insight.
-    [?compress] is passed through to {!Measure.exec_dist} and inherits its
-    determinism contract. [?memo] is ignored (every measure memoizes), and
-    [?domains] accepts only [1] (the default) and raises
-    [Invalid_argument] on any other value; both stay only for callers that
-    still pass them. *)
+(** [f-dist(σ)] (Definition 3.5): the image of [ε_σ] under the insight,
+    computed from the uncompressed {!Measure.exec_dist}, the one
+    configuration. A quotient representative would not do: an insight
+    such as {!print_left} observes intermediate states, which a
+    representative keeps for one member of its class only.
+
+    [?memo], [?domains] and [?compress] stay only because
+    [perfbench/replay.ml] passes them: [?memo] is ignored (every measure
+    memoizes), [?domains] accepts only [1] (the default) and raises
+    [Invalid_argument] on any other value, and [?compress] admits only
+    [`Off]. *)
 
 (** {2 Stability by composition (Definition 3.7)}
 

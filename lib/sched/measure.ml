@@ -327,11 +327,11 @@ let cone_prob auto sched alpha =
 
 let trace_of auto = Exec.trace ~sig_of:(Psioa.signature auto)
 
-let trace_dist ?compress auto sched ~depth =
+let trace_dist auto sched ~depth =
   Dist.map
     ~compare:(Cdse_util.Order.list Action.compare)
     (trace_of auto)
-    (exec_dist ?compress auto sched ~depth)
+    (exec_dist auto sched ~depth)
 
 (* Probabilistic reachability: mass of completed executions that visit a
    state satisfying the predicate within the depth bound. [pred] is passed
@@ -341,20 +341,17 @@ let trace_dist ?compress auto sched ~depth =
 let reach_mass ~pred d =
   Dist.fold (fun acc e p -> if Exec.exists_state pred e then Rat.add acc p else acc) Rat.zero d
 
-let reach_prob_budgeted ?max_execs ?max_width ?compress auto sched
-    ~depth ~pred =
-  match fst (run ?max_execs ?max_width ?compress ~track:pred auto sched ~depth) with
+let reach_prob_budgeted ?max_execs ?max_width auto sched ~depth ~pred =
+  match fst (run ?max_execs ?max_width ~track:pred auto sched ~depth) with
   | `Exact d -> `Exact (reach_mass ~pred d)
   | `Truncated (d, lost) -> `Truncated (reach_mass ~pred d, lost)
 
 let reach_prob ?compress auto sched ~depth ~pred =
-  drop_tag (reach_prob_budgeted ?compress auto sched ~depth ~pred)
+  reach_mass ~pred (drop_tag (fst (run ?compress ~track:pred auto sched ~depth)))
 
 (* Expected number of scheduled steps of the completed execution. *)
-let expected_steps ?compress auto sched ~depth =
-  Dist.expect
-    (fun e -> Rat.of_int (Exec.length e))
-    (exec_dist ?compress auto sched ~depth)
+let expected_steps auto sched ~depth =
+  Dist.expect (fun e -> Rat.of_int (Exec.length e)) (exec_dist auto sched ~depth)
 
 (* Monte-Carlo estimation: drive sampled runs instead of expanding the
    exact cone tree. The estimator trades exactness for scale — the exact

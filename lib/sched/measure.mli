@@ -30,8 +30,10 @@
 
     {2 State-space compression}
 
-    [?compress] (default [`Off]) trades representation detail for frontier
-    size, without giving up exactness where it matters:
+    Four entry points take [?compress] (default [`Off]): {!exec_dist},
+    {!exec_dist_budgeted}, {!exec_dist_frontier} and {!reach_prob}, the
+    ones the daemon, the CLI and the benchmark set. Every other entry
+    point, and every f-dist ({!Insight.apply}), runs uncompressed.
 
     - [`Off]: no compression.
     - [`Quotient]: an on-the-fly probabilistic-bisimulation quotient of
@@ -39,14 +41,15 @@
       (trace, last state) have identical futures under a
       {!Scheduler.is_memoryless} scheduler, so their exact masses are
       pooled onto one representative (the {!Exec.compare}-least member).
-      {!trace_dist}, {!reach_prob} (the predicate refines the classes, so
-      pred-hitting and pred-missing executions are never merged),
-      {!expected_steps} and the budget deficit are exact; the
-      {e execution-level} support of {!exec_dist} is a compressed
-      representation (one representative per class), so it is not
-      bit-identical to [`Off]. Budgets prune the compressed frontier by
-      the same total order. For history-dependent schedulers the quotient
-      is unsound and the engine silently degrades to [`Off].
+      A representative stands for its whole class: it is no execution to
+      observe one by one (its intermediate states are one member's, not
+      the class's). Only what every member shares stays exact: the trace
+      pushforward, {!reach_prob} (the predicate refines the classes, so
+      pred-hitting and pred-missing executions are never merged), the
+      execution lengths, and the budget's books (mass and deficit).
+      Budgets prune the compressed frontier by the same total order. For
+      history-dependent schedulers the quotient is unsound and the engine
+      silently degrades to [`Off].
 
     {2 The engine}
 
@@ -150,12 +153,9 @@ val cone_prob : Psioa.t -> Scheduler.t -> Exec.t -> Rat.t
     transition probabilities along [α]. *)
 
 val trace_dist :
-  ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Action.t list Dist.t
-(** Pushforward of {!exec_dist} through the trace map (Definition 2.2).
-    Exact at {e every} compression level — the quotient merges only
-    executions with equal traces, so the pushforward is unchanged. *)
+(** Pushforward of {!exec_dist} through the trace map (Definition 2.2). *)
 
 val reach_prob :
   ?compress:compress ->
@@ -169,18 +169,15 @@ val reach_mass : pred:(Value.t -> bool) -> Exec.t Dist.t -> Rat.t
 
 val reach_prob_budgeted :
   ?max_execs:int -> ?max_width:int ->
-  ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int -> pred:(Value.t -> bool) -> Rat.t budgeted
 (** {!reach_prob} under the budgets: [`Truncated (p, lost)] brackets the
     true probability in [[p, p + lost]] — the deficit mass may or may not
     have reached [pred]. *)
 
 val expected_steps :
-  ?compress:compress ->
   Psioa.t -> Scheduler.t -> depth:int ->
   Rat.t
-(** Expected length of the completed execution, exact at every
-    compression level — merged executions share their length. *)
+(** Expected length of the completed execution. *)
 
 (** {2 Monte-Carlo estimation}
 

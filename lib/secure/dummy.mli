@@ -31,8 +31,12 @@ val prefix_renaming : string -> renaming
 val idle : Value.t
 (** The start state ([pending = ⊥]). *)
 
+val pending_state : Action.t -> Value.t
+(** The state holding [a] as its pending action. *)
+
 val pending_of : Value.t -> Action.t option
-(** The pending action of a dummy state, [None] when idle. *)
+(** The pending action of a dummy state, [None] when idle:
+    [pending_of (pending_state a) = Some a]. *)
 
 val make : name:string -> ai:Action_set.t -> ao:Action_set.t -> g:renaming -> Psioa.t
 (** [Dummy(A, g)] for an automaton with adversary-input universe [ai] and

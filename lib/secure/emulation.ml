@@ -24,8 +24,7 @@ let () =
              real ideal (Cdse_prob.Rat.to_string worst) witness)
     | _ -> None)
 
-let check_engine engine ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~adversaries ~sim_for
-    ~real ~ideal =
+let check ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~adversaries ~sim_for ~real ~ideal =
   let verdicts =
     List.map
       (fun adv ->
@@ -34,7 +33,7 @@ let check_engine engine ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~adversari
         @@ fun () ->
         let sim = sim_for adv in
         let v =
-          Impl.approx_le_engine engine ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth
+          Impl.approx_le ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth
             ~a:(hidden_system real adv) ~b:(hidden_system ideal sim)
         in
         { v with
@@ -43,10 +42,6 @@ let check_engine engine ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~adversari
       adversaries
   in
   Impl.merge_verdicts verdicts
-
-let check ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~adversaries ~sim_for ~real ~ideal =
-  check_engine Impl.default_engine ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~adversaries
-    ~sim_for ~real ~ideal
 
 let check_exn ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~adversaries ~sim_for ~real ~ideal =
   let v = check ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~adversaries ~sim_for ~real ~ideal in

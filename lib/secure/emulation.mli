@@ -37,24 +37,9 @@ val check :
   Impl.verdict
 (** Definition 4.26 on an instance: for each listed adversary [Adv], verify
     [hide(real ‖ Adv, AAct) ≤ hide(ideal ‖ sim_for Adv, AAct)] with the
-    approximate-implementation checker. *)
-
-val check_engine :
-  Impl.engine ->
-  schema:Schema.t ->
-  insight_of:(Psioa.t -> Insight.t) ->
-  envs:Psioa.t list ->
-  eps:Rat.t ->
-  q1:int ->
-  q2:int ->
-  depth:int ->
-  adversaries:Psioa.t list ->
-  sim_for:(Psioa.t -> Psioa.t) ->
-  real:Structured.t ->
-  ideal:Structured.t ->
-  Impl.verdict
-(** {!check} at an explicit {!Impl.engine} compression level, threaded
-    through {!Impl.approx_le_engine} to every measure computation. *)
+    approximate-implementation checker, in its one configuration
+    ({!Impl.engine}: every f-dist is the image of the uncompressed
+    measure). *)
 
 exception
   Check_failed of {

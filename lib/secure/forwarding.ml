@@ -76,11 +76,11 @@ let forward_exec s alpha =
       | Env_action -> Exec.extend acc act (rhs_state qe' qa' Dummy.idle qadv')
       | F_a a ->
           (* A emits a (hidden) into the dummy, which forwards g(a). *)
-          let mid = Exec.extend acc a (rhs_state qe qa' (Value.tag "dummy-pending" (Value.Tag (Action.name a, Action.payload a))) qadv) in
+          let mid = Exec.extend acc a (rhs_state qe qa' (Dummy.pending_state a) qadv) in
           Exec.extend mid act (rhs_state qe' qa' Dummy.idle qadv')
       | F_adv b ->
           (* Adv emits g(b) into the dummy, which forwards b (hidden). *)
-          let mid = Exec.extend acc act (rhs_state qe qa (Value.tag "dummy-pending" (Value.Tag (Action.name act, Action.payload act))) qadv') in
+          let mid = Exec.extend acc act (rhs_state qe qa (Dummy.pending_state act) qadv') in
           Exec.extend mid b (rhs_state qe' qa' Dummy.idle qadv')
     in
     (acc, (qe', qa', qadv'))

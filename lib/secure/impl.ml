@@ -4,22 +4,17 @@ open Cdse_sched
 
 type verdict = { holds : bool; worst : Rat.t; detail : (string * Rat.t) list }
 
-(* The compression level threaded into every underlying
-   [Measure.exec_dist] call. Passed positionally (not as an optional
-   argument): the checker entry points below have no positional
-   parameter, so an optional argument could never be erased. *)
-type engine = Measure.compress
+type engine = [ `Off ]
 
 let default_engine = `Off
 
-let fdist ~engine ~insight_of composite sched ~depth =
-  Insight.apply ~compress:engine (insight_of composite) composite sched ~depth
+let fdist ~insight_of composite sched ~depth =
+  Insight.apply (insight_of composite) composite sched ~depth
 
 (* Core loop shared by the search and explicit-matcher variants: for each
    environment and each σ over E‖A, obtain candidate σ' over E‖B and record
-   the best distance. The engine is passed to every measure computation
-   unchanged. *)
-let run ~engine ~insight_of ~envs ~eps ~depth ~scheds_for_a ~candidates_for ~a ~b =
+   the best distance. *)
+let run ~insight_of ~envs ~eps ~depth ~scheds_for_a ~candidates_for ~a ~b =
   let detail = ref [] in
   let worst = ref Rat.zero in
   let holds = ref true in
@@ -35,11 +30,11 @@ let run ~engine ~insight_of ~envs ~eps ~depth ~scheds_for_a ~candidates_for ~a ~
           Cdse_obs.Trace.span "emulation.sched"
             ~args:(fun () -> [ ("sched", sigma1.Scheduler.name) ])
           @@ fun () ->
-          let da = fdist ~engine ~insight_of comp_a sigma1 ~depth in
+          let da = fdist ~insight_of comp_a sigma1 ~depth in
           let best, witness, best_db =
             List.fold_left
               (fun (best, witness, best_db) sigma2 ->
-                let db = fdist ~engine ~insight_of comp_b sigma2 ~depth in
+                let db = fdist ~insight_of comp_b sigma2 ~depth in
                 let d = Stat.sup_set_distance da db in
                 if Rat.compare d best < 0 then (d, sigma2.Scheduler.name, Some db)
                 else (best, witness, best_db))
@@ -65,17 +60,14 @@ let run ~engine ~insight_of ~envs ~eps ~depth ~scheds_for_a ~candidates_for ~a ~
     envs;
   { holds = !holds; worst = !worst; detail = List.rev !detail }
 
-let approx_le_engine engine ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~a ~b =
-  run ~engine ~insight_of ~envs ~eps ~depth ~a ~b
+let approx_le ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~a ~b =
+  run ~insight_of ~envs ~eps ~depth ~a ~b
     ~scheds_for_a:(fun ~comp_a -> Schema.bounded_instantiate schema ~bound:q1 comp_a)
     ~candidates_for:(fun ~env:_ ~comp_a:_ ~comp_b _sigma1 ->
       Schema.bounded_instantiate schema ~bound:q2 comp_b)
 
-let approx_le ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~a ~b =
-  approx_le_engine default_engine ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~a ~b
-
 let approx_le_with ~matcher ~schema ~insight_of ~envs ~eps ~q1 ~depth ~a ~b =
-  run ~engine:default_engine ~insight_of ~envs ~eps ~depth ~a ~b
+  run ~insight_of ~envs ~eps ~depth ~a ~b
     ~scheds_for_a:(fun ~comp_a -> Schema.bounded_instantiate schema ~bound:q1 comp_a)
     ~candidates_for:(fun ~env ~comp_a ~comp_b sigma1 -> [ matcher ~env ~comp_a ~comp_b sigma1 ])
 

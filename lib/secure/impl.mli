@@ -23,13 +23,13 @@ type verdict = {
           distance *)
 }
 
-type engine = Measure.compress
-(** The compression level threaded into every {!Measure.exec_dist} call a
-    checker performs. Passed positionally (the checkers have no positional
-    parameter over which an optional argument could be erased). *)
+type engine = [ `Off ]
+(** The one configuration every checker runs: each f-dist is the image of
+    the uncompressed measure ({!Insight.apply}). The type and
+    {!default_engine} stay only because [perfbench/] names them. *)
 
 val default_engine : engine
-(** [`Off] — what the knob-less entry points use. *)
+(** [`Off]. *)
 
 val approx_le :
   schema:Schema.t ->
@@ -45,23 +45,6 @@ val approx_le :
 (** [A ≤ B]: for every environment [E] and every [q1]-bounded scheduler the
     schema yields for [E ‖ A], search the [q2]-bounded schema schedulers of
     [E ‖ B] for one within sup-set distance [ε] (Definition 3.6). *)
-
-val approx_le_engine :
-  engine ->
-  schema:Schema.t ->
-  insight_of:(Psioa.t -> Insight.t) ->
-  envs:Psioa.t list ->
-  eps:Rat.t ->
-  q1:int ->
-  q2:int ->
-  depth:int ->
-  a:Psioa.t ->
-  b:Psioa.t ->
-  verdict
-(** {!approx_le} at an explicit compression level. Each f-dist inherits
-    the {!Measure.exec_dist} determinism contract at that level;
-    experiment E18 asserts that the verdicts (holds, worst distance) of
-    its compromise sweeps agree at both levels. *)
 
 val approx_le_with :
   matcher:(env:Psioa.t -> comp_a:Psioa.t -> comp_b:Psioa.t -> Scheduler.t -> Scheduler.t) ->

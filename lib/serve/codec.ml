@@ -19,22 +19,16 @@ let exec_to_json =
     ~action:(fun a -> bits_str (Action.to_bits a))
 
 (* A per-reply table from each distinct state or action to its rendered
-   encoding. [Value.hash] stops after 10 leaves, so configurations that
-   differ only in a late member would share one bucket; this table hashes
-   up to 256 nodes of the term. *)
+   encoding, hashed all the way down by [Value.hash]/[Action.hash]. *)
 module Memo (K : sig
   type t
 
   val equal : t -> t -> bool
+  val hash : t -> int
   val to_bits : t -> Bits.t
 end) =
 struct
-  module Tbl = Hashtbl.Make (struct
-    type t = K.t
-
-    let equal = K.equal
-    let hash = Hashtbl.hash_param 256 256
-  end)
+  module Tbl = Hashtbl.Make (K)
 
   let render tbl k =
     match Tbl.find_opt tbl k with

@@ -146,15 +146,12 @@ let test_is_fault_structural () =
     [ ("report.crash_count", false); ("x.recovery", false); ("a.crash.b", false);
       ("backdrop", false); ("sys.drop2", false); ("n.recover7", true);
       ("deep.ns.crash12", true) ];
-  (* The old behaviour stays reachable for callers that depend on it. *)
-  Alcotest.(check bool) "substring heuristic still flags crash_count" true
-    (Fault.substring_is_fault (act "report.crash_count"));
-  Alcotest.(check bool) "substring heuristic usable as ~is_fault"
-    true
+  (* A caller's own predicate overrides the structural default. *)
+  Alcotest.(check bool) "~is_fault overrides the default" true
     (let e =
        Exec.extend (Exec.init (Value.int 0)) (act "report.crash_count") (Value.int 1)
      in
-     Fault.count_faults ~is_fault:Fault.substring_is_fault e = 1
+     Fault.count_faults ~is_fault:(fun a -> Action.name a = "report.crash_count") e = 1
      && Fault.count_faults e = 0);
   (* Kinds classify as named. *)
   List.iter

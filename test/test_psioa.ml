@@ -50,6 +50,18 @@ let prop_value_encoding_injective =
       QCheck.assume (not (Value.equal a b));
       not (Cdse_util.Bits.equal (Value.to_bits a) (Value.to_bits b)))
 
+(* Twelve-member configurations that differ only in their last member:
+   a 10-leaf hash gives all 50 one bucket chain. *)
+let test_value_hash_deep () =
+  let cfg k =
+    Value.tag "cfg"
+      (Value.list
+         (List.init 12 (fun i ->
+              Value.pair (Value.str (Printf.sprintf "m%d" i)) (Value.int (if i = 11 then k else 0)))))
+  in
+  let hashes = List.sort_uniq Int.compare (List.init 50 (fun k -> Value.hash (cfg k))) in
+  Alcotest.(check int) "50 configurations, 50 hashes" 50 (List.length hashes)
+
 let test_value_trailing_bits () =
   let bits = Cdse_util.Bits.append (Value.to_bits Value.unit) (Cdse_util.Bits.of_string "1") in
   Alcotest.check_raises "trailing" (Invalid_argument "Value.of_bits: trailing bits") (fun () ->
@@ -561,6 +573,7 @@ let () =
   Alcotest.run "cdse_psioa"
     [ ( "value",
         [ Alcotest.test_case "trailing bits rejected" `Quick test_value_trailing_bits;
+          Alcotest.test_case "hash separates late members" `Quick test_value_hash_deep;
           qtest prop_value_bits_roundtrip;
           qtest prop_value_compare_refl;
           qtest prop_value_compare_antisym;

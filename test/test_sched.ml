@@ -262,6 +262,37 @@ let test_print_insight_env_view () =
      distinct local views. *)
   Alcotest.(check int) "two env views" 2 (Dist.size d)
 
+(* [print] observes the environment's intermediate states. The
+   environment goes 0 →a→ {1, 2} uniformly →b→ 3, all internal, so the two
+   executions share their (empty) trace and their last state: one
+   representative per (trace, last state) would show a single view of
+   mass 1. *)
+let test_print_sees_intermediate_states () =
+  let a = act "e.a" and b = act "e.b" in
+  let env =
+    Psioa.make ~name:"e" ~start:(Value.int 0)
+      ~signature:(function
+        | Value.Int 0 -> Fixtures.sig_io ~h:[ a ] ()
+        | Value.Int (1 | 2) -> Fixtures.sig_io ~h:[ b ] ()
+        | _ -> Sigs.empty)
+      ~transition:(fun q x ->
+        match q with
+        | Value.Int 0 when Action.equal x a -> Some (Vdist.uniform [ Value.int 1; Value.int 2 ])
+        | Value.Int (1 | 2) when Action.equal x b -> Some (Vdist.dirac (Value.int 3))
+        | _ -> None)
+  in
+  let idle =
+    Psioa.make ~name:"idle" ~start:Value.unit
+      ~signature:(fun _ -> Sigs.empty)
+      ~transition:(fun _ _ -> None)
+  in
+  let comp = Compose.pair env idle in
+  let d =
+    Insight.apply (Insight.print_left env comp) comp (Scheduler.first_enabled comp) ~depth:2
+  in
+  Alcotest.(check (list string)) "two views of mass 1/2" [ "1/2"; "1/2" ]
+    (List.map (fun (_, p) -> Rat.to_string p) (Dist.items d))
+
 let test_stability_print_insight () =
   (* Def 3.7 for the print insight — the paper notes print is stable by
      composition and is the one suited to monotonicity results. Unlike
@@ -436,6 +467,8 @@ let () =
           Alcotest.test_case "balanced at ε=0 (Def 3.6)" `Quick test_balanced_identical_renamed;
           Alcotest.test_case "trace observation" `Quick test_trace_insight_observation;
           Alcotest.test_case "print: environment view" `Quick test_print_insight_env_view;
+          Alcotest.test_case "print: intermediate states" `Quick
+            test_print_sees_intermediate_states;
           Alcotest.test_case "print_nth agrees with print_left" `Quick test_print_nth_matches_print_left;
           Alcotest.test_case "stability by composition (Def 3.7)" `Quick test_stability_by_composition;
           Alcotest.test_case "print stability (Def 3.7)" `Quick test_stability_print_insight ] );
