@@ -70,7 +70,10 @@ let compress_workloads = [ ("random_walk", 4, 8); ("random_walk_wide", 8, 6) ]
    budget k — exact ≤_SE slack (a rational string) and the holds bit for
    both swept systems, plus the wall-clock of the two checks. The slack
    trajectory is part of the recorded contract: 0 strictly below each
-   system's tolerance threshold, the predicted positive rational above. *)
+   system's tolerance threshold, the predicted positive rational above.
+   Schema 12 adds the two checks' signature traffic: [sig_reads] calls of
+   [Psioa.signature] and the [sig_evals] of them that missed the
+   automaton's last-evaluation entry. *)
 let compromise_budgets = [ 0; 1; 2; 3 ]
 
 (* ----------------------------------------------------------- counters *)
@@ -84,13 +87,16 @@ let counter_keys =
     "memo_misses"; "choice_hits"; "choice_misses"; "rat_promotions";
     "sched_validations" ]
 
+(* A counter's value in a stats snapshot, 0 if it never fired. *)
+let counter_in snap name = Option.value ~default:0 (List.assoc_opt name snap.Obs.s_counters)
+
 (* Run [f] once with stats enabled and return the engine counters as the
    JSON "counters" object. Collection is a separate run from the timing
    loop, which executes with stats in whatever state the caller left them
    — the emitted ms/op never includes instrumentation overhead. *)
 let counters_json f =
   let (), snap = Obs.with_stats (fun () -> ignore (Sys.opaque_identity (f ()))) in
-  let c name = Option.value ~default:0 (List.assoc_opt name snap.Obs.s_counters) in
+  let c = counter_in snap in
   let width_max =
     match List.assoc_opt "measure.frontier.width" snap.Obs.s_histograms with
     | Some h -> h.Obs.h_max
@@ -185,9 +191,7 @@ let measure_compress () =
       let q_snap = snap_of (run ~compress:`Quotient depth) in
       let width_max = h_max off_snap "measure.frontier.width" in
       let width_compressed = h_max q_snap "measure.frontier.width_compressed" in
-      let classes =
-        Option.value ~default:0 (List.assoc_opt "quotient.classes" q_snap.Obs.s_counters)
-      in
+      let classes = counter_in q_snap "quotient.classes" in
       let mass_merged =
         Option.value ~default:"0"
           (List.assoc_opt "quotient.mass_merged" q_snap.Obs.s_gauges)
@@ -207,17 +211,26 @@ let measure_compress () =
 let measure_compromise () =
   List.map
     (fun k ->
+      let checks () =
+        ( Experiments.e18_otp Impl.default_engine k,
+          Experiments.e18_committee Impl.default_engine k )
+      in
       let t0 = Unix.gettimeofday () in
-      let votp = Experiments.e18_otp Impl.default_engine k in
-      let vcmt = Experiments.e18_committee Impl.default_engine k in
+      let votp, vcmt = checks () in
       let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      (* A separate stats run, as [counters_json] does, so [ms] carries no
+         instrumentation. *)
+      let _, snap = Obs.with_stats checks in
+      let evals = counter_in snap "psioa.sig.last.miss" in
       ( string_of_int k,
         Json.Obj
           [ ("otp_holds", Json.Bool votp.Impl.holds);
             ("otp_slack", Json.Str (Rat.to_string votp.Impl.worst));
             ("committee_holds", Json.Bool vcmt.Impl.holds);
             ("committee_slack", Json.Str (Rat.to_string vcmt.Impl.worst));
-            ("ms", fixed 4 ms) ] ))
+            ("ms", fixed 4 ms);
+            ("sig_reads", int (counter_in snap "psioa.sig.last.hit" + evals));
+            ("sig_evals", int evals) ] ))
     compromise_budgets
 
 (* Serving-layer cell (schema cdse-bench/8): an in-process [Serve] daemon
@@ -343,12 +356,12 @@ let emit micro_rows =
   let units =
     [ ("micro", "ns/op"); ("exec_dist", "ms/op"); ("counters", "count per single run");
       ("exec_dist_compress", "ms/op wall-clock");
-      ("compromise_sweep", "ms wall-clock, exact rational slacks");
+      ("compromise_sweep", "ms wall-clock, exact rational slacks, signature reads and evaluations");
       ("serve", "ms wall-clock round-trip over a Unix socket, in-process daemon") ]
   in
   let doc =
     lines
-      [ ("schema", Json.Str "cdse-bench/11");
+      [ ("schema", Json.Str "cdse-bench/12");
         ("generated_by", Json.Str "dune exec bench/main.exe -- micro");
         ("units", Json.Obj (List.map (fun (k, u) -> (k, Json.Str u)) units));
         ( "micro",
@@ -407,8 +420,8 @@ let check ?(path = "BENCH_cdse.json") () =
       fmt
   in
   (match List.assoc_opt "schema" fields with
-  | Some (Json.Str "cdse-bench/11") -> ()
-  | Some (Json.Str other) -> fail "schema is %S, expected \"cdse-bench/11\"" other
+  | Some (Json.Str "cdse-bench/12") -> ()
+  | Some (Json.Str other) -> fail "schema is %S, expected \"cdse-bench/12\"" other
   | _ -> fail "missing string key \"schema\"");
   List.iter
     (fun k -> if not (List.mem_assoc k fields) then fail "missing key %S" k)
@@ -532,31 +545,31 @@ let check ?(path = "BENCH_cdse.json") () =
      the holds bits flip exactly at each system's tolerance threshold
      (OTP: 0 takeovers tolerated; 2-of-3 committee: 1). *)
   let compromise_block = objf "compromise_sweep" in
-  let slack_at k field =
-    let ctx = Printf.sprintf "compromise_sweep.%d" k in
+  let cell_at k =
     match List.assoc_opt (string_of_int k) compromise_block with
-    | Some (Json.Obj cell) -> (
-        (match List.assoc_opt "ms" cell with
-        | Some (Json.Num t) when t > 0.0 -> ()
-        | _ -> fail "%s: missing positive numeric field \"ms\"" ctx);
-        match List.assoc_opt field cell with
-        | Some (Json.Str s) -> (
-            match Rat.of_string s with
-            | r ->
-                if not (Rat.is_proper_prob r) then
-                  fail "%s: %s %S is not in [0,1]" ctx field s
-                else r
-            | exception _ -> fail "%s: %s %S is not an exact rational" ctx field s)
-        | _ -> fail "%s: missing string field %S" ctx field)
+    | Some (Json.Obj cell) -> cell
     | _ -> fail "compromise_sweep: budget %d missing" k
   in
+  let slack_at k field =
+    let ctx = Printf.sprintf "compromise_sweep.%d" k in
+    let cell = cell_at k in
+    (match List.assoc_opt "ms" cell with
+    | Some (Json.Num t) when t > 0.0 -> ()
+    | _ -> fail "%s: missing positive numeric field \"ms\"" ctx);
+    match List.assoc_opt field cell with
+    | Some (Json.Str s) -> (
+        match Rat.of_string s with
+        | r ->
+            if not (Rat.is_proper_prob r) then
+              fail "%s: %s %S is not in [0,1]" ctx field s
+            else r
+        | exception _ -> fail "%s: %s %S is not an exact rational" ctx field s)
+    | _ -> fail "%s: missing string field %S" ctx field
+  in
   let holds_at k field =
-    match List.assoc_opt (string_of_int k) compromise_block with
-    | Some (Json.Obj cell) -> (
-        match List.assoc_opt field cell with
-        | Some (Json.Bool b) -> b
-        | _ -> fail "compromise_sweep.%d: missing boolean field %S" k field)
-    | _ -> fail "compromise_sweep: budget %d missing" k
+    match List.assoc_opt field (cell_at k) with
+    | Some (Json.Bool b) -> b
+    | _ -> fail "compromise_sweep.%d: missing boolean field %S" k field
   in
   List.iter
     (fun field ->
@@ -569,6 +582,21 @@ let check ?(path = "BENCH_cdse.json") () =
              s)
            Rat.zero compromise_budgets))
     [ "otp_slack"; "committee_slack" ];
+  (* Schema 12: the signature traffic of each point. An evaluation is a
+     read that missed the last-evaluation entry, so a point whose every
+     read was evaluated shows the entry never hit. *)
+  List.iter
+    (fun k ->
+      let count field =
+        match List.assoc_opt field (cell_at k) with
+        | Some (Json.Num v) when v >= 0.0 -> v
+        | _ -> fail "compromise_sweep.%d: missing nonnegative numeric field %S" k field
+      in
+      let reads = count "sig_reads" and evals = count "sig_evals" in
+      if evals >= reads then
+        fail "compromise_sweep.%d: sig_evals %.0f >= sig_reads %.0f: the signature cache never hit"
+          k evals reads)
+    compromise_budgets;
   List.iter
     (fun k ->
       if holds_at k "otp_holds" <> (k = 0) then
@@ -603,7 +631,7 @@ let check ?(path = "BENCH_cdse.json") () =
     fail "serve: resumed_from %.0f is not a proper prefix of depth %.0f" rf
       (snum "depth");
   Printf.printf
-    "check-json: %s OK (schema cdse-bench/11, %d micro keys, %d workloads x %d depths, %d compression cells, %d compromise cells, 1 serve cell, counters validated)\n"
+    "check-json: %s OK (schema cdse-bench/12, %d micro keys, %d workloads x %d depths, %d compression cells, %d compromise cells, 1 serve cell, counters validated)\n"
     path (List.length micro_baseline) (List.length macro_baseline) (List.length depths)
     (List.length compress_workloads) (List.length compromise_budgets)
 

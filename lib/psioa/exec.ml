@@ -55,7 +55,13 @@ let compare a b =
   end
 
 let equal a b = compare a b = 0
-let hash e = Hashtbl.hash (Value.hash e.first, List.map (fun (a, q) -> (Action.hash a, Value.hash q)) e.rev_steps)
+(* Every step, folded in one at a time: [Hashtbl.hash] over the step list
+   stops after 10 meaningful leaves, so executions that differ only in an
+   early step would share a hash. *)
+let hash e =
+  List.fold_left
+    (fun h (a, q) -> Hashtbl.seeded_hash (Hashtbl.seeded_hash h (Action.hash a)) (Value.hash q))
+    (Value.hash e.first) e.rev_steps
 
 let is_prefix a ~of_ =
   a.len <= of_.len

@@ -47,5 +47,7 @@ val trace : sig_of:(Value.t -> Sigs.t) -> t -> Action.t list
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
+(** Agrees with {!equal}, and reads every step of the execution. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

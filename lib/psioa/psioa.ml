@@ -1,11 +1,18 @@
 open Cdse_prob
 module Obs = Cdse_obs.Obs
 
+(* The last signature evaluation. Def 2.1 makes the signature a function
+   of the state, so a read at the physically same state can return it.
+   The mutable field holds an immutable pair: a thread reading it sees
+   either the old entry or the new one, never a mix. *)
+type last = No_entry | Last of Value.t * Sigs.t
+
 type t = {
   name : string;
   start : Value.t;
   signature : Value.t -> Sigs.t;
   transition : Value.t -> Action.t -> Value.t Dist.t option;
+  mutable last : last;
 }
 
 exception Not_enabled of { automaton : string; state : Value.t; action : Action.t }
@@ -20,21 +27,38 @@ let () =
              automaton (Action.to_string action) (Value.to_string state))
     | _ -> None)
 
-let make ~name ~start ~signature ~transition = { name; start; signature; transition }
+let make ~name ~start ~signature ~transition =
+  { name; start; signature; transition; last = No_entry }
 
 let name a = a.name
 let start a = a.start
-let signature a q = a.signature q
+
+let c_last_hit = Obs.counter "psioa.sig.last.hit"
+let c_last_miss = Obs.counter "psioa.sig.last.miss"
+
+(* Keyed on [==], not {!Value.equal}: a miss costs one pointer test, not a
+   walk of the state. A raising signature stores nothing. *)
+let signature a q =
+  match a.last with
+  | Last (q', s) when q' == q ->
+      Obs.incr c_last_hit;
+      s
+  | _ ->
+      Obs.incr c_last_miss;
+      let s = a.signature q in
+      a.last <- Last (q, s);
+      s
+
 let transition a q act = a.transition q act
-let enabled a q = Sigs.all (a.signature q)
-let is_enabled a q act = Sigs.mem act (a.signature q)
+let enabled a q = Sigs.all (signature a q)
+let is_enabled a q act = Sigs.mem act (signature a q)
 
 let step a q act =
   match a.transition q act with
   | Some d -> d
   | None -> raise (Not_enabled { automaton = a.name; state = q; action = act })
 
-let rename_auto name a = { a with name }
+let rename_auto name a = { a with name; last = No_entry }
 
 (* The memo and sweep tables hash a state all the way down
    ({!Value.hash}); the transition table hashes its (state, action) pair
@@ -84,7 +108,7 @@ let memoize a =
         Stbl.add tr_cache key d;
         d
   in
-  { a with signature; transition }
+  { a with signature; transition; last = No_entry }
 
 (* Breadth-first exploration of the support graph, in visit order. The
    second component reports whether [max_states] cut the exploration: a
@@ -119,7 +143,7 @@ let reachable_trunc ?(max_states = default_max_states) ?(max_depth = max_int) a 
                     else truncated := true
                   end)
                 (Dist.support d))
-        (Sigs.all (a.signature q))
+        (Sigs.all (signature a q))
   done;
   (List.rev !order, !truncated)
 
@@ -128,13 +152,13 @@ let reachable ?max_states ?max_depth a =
 
 let universal_actions ?max_states ?max_depth a =
   List.fold_left
-    (fun acc q -> Action_set.union acc (Sigs.all (a.signature q)))
+    (fun acc q -> Action_set.union acc (Sigs.all (signature a q)))
     Action_set.empty
     (reachable ?max_states ?max_depth a)
 
 (* Check the Definition 2.1 constraints at one state. *)
 let check_state a q =
-  match a.signature q with
+  match signature a q with
   | exception Sigs.Not_disjoint msg ->
       Error (Printf.sprintf "automaton %S, state %s: %s" a.name (Value.to_string q) msg)
   | s ->

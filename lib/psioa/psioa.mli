@@ -21,35 +21,52 @@ val make :
   t
 (** [transition q a] must be [Some η] exactly when [a ∈ sig-hat(A)(q)]
     (the action-enabling condition E1); {!validate} checks this on the
-    explored state space. *)
+    explored state space. [signature] must be a function of the state
+    alone (Definition 2.1): {!signature} may answer a read from an earlier
+    evaluation instead of calling it. *)
 
 val name : t -> string
 (** The automaton identifier — the element of [Autids] naming this
     automaton (Section 2.2). *)
 
 val start : t -> Value.t
+
 val signature : t -> Value.t -> Sigs.t
+(** [sig(A)(q)]. Each automaton keeps one entry, its last evaluation:
+    a read at the physically same ([==]) state returns the stored
+    signature, and a read at any other state, equal or not, evaluates
+    the signature and replaces the entry. A signature that raises stores
+    nothing. The entry is one mutable field holding an immutable pair,
+    so threads sharing an automaton each see an old or a new entry,
+    never a mix. A counting or side-effecting [signature] passed to
+    {!make} therefore sees evaluations, not reads. Counters
+    [psioa.sig.last.hit] and [psioa.sig.last.miss] count the reads that
+    hit and missed the entry. *)
+
 val transition : t -> Value.t -> Action.t -> Value.t Dist.t option
 
 val enabled : t -> Value.t -> Action_set.t
-(** [sig-hat(A)(q)]: all actions executable at [q]. *)
+(** [sig-hat(A)(q)]: all actions executable at [q], read through
+    {!signature}. *)
 
 val is_enabled : t -> Value.t -> Action.t -> bool
-(** [a ∈ sig-hat(A)(q)], from one evaluation of the signature at [q] and
+(** [a ∈ sig-hat(A)(q)], from one {!signature} read at [q] and
     at most three set lookups, without building {!enabled}'s union. A
     caller that needs the signature at [q] for more than this test should
-    evaluate it once with {!signature} and test it with {!Sigs.mem}, as
+    read it once with {!signature} and test it with {!Sigs.mem}, as
     {!Compose} and {!Cdse_config.Ctrans} do. *)
 
 val step : t -> Value.t -> Action.t -> Value.t Dist.t
 (** Raises {!Not_enabled} when [a ∉ sig-hat(A)(q)]. *)
 
 val rename_auto : string -> t -> t
-(** Change only the automaton identifier (not its actions). *)
+(** Change only the automaton identifier (not its actions). The result
+    starts with no last-evaluation entry. *)
 
 val memoize : t -> t
 (** Cache signature and transition lookups per state (ablation A2). The
-    result is observationally identical. The cache is a plain hashtable,
+    result is observationally identical, and starts with no
+    last-evaluation entry of its own. The cache is a plain hashtable,
     not safe to share between domains; it hashes a state all the way
     down ({!Value.hash}). *)
 

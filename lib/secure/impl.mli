@@ -44,7 +44,9 @@ val approx_le :
   verdict
 (** [A ≤ B]: for every environment [E] and every [q1]-bounded scheduler the
     schema yields for [E ‖ A], search the [q2]-bounded schema schedulers of
-    [E ‖ B] for one within sup-set distance [ε] (Definition 3.6). *)
+    [E ‖ B] for one within sup-set distance [ε] (Definition 3.6). Each
+    [E ‖ B] candidate's f-dist is computed once per environment and shared
+    by every [E ‖ A] scheduler. *)
 
 val approx_le_with :
   matcher:(env:Psioa.t -> comp_a:Psioa.t -> comp_b:Psioa.t -> Scheduler.t -> Scheduler.t) ->

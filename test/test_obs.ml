@@ -86,14 +86,18 @@ let test_memo_counters_account_every_lookup () =
   (* Wrap a counter automaton so the raw signature/transition functions
      count their own invocations, memoize the wrapper, and walk the same
      path twice: hits + misses must equal the lookups issued, and misses
-     must equal the raw calls that fell through the cache. *)
+     must equal the raw calls that fell through the cache. A signature
+     read first meets the automaton's last-evaluation entry: each state's
+     second read hits it, so half of the 12 reads reach the memo table. *)
   let raw_sig = ref 0 and raw_tr = ref 0 in
   let inner = Fixtures.counter ~bound:4 "k" in
+  (* Read outside the stats window, so the counters see only [m]'s reads. *)
+  let inner_sigs = List.map (fun q -> (q, Psioa.signature inner q)) (Psioa.reachable inner) in
   let counted =
     Psioa.make ~name:"k" ~start:(Psioa.start inner)
       ~signature:(fun q ->
         incr raw_sig;
-        Psioa.signature inner q)
+        List.assoc q inner_sigs)
       ~transition:(fun q x ->
         incr raw_tr;
         Psioa.transition inner q x)
@@ -113,9 +117,13 @@ let test_memo_counters_account_every_lookup () =
         walk ();
         walk ())
   in
+  let last_hit = counter_of snap "psioa.sig.last.hit"
+  and last_miss = counter_of snap "psioa.sig.last.miss" in
+  Alcotest.(check int) "sig: last hits + misses = reads issued" 12 (last_hit + last_miss);
   let hit = counter_of snap "psioa.memo.sig.hit"
   and miss = counter_of snap "psioa.memo.sig.miss" in
-  Alcotest.(check int) "sig: hits + misses = lookups issued" 12 (hit + miss);
+  Alcotest.(check int) "sig: last misses = memo lookups" 6 last_miss;
+  Alcotest.(check int) "sig: memo hits + misses = last misses" last_miss (hit + miss);
   Alcotest.(check int) "sig: misses = raw calls through the cache" !raw_sig miss;
   let hit = counter_of snap "psioa.memo.step.hit"
   and miss = counter_of snap "psioa.memo.step.miss" in

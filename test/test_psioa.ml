@@ -322,6 +322,52 @@ let test_universal_actions () =
   let acts = Psioa.universal_actions c in
   Alcotest.(check int) "3 actions" 3 (Action_set.cardinal acts)
 
+(* The one-entry signature cache: a read at the state last evaluated,
+   the same physical value, returns the stored signature; any other state
+   is evaluated again and replaces the entry. *)
+let test_sig_cache_same_state () =
+  let a, evals, _ = Fixtures.counted (Fixtures.counter "k") in
+  let q = Psioa.start a in
+  ignore (Psioa.signature a q);
+  ignore (Psioa.signature a q);
+  Alcotest.(check bool) "enabled reads the entry" true (Psioa.is_enabled a q (act "k.inc"));
+  Alcotest.(check int) "two reads, one evaluation" 1 (evals q)
+
+let test_sig_cache_equal_copy () =
+  let a, evals, _ = Fixtures.counted (Fixtures.counter "k") in
+  let q = Psioa.start a in
+  let copy = Value.of_bits (Value.to_bits q) in
+  Alcotest.(check bool) "equal, not physically" true (Value.equal q copy && q != copy);
+  let s = Psioa.signature a q in
+  let s' = Psioa.signature a copy in
+  Alcotest.(check int) "the copy is evaluated again" 2 (evals q);
+  Alcotest.(check bool) "with an equal result" true (Sigs.equal s s')
+
+let test_sig_cache_raising () =
+  let calls = ref 0 in
+  let a =
+    Psioa.make ~name:"bad" ~start:Value.unit
+      ~signature:(fun _ ->
+        incr calls;
+        raise (Sigs.Not_disjoint "bad"))
+      ~transition:(fun _ _ -> None)
+  in
+  for _ = 1 to 3 do
+    Alcotest.check_raises "raises" (Sigs.Not_disjoint "bad") (fun () ->
+        ignore (Psioa.signature a (Psioa.start a)))
+  done;
+  Alcotest.(check int) "evaluated on every read" 3 !calls
+
+let test_sig_cache_one_entry () =
+  let a, evals, _ = Fixtures.counted (Fixtures.counter "k") in
+  let q0 = Psioa.start a in
+  let q1 = List.hd (Dist.support (Psioa.step a q0 (act "k.inc"))) in
+  for _ = 1 to 3 do
+    ignore (Psioa.signature a q0);
+    ignore (Psioa.signature a q1)
+  done;
+  Alcotest.(check (pair int int)) "alternating evaluates every read" (3, 3) (evals q0, evals q1)
+
 (* ------------------------------------------------------------------ Exec *)
 
 let test_exec_basic () =
@@ -333,6 +379,18 @@ let test_exec_basic () =
   Alcotest.(check bool) "fstate" true (Value.equal (Exec.fstate e) (Value.int 0));
   Alcotest.(check bool) "lstate" true (Value.equal (Exec.lstate e) (Value.int 2));
   Alcotest.(check int) "3 states" 3 (List.length (Exec.states e))
+
+let test_exec_hash_whole () =
+  (* 50 executions of length 14 that differ only in their first step. *)
+  let exec i =
+    List.fold_left
+      (fun e j -> Exec.extend e (act "b") (Value.int j))
+      (Exec.extend (Exec.init Value.unit) (act "a") (Value.int i))
+      (List.init 13 Fun.id)
+  in
+  let hashes = List.sort_uniq Int.compare (List.init 50 (fun i -> Exec.hash (exec i))) in
+  Alcotest.(check int) "50 of 50 hash apart" 50 (List.length hashes);
+  Alcotest.(check int) "equal executions, equal hashes" (Exec.hash (exec 7)) (Exec.hash (exec 7))
 
 let test_exec_concat () =
   let e1 = Exec.extend (Exec.init (Value.int 0)) a1 (Value.int 1) in
@@ -462,7 +520,8 @@ let test_compose_one_signature_per_step () =
 
 let test_compose_nested_one_signature_per_level () =
   (* ((leaf ‖ b) ‖ c) ‖ d stepping the leaf's own action: each of the
-     three levels reads the leaf once on the way down. *)
+     three levels reads the leaf once on the way down, all at one physical
+     state, so the leaf's signature is evaluated once for all three. *)
   let leaf, evals, reset = Fixtures.counted (Fixtures.counter "a") in
   let c =
     List.fold_left
@@ -471,7 +530,7 @@ let test_compose_nested_one_signature_per_level () =
   in
   reset ();
   ignore (Psioa.step c (Psioa.start c) (act "a.inc"));
-  Alcotest.(check int) "leaf read once per level" 3 (evals (Psioa.start leaf))
+  Alcotest.(check int) "leaf evaluated once for three levels" 1 (evals (Psioa.start leaf))
 
 (* ------------------------------------------------------- extra workloads *)
 
@@ -601,9 +660,17 @@ let () =
           Alcotest.test_case "step not enabled" `Quick test_step_not_enabled;
           Alcotest.test_case "memoize equivalent" `Quick test_memoize_equivalent;
           Alcotest.test_case "universal actions" `Quick test_universal_actions ] );
+      ( "sig-cache",
+        [ Alcotest.test_case "two reads at one state evaluate once" `Quick
+            test_sig_cache_same_state;
+          Alcotest.test_case "an equal copy evaluates again" `Quick test_sig_cache_equal_copy;
+          Alcotest.test_case "a raising signature raises every read" `Quick
+            test_sig_cache_raising;
+          Alcotest.test_case "one entry, not a table" `Quick test_sig_cache_one_entry ] );
       ( "exec",
         [ Alcotest.test_case "basics" `Quick test_exec_basic;
           Alcotest.test_case "concat" `Quick test_exec_concat;
+          Alcotest.test_case "hash reads every step" `Quick test_exec_hash_whole;
           Alcotest.test_case "prefix" `Quick test_exec_prefix;
           Alcotest.test_case "trace hides internal" `Quick test_exec_trace_hides_internal;
           qtest prop_exec_exists_state ] );

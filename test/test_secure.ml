@@ -330,6 +330,23 @@ let test_impl_biased_fails_then_holds () =
   let v1 = impl_check ~eps:(Rat.of_ints 1 4) Rat.half (Rat.of_ints 3 4) in
   Alcotest.(check bool) "holds at ε=1/4" true v1.Impl.holds
 
+let test_impl_ideal_fdist_once_per_env () =
+  (* Two schedulers a side and one environment: each real-side σ1 is
+     matched against the same two ideal-side candidates, whose f-dists
+     are computed once, not once per σ1. *)
+  let calls = ref 0 in
+  let insight_of x =
+    incr calls;
+    Insight.accept x
+  in
+  let v =
+    Impl.approx_le ~schema:(Schema.deterministic ~bound:4) ~insight_of ~envs:accept_envs
+      ~eps:Rat.zero ~q1:4 ~q2:4 ~depth:6 ~a:(coin_pair Rat.half "c") ~b:(coin_pair Rat.half "c")
+  in
+  Alcotest.(check bool) "A ≤ A" true v.Impl.holds;
+  Alcotest.(check int) "one entry per σ1" 2 (List.length v.Impl.detail);
+  Alcotest.(check int) "2 real-side + 2 ideal-side f-dists" 4 !calls
+
 let test_impl_transitivity_eps_adds () =
   (* Theorem 4.16: ε13 ≤ ε12 + ε23 (here with deterministic-scheduler
      matching the worst distances are exactly the bias gaps). *)
@@ -702,6 +719,8 @@ let () =
       ( "impl",
         [ Alcotest.test_case "identical holds at ε=0" `Quick test_impl_identical_holds;
           Alcotest.test_case "bias detected then tolerated" `Quick test_impl_biased_fails_then_holds;
+          Alcotest.test_case "ideal-side f-dists once per environment" `Quick
+            test_impl_ideal_fdist_once_per_env;
           Alcotest.test_case "transitivity ε-addition (Thm 4.16)" `Quick test_impl_transitivity_eps_adds;
           Alcotest.test_case "context composability (Lemma 4.13)" `Quick test_impl_composability_context;
           Alcotest.test_case "family ≤ neg,pt (Def 4.12)" `Quick test_impl_family_neg_pt;
