@@ -153,7 +153,7 @@ let e5 () =
   let biased = Cdse_gen.Workloads.coin ~p:(Rat.of_ints 3 4) "c" in
   let check ~q a b =
     (Impl.approx_le
-       ~schema:(Schema.make ~name:"det" (fun x -> [ Scheduler.first_enabled x ]))
+       ~schema:Schema.first_enabled
        ~insight_of:Insight.accept ~envs:[ env ] ~eps:Rat.one ~q1:q ~q2:q ~depth:(q + 2) ~a ~b)
       .Impl.worst
   in
@@ -209,7 +209,7 @@ let e6 () =
         let v, t =
           time_it (fun () ->
               Emulation.check
-                ~schema:(Schema.make ~name:"det" (fun x -> [ Scheduler.first_enabled x ]))
+                ~schema:Schema.first_enabled
                 ~insight_of:Insight.accept
                 ~envs:[ Secure_channel.env_guess ~msg:1 "n0" ]
                 ~eps:Rat.zero ~q1:bound ~q2:bound ~depth:(bound + 2) ~adversaries:[ adv_hat ]
@@ -476,7 +476,7 @@ let e12 () =
         let v, t =
           time_it (fun () ->
               Emulation.check
-                ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
+                ~schema:Schema.first_enabled
                 ~insight_of:Insight.accept
                 ~envs:[ Broadcast.env_all_delivered ~k ~msg:1 "bc" ]
                 ~eps:Rat.zero ~q1:depth ~q2:depth ~depth
@@ -510,7 +510,7 @@ let e13 () =
         let v, t =
           time_it (fun () ->
               Emulation.check
-                ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
+                ~schema:Schema.first_enabled
                 ~insight_of:Insight.accept
                 ~envs:[ Secure_channel.env_guess ~width ~msg:1 "wk" ]
                 ~eps:Rat.one ~q1:12 ~q2:12 ~depth:14
@@ -585,11 +585,7 @@ let e14 () =
 
 let e15 () =
   Pretty.section "E15  committee PCA ≤_SE atomic commit, by committee size";
-  let nobody =
-    Psioa.make ~name:"nobody" ~start:Value.unit
-      ~signature:(fun _ -> Sigs.empty)
-      ~transition:(fun _ _ -> None)
-  in
+  let nobody = Adversary.nobody () in
   let ok = ref true in
   let rows =
     List.map
@@ -600,7 +596,7 @@ let e15 () =
         let v, t =
           time_it (fun () ->
               Impl.approx_le
-                ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
+                ~schema:Schema.first_enabled
                 ~insight_of:Insight.accept
                 ~envs:[ Committee.env_commit ~block:0 "cmt" ]
                 ~eps:Rat.zero ~q1:bound ~q2:bound ~depth:(bound + 2)
@@ -631,7 +627,7 @@ let e16 () =
         let depth = 12 + (2 * parties) in
         let check env =
           Emulation.check
-            ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
+            ~schema:Schema.first_enabled
             ~insight_of:Insight.accept ~envs:[ env ] ~eps:Rat.zero ~q1:depth ~q2:depth
             ~depth:(depth + 2)
             ~adversaries:[ Aggregation.adversary "ag" ]
@@ -719,34 +715,14 @@ let e17 () =
    strictly below each tolerance threshold and exactly the predicted
    positive rational at and above it. *)
 
-(* "cmt.retire<i>" is chair bookkeeping, not an attack: a first-enabled
-   scheduler would retire the whole committee before the submit arrives
-   (r < s), so the compromise sweeps steer around it. *)
-let is_retire a =
-  let name = Action.name a in
-  String.length name >= 10 && String.equal (String.sub name 0 10) "cmt.retire"
+(* [perfbench/e18.ml] names it. *)
+let is_retire = Sworkloads.is_retire
 
 (* E18's two checks. The ignored first parameter is the one
    [Impl.engine]; it stays because [perfbench/e18.ml] passes it. *)
 let e18_otp (_ : Impl.engine) k =
   let names = [ "n0"; "n1" ] in
-  let wrapped n =
-    Fault.compromise
-      ~adversarial:(Structured.psioa (Secure_channel.real_leaky n))
-      (Structured.psioa (Secure_channel.real n))
-  in
-  let inj = Fault.injector ~faults:(List.map Fault.compromise_action names) () in
-  let sys = Compose.parallel (inj :: List.map wrapped names) in
-  let eact q =
-    Action_set.filter
-      (fun a ->
-        let base = Action.name a in
-        List.exists
-          (fun n -> String.equal base (n ^ ".send") || String.equal base (n ^ ".recv"))
-          names)
-      (Sigs.ext (Psioa.signature sys q))
-  in
-  let real = Structured.make sys ~eact in
+  let real = Sworkloads.compromised_otp ~base:Secure_channel.real names in
   let ideal = Structured.compose (Secure_channel.ideal "n0") (Secure_channel.ideal "n1") in
   let adv = Compose.parallel (List.map Secure_channel.adversary names) in
   let sim = Compose.parallel (List.map Secure_channel.simulator names) in
@@ -759,23 +735,8 @@ let e18_otp (_ : Impl.engine) k =
     ~sim_for:(fun _ -> sim) ~real ~ideal
 
 let e18_committee (_ : Impl.engine) k =
-  let nobody =
-    Psioa.make ~name:"nobody" ~start:Value.unit
-      ~signature:(fun _ -> Sigs.empty)
-      ~transition:(fun _ _ -> None)
-  in
-  let cmt =
-    Committee.build ~max_validators:3 ~blocks:1 ~quorum:(`At_least 2)
-      ~wrap_validator:(fun _ v -> Fault.compromise ~adversarial:(Adversary.silent_takeover v) v)
-      "cmt"
-  in
-  let inj =
-    Fault.injector
-      ~faults:
-        (List.init 3 (fun i -> Fault.compromise_action (Committee.validator_name "cmt" i)))
-      ()
-  in
-  let real = Committee.structured_psioa (Compose.pair inj (Pca.psioa cmt)) "cmt" in
+  let nobody = Adversary.nobody () in
+  let real = Sworkloads.compromised_committee () in
   let ideal = Committee.ideal ~blocks:1 "cmt" in
   let bound = 20 in
   Impl.approx_le
@@ -828,97 +789,21 @@ let e18 () =
 
 let mut () =
   Pretty.section "MUT  mutation testing: the emulation checker kills every mutant";
+  let module Campaign = Cdse_testkit.Campaign in
   let module Mutate = Cdse_testkit.Mutate in
-  let det = Schema.make ~name:"det" (fun x -> [ Scheduler.first_enabled x ]) in
   let ok = ref true in
-  (* OTP channel: mutate the real protocol member; the trace insight (not
-     just acceptance) is what kills payload redirects on recv. *)
-  let otp_row =
-    let real_s = Secure_channel.real "n0" in
-    let proto = Structured.psioa real_s in
-    let env = Secure_channel.env_guess ~msg:1 "n0" in
-    let adv = Secure_channel.adversary "n0" in
-    let sim = Secure_channel.simulator "n0" in
-    let ideal = Secure_channel.ideal "n0" in
-    let states =
-      Mutate.co_reachable
-        ~project:(fun q -> Some (fst (Compose.proj_pair (snd (Compose.proj_pair q)))))
-        (Compose.pair env (Compose.pair proto adv))
-    in
-    let muts = Mutate.mutants ~states proto in
-    let bound = 16 in
-    let holds a =
-      (Impl.approx_le ~schema:det ~insight_of:Insight.trace ~envs:[ env ] ~eps:Rat.zero
-         ~q1:bound ~q2:bound ~depth:(bound + 2)
-         ~a:(Emulation.hidden_system a adv)
-         ~b:(Emulation.hidden_system ideal sim))
-        .Impl.holds
-    in
-    let baseline = holds real_s in
-    let rep, t =
-      time_it (fun () ->
-          Mutate.sweep
-            ~killed:(fun m ->
-              not (holds (Structured.make m.Mutate.mutant ~eact:(Structured.eact real_s))))
-            muts)
-    in
-    ok := !ok && baseline && rep.Mutate.survivors = [] && rep.Mutate.total = 8;
+  let row member ~label ~total c =
+    let baseline = Campaign.baseline c in
+    let rep, t = time_it (fun () -> Campaign.sweep c) in
+    ok := !ok && baseline && rep.Mutate.survivors = [] && rep.Mutate.total = total;
     List.iter
-      (fun m -> Printf.printf "  SURVIVOR (otp): %s\n" m.Mutate.label)
+      (fun m -> Printf.printf "  SURVIVOR (%s): %s\n" label m.Mutate.label)
       rep.Mutate.survivors;
-    [ "otp channel"; string_of_bool baseline; cell rep.Mutate.total; cell rep.Mutate.killed;
+    [ member; string_of_bool baseline; cell rep.Mutate.total; cell rep.Mutate.killed;
       cell (List.length rep.Mutate.survivors); ms t ]
   in
-  (* Committee: mutate validator 0 of a 2-validator unanimous committee —
-     both its vote sites are load-bearing, so a dropped or redirected vote
-     must cost the commit. *)
-  let cmt_row =
-    let nobody =
-      Psioa.make ~name:"nobody" ~start:Value.unit
-        ~signature:(fun _ -> Sigs.empty)
-        ~transition:(fun _ _ -> None)
-    in
-    let v0 = Committee.validator ~n:"cmt" ~blocks:1 0 in
-    let site_pca = Committee.build ~max_validators:2 ~blocks:1 "cmt" in
-    let states =
-      Mutate.co_reachable
-        ~project:(fun q ->
-          List.assoc_opt
-            (Committee.validator_name "cmt" 0)
-            (Config.entries (Pca.config_of site_pca (snd (Compose.proj_pair q)))))
-        (Compose.pair (Committee.env_commit ~block:0 "cmt") (Pca.psioa site_pca))
-    in
-    let muts = Mutate.mutants ~states v0 in
-    let ideal = Committee.ideal ~blocks:1 "cmt" in
-    let bound = 14 in
-    let holds mutant =
-      let real =
-        Committee.structured
-          (Committee.build ~max_validators:2 ~blocks:1
-             ~wrap_validator:(fun i v -> if i = 0 then mutant else v)
-             "cmt")
-          "cmt"
-      in
-      (Impl.approx_le
-         ~schema:(Fault.compromise_budget ~avoid:is_retire 0)
-         ~insight_of:Insight.accept
-         ~envs:[ Committee.env_commit ~block:0 "cmt" ]
-         ~eps:Rat.zero ~q1:bound ~q2:bound ~depth:(bound + 2)
-         ~a:(Emulation.hidden_system real nobody)
-         ~b:(Emulation.hidden_system ideal nobody))
-        .Impl.holds
-    in
-    let baseline = holds v0 in
-    let rep, t =
-      time_it (fun () -> Mutate.sweep ~killed:(fun m -> not (holds m.Mutate.mutant)) muts)
-    in
-    ok := !ok && baseline && rep.Mutate.survivors = [] && rep.Mutate.total = 2;
-    List.iter
-      (fun m -> Printf.printf "  SURVIVOR (committee): %s\n" m.Mutate.label)
-      rep.Mutate.survivors;
-    [ "committee validator"; string_of_bool baseline; cell rep.Mutate.total;
-      cell rep.Mutate.killed; cell (List.length rep.Mutate.survivors); ms t ]
-  in
+  let otp_row = row "otp channel" ~label:"otp" ~total:8 (Campaign.otp ()) in
+  let cmt_row = row "committee validator" ~label:"committee" ~total:2 (Campaign.committee ()) in
   Pretty.table
     ~header:[ "member"; "baseline holds"; "mutants"; "killed"; "survivors"; "time(ms)" ]
     [ otp_row; cmt_row ];

@@ -209,21 +209,7 @@ let emulate_cmd =
       run_with_stats stats @@ fun () ->
       match compromise with
       | Some k ->
-          let base = if broken then Secure_channel.real_leaky "sc" else Secure_channel.real "sc" in
-          let wrapped =
-            Fault.compromise
-              ~adversarial:(Structured.psioa (Secure_channel.real_leaky "sc"))
-              (Structured.psioa base)
-          in
-          let inj = Fault.injector ~faults:[ Fault.compromise_action "sc" ] () in
-          let sys = Compose.pair inj wrapped in
-          let eact q =
-            Action_set.filter
-              (fun a ->
-                let b = Action.name a in
-                String.equal b "sc.send" || String.equal b "sc.recv")
-              (Sigs.ext (Psioa.signature sys q))
-          in
+          let base = if broken then Secure_channel.real_leaky else Secure_channel.real in
           Emulation.check
             ~schema:(Fault.compromise_budget k)
             ~insight_of:Insight.accept
@@ -231,7 +217,8 @@ let emulate_cmd =
             ~eps:Rat.zero ~q1:14 ~q2:14 ~depth:16
             ~adversaries:[ Secure_channel.adversary "sc" ]
             ~sim_for:(fun _ -> Secure_channel.simulator "sc")
-            ~real:(Structured.make sys ~eact) ~ideal:(Secure_channel.ideal "sc")
+            ~real:(Sworkloads.compromised_otp ~base [ "sc" ])
+            ~ideal:(Secure_channel.ideal "sc")
       | None -> Serve_engine.emulate ~protocol ~broken
     in
     (match compromise with

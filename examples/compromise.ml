@@ -70,22 +70,12 @@ let () =
 
   Pretty.section "2. A channel that leaks once compromised (tolerance k = 0)";
   (* The one-time-pad channel with a compromised mode that transmits the
-     plaintext in the clear. The environment plays the guess game of
+     plaintext in the clear, behind an injector of its takeover
+     (Sworkloads.compromised_otp). The environment plays the guess game of
      secure_channel.ml; the budget schema caps takeovers. One takeover is
      already fatal: the adversary reads the message and the simulator
      cannot reproduce the guess, so the slack jumps to exactly 1/2. *)
   let check_channel k =
-    let wrapped =
-      Fault.compromise
-        ~adversarial:(Structured.psioa (Secure_channel.real_leaky "sc"))
-        (Structured.psioa (Secure_channel.real "sc"))
-    in
-    let sys = Compose.pair (Fault.injector ~faults:[ Fault.compromise_action "sc" ] ()) wrapped in
-    let eact q =
-      Action_set.filter
-        (fun a -> List.mem (Action.name a) [ "sc.send"; "sc.recv" ])
-        (Sigs.ext (Psioa.signature sys q))
-    in
     Emulation.check
       ~schema:(Fault.compromise_budget k)
       ~insight_of:Insight.accept
@@ -93,7 +83,8 @@ let () =
       ~eps:Rat.zero ~q1:14 ~q2:14 ~depth:16
       ~adversaries:[ Secure_channel.adversary "sc" ]
       ~sim_for:(fun _ -> Secure_channel.simulator "sc")
-      ~real:(Structured.make sys ~eact) ~ideal:(Secure_channel.ideal "sc")
+      ~real:(Sworkloads.compromised_otp ~base:Secure_channel.real [ "sc" ])
+      ~ideal:(Secure_channel.ideal "sc")
   in
   Pretty.table ~header:[ "budget k"; "holds"; "slack" ]
     (List.map
@@ -103,40 +94,20 @@ let () =
        [ 0; 1 ]);
 
   Pretty.section "3. A committee that tolerates k = 1 (quorum 2-of-3)";
-  (* Each validator is wrapped with a silent takeover; the 2-of-3 quorum
+  (* Each validator is wrapped with a silent takeover
+     (Sworkloads.compromised_committee); the 2-of-3 quorum
      absorbs one silenced vote, so the slack stays exactly 0 through
      k = 1 and jumps to exactly 1 at k = 2 — the tolerance threshold of
      the protocol, recovered by the checker as a step function. *)
-  let nobody =
-    Psioa.make ~name:"nobody" ~start:Value.unit
-      ~signature:(fun _ -> Sigs.empty)
-      ~transition:(fun _ _ -> None)
-  in
-  let is_retire a =
-    (* first_enabled would otherwise retire the whole committee before
-       any block is submitted (retire sorts before submit). *)
-    String.length (Action.name a) >= 10 && String.sub (Action.name a) 0 10 = "cmt.retire"
-  in
   let check_committee k =
-    let cmt =
-      Committee.build ~max_validators:3 ~blocks:1 ~quorum:(`At_least 2)
-        ~wrap_validator:(fun _ v ->
-          Fault.compromise ~adversarial:(Adversary.silent_takeover v) v)
-        "cmt"
-    in
-    let inj =
-      Fault.injector
-        ~faults:(List.init 3 (fun i -> Fault.compromise_action (Committee.validator_name "cmt" i)))
-        ()
-    in
-    let real = Committee.structured_psioa (Compose.pair inj (Pca.psioa cmt)) "cmt" in
+    let nobody = Adversary.nobody () in
     let bound = 20 in
     Impl.approx_le
-      ~schema:(Fault.compromise_budget ~avoid:is_retire k)
+      ~schema:(Fault.compromise_budget ~avoid:Sworkloads.is_retire k)
       ~insight_of:Insight.accept
       ~envs:[ Committee.env_commit ~block:0 "cmt" ]
       ~eps:Rat.zero ~q1:bound ~q2:bound ~depth:(bound + 2)
-      ~a:(Emulation.hidden_system real nobody)
+      ~a:(Emulation.hidden_system (Sworkloads.compromised_committee ()) nobody)
       ~b:(Emulation.hidden_system (Committee.ideal ~blocks:1 "cmt") nobody)
   in
   Pretty.table ~header:[ "budget k"; "holds"; "slack" ]

@@ -16,7 +16,7 @@ let () =
         let depth = 6 + (3 * k) in
         let v =
           Emulation.check
-            ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
+            ~schema:Schema.first_enabled
             ~insight_of:Insight.accept
             ~envs:[ Broadcast.env_all_delivered ~k ~msg:1 "bc" ]
             ~eps:Rat.zero ~q1:depth ~q2:depth ~depth
@@ -39,7 +39,7 @@ let () =
   in
   let v =
     Impl.le_neg_pt ~window:[ 1; 2; 3 ]
-      ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
+      ~schema:Schema.first_enabled
       ~insight_of:Insight.accept
       ~envs:(fun k -> [ Broadcast.env_all_delivered ~k:(max 1 k) ~msg:1 "bc" ])
       ~eps:Negligible.inv_pow2

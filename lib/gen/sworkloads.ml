@@ -106,3 +106,44 @@ let eact_touching_adversary ~proto_name name =
   Psioa.make ~name ~start:Value.unit
     ~signature:(fun _ -> sig_io ~i:[ out0 ] ())
     ~transition:(fun q a -> if Action.equal a out0 then Some (Vdist.dirac q) else None)
+
+module Fault = Cdse_fault.Fault
+module Secure_channel = Cdse_crypto.Secure_channel
+module Committee = Cdse_dynamic.Committee
+
+let compromised_otp ~base names =
+  let wrapped n =
+    Fault.compromise
+      ~adversarial:(Structured.psioa (Secure_channel.real_leaky n))
+      (Structured.psioa (base n))
+  in
+  let inj = Fault.injector ~faults:(List.map Fault.compromise_action names) () in
+  let sys = Compose.parallel (inj :: List.map wrapped names) in
+  let eact q =
+    Action_set.filter
+      (fun a ->
+        let base = Action.name a in
+        List.exists
+          (fun n -> String.equal base (n ^ ".send") || String.equal base (n ^ ".recv"))
+          names)
+      (Sigs.ext (Psioa.signature sys q))
+  in
+  Structured.make sys ~eact
+
+let compromised_committee () =
+  let cmt =
+    Committee.build ~max_validators:3 ~blocks:1 ~quorum:(`At_least 2)
+      ~wrap_validator:(fun _ v -> Fault.compromise ~adversarial:(Adversary.silent_takeover v) v)
+      "cmt"
+  in
+  let inj =
+    Fault.injector
+      ~faults:
+        (List.init 3 (fun i -> Fault.compromise_action (Committee.validator_name "cmt" i)))
+      ()
+  in
+  Committee.structured_psioa (Compose.pair inj (Cdse_config.Pca.psioa cmt)) "cmt"
+
+let is_retire a =
+  let name = Action.name a in
+  String.length name >= 10 && String.equal (String.sub name 0 10) "cmt.retire"

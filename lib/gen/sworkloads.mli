@@ -40,3 +40,29 @@ val relay_env : ?alphabet:int list -> ?m0:int -> proto_name:string -> string -> 
 val eact_touching_adversary : proto_name:string -> string -> Psioa.t
 (** Failure-injection fixture: a purported adversary that listens to the
     protocol's {e environment} actions — rejected by Definition 4.24. *)
+
+(** {2 Dynamic compromise}
+
+    The real sides of experiment E18's two [≤_SE] checks, which
+    [cdse_cli emulate --compromise] and [examples/compromise.ml] check
+    too. Each call builds fresh automata. *)
+
+val compromised_otp : base:(string -> Structured.t) -> string list -> Structured.t
+(** [compromised_otp ~base names]: an injector of the channels'
+    compromise actions in parallel with each [base n] wrapped by
+    [Fault.compromise], whose compromised mode is
+    [Secure_channel.real_leaky n] (plaintext in the clear). EAct is the
+    channels' [send]/[recv]. [base] is [Secure_channel.real], or
+    [real_leaky] for a channel that leaks before any takeover. *)
+
+val compromised_committee : unit -> Structured.t
+(** The committee ["cmt"] (3 validators, 1 block, 2-of-3 quorum), each
+    validator wrapped by [Fault.compromise] with
+    {!Adversary.silent_takeover} as its compromised mode, in parallel
+    with an injector of the three compromise actions. *)
+
+val is_retire : Action.t -> bool
+(** [cmt.retire*], the chair's bookkeeping: a first-enabled scheduler
+    would retire the whole committee before the submit arrives (retire
+    sorts before submit), so sweeps of {!compromised_committee} pass it
+    as [~avoid] to [Fault.compromise_budget]. *)

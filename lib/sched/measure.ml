@@ -190,9 +190,9 @@ let expand_node auto choice_of (e, p) kids =
    budget. A raise from the scheduler surfaces at once, for the first
    failing entry in frontier order. *)
 let layer_loop ~compress ~track ?max_execs ?max_width ~from auto sched ~depth =
-  (* One run's view of the model: signature and transition lookups cached
-     per [(state, action)], plus the validated-choice cache. The tables
-     live only for the run. *)
+  (* One run's view of the model: transitions cached per [(state,
+     action)], plus the validated-choice cache; its signature table serves
+     only the quotient's [sig_of]. The tables live only for the run. *)
   let auto = Psioa.memoize auto in
   let choice_of = choice_fn auto sched in
   let quotient = quotient_on ~compress sched in

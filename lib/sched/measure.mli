@@ -59,10 +59,16 @@
     budget — and can resume from a previously returned frontier
     ({!exec_dist_frontier}). A negative [depth] raises [Invalid_argument].
 
-    Every run memoizes: signature/transition lookups are cached per
-    [(state, action)] across the cone frontier ({!Psioa.memoize}), and for
+    Every run memoizes: transitions are cached per [(state, action)]
+    across the cone frontier ({!Psioa.memoize}), and for
     {!Scheduler.is_memoryless} schedulers the validated choice is cached
-    keyed by [(length, last state)]. Caches live only for the call.
+    keyed by [(length, last state)]. The memoized copy caches signatures
+    too, but only the [`Quotient] merge reads them: schedulers and
+    insights read the automaton they were built over, whose last
+    signature {!Psioa.signature} keeps. ([cdse_cli measure --workload
+    random --seed 1 --depth 5 --stats] counts [psioa.memo.sig.*] reads 0
+    times under [`Off] and 1 455 times under [`Quotient]; every E18
+    point reads them 0 times.) Caches live only for the call.
 
     {2 Determinism contract}
 

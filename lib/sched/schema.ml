@@ -16,6 +16,8 @@ let standard ~bound =
       List.map (Scheduler.bounded bound)
         [ Scheduler.uniform a; Scheduler.first_enabled a; Scheduler.round_robin a ])
 
+let first_enabled = make ~name:"first-enabled" (fun a -> [ Scheduler.first_enabled a ])
+
 (** Deterministic sub-schema: the two deterministic standard schedulers.
     Used for exact (ε = 0) emulation claims where the matching scheduler
     on the specification side is found by schema search — a randomized σ

@@ -15,6 +15,11 @@ val standard : bound:int -> t
 (** Uniform, first-enabled and round-robin, all [bound]-bounded
     (Definition 4.6). *)
 
+val first_enabled : t
+(** The one {!Scheduler.first_enabled} scheduler: one deterministic
+    interleaving per automaton, so an exact (ε = 0) claim matches it
+    against the other side's first-enabled run. *)
+
 val deterministic : bound:int -> t
 (** First-enabled and round-robin only. Used for exact (ε = 0) emulation
     claims discharged by schema search: a randomized σ generally needs a

@@ -105,3 +105,8 @@ let silent_takeover auto =
     ~name:(Psioa.name auto ^ ".silenced")
     ~start:(Psioa.start auto)
     ~signature ~transition
+
+let nobody () =
+  Psioa.make ~name:"nobody" ~start:Value.unit
+    ~signature:(fun _ -> Sigs.empty)
+    ~transition:(fun _ _ -> None)

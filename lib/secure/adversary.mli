@@ -51,3 +51,11 @@ val silent_takeover : Psioa.t -> Psioa.t
     [Fault.compromise] when the attack is denial of participation (a
     taken-over validator that receives proposals but never votes). States
     with an empty signature stay empty, preserving PCA destruction. *)
+
+val nobody : unit -> Psioa.t
+(** The inert adversary, named ["nobody"]: one state, empty signature.
+    It is an adversary for any [A] with no adversary inputs (every [AAct_A]
+    action an output of [A]), and its own simulator; with it on both
+    sides, a [≤_SE] check compares the two systems with their attack
+    surfaces hidden. Each call builds a fresh automaton, so the signature
+    counts of one check do not depend on earlier checks. *)

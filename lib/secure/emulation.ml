@@ -77,8 +77,13 @@ let dummy_for c =
 
 let composite_simulator ~components ~adv =
   (* g = g¹ ∪ … ∪ gᵇ on the disjoint adversary alphabets of the
-     components. *)
-  let aact_univs = List.map (fun c -> Structured.aact_universe c.real) components in
+     components. AAct_A(q) = AI_A(q) ∪ AO_A(q), and both universes refuse
+     a truncated sweep. *)
+  let aact_univs =
+    List.map
+      (fun c -> Action_set.union (Structured.ai_universe c.real) (Structured.ao_universe c.real))
+      components
+  in
   let g_apply act =
     let rec go cs univs =
       match (cs, univs) with

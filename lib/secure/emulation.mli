@@ -84,7 +84,10 @@ val composite_simulator : components:component list -> adv:Psioa.t -> Psioa.t
 (** The Theorem 4.30 construction: rename the composite adversary's
     interactions through [g = g¹ ∪ … ∪ gᵇ], attach every component's
     dummy-simulator, and hide the internalised renamed actions:
-    [Sim = hide(DSim¹ ‖ … ‖ DSimᵇ ‖ g(Adv), g(AAct_Â))]. *)
+    [Sim = hide(DSim¹ ‖ … ‖ DSimᵇ ‖ g(Adv), g(AAct_Â))]. Each component's
+    [AAct] is {!Structured.ai_universe} ∪ {!Structured.ao_universe}, so
+    this raises {!Structured.Universe_truncated} when a component reaches
+    more than {!Psioa.default_max_states} states. *)
 
 val dummy_for : component -> Psioa.t
 (** [Dummy(realᵢ, gᵢ)] — the dummy adversary each component's emulation is

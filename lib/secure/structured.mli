@@ -31,12 +31,13 @@ val ao : t -> Value.t -> Action_set.t
 
 val aact_universe : ?max_states:int -> ?max_depth:int -> t -> Action_set.t
 (** The underlined [AAct_A]: union of [AAct_A(q)] over the reachable
-    states a breadth-first sweep explores within the limits (with an
-    explicit cap, the union over the explored prefix). It is the alphabet
-    of automata built apart from [A], such as the renamed adversary of
-    Theorem 4.30's {!Emulation.composite_simulator}, and the domain of the
-    adversary renamings [g] of Section 4.9. No verdict calls it:
-    {!Emulation.hidden_system} reads [AAct_A(q_A)] state by state. *)
+    states a breadth-first sweep explores within the limits — the union
+    over the explored prefix, with no sign of truncation. No verdict and
+    no construction calls it: {!Emulation.hidden_system} reads
+    [AAct_A(q_A)] state by state, and the alphabets of automata built
+    apart from [A] (the dummy adversary, Theorem 4.30's
+    {!Emulation.composite_simulator}) are {!ai_universe} ∪
+    {!ao_universe}, which refuse a truncated sweep. *)
 
 exception Universe_truncated of { automaton : string; max_states : int }
 (** Raised by {!sweep}, and so by every alphabet and check built on it,

@@ -10,7 +10,6 @@ let g_entries = Obs.gauge "serve.cache.entries"
 
 type entry = {
   e_line : string;
-  e_depth : int;
   e_dist : Exec.t Dist.t;
   e_deficit : Rat.t option;
   e_frontier : Measure.frontier option;
@@ -87,12 +86,11 @@ let evict_lru t =
       Obs.incr c_evict
   | None -> ()
 
-let add t ~key ~line ~depth ~dist ?deficit ?frontier ?(render = ref None) () =
+let add t ~key ~line ~dist ?deficit ?frontier ?(render = ref None) () =
   locked t (fun () ->
       let entry =
         {
           e_line = line;
-          e_depth = depth;
           e_dist = dist;
           e_deficit = deficit;
           e_frontier = frontier;
@@ -103,5 +101,3 @@ let add t ~key ~line ~depth ~dist ?deficit ?frontier ?(render = ref None) () =
         evict_lru t;
       Hashtbl.replace t.tbl key { entry; tick = tick t };
       Obs.set_gauge g_entries (string_of_int (Hashtbl.length t.tbl)))
-
-let size t = locked t (fun () -> Hashtbl.length t.tbl)

@@ -19,7 +19,6 @@ open Cdse_sched
 
 type entry = {
   e_line : string;
-  e_depth : int;
   e_dist : Exec.t Dist.t;
   e_deficit : Rat.t option;  (** [Some _] iff the stored result was truncated *)
   e_frontier : Measure.frontier option;
@@ -50,7 +49,6 @@ val add :
   t ->
   key:string ->
   line:string ->
-  depth:int ->
   dist:Exec.t Dist.t ->
   ?deficit:Rat.t ->
   ?frontier:Measure.frontier ->
@@ -62,5 +60,3 @@ val add :
     racing on the same query both insert the same (deterministic) result.
     [render] shares the caller's render-memo cell with the entry (fresh
     and empty by default). *)
-
-val size : t -> int

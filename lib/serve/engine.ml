@@ -75,7 +75,7 @@ let measure t (q : Protocol.query) =
           | `Truncated (d, lost) -> (d, Some lost)
         in
         let render = ref None in
-        Cache.add t.cache ~key ~line ~depth:q.q_depth ~dist ?deficit ~render ();
+        Cache.add t.cache ~key ~line ~dist ?deficit ~render ();
         {
           m_dist = dist;
           m_deficit = deficit;
@@ -92,7 +92,7 @@ let measure t (q : Protocol.query) =
             ~depth:q.q_depth
         in
         let render = ref None in
-        Cache.add t.cache ~key ~line ~depth:q.q_depth ~dist ~frontier ~render ();
+        Cache.add t.cache ~key ~line ~dist ~frontier ~render ();
         {
           m_dist = dist;
           m_deficit = None;

@@ -235,8 +235,14 @@ let parse_request line =
           [ "max_execs"; "max_width" ];
         let q = parse_query ~id obj in
         let bits = get_str ~id ~field:"state" obj in
+        (* A bit string that is not a value encoding is the client's
+           error, not the engine's (which decodes the state again). *)
         let state =
-          match Cdse_util.Bits.of_string bits with
+          match
+            let b = Cdse_util.Bits.of_string bits in
+            ignore (Cdse_psioa.Value.of_bits b);
+            b
+          with
           | b -> b
           | exception Invalid_argument m -> bad ~id "state" m
         in

@@ -52,7 +52,9 @@
     error naming ["compress"]. A [reach] carrying "max_execs" or
     "max_width" is rejected with a [protocol] error naming the field: its
     reply has no tag or lost mass, so a budget would make it a silent
-    lower bound. *)
+    lower bound. A [reach] whose "state" is not a bit string that decodes
+    to a value ([Value.of_bits]) gets a [protocol] error naming
+    ["state"]. *)
 
 open Cdse_prob
 open Cdse_psioa

@@ -154,7 +154,7 @@ let test_channel_weak_family_neg_pt () =
   in
   let run eps =
     Impl.le_neg_pt ~window:[ 1; 2; 3 ]
-      ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
+      ~schema:Schema.first_enabled
       ~insight_of:Insight.accept
       ~envs:(fun k -> [ Secure_channel.env_guess ~width:(max 1 k) ~msg:1 "wk" ])
       ~eps
@@ -258,7 +258,7 @@ let test_thm_430_mixed_protocols () =
   let envs = [ Secure_channel.env_guess ~msg:1 "mx1"; Secret_share.env_guess ~secret:1 "mx2" ] in
   let v =
     Emulation.check
-      ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
+      ~schema:Schema.first_enabled
       ~insight_of:Insight.accept ~envs ~eps:Rat.zero ~q1:20 ~q2:20 ~depth:22
       ~adversaries:[ adv_hat ] ~sim_for:(fun _ -> sim_hat) ~real:real_hat ~ideal:ideal_hat
   in

@@ -297,14 +297,10 @@ let test_committee_secure_emulation () =
      a do-nothing adversary/simulator suffices. *)
   let real = Committee.structured (Committee.build ~max_validators:2 ~blocks:2 n) n in
   let ideal = Committee.ideal ~blocks:2 n in
-  let nobody =
-    Psioa.make ~name:"nobody" ~start:Value.unit
-      ~signature:(fun _ -> Sigs.empty)
-      ~transition:(fun _ _ -> None)
-  in
+  let nobody = Cdse_secure.Adversary.nobody () in
   let v =
     Cdse_secure.Emulation.check
-      ~schema:(Cdse_sched.Schema.make ~name:"det" (fun a -> [ Cdse_sched.Scheduler.first_enabled a ]))
+      ~schema:Cdse_sched.Schema.first_enabled
       ~insight_of:Cdse_sched.Insight.accept
       ~envs:[ Committee.env_commit ~block:0 n ]
       ~eps:Rat.zero ~q1:12 ~q2:12 ~depth:14 ~adversaries:[ nobody ] ~sim_for:(fun _ -> nobody)

@@ -54,7 +54,7 @@ let ses_depth r = 2 + (7 * r)
 
 let ses_check ~rounds ~eps =
   Emulation.check
-    ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
+    ~schema:Schema.first_enabled
     ~insight_of:Insight.accept
     ~envs:[ Secure_channel.env_session ~rounds ~msg:1 "ses" ]
     ~eps ~q1:(ses_depth rounds) ~q2:(ses_depth rounds) ~depth:(ses_depth rounds + 2)
@@ -156,7 +156,7 @@ let test_bc_family_neg_pt () =
   in
   let v =
     Impl.le_neg_pt ~window:[ 1; 2; 3 ]
-      ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
+      ~schema:Schema.first_enabled
       ~insight_of:Insight.accept
       ~envs:(fun k -> [ Broadcast.env_all_delivered ~k:(max 1 k) ~msg:1 "bc" ])
       ~eps:Cdse_bounded.Negligible.inv_pow2
@@ -210,7 +210,7 @@ let ag_depth p = 10 + (2 * p)
 
 let ag_check ~parties ~env ~real ~eps =
   Emulation.check
-    ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
+    ~schema:Schema.first_enabled
     ~insight_of:Insight.accept ~envs:[ env ] ~eps ~q1:(ag_depth parties) ~q2:(ag_depth parties)
     ~depth:(ag_depth parties + 2)
     ~adversaries:[ Aggregation.adversary "ag" ]

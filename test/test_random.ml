@@ -334,7 +334,7 @@ let prop_emulation_reflexive_random =
       in
       let v =
         Cdse_secure.Emulation.check
-          ~schema:(Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]))
+          ~schema:Schema.first_enabled
           ~insight_of:Insight.accept ~envs:[ env ] ~eps:Rat.zero ~q1:8 ~q2:8 ~depth:10
           ~adversaries:[ adv ] ~sim_for:Fun.id ~real:relay ~ideal:relay
       in

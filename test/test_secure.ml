@@ -64,30 +64,30 @@ let test_structured_universe_truncation () =
   Alcotest.(check int) "AAct over a 5-state prefix" 2
     (Action_set.cardinal (Structured.aact_universe ~max_states:5 unbounded))
 
+(* A counter that ticks internally from state 0 to state 20 000, beyond
+   the 10 000-state cap, and offers [last] there as an adversary action. *)
+let far_counter ~sig_at_far last =
+  let far = 20_000 and tick = act "far.tick" in
+  Structured.make
+    (Psioa.make ~name:"far" ~start:(Value.int 0)
+       ~signature:(fun q ->
+         if Value.equal q (Value.int far) then sig_at_far else Fixtures.sig_io ~h:[ tick ] ())
+       ~transition:(fun q a ->
+         match q with
+         | Value.Int n when n < far && Action.equal a tick ->
+             Some (Vdist.dirac (Value.int (n + 1)))
+         | Value.Int n when n = far && Action.equal a last -> Some (Vdist.dirac q)
+         | _ -> None))
+    ~eact:(fun _ -> Action_set.empty)
+
 (* The checks refuse a truncated sweep too. A counter gains its only
    adversary input at state 20 000, beyond the 10 000-state cap, and the
    candidate adversary outputs nothing: a sweep that stopped at the cap
    would pass it. *)
 let test_checks_refuse_truncated_sweep () =
-  let far = 20_000 and tick = act "far.tick" and cmd = act "far.cmd" in
-  let counter =
-    Structured.make
-      (Psioa.make ~name:"far" ~start:(Value.int 0)
-         ~signature:(fun q ->
-           if Value.equal q (Value.int far) then Fixtures.sig_io ~i:[ cmd ] ()
-           else Fixtures.sig_io ~h:[ tick ] ())
-         ~transition:(fun q a ->
-           match q with
-           | Value.Int n when n < far && Action.equal a tick ->
-               Some (Vdist.dirac (Value.int (n + 1)))
-           | Value.Int n when n = far && Action.equal a cmd -> Some (Vdist.dirac q)
-           | _ -> None))
-      ~eact:(fun _ -> Action_set.empty)
-  in
-  let mute =
-    Psioa.make ~name:"mute" ~start:Value.unit ~signature:(fun _ -> Sigs.empty)
-      ~transition:(fun _ _ -> None)
-  in
+  let cmd = act "far.cmd" in
+  let counter = far_counter ~sig_at_far:(Fixtures.sig_io ~i:[ cmd ] ()) cmd in
+  let mute = Adversary.nobody () in
   let refused what f =
     match f () with
     | () -> Alcotest.failf "%s answered from a truncated sweep" what
@@ -102,6 +102,22 @@ let test_checks_refuse_truncated_sweep () =
       ignore (Adversary.full_control ~structured:counter mute));
   refused "Structured.compatible" (fun () ->
       ignore (Structured.compatible counter (Structured.make mute ~eact:(fun _ -> Action_set.empty))))
+
+(* Theorem 4.30's composite simulator renames each component's AAct. A
+   component whose only adversary output sits at state 20 000 would keep
+   that action un-renamed under an alphabet swept up to the cap. *)
+let test_composite_simulator_refuses_truncated_sweep () =
+  let leak = act "far.leak" in
+  let far = far_counter ~sig_at_far:(Fixtures.sig_io ~o:[ leak ] ()) leak in
+  let c =
+    { Emulation.real = far; ideal = far; g = Dummy.prefix_renaming "g.";
+      dsim = Adversary.nobody () }
+  in
+  match Emulation.composite_simulator ~components:[ c ] ~adv:(Adversary.nobody ()) with
+  | _ -> Alcotest.fail "composite_simulator renamed from a truncated sweep"
+  | exception Structured.Universe_truncated { automaton; max_states } ->
+      Alcotest.(check (pair string int)) "names the component and the cap"
+        ("far", Psioa.default_max_states) (automaton, max_states)
 
 let test_structured_aact_one_signature () =
   let a, evals, reset = Fixtures.counted (Structured.psioa relay) in
@@ -242,7 +258,7 @@ let test_emulation_check_failed_printer () =
   let bound = 12 in
   match
     Emulation.check_exn
-      ~schema:(Schema.make ~name:"det" (fun x -> [ Scheduler.first_enabled x ]))
+      ~schema:Schema.first_enabled
       ~insight_of:Insight.accept
       ~envs:[ Cdse_crypto.Secure_channel.env_guess ~msg:1 "n0" ]
       ~eps:Rat.zero ~q1:bound ~q2:bound ~depth:(bound + 2)
@@ -360,16 +376,15 @@ let test_impl_composability_context () =
      does not increase the distinguishing distance. Checked under the
      deterministic matched scheduler so both sides replay the same
      interleaving. *)
-  let det = Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]) in
   let ctx = Fixtures.counter ~bound:2 "ctx" in
   let a13 = Compose.pair ctx (coin_pair Rat.half "c") in
   let a23 = Compose.pair ctx (coin_pair (Rat.of_ints 3 4) "c") in
   let plain =
-    Impl.approx_le ~schema:det ~insight_of:Insight.accept ~envs:accept_envs ~eps:Rat.one ~q1:6
+    Impl.approx_le ~schema:Schema.first_enabled ~insight_of:Insight.accept ~envs:accept_envs ~eps:Rat.one ~q1:6
       ~q2:6 ~depth:8 ~a:(coin_pair Rat.half "c") ~b:(coin_pair (Rat.of_ints 3 4) "c")
   in
   let v =
-    Impl.approx_le ~schema:det ~insight_of:Insight.accept ~envs:accept_envs ~eps:Rat.one ~q1:8
+    Impl.approx_le ~schema:Schema.first_enabled ~insight_of:Insight.accept ~envs:accept_envs ~eps:Rat.one ~q1:8
       ~q2:8 ~depth:10 ~a:a13 ~b:a23
   in
   Alcotest.(check bool) "context does not amplify" true
@@ -395,10 +410,9 @@ let test_impl_family_composability_lemma_414 () =
      schedulers, identical-pair family so ε = 0). *)
   let fam_a _k = coin_pair Rat.half "c" in
   let fam_c k = Fixtures.counter ~bound:(1 + (k mod 3)) "ctx" in
-  let det = Schema.make ~name:"det" (fun a -> [ Scheduler.first_enabled a ]) in
   let composed fam k = Compose.pair (fam_c k) (fam k) in
   let v =
-    Impl.approx_le_family ~window:[ 1; 2; 3 ] ~schema:det ~insight_of:Insight.accept
+    Impl.approx_le_family ~window:[ 1; 2; 3 ] ~schema:Schema.first_enabled ~insight_of:Insight.accept
       ~envs:(fun _ -> accept_envs)
       ~eps:(fun _ -> Rat.zero)
       ~q1:(fun k -> 6 + k) ~q2:(fun k -> 6 + k)
@@ -414,7 +428,7 @@ let test_triangle_chain () =
   let ps = [ Rat.half; Rat.of_ints 5 8; Rat.of_ints 3 4; Rat.of_ints 7 8 ] in
   let report =
     Impl.triangle_chain
-      ~schema:(Schema.make ~name:"det" (fun x -> [ Scheduler.first_enabled x ]))
+      ~schema:Schema.first_enabled
       ~insight_of:Insight.accept ~envs:accept_envs ~q:4 ~depth:6
       (List.map (fun p -> coin_pair p "c") ps)
   in
@@ -627,11 +641,6 @@ let test_emulation_detects_leaky_ideal () =
   Alcotest.(check bool) "distinguished" false v.Impl.holds;
   Alcotest.check rat "full distance" Rat.one v.Impl.worst
 
-let nobody =
-  Psioa.make ~name:"nobody" ~start:Value.unit
-    ~signature:(fun _ -> Sigs.empty)
-    ~transition:(fun _ _ -> None)
-
 let test_hidden_system_per_state () =
   (* Def 4.26 hides AAct_A(q_A) at each state: x is an adversary output at
      state 0 and an environment output at state 1, so it is internal at
@@ -649,7 +658,7 @@ let test_hidden_system_per_state () =
            | _ -> None))
       ~eact:(fun q -> if Value.equal q (Value.int 1) then Action_set.singleton x else Action_set.empty)
   in
-  let sys = Emulation.hidden_system two_step nobody in
+  let sys = Emulation.hidden_system two_step (Adversary.nobody ()) in
   let at n = Psioa.signature sys (Value.pair (Value.int n) Value.unit) in
   Alcotest.(check bool) "x hidden at (0, _)" true (Action_set.mem x (Sigs.internal (at 0)));
   Alcotest.(check bool) "x visible at (1, _)" true (Action_set.mem x (Sigs.output (at 1)))
@@ -671,7 +680,7 @@ let test_hidden_system_explores_nothing () =
            | _ -> None))
       ~eact:(fun _ -> Action_set.empty)
   in
-  let sys = Emulation.hidden_system counter nobody in
+  let sys = Emulation.hidden_system counter (Adversary.nobody ()) in
   Alcotest.(check int) "no signature evaluated" 0 !calls;
   Alcotest.(check bool) "tick hidden at the start" true
     (Action_set.mem tick (Sigs.internal (Psioa.signature sys (Psioa.start sys))))
@@ -702,6 +711,8 @@ let () =
           Alcotest.test_case "truncated universe refused" `Quick test_structured_universe_truncation;
           Alcotest.test_case "checks refuse a truncated sweep" `Quick
             test_checks_refuse_truncated_sweep;
+          Alcotest.test_case "composite simulator refuses a truncated sweep" `Quick
+            test_composite_simulator_refuses_truncated_sweep;
           Alcotest.test_case "AAct reads the signature once" `Quick test_structured_aact_one_signature;
           Alcotest.test_case "validation" `Quick test_structured_validate;
           Alcotest.test_case "hiding (Def 4.17)" `Quick test_structured_hide;

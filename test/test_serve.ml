@@ -269,6 +269,17 @@ let test_malformed_requests () =
            (measure
               ~sched:(Json.Obj [ ("kind", Json.Str "uniform"); ("bound", Json.Num 1e300) ])
               []));
+      (* A reach state must decode to a value: "0" runs out of bits and
+         "0000" has trailing bits ("000" is the unit value). *)
+      List.iter
+        (fun state ->
+          Alcotest.(check (pair string string))
+            ("undecodable reach state " ^ state) ("protocol", "state")
+            (error_field
+               ([ ("op", Json.Str "reach"); ("state", Json.Str state) ]
+               @ List.remove_assoc "op"
+                   (measure_fields ~model:model_coin ~sched:(sched_json "uniform") ~depth:3 ()))))
+        [ "0"; "0000" ];
       (* The connection survives every rejected request. *)
       let body = expect_ok (Client.ping c) in
       Alcotest.(check string) "connection still usable" "pong" (Client.str body))
@@ -348,11 +359,12 @@ let test_stale_engine_fields_ignored () =
    reach the parser only up to the daemon's request-line cap. *)
 let line_cap = 1 lsl 20
 
+(* The reach line's state is the encoding of the coin's [heads] state. *)
 let valid_lines =
   [
     {|{"id":1,"op":"ping"}|};
     {|{"id":2,"op":"measure","model":{"kind":"random_auto","seed":3,"states":5},"sched":{"kind":"uniform","bound":4},"depth":4,"compress":"quotient","max_execs":10}|};
-    {|{"id":3,"op":"reach","model":{"kind":"coin","p":"1/3"},"sched":{"kind":"round_robin"},"depth":3,"state":"0101"}|};
+    {|{"id":3,"op":"reach","model":{"kind":"coin","p":"1/3"},"sched":{"kind":"round_robin"},"depth":3,"state":"110001100110100001100101011000010110010001110011000"}|};
     {|{"id":4,"op":"emulate","protocol":"coin-flip","broken":true}|};
   ]
 

@@ -171,9 +171,9 @@ let test_sampled_matches_exact () =
       (Cdse_crypto.Secure_channel.simulator ~width "wk")
   in
   let env = Cdse_crypto.Secure_channel.env_guess ~width ~msg:1 "wk" in
-  let schema = Cdse_sched.Schema.make ~name:"det" (fun a -> [ Cdse_sched.Scheduler.first_enabled a ]) in
   let v =
-    Cdse_secure.Sampled.approx_le_sampled ~schema ~insight_of:Cdse_sched.Insight.accept
+    Cdse_secure.Sampled.approx_le_sampled ~schema:Cdse_sched.Schema.first_enabled
+      ~insight_of:Cdse_sched.Insight.accept
       ~envs:[ env ] ~eps:0.25 ~tolerance:0.05 ~q1:12 ~q2:12 ~depth:14 ~samples:4000 ~seed:11
       ~a:real ~b:ideal
   in
@@ -195,9 +195,9 @@ let test_sampled_detects_leak () =
       (Cdse_crypto.Secure_channel.simulator "sc")
   in
   let env = Cdse_crypto.Secure_channel.env_guess ~msg:1 "sc" in
-  let schema = Cdse_sched.Schema.make ~name:"det" (fun a -> [ Cdse_sched.Scheduler.first_enabled a ]) in
   let v =
-    Cdse_secure.Sampled.approx_le_sampled ~schema ~insight_of:Cdse_sched.Insight.accept
+    Cdse_secure.Sampled.approx_le_sampled ~schema:Cdse_sched.Schema.first_enabled
+      ~insight_of:Cdse_sched.Insight.accept
       ~envs:[ env ] ~eps:0.0 ~tolerance:0.1 ~q1:12 ~q2:12 ~depth:14 ~samples:2000 ~seed:3
       ~a:real ~b:ideal
   in
