@@ -85,7 +85,8 @@ let validate_cmd =
     let ok =
       ok
       &&
-      match Pca.check_constraints ~max_states:300 ~max_depth:5 system with
+      (* 500 states within depth 4 (1 432 within depth 5). *)
+      match Pca.check_constraints ~max_states:500 ~max_depth:4 system with
       | Ok () ->
           Format.printf "ok    subchain-system (PCA constraints, Def 2.16)@.";
           true

@@ -8,10 +8,6 @@ open Cdse
 
 let act ?payload name = Action.make ?payload name
 
-let sig_io ?(i = []) ?(o = []) ?(h = []) () =
-  Sigs.make ~input:(Action_set.of_list i) ~output:(Action_set.of_list o)
-    ~internal:(Action_set.of_list h)
-
 (* A biased coin: one internal flip, then it forever announces the
    outcome. *)
 let coin ~p name =
@@ -21,9 +17,9 @@ let coin ~p name =
   let announce b = act (name ^ if b then ".heads" else ".tails") in
   Psioa.make ~name ~start:init
     ~signature:(fun q ->
-      if Value.equal q init then sig_io ~h:[ flip ] ()
-      else if Value.equal q (side true) then sig_io ~o:[ announce true ] ()
-      else sig_io ~o:[ announce false ] ())
+      if Value.equal q init then Sigs.of_lists ~h:[ flip ] ()
+      else if Value.equal q (side true) then Sigs.of_lists ~o:[ announce true ] ()
+      else Sigs.of_lists ~o:[ announce false ] ())
     ~transition:(fun q a ->
       if Value.equal q init && Action.equal a flip then
         Some (Vdist.coin ~p (side true) (side false))
@@ -41,8 +37,8 @@ let env name =
   Psioa.make ~name ~start:(s 0)
     ~signature:(fun q ->
       match q with
-      | Value.Tag ("env", Value.Int 0) -> sig_io ~i:[ heads ] ()
-      | Value.Tag ("env", Value.Int 1) -> sig_io ~o:[ acc ] ()
+      | Value.Tag ("env", Value.Int 0) -> Sigs.of_lists ~i:[ heads ] ()
+      | Value.Tag ("env", Value.Int 1) -> Sigs.of_lists ~o:[ acc ] ()
       | _ -> Sigs.empty)
     ~transition:(fun q a ->
       match q with

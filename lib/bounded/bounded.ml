@@ -59,9 +59,9 @@ let measure_common ?(max_states = 200) ?(max_depth = 6) auto ~extra =
 let measure_psioa ?max_states ?max_depth auto =
   measure_common ?max_states ?max_depth auto ~extra:(fun ~bump:_ ~part:_ ~decode:_ _ _ -> ())
 
-let measure_pca ?max_states ?max_depth pca =
+let measure_pca pca =
   let auto = Cdse_config.Pca.psioa pca in
-  measure_common ?max_states ?max_depth auto ~extra:(fun ~bump ~part ~decode q qbits ->
+  measure_common auto ~extra:(fun ~bump ~part ~decode q qbits ->
       (* Definition 4.2: configuration, created and hidden encodings and
          machines also count towards the bound. *)
       let cbits, cost = Machines.m_conf pca qbits in

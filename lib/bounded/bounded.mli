@@ -23,7 +23,7 @@ type report = {
 }
 
 val measure_psioa : ?max_states:int -> ?max_depth:int -> Psioa.t -> report
-val measure_pca : ?max_states:int -> ?max_depth:int -> Cdse_config.Pca.t -> report
+val measure_pca : Cdse_config.Pca.t -> report
 
 val is_time_bounded : ?max_states:int -> ?max_depth:int -> Psioa.t -> b:int -> bool
 (** Definition 4.1 on the explored space. *)

@@ -27,7 +27,3 @@ let id_list ids =
   Bits.concat
     (Bits.encode_nat (List.length ids)
     :: List.map (fun id -> length_prefixed (Value.to_bits (Value.str id))) ids)
-
-let sig_bits s =
-  Bits.concat
-    [ action_set (Sigs.input s); action_set (Sigs.output s); action_set (Sigs.internal s) ]

@@ -24,7 +24,3 @@ val action_set : Action_set.t -> Cdse_util.Bits.t
 
 val id_list : string list -> Cdse_util.Bits.t
 (** Encoding of created-automata sets [⟨φ⟩] (Definition 4.2). *)
-
-val sig_bits : Sigs.t -> Cdse_util.Bits.t
-(** Encoding of a full signature triple (used when sizing automaton
-    descriptions). *)

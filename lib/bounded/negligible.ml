@@ -17,13 +17,11 @@ let zero : t = fun _ -> Rat.zero
 let inv_pow2 : t = fun k -> Rat.pow Rat.half (max 0 k)
 
 (** [k ↦ c / 2^k]. *)
-let scaled_inv_pow2 c : t = fun k -> Rat.mul c (inv_pow2 k)
 
 (** [k ↦ 1/k^d] — NOT negligible; used as a falsification fixture. *)
 let inv_poly d : t = fun k -> if k <= 0 then Rat.one else Rat.of_ints 1 (int_of_float (float_of_int k ** float_of_int d))
 
 let add (a : t) (b : t) : t = fun k -> Rat.add (a k) (b k)
-let scale c (a : t) : t = fun k -> Rat.mul c (a k)
 
 (** [mul_poly p ε]: multiplying a negligible function by a polynomial
     keeps it negligible — the closure behind "polynomially many hybrid

@@ -16,17 +16,12 @@ val zero : t
 val inv_pow2 : t
 (** [k ↦ 2^{-k}] — the canonical negligible function. *)
 
-val scaled_inv_pow2 : Rat.t -> t
-(** [k ↦ c · 2^{-k}]. *)
-
 val inv_poly : int -> t
 (** [k ↦ 1/k^d] — {e not} negligible; the falsification fixture. *)
 
 val add : t -> t -> t
 (** Negligible functions are closed under addition — the fact behind the
     transitivity theorem's ε-accounting (Theorem 4.16). *)
-
-val scale : Rat.t -> t -> t
 
 val mul_poly : Cdse_util.Poly.t -> t -> t
 (** Closure under polynomial factors (hybrid arguments). *)

@@ -5,9 +5,6 @@ type t = (string * Value.t) list
 
 exception Duplicate_automaton of string
 
-let empty : t = []
-let is_empty c = c = []
-
 let make pairs =
   let sorted = List.stable_sort (fun (a, _) (b, _) -> String.compare a b) pairs in
   let rec check = function
@@ -26,8 +23,6 @@ let cardinal = List.length
 
 let add id q c =
   if mem c id then raise (Duplicate_automaton id) else make ((id, q) :: c)
-
-let remove id c = List.filter (fun (i, _) -> not (String.equal i id)) c
 
 let member_sigs reg c =
   List.map (fun (id, q) -> Psioa.signature (Registry.find reg id) q) c
@@ -54,8 +49,6 @@ let start_of reg ids = make (List.map (fun id -> (id, Psioa.start (Registry.find
 let union a b =
   List.iter (fun (id, _) -> if mem a id then raise (Duplicate_automaton id)) b;
   make (a @ b)
-
-let restrict c ids = List.filter (fun (id, _) -> List.mem id ids) c
 
 let compare a b =
   Cdse_util.Order.list (Cdse_util.Order.pair String.compare Value.compare) a b

@@ -17,9 +17,6 @@ val make : (string * Value.t) list -> t
 (** Build from (identifier, state) pairs. Raises {!Duplicate_automaton} on
     repeated identifiers. *)
 
-val empty : t
-val is_empty : t -> bool
-
 val auts : t -> string list
 (** [auts(C)]: identifiers, sorted. *)
 
@@ -29,7 +26,6 @@ val state_of : t -> string -> Value.t option
 
 val mem : t -> string -> bool
 val add : string -> Value.t -> t -> t
-val remove : string -> t -> t
 val cardinal : t -> int
 
 val signature : Registry.t -> t -> Sigs.t
@@ -58,9 +54,6 @@ val start_of : Registry.t -> string list -> t
 val union : t -> t -> t
 (** Disjoint union, for PCA composition (Definition 2.19). Raises
     {!Duplicate_automaton} if the automaton sets intersect. *)
-
-val restrict : t -> string list -> t
-(** [S ↾ A]: keep only the listed automata. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

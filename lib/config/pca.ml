@@ -10,7 +10,6 @@ type t = {
   hidden : Value.t -> Action_set.t;
 }
 
-let name x = x.name
 let registry x = x.registry
 let psioa x = x.psioa
 let config_of x q = x.config_of q
@@ -18,18 +17,13 @@ let created x q a = x.created q a
 let hidden_actions x q = x.hidden q
 let alive x q = Config.auts (x.config_of q)
 
-let make ~name ~registry ~init ?(created = fun _ _ -> []) ?(hidden = fun _ -> Action_set.empty) () =
+let make ~name ~registry ~init ?(created = fun _ _ -> []) () =
   if not (Config.is_reduced registry init) then
     invalid_arg (Format.asprintf "Pca.make %s: initial configuration not reduced: %a" name Config.pp init);
   if not (Config.compatible registry init) then
     invalid_arg (Format.asprintf "Pca.make %s: initial configuration not compatible: %a" name Config.pp init);
   let config_of = Config.of_value in
-  let signature q =
-    let c = Config.of_value q in
-    Sigs.hide (Config.signature registry c) (hidden c)
-  in
-  (* Hiding never changes [Sigs.all], so the intrinsic transition's own
-     membership test on the configuration signature is the one needed. *)
+  let signature q = Config.signature registry (Config.of_value q) in
   let transition q act =
     let c = Config.of_value q in
     Option.map
@@ -42,7 +36,7 @@ let make ~name ~registry ~init ?(created = fun _ _ -> []) ?(hidden = fun _ -> Ac
     psioa;
     config_of;
     created = (fun q a -> created (Config.of_value q) a);
-    hidden = (fun q -> hidden (Config.of_value q)) }
+    hidden = (fun _ -> Action_set.empty) }
 
 (* Definition 2.17: hiding only touches sig and hidden-actions. *)
 let hide x extra =
@@ -54,8 +48,8 @@ let hide x extra =
   in
   { x with psioa; hidden }
 
-let compose_pair ?name x1 x2 =
-  let name = match name with Some n -> n | None -> x1.name ^ "||" ^ x2.name in
+let compose_pair x1 x2 =
+  let name = x1.name ^ "||" ^ x2.name in
   let psioa = Compose.pair ~name x1.psioa x2.psioa in
   let proj q = Compose.proj_pair q in
   let config_of q =
@@ -133,7 +127,4 @@ let check_constraints ?max_states ?max_depth x =
   if not start_ok then
     Error (Printf.sprintf "PCA %S: start state does not map members to their start states" x.name)
   else
-    List.fold_left
-      (fun acc q -> match acc with Error _ -> acc | Ok () -> check_state q)
-      (Ok ())
-      (Psioa.reachable ?max_states ?max_depth x.psioa)
+    Psioa.check_reachable ?max_states ?max_depth x.psioa check_state

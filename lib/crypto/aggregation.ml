@@ -4,10 +4,6 @@ open Cdse_secure
 let act = Action.make
 let acti name v = Action.make ~payload:(Value.int v) name
 
-let sig_io ?(i = []) ?(o = []) ?(h = []) () =
-  Sigs.make ~input:(Action_set.of_list i) ~output:(Action_set.of_list o)
-    ~internal:(Action_set.of_list h)
-
 let bits = [ 0; 1 ]
 let in_ n i x = acti (Printf.sprintf "%s.in%d" n i) x
 let masked n i v = acti (Printf.sprintf "%s.m%d" n i) v
@@ -35,14 +31,14 @@ let protocol ~mask ~parties n =
   let signature q =
     match q with
     | Value.Tag ("agc", Value.List xs) when List.length xs < parties ->
-        sig_io ~i:(List.map (in_ n (List.length xs)) bits) ()
-    | Value.Tag ("agc", _) -> sig_io ~h:[ draw ] ()
+        Sigs.of_lists ~i:(List.map (in_ n (List.length xs)) bits) ()
+    | Value.Tag ("agc", _) -> Sigs.of_lists ~h:[ draw ] ()
     | Value.Tag ("agp", Value.List [ _; Value.List ms; Value.Int k ]) when k < parties ->
         let mk = match List.nth_opt (of_ints (Value.List ms)) k with Some v -> v | None -> 0 in
-        sig_io ~o:[ masked n k mk ] ()
-    | Value.Tag ("agp", _) -> sig_io ~i:[ release n ] ()
+        Sigs.of_lists ~o:[ masked n k mk ] ()
+    | Value.Tag ("agp", _) -> Sigs.of_lists ~i:[ release n ] ()
     | Value.Tag ("agw", Value.List xs) ->
-        sig_io ~o:[ sum_act n (xor_all (of_ints (Value.List xs))) ] ()
+        Sigs.of_lists ~o:[ sum_act n (xor_all (of_ints (Value.List xs))) ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -107,14 +103,14 @@ let ideal ~parties n =
   let signature q =
     match q with
     | Value.Tag ("igc", Value.List xs) when List.length xs < parties ->
-        sig_io ~i:(List.map (in_ n (List.length xs)) bits) ()
+        Sigs.of_lists ~i:(List.map (in_ n (List.length xs)) bits) ()
     | Value.Tag ("igc", _) | Value.Tag ("igl", _) -> (
         match q with
-        | Value.Tag ("igc", _) -> sig_io ~o:[ leak n ] ()
-        | _ -> sig_io ~i:[ release n ] ())
-    | Value.Tag ("igw", _) -> sig_io ~i:[ release n ] ()
+        | Value.Tag ("igc", _) -> Sigs.of_lists ~o:[ leak n ] ()
+        | _ -> Sigs.of_lists ~i:[ release n ] ())
+    | Value.Tag ("igw", _) -> Sigs.of_lists ~i:[ release n ] ()
     | Value.Tag ("iga", Value.List xs) ->
-        sig_io ~o:[ sum_act n (xor_all (of_ints (Value.List xs))) ] ()
+        Sigs.of_lists ~o:[ sum_act n (xor_all (of_ints (Value.List xs))) ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -179,10 +175,10 @@ let env ~final_inputs ~final_watch ~accept_on ~parties ~inputs n name_suffix =
   let signature q =
     match q with
     | Value.Tag ("age", Value.Pair (Value.Str "feed", Value.Int k)) when k < parties ->
-        sig_io ~o:[ in_ n k (List.nth inputs k) ] ()
+        Sigs.of_lists ~o:[ in_ n k (List.nth inputs k) ] ()
     | Value.Tag ("age", Value.Pair (Value.Str "feed", _)) | Value.Tag ("age", Value.Pair (Value.Str "watch", _)) ->
-        sig_io ~i:final_watch ()
-    | Value.Tag ("age", Value.Pair (Value.Str "acc", _)) -> sig_io ~o:[ acc ] ()
+        Sigs.of_lists ~i:final_watch ()
+    | Value.Tag ("age", Value.Pair (Value.Str "acc", _)) -> Sigs.of_lists ~o:[ acc ] ()
     | _ -> Sigs.empty
   in
   let transition q a =

@@ -4,11 +4,8 @@ open Cdse_secure
 let act = Action.make
 let acti name v = Action.make ~payload:(Value.int v) name
 
-let sig_io ?(i = []) ?(o = []) ?(h = []) () =
-  Sigs.make ~input:(Action_set.of_list i) ~output:(Action_set.of_list o)
-    ~internal:(Action_set.of_list h)
-
-let msgs width = List.init (1 lsl width) Fun.id
+(* The message alphabet. *)
+let msgs = [ 0; 1 ]
 let receivers k = List.init k Fun.id
 
 let pkt n i m = acti (Printf.sprintf "%s.pkt%d" n i) m
@@ -28,13 +25,13 @@ let parse_phases = function
       Some (m, List.map (function Value.Int p -> p | _ -> 0) ph)
   | _ -> None
 
-let protocol ~leaky ?(width = 1) ~k n =
+let protocol ~leaky ~k n =
   let idle = Value.tag "bc-idle" Value.unit in
   let st m ph = Value.tag "bc" (phases_value m ph) in
   let parse q = match q with Value.Tag ("bc", p) -> parse_phases p | _ -> None in
   let set ph i v = List.mapi (fun j p -> if j = i then v else p) ph in
   let signature q =
-    if Value.equal q idle then sig_io ~i:(List.map (send n) (msgs width)) ()
+    if Value.equal q idle then Sigs.of_lists ~i:(List.map (send n) msgs) ()
     else
       match parse q with
       | None -> Sigs.empty
@@ -57,7 +54,7 @@ let protocol ~leaky ?(width = 1) ~k n =
             List.filter_map (fun i -> if List.nth ph i = 1 then Some (rel n i) else None)
               (receivers k)
           in
-          if outs = [] && ins = [] then Sigs.empty else sig_io ~i:ins ~o:outs ()
+          if outs = [] && ins = [] then Sigs.empty else Sigs.of_lists ~i:ins ~o:outs ()
   in
   let transition q a =
     if Value.equal q idle then
@@ -65,7 +62,7 @@ let protocol ~leaky ?(width = 1) ~k n =
         (fun m ->
           if Action.equal a (send n m) then Some (Vdist.dirac (st m (List.map (fun _ -> 0) (receivers k))))
           else None)
-        (msgs width)
+        msgs
     else
       match parse q with
       | None -> None
@@ -84,7 +81,7 @@ let protocol ~leaky ?(width = 1) ~k n =
   in
   let psioa = Psioa.make ~name:n ~start:idle ~signature ~transition in
   let eact q =
-    if Value.equal q idle then Action_set.of_list (List.map (send n) (msgs width))
+    if Value.equal q idle then Action_set.of_list (List.map (send n) msgs)
     else
       match parse q with
       | None -> Action_set.empty
@@ -96,22 +93,22 @@ let protocol ~leaky ?(width = 1) ~k n =
   in
   Structured.make psioa ~eact
 
-let real ?width ~k n = protocol ~leaky:true ?width ~k n
+let real ~k n = protocol ~leaky:true ~k n
 
 (* The ideal functionality: one leak of the message, then the same release
    interface. Encoded as the same protocol with packets replaced by a
    single leak: receiver phases start at 1 after the leak. *)
-let ideal ?(width = 1) ~k n =
+let ideal ~k n =
   let idle = Value.tag "bci-idle" Value.unit in
   let leaking m = Value.tag "bci-leak" (Value.int m) in
   let st m ph = Value.tag "bci" (phases_value m ph) in
   let parse q = match q with Value.Tag ("bci", p) -> parse_phases p | _ -> None in
   let set ph i v = List.mapi (fun j p -> if j = i then v else p) ph in
   let signature q =
-    if Value.equal q idle then sig_io ~i:(List.map (send n) (msgs width)) ()
+    if Value.equal q idle then Sigs.of_lists ~i:(List.map (send n) msgs) ()
     else
       match q with
-      | Value.Tag ("bci-leak", Value.Int m) -> sig_io ~o:[ leak n m ] ()
+      | Value.Tag ("bci-leak", Value.Int m) -> Sigs.of_lists ~o:[ leak n m ] ()
       | _ -> (
           match parse q with
           | None -> Sigs.empty
@@ -125,13 +122,13 @@ let ideal ?(width = 1) ~k n =
                 List.filter_map (fun i -> if List.nth ph i = 1 then Some (rel n i) else None)
                   (receivers k)
               in
-              if outs = [] && ins = [] then Sigs.empty else sig_io ~i:ins ~o:outs ())
+              if outs = [] && ins = [] then Sigs.empty else Sigs.of_lists ~i:ins ~o:outs ())
   in
   let transition q a =
     if Value.equal q idle then
       List.find_map
         (fun m -> if Action.equal a (send n m) then Some (Vdist.dirac (leaking m)) else None)
-        (msgs width)
+        msgs
     else
       match q with
       | Value.Tag ("bci-leak", Value.Int m) when Action.equal a (leak n m) ->
@@ -151,7 +148,7 @@ let ideal ?(width = 1) ~k n =
   in
   let psioa = Psioa.make ~name:n ~start:idle ~signature ~transition in
   let eact q =
-    if Value.equal q idle then Action_set.of_list (List.map (send n) (msgs width))
+    if Value.equal q idle then Action_set.of_list (List.map (send n) msgs)
     else
       match parse q with
       | None -> Action_set.empty
@@ -180,7 +177,7 @@ let release_machine ~name ~inputs ~observe ~rel_of =
     | _ -> []
   in
   let signature q =
-    sig_io ~i:inputs ~o:(List.map rel_of (parse q)) ()
+    Sigs.of_lists ~i:inputs ~o:(List.map rel_of (parse q)) ()
   in
   let transition q a =
     let owed = parse q in
@@ -196,35 +193,35 @@ let release_machine ~name ~inputs ~observe ~rel_of =
   in
   Psioa.make ~name ~start:(owed_value []) ~signature ~transition
 
-let adversary ?(width = 1) ~k n =
-  let inputs = List.concat_map (fun i -> List.map (pkt n i) (msgs width)) (receivers k) in
+let adversary ~k n =
+  let inputs = List.concat_map (fun i -> List.map (pkt n i) msgs) (receivers k) in
   release_machine ~name:(n ^ ".adv") ~inputs
     ~observe:(fun a ->
       (* Each observed packet owes that receiver's release. *)
       List.find_map
         (fun i ->
-          if List.exists (fun m -> Action.equal a (pkt n i m)) (msgs width) then Some [ i ]
+          if List.exists (fun m -> Action.equal a (pkt n i m)) msgs then Some [ i ]
           else None)
         (receivers k))
     ~rel_of:(rel n)
 
-let simulator ?(width = 1) ~k n =
+let simulator ~k n =
   release_machine ~name:(n ^ ".sim")
-    ~inputs:(List.map (leak n) (msgs width))
+    ~inputs:(List.map (leak n) msgs)
     ~observe:(fun a ->
-      if List.exists (fun m -> Action.equal a (leak n m)) (msgs width) then Some (receivers k)
+      if List.exists (fun m -> Action.equal a (leak n m)) msgs then Some (receivers k)
       else None)
     ~rel_of:(rel n)
 
-let env_all_delivered ?(width = 1) ~k ~msg n =
-  let delivers = List.concat_map (fun i -> List.map (deliver n i) (msgs width)) (receivers k) in
+let env_all_delivered ~k ~msg n =
+  let delivers = List.concat_map (fun i -> List.map (deliver n i) msgs) (receivers k) in
   let acc = act "acc" in
   let s j = Value.tag "bce" (Value.int j) in
   let signature q =
     match q with
-    | Value.Tag ("bce", Value.Int 0) -> sig_io ~o:[ send n msg ] ()
-    | Value.Tag ("bce", Value.Int j) when j <= k -> sig_io ~i:delivers ()
-    | Value.Tag ("bce", Value.Int j) when j = k + 1 -> sig_io ~o:[ acc ] ()
+    | Value.Tag ("bce", Value.Int 0) -> Sigs.of_lists ~o:[ send n msg ] ()
+    | Value.Tag ("bce", Value.Int j) when j <= k -> Sigs.of_lists ~i:delivers ()
+    | Value.Tag ("bce", Value.Int j) when j = k + 1 -> Sigs.of_lists ~o:[ acc ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -237,6 +234,3 @@ let env_all_delivered ?(width = 1) ~k ~msg n =
     | _ -> None
   in
   Psioa.make ~name:(n ^ ".env") ~start:(s 0) ~signature ~transition
-
-let real_family ?width n k = real ?width ~k:(max 1 k) n
-let ideal_family ?width n k = ideal ?width ~k:(max 1 k) n

@@ -11,8 +11,8 @@
     0 for every [k] — exercising {!Cdse_secure.Impl.le_neg_pt} and the
     bounded-family machinery end to end (experiment E12).
 
-    Interfaces for instance [n] with [k] receivers over message alphabet
-    [0..width2-1]:
+    Interfaces for instance [n] with [k] receivers over messages [0] and
+    [1]:
     - environment: [n.send(m)] (EI), [n.deliver_i(m)] (EO, one per
       receiver);
     - adversary: [n.pkt_i(m)] (AO, real), [n.leak(m)] (AO, ideal),
@@ -21,21 +21,16 @@
 open Cdse_psioa
 open Cdse_secure
 
-val real : ?width:int -> k:int -> string -> Structured.t
-val ideal : ?width:int -> k:int -> string -> Structured.t
+val real : k:int -> string -> Structured.t
+val ideal : k:int -> string -> Structured.t
 
-val adversary : ?width:int -> k:int -> string -> Psioa.t
+val adversary : k:int -> string -> Psioa.t
 (** Scheduler-adversary: each observed packet arms that receiver's release;
     all pending releases are offered simultaneously (Definition 4.24's
     pointwise condition demands it), the scheduler resolving the order. *)
 
-val simulator : ?width:int -> k:int -> string -> Psioa.t
+val simulator : k:int -> string -> Psioa.t
 (** Matching simulator for {!ideal}: the single leak arms every release. *)
 
-val env_all_delivered : ?width:int -> k:int -> msg:int -> string -> Psioa.t
+val env_all_delivered : k:int -> msg:int -> string -> Psioa.t
 (** Sends [msg] and accepts once every receiver has delivered it. *)
-
-val real_family : ?width:int -> string -> int -> Structured.t
-(** [fun k -> real ~k …] with [k ≥ 1] (index 0 is clamped to 1). *)
-
-val ideal_family : ?width:int -> string -> int -> Structured.t

@@ -4,10 +4,6 @@ open Cdse_secure
 let act = Action.make
 let acti name m = Action.make ~payload:(Value.int m) name
 
-let sig_io ?(i = []) ?(o = []) ?(h = []) () =
-  Sigs.make ~input:(Action_set.of_list i) ~output:(Action_set.of_list o)
-    ~internal:(Action_set.of_list h)
-
 let bits = [ 0; 1 ]
 
 (* Protocol phases for the real protocol:
@@ -31,17 +27,17 @@ let real_with ~pick_b n =
   let commitment a r = Primitives.commit ~msg:a ~nonce:r in
   let signature q =
     match q with
-    | Value.Tag ("cf0", _) -> sig_io ~h:[ pick_a ] ()
+    | Value.Tag ("cf0", _) -> Sigs.of_lists ~h:[ pick_a ] ()
     | Value.Tag ("cf1", Value.Pair (Value.Int a, Value.Int r)) ->
-        sig_io ~o:[ commit_a (commitment a r) ] ()
-    | Value.Tag ("cf2", _) -> sig_io ~i:[ d1 ] ()
-    | Value.Tag ("cf3", _) -> sig_io ~h:[ pick_b_act ] ()
-    | Value.Tag ("cf4", Value.List [ _; _; Value.Int b ]) -> sig_io ~o:[ send_b b ] ()
-    | Value.Tag ("cf5", _) -> sig_io ~i:[ d2 ] ()
-    | Value.Tag ("cf6", Value.List [ Value.Int a; _; _ ]) -> sig_io ~o:[ reveal a ] ()
-    | Value.Tag ("cf7", _) -> sig_io ~i:[ d3 ] ()
+        Sigs.of_lists ~o:[ commit_a (commitment a r) ] ()
+    | Value.Tag ("cf2", _) -> Sigs.of_lists ~i:[ d1 ] ()
+    | Value.Tag ("cf3", _) -> Sigs.of_lists ~h:[ pick_b_act ] ()
+    | Value.Tag ("cf4", Value.List [ _; _; Value.Int b ]) -> Sigs.of_lists ~o:[ send_b b ] ()
+    | Value.Tag ("cf5", _) -> Sigs.of_lists ~i:[ d2 ] ()
+    | Value.Tag ("cf6", Value.List [ Value.Int a; _; _ ]) -> Sigs.of_lists ~o:[ reveal a ] ()
+    | Value.Tag ("cf7", _) -> Sigs.of_lists ~i:[ d3 ] ()
     | Value.Tag ("cf8", Value.List [ Value.Int a; _; Value.Int b ]) ->
-        sig_io ~o:[ result (a lxor b) ] ()
+        Sigs.of_lists ~o:[ result (a lxor b) ] ()
     | _ -> Sigs.empty
   in
   let transition q a' =
@@ -93,10 +89,10 @@ let ideal n =
   let q4 = Value.tag "ci4" Value.unit in
   let signature q =
     match q with
-    | Value.Tag ("ci0", _) -> sig_io ~h:[ toss ] ()
-    | Value.Tag ("ci1", _) -> sig_io ~o:[ go ] ()
-    | Value.Tag ("ci2", _) -> sig_io ~i:[ deliver ] ()
-    | Value.Tag ("ci3", Value.Int x) -> sig_io ~o:[ result x ] ()
+    | Value.Tag ("ci0", _) -> Sigs.of_lists ~h:[ toss ] ()
+    | Value.Tag ("ci1", _) -> Sigs.of_lists ~o:[ go ] ()
+    | Value.Tag ("ci2", _) -> Sigs.of_lists ~i:[ deliver ] ()
+    | Value.Tag ("ci3", Value.Int x) -> Sigs.of_lists ~o:[ result x ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -121,8 +117,8 @@ let ideal n =
    4.24's pointwise AI ⊆ out(Adv) condition quantifies over all reachable
    composite states, including free-input paths, so the obligation must be
    re-armed whenever the protocol actually emits. *)
-let adversary ?(rename = Fun.id) n =
-  let d k = act (rename (Printf.sprintf "%s.deliver%d" n k)) in
+let adversary n =
+  let d k = act (Printf.sprintf "%s.deliver%d" n k) in
   (* Owed deliveries as a set: a free-firing input must not overwrite an
      obligation that the protocol still awaits. *)
   let owes ks =
@@ -138,7 +134,7 @@ let adversary ?(rename = Fun.id) n =
   let owed_by a =
     let base = Action.name a in
     List.find_map
-      (fun (suffix, k) -> if String.equal base (rename (n ^ suffix)) then Some k else None)
+      (fun (suffix, k) -> if String.equal base (n ^ suffix) then Some k else None)
       [ (".commit", 1); (".b", 2); (".reveal", 3) ]
   in
   (* Payload universe actually used by the protocol: commitments of
@@ -148,13 +144,13 @@ let adversary ?(rename = Fun.id) n =
       (List.concat_map (fun a -> List.map (fun r -> Primitives.commit ~msg:a ~nonce:r) bits) bits)
   in
   let inputs =
-    List.map (fun h -> Action.make ~payload:(Value.int h) (rename (n ^ ".commit"))) commits
-    @ List.map (fun b -> Action.make ~payload:(Value.int b) (rename (n ^ ".b"))) bits
-    @ List.map (fun a -> Action.make ~payload:(Value.int a) (rename (n ^ ".reveal"))) bits
+    List.map (fun h -> Action.make ~payload:(Value.int h) (n ^ ".commit")) commits
+    @ List.map (fun b -> Action.make ~payload:(Value.int b) (n ^ ".b")) bits
+    @ List.map (fun a -> Action.make ~payload:(Value.int a) (n ^ ".reveal")) bits
   in
   let signature q =
     match q with
-    | Value.Tag ("cfa", _) -> sig_io ~i:inputs ~o:(List.map d (owed_of q)) ()
+    | Value.Tag ("cfa", _) -> Sigs.of_lists ~i:inputs ~o:(List.map d (owed_of q)) ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -172,19 +168,19 @@ let adversary ?(rename = Fun.id) n =
               owed)
     | _ -> None
   in
-  Psioa.make ~name:(rename (n ^ ".adv")) ~start:(owes []) ~signature ~transition
+  Psioa.make ~name:(n ^ ".adv") ~start:(owes []) ~signature ~transition
 
 (* The ideal-side simulator only needs to consume go and deliver; like the
    adversary it never terminates and re-arms on every go. *)
-let simulator ?(rename = Fun.id) n =
-  let go = act (rename (n ^ ".go")) in
-  let deliver = act (rename (n ^ ".deliver")) in
+let simulator n =
+  let go = act (n ^ ".go") in
+  let deliver = act (n ^ ".deliver") in
   let q0 = Value.tag "cfs" (Value.int 0) in
   let q1 = Value.tag "cfs" (Value.int 1) in
   let signature q =
     match q with
-    | Value.Tag ("cfs", Value.Int 0) -> sig_io ~i:[ go ] ()
-    | Value.Tag ("cfs", Value.Int 1) -> sig_io ~i:[ go ] ~o:[ deliver ] ()
+    | Value.Tag ("cfs", Value.Int 0) -> Sigs.of_lists ~i:[ go ] ()
+    | Value.Tag ("cfs", Value.Int 1) -> Sigs.of_lists ~i:[ go ] ~o:[ deliver ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -196,7 +192,7 @@ let simulator ?(rename = Fun.id) n =
         else None
     | _ -> None
   in
-  Psioa.make ~name:(rename (n ^ ".sim")) ~start:q0 ~signature ~transition
+  Psioa.make ~name:(n ^ ".sim") ~start:q0 ~signature ~transition
 
 let env_result n =
   let results = List.map (fun x -> acti (n ^ ".result") x) bits in
@@ -204,8 +200,8 @@ let env_result n =
   let s k = Value.tag "cfe" (Value.int k) in
   let signature q =
     match q with
-    | Value.Tag ("cfe", Value.Int 0) -> sig_io ~i:results ()
-    | Value.Tag ("cfe", Value.Int 1) -> sig_io ~o:[ acc ] ()
+    | Value.Tag ("cfe", Value.Int 0) -> Sigs.of_lists ~i:results ()
+    | Value.Tag ("cfe", Value.Int 1) -> Sigs.of_lists ~o:[ acc ] ()
     | _ -> Sigs.empty
   in
   let transition q a =

@@ -23,11 +23,11 @@ val real : string -> Structured.t
 val real_cheating : string -> Structured.t
 val ideal : string -> Structured.t
 
-val adversary : ?rename:(string -> string) -> string -> Psioa.t
+val adversary : string -> Psioa.t
 (** Passive message scheduler for the real protocol: delivers every message
     as soon as it sees it. *)
 
-val simulator : ?rename:(string -> string) -> string -> Psioa.t
+val simulator : string -> Psioa.t
 (** Simulator for {!ideal} against {!adversary}: fabricates a plausible
     transcript (commitment, bit, reveal) internally and delivers. *)
 

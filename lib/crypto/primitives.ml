@@ -17,6 +17,9 @@ let prg_expand ~seed ~len =
   in
   go [] (seed + 1) len
 
+(* 30-bit FNV-style digest of a value's canonical encoding. Collisions are
+   possible in principle; the protocol state spaces here are far below the
+   birthday bound. *)
 let toy_digest v =
   let bits = Value.to_bits v in
   let n = Cdse_util.Bits.length bits in

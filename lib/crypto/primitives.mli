@@ -19,11 +19,6 @@ val prg_expand : seed:int -> len:int -> int list
     NOT cryptographically secure — a stand-in exercising the same code
     paths. *)
 
-val toy_digest : Cdse_psioa.Value.t -> int
-(** 30-bit FNV-style digest of a value's canonical encoding. Collisions are
-    possible in principle; the protocol state spaces used here are far
-    below the birthday bound. *)
-
 val commit : msg:int -> nonce:int -> int
 (** Toy commitment [digest (msg, nonce)]. Hiding is {e assumed}
     (simulated); binding holds up to digest collisions. *)

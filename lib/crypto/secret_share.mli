@@ -7,7 +7,7 @@
     is emulated with slack exactly 0. The [transparent] variant leaks the
     secret itself as the "share" — the falsification fixture.
 
-    Interfaces for an instance [n] over [width]-bit secrets:
+    Interfaces for an instance [n] over one-bit secrets:
     - environment: [n.input(s)] (EI), [n.done] (EO);
     - adversary: [n.share(v)] (AO, real), [n.leak] (AO, ideal),
       [n.ok] (AI); its report to the environment: [n.guess(v)]. *)
@@ -15,25 +15,25 @@
 open Cdse_psioa
 open Cdse_secure
 
-val real : ?width:int -> ?corrupt:[ `First | `Second ] -> string -> Structured.t
+val real : ?corrupt:[ `First | `Second ] -> string -> Structured.t
 (** The dealer; [corrupt] selects which share the adversary sees
     (default [`First], i.e. the raw pad [r]). *)
 
-val transparent : ?width:int -> string -> Structured.t
+val transparent : string -> Structured.t
 (** Broken dealer: the leaked "share" is the secret. *)
 
-val ideal : ?width:int -> string -> Structured.t
+val ideal : string -> Structured.t
 
-val adversary : ?width:int -> string -> Psioa.t
+val adversary : string -> Psioa.t
 (** Observes the corrupted share, reports it as a guess, acknowledges. *)
 
-val simulator : ?width:int -> string -> Psioa.t
+val simulator : string -> Psioa.t
 (** Fakes a uniform share on the ideal leak. *)
 
-val env_guess : ?width:int -> secret:int -> string -> Psioa.t
+val env_guess : secret:int -> string -> Psioa.t
 (** Sends the secret; accepts iff the adversary's guess equals it. *)
 
-val dsim : ?width:int -> g:Dummy.renaming -> string -> Psioa.t
+val dsim : g:Dummy.renaming -> string -> Psioa.t
 (** Dummy-adversary simulator for the Theorem 4.30 construction: on the
     ideal leak, fakes a uniform share and republishes it on the renamed
     interface [g(share(v))]; forwards [g(ok)] into the functionality. *)

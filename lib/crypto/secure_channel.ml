@@ -4,10 +4,6 @@ open Cdse_secure
 let act = Action.make
 let acti name m = Action.make ~payload:(Value.int m) name
 
-let sig_io ?(i = []) ?(o = []) ?(h = []) () =
-  Sigs.make ~input:(Action_set.of_list i) ~output:(Action_set.of_list o)
-    ~internal:(Action_set.of_list h)
-
 let msgs width = List.init (1 lsl width) Fun.id
 
 (* ------------------------------------------------------------- real side *)
@@ -28,11 +24,12 @@ let real_with ~keygen ~cipher ?(width = 1) n =
   let q5 = Value.tag "sc5" Value.unit in
   let signature q =
     match q with
-    | Value.Tag ("sc0", _) -> sig_io ~h:[ kg ] ()
-    | Value.Tag ("sc1", _) -> sig_io ~i:(List.map send (msgs width)) ()
-    | Value.Tag ("sc2", Value.Pair (Value.Int k, Value.Int m)) -> sig_io ~o:[ ct (cipher ~key:k m) ] ()
-    | Value.Tag ("sc3", _) -> sig_io ~i:[ deliver ] ()
-    | Value.Tag ("sc4", Value.Int m) -> sig_io ~o:[ recv m ] ()
+    | Value.Tag ("sc0", _) -> Sigs.of_lists ~h:[ kg ] ()
+    | Value.Tag ("sc1", _) -> Sigs.of_lists ~i:(List.map send (msgs width)) ()
+    | Value.Tag ("sc2", Value.Pair (Value.Int k, Value.Int m)) ->
+        Sigs.of_lists ~o:[ ct (cipher ~key:k m) ] ()
+    | Value.Tag ("sc3", _) -> Sigs.of_lists ~i:[ deliver ] ()
+    | Value.Tag ("sc4", Value.Int m) -> Sigs.of_lists ~o:[ recv m ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -91,10 +88,10 @@ let ideal ?(width = 1) n =
   let q4 = Value.tag "id4" Value.unit in
   let signature q =
     match q with
-    | Value.Tag ("id0", _) -> sig_io ~i:(List.map send (msgs width)) ()
-    | Value.Tag ("id1", _) -> sig_io ~o:[ leak ] ()
-    | Value.Tag ("id2", _) -> sig_io ~i:[ deliver ] ()
-    | Value.Tag ("id3", Value.Int m) -> sig_io ~o:[ recv m ] ()
+    | Value.Tag ("id0", _) -> Sigs.of_lists ~i:(List.map send (msgs width)) ()
+    | Value.Tag ("id1", _) -> Sigs.of_lists ~o:[ leak ] ()
+    | Value.Tag ("id2", _) -> Sigs.of_lists ~i:[ deliver ] ()
+    | Value.Tag ("id3", Value.Int m) -> Sigs.of_lists ~o:[ recv m ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -132,9 +129,9 @@ let reporter ~name ~inputs ~on_input ~guess ~deliver_act =
   let armed c g d = Value.tag "rp1" (Value.list [ Value.int c; Value.bool g; Value.bool d ]) in
   let signature q =
     match q with
-    | Value.Tag ("rp0", _) -> sig_io ~i:inputs ()
+    | Value.Tag ("rp0", _) -> Sigs.of_lists ~i:inputs ()
     | Value.Tag ("rp1", Value.List [ Value.Int c; Value.Bool g; Value.Bool d ]) ->
-        sig_io ~i:inputs
+        Sigs.of_lists ~i:inputs
           ~o:((if g then [] else [ guess c ]) @ if d then [] else [ deliver_act ])
           ()
     | _ -> Sigs.empty
@@ -174,9 +171,9 @@ let simulator_with ~name ~leak ~guess_name ~deliver_act ~width =
   let guess c = acti guess_name c in
   let signature q =
     match q with
-    | Value.Tag ("sm0", _) -> sig_io ~i:[ leak ] ()
+    | Value.Tag ("sm0", _) -> Sigs.of_lists ~i:[ leak ] ()
     | Value.Tag ("sm2", Value.List [ Value.Int c; Value.Bool g; Value.Bool d ]) ->
-        sig_io ~i:[ leak ]
+        Sigs.of_lists ~i:[ leak ]
           ~o:((if g then [] else [ guess c ]) @ if d then [] else [ deliver_act ])
           ()
     | _ -> Sigs.empty
@@ -217,11 +214,11 @@ let dsim ?(width = 1) ~g n =
   let q5 = Value.tag "ds5" Value.unit in
   let signature q =
     match q with
-    | Value.Tag ("ds0", _) -> sig_io ~i:[ leak ] ()
-    | Value.Tag ("ds1", _) -> sig_io ~h:[ fake ] ()
-    | Value.Tag ("ds2", Value.Int c) -> sig_io ~o:[ g_ct c ] ~i:[ g_deliver ] ()
-    | Value.Tag ("ds3", _) -> sig_io ~i:[ g_deliver ] ()
-    | Value.Tag ("ds4", _) -> sig_io ~o:[ deliver ] ()
+    | Value.Tag ("ds0", _) -> Sigs.of_lists ~i:[ leak ] ()
+    | Value.Tag ("ds1", _) -> Sigs.of_lists ~h:[ fake ] ()
+    | Value.Tag ("ds2", Value.Int c) -> Sigs.of_lists ~o:[ g_ct c ] ~i:[ g_deliver ] ()
+    | Value.Tag ("ds3", _) -> Sigs.of_lists ~i:[ g_deliver ] ()
+    | Value.Tag ("ds4", _) -> Sigs.of_lists ~o:[ deliver ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -248,9 +245,9 @@ let env_completion ?(width = 1) ~msg n =
   let s k = Value.tag "ec" (Value.int k) in
   let signature q =
     match q with
-    | Value.Tag ("ec", Value.Int 0) -> sig_io ~o:[ send ] ()
-    | Value.Tag ("ec", Value.Int 1) -> sig_io ~i:recvs ()
-    | Value.Tag ("ec", Value.Int 2) -> sig_io ~o:[ acc ] ()
+    | Value.Tag ("ec", Value.Int 0) -> Sigs.of_lists ~o:[ send ] ()
+    | Value.Tag ("ec", Value.Int 1) -> Sigs.of_lists ~i:recvs ()
+    | Value.Tag ("ec", Value.Int 2) -> Sigs.of_lists ~o:[ acc ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -270,9 +267,9 @@ let env_guess ?(width = 1) ~msg n =
   let s k = Value.tag "eg" (Value.int k) in
   let signature q =
     match q with
-    | Value.Tag ("eg", Value.Int 0) -> sig_io ~o:[ send ] ()
-    | Value.Tag ("eg", Value.Int 1) -> sig_io ~i:guesses ()
-    | Value.Tag ("eg", Value.Int 2) -> sig_io ~o:[ acc ] ()
+    | Value.Tag ("eg", Value.Int 0) -> Sigs.of_lists ~o:[ send ] ()
+    | Value.Tag ("eg", Value.Int 1) -> Sigs.of_lists ~i:guesses ()
+    | Value.Tag ("eg", Value.Int 2) -> Sigs.of_lists ~o:[ acc ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -318,12 +315,12 @@ let session_real ?(width = 1) ~rounds n =
     match q with
     | Value.Tag ("ses", Value.Pair (Value.Int _, phase)) -> (
         match phase with
-        | Value.Tag ("key", _) -> sig_io ~h:[ kg ] ()
-        | Value.Tag ("hold", _) -> sig_io ~i:(List.map send (msgs width)) ()
+        | Value.Tag ("key", _) -> Sigs.of_lists ~h:[ kg ] ()
+        | Value.Tag ("hold", _) -> Sigs.of_lists ~i:(List.map send (msgs width)) ()
         | Value.Tag ("ct", Value.Pair (Value.Int k, Value.Int m)) ->
-            sig_io ~o:[ ct (Primitives.xor_encrypt ~key:k ~width m) ] ()
-        | Value.Tag ("await", _) -> sig_io ~i:[ deliver ] ()
-        | Value.Tag ("recv", Value.Int m) -> sig_io ~o:[ recv m ] ()
+            Sigs.of_lists ~o:[ ct (Primitives.xor_encrypt ~key:k ~width m) ] ()
+        | Value.Tag ("await", _) -> Sigs.of_lists ~i:[ deliver ] ()
+        | Value.Tag ("recv", Value.Int m) -> Sigs.of_lists ~o:[ recv m ] ()
         | _ -> Sigs.empty)
     | _ -> Sigs.empty
   in
@@ -373,10 +370,10 @@ let session_ideal ?(width = 1) ~rounds n =
     match q with
     | Value.Tag ("ises", Value.Pair (_, phase)) -> (
         match phase with
-        | Value.Tag ("hold", _) -> sig_io ~i:(List.map send (msgs width)) ()
-        | Value.Tag ("leak", _) -> sig_io ~o:[ leak ] ()
-        | Value.Tag ("await", _) -> sig_io ~i:[ deliver ] ()
-        | Value.Tag ("recv", Value.Int m) -> sig_io ~o:[ recv m ] ()
+        | Value.Tag ("hold", _) -> Sigs.of_lists ~i:(List.map send (msgs width)) ()
+        | Value.Tag ("leak", _) -> Sigs.of_lists ~o:[ leak ] ()
+        | Value.Tag ("await", _) -> Sigs.of_lists ~i:[ deliver ] ()
+        | Value.Tag ("recv", Value.Int m) -> Sigs.of_lists ~o:[ recv m ] ()
         | _ -> Sigs.empty)
     | _ -> Sigs.empty
   in
@@ -418,9 +415,9 @@ let env_session ?(width = 1) ~rounds ~msg n =
   let st r k = Value.tag "esn" (Value.pair (Value.int r) (Value.int k)) in
   let signature q =
     match q with
-    | Value.Tag ("esn", Value.Pair (Value.Int _, Value.Int 0)) -> sig_io ~o:[ send ] ()
-    | Value.Tag ("esn", Value.Pair (Value.Int _, Value.Int 1)) -> sig_io ~i:guesses ()
-    | Value.Tag ("esn", Value.Pair (Value.Int _, Value.Int 2)) -> sig_io ~o:[ acc ] ()
+    | Value.Tag ("esn", Value.Pair (Value.Int _, Value.Int 0)) -> Sigs.of_lists ~o:[ send ] ()
+    | Value.Tag ("esn", Value.Pair (Value.Int _, Value.Int 1)) -> Sigs.of_lists ~i:guesses ()
+    | Value.Tag ("esn", Value.Pair (Value.Int _, Value.Int 2)) -> Sigs.of_lists ~o:[ acc ] ()
     | _ -> Sigs.empty
   in
   let transition q a =

@@ -12,10 +12,6 @@ let vote n i b = acti (Printf.sprintf "%s.vote%d" n i) b
 let crash n i = Action.make (Printf.sprintf "%s.crash%d" n i)
 let validator_name n i = Printf.sprintf "%s.val%d" n i
 
-let sig_io ?(i = []) ?(o = []) () =
-  Sigs.make ~input:(Action_set.of_list i) ~output:(Action_set.of_list o)
-    ~internal:Action_set.empty
-
 (* ------------------------------------------------------------ validator *)
 
 (* idle → (propose b) → voting b → (vote) → idle; (retire) → dead. *)
@@ -29,9 +25,9 @@ let validator ~n ~blocks i =
      chair never observes; the quorum variant must tolerate it. *)
   let signature q =
     match q with
-    | Value.Tag ("v-idle", _) -> sig_io ~i:(retire n i :: crash n i :: proposals) ()
+    | Value.Tag ("v-idle", _) -> Sigs.of_lists ~i:(retire n i :: crash n i :: proposals) ()
     | Value.Tag ("v-voting", Value.Int b) ->
-        sig_io ~i:[ retire n i; crash n i ] ~o:[ vote n i b ] ()
+        Sigs.of_lists ~i:[ retire n i; crash n i ] ~o:[ vote n i b ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -89,7 +85,7 @@ let chair ?(quorum = `All) ~n ~max_validators ~blocks () =
         | Value.Tag ("idle", _) ->
             let adds = if fresh < max_validators then [ add n fresh ] else [] in
             let retires = List.map (retire n) members in
-            sig_io ~i:(List.map (submit n) block_ids) ~o:(adds @ retires) ()
+            Sigs.of_lists ~i:(List.map (submit n) block_ids) ~o:(adds @ retires) ()
         | Value.Tag ("collecting", Value.Pair (Value.Int b, votes_v)) ->
             let votes = of_ints votes_v in
             let missing = List.filter (fun i -> not (List.mem i votes)) members in
@@ -100,11 +96,11 @@ let chair ?(quorum = `All) ~n ~max_validators ~blocks () =
             in
             (* Under a threshold quorum, late votes remain acceptable even
                after the quorum is reached (they race with the commit). *)
-            sig_io
+            Sigs.of_lists
               ~i:(List.map (fun i -> vote n i b) missing)
               ~o:(if reached then [ commit n b ] else [])
               ()
-        | Value.Tag ("proposing", Value.Int b) -> sig_io ~o:[ propose n b ] ()
+        | Value.Tag ("proposing", Value.Int b) -> Sigs.of_lists ~o:[ propose n b ] ()
         | _ -> Sigs.empty)
   in
   let transition q a =
@@ -236,8 +232,8 @@ let ideal ?(blocks = 2) n =
   let block_ids = List.init blocks Fun.id in
   let signature q =
     match q with
-    | Value.Tag ("ic-idle", _) -> sig_io ~i:(List.map (submit n) block_ids) ()
-    | Value.Tag ("ic-pending", Value.Int b) -> sig_io ~o:[ commit n b ] ()
+    | Value.Tag ("ic-idle", _) -> Sigs.of_lists ~i:(List.map (submit n) block_ids) ()
+    | Value.Tag ("ic-pending", Value.Int b) -> Sigs.of_lists ~o:[ commit n b ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -258,9 +254,9 @@ let env_commit ?(block = 0) n =
   let acc = Action.make "acc" in
   let signature q =
     match q with
-    | Value.Tag ("ce", Value.Int 0) -> sig_io ~o:[ submit n block ] ()
-    | Value.Tag ("ce", Value.Int 1) -> sig_io ~i:[ commit n block ] ()
-    | Value.Tag ("ce", Value.Int 2) -> sig_io ~o:[ acc ] ()
+    | Value.Tag ("ce", Value.Int 0) -> Sigs.of_lists ~o:[ submit n block ] ()
+    | Value.Tag ("ce", Value.Int 1) -> Sigs.of_lists ~i:[ commit n block ] ()
+    | Value.Tag ("ce", Value.Int 2) -> Sigs.of_lists ~o:[ acc ] ()
     | _ -> Sigs.empty
   in
   let transition q a =

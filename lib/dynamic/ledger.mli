@@ -8,18 +8,6 @@
 
 open Cdse_psioa
 
-val settle_name : string
-(** The settlement action name ("ledger.settle"). *)
-
-val report : int -> Action.t
-(** [report total] — the announcement output. *)
-
-val settle_inputs : n_subchains:int -> max_total:int -> Action.t list
-(** The finite settlement payload universe the signature advertises:
-    [(i, s)] for [i < n_subchains], [s ≤ max_total]. Settlements outside
-    this universe fire as free outputs and are not recorded (callers size
-    [max_total] to dominate reachable balances). *)
-
 val make : n_subchains:int -> max_total:int -> unit -> Psioa.t
 
 val total_of : Value.t -> int option

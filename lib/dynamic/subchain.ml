@@ -5,18 +5,14 @@ let tx i v = Action.make ~payload:(Value.int v) (name i ^ ".tx")
 let close i = Action.make (name i ^ ".close")
 let settle i total = Action.make ~payload:(Value.pair (Value.int i) (Value.int total)) "ledger.settle"
 
-let sig_io ?(i = []) ?(o = []) () =
-  Sigs.make ~input:(Action_set.of_list i) ~output:(Action_set.of_list o)
-    ~internal:Action_set.empty
-
 let make ?(tx_values = [ 1; 2 ]) i =
   let open_state total = Value.tag "open" (Value.int total) in
   let closing total = Value.tag "closing" (Value.int total) in
   let dead = Value.tag "dead" Value.unit in
   let signature q =
     match q with
-    | Value.Tag ("open", _) -> sig_io ~i:(close i :: List.map (tx i) tx_values) ()
-    | Value.Tag ("closing", Value.Int total) -> sig_io ~o:[ settle i total ] ()
+    | Value.Tag ("open", _) -> Sigs.of_lists ~i:(close i :: List.map (tx i) tx_values) ()
+    | Value.Tag ("closing", Value.Int total) -> Sigs.of_lists ~o:[ settle i total ] ()
     | _ -> Sigs.empty
   in
   let transition q a =

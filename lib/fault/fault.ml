@@ -83,15 +83,14 @@ let crash_wrap ~suffix ~crash ~revive auto =
     ~start:(live (Psioa.start auto))
     ~signature ~transition
 
-let crash_stop ?crash auto =
-  let crash = match crash with Some a -> a | None -> crash_action (Psioa.name auto) in
-  crash_wrap ~suffix:"+crash" ~crash ~revive:None auto
+let crash_stop auto =
+  crash_wrap ~suffix:"+crash" ~crash:(crash_action (Psioa.name auto)) ~revive:None auto
 
-let crash_recover ?crash ?recover ?reboot auto =
-  let crash = match crash with Some a -> a | None -> crash_action (Psioa.name auto) in
-  let recover = match recover with Some a -> a | None -> recover_action (Psioa.name auto) in
-  let reboot = match reboot with Some f -> f | None -> fun _ -> Psioa.start auto in
-  crash_wrap ~suffix:"+crash-recover" ~crash ~revive:(Some (recover, reboot)) auto
+let crash_recover auto =
+  let name = Psioa.name auto in
+  crash_wrap ~suffix:"+crash-recover" ~crash:(crash_action name)
+    ~revive:(Some (recover_action name, fun _ -> Psioa.start auto))
+    auto
 
 (* ---------------------------------------------------------- compromise *)
 
@@ -108,13 +107,9 @@ let crash_recover ?crash ?recover ?reboot auto =
    (empty signature) offers neither the compromise nor the restore input,
    so configuration reduction (Definition 2.12) and the zero-compromise
    trace equivalence of the wrapper are unaffected. *)
-let compromise ?compromise ?restore ~adversarial auto =
-  let comp_act =
-    match compromise with Some a -> a | None -> compromise_action (Psioa.name auto)
-  in
-  let rest_act =
-    match restore with Some a -> a | None -> restore_action (Psioa.name auto)
-  in
+let compromise ~adversarial auto =
+  let comp_act = compromise_action (Psioa.name auto) in
+  let rest_act = restore_action (Psioa.name auto) in
   let live q = Value.tag live_tag q in
   let evil q = Value.tag evil_tag q in
   let signature q =
@@ -254,11 +249,11 @@ let delay_channel ?cap ~name ~acts () =
     ~fault_step:(fun ~cap:_ ~hd ~tl _ -> tl @ [ hd ])
     ()
 
-let via ?name ~channel ~acts sender receiver =
+let via ~channel ~acts sender receiver =
   let cname = Psioa.name channel in
   let aset = Action_set.of_list acts in
   let wired = Rename.psioa sender (Rename.only aset (fun _ a -> wire ~channel:cname a)) in
-  let composite = Compose.parallel ?name [ wired; channel; receiver ] in
+  let composite = Compose.parallel [ wired; channel; receiver ] in
   Hide.psioa_const composite (Action_set.map_actions (wire ~channel:cname) aset)
 
 (* ------------------------------------------------------------ injector *)
@@ -353,7 +348,7 @@ let is_compromise a = fault_kind a = Some Compromise
 let count_faults ?(is_fault = default_is_fault) e =
   List.fold_left (fun k a -> if is_fault a then k + 1 else k) 0 (Exec.actions e)
 
-let budget_sched ?(is_fault = default_is_fault) k sched =
+let budget_sched k sched =
   { sched with
     Scheduler.name = Printf.sprintf "fault-budget[%d] %s" k sched.Scheduler.name;
     (* The choice depends on the fault count of the whole history, not
@@ -362,9 +357,9 @@ let budget_sched ?(is_fault = default_is_fault) k sched =
     choose =
       (fun e ->
         let d = sched.Scheduler.choose e in
-        if count_faults ~is_fault e < k then d
+        if count_faults e < k then d
         else
-          let kept = Dist.filter (fun a -> not (is_fault a)) d in
+          let kept = Dist.filter (fun a -> not (default_is_fault a)) d in
           if Dist.size kept = Dist.size d then d
           else if Dist.size kept = 0 then begin
             (* Every enabled action is a fault: there is no non-faulty
@@ -382,10 +377,10 @@ let budget_sched ?(is_fault = default_is_fault) k sched =
                all-faults case above is the only one where mass drops). *)
             Dist.scale (Dist.mass d) (Dist.normalize kept)) }
 
-let budget ?is_fault k schema =
+let budget k schema =
   Schema.make
     ~name:(Printf.sprintf "fault-budget[%d] %s" k schema.Schema.name)
-    (fun a -> List.map (budget_sched ?is_fault k) (Schema.instantiate schema a))
+    (fun a -> List.map (budget_sched k) (Schema.instantiate schema a))
 
 (* [budget_sched] conditions the wrapped scheduler's choice {e after} it is
    made, which is right for randomized schedulers but degenerate for

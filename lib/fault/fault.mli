@@ -44,23 +44,20 @@ val crash_action : string -> Action.t
 val recover_action : string -> Action.t
 (** [recover_action n] is [n ^ ".recover"]. *)
 
-val crash_stop : ?crash:Action.t -> Psioa.t -> Psioa.t
+val crash_stop : Psioa.t -> Psioa.t
 (** [crash_stop a] wraps [a] with a crash-stop fault: every live state
-    gains [crash] (default {!crash_action} on the automaton name) as an
-    input; firing it moves to a dead state that remembers the crash-time
-    state, absorbs (self-loops) the inputs that were enabled there, and
-    has no locally controlled actions. With zero crashes injected the
-    wrapper is trace-equivalent to [a] (the extra input is free and the
-    standard schedulers never fire inputs). Raises
-    {!Sigs.Not_disjoint} lazily if [crash] collides with a locally
-    controlled action of [a]. *)
+    gains {!crash_action} on the automaton name as an input; firing it
+    moves to a dead state that remembers the crash-time state, absorbs
+    (self-loops) the inputs that were enabled there, and has no locally
+    controlled actions. With zero crashes injected the wrapper is
+    trace-equivalent to [a] (the extra input is free and the standard
+    schedulers never fire inputs). Raises {!Sigs.Not_disjoint} lazily if
+    the crash action collides with a locally controlled action of [a]. *)
 
-val crash_recover :
-  ?crash:Action.t -> ?recover:Action.t -> ?reboot:(Value.t -> Value.t) -> Psioa.t -> Psioa.t
-(** Like {!crash_stop}, but the dead state also accepts [recover]
-    (default {!recover_action}), returning to [reboot q] where [q] is the
-    crash-time state (default: the start state — a reboot loses volatile
-    state). *)
+val crash_recover : Psioa.t -> Psioa.t
+(** Like {!crash_stop}, but the dead state also accepts
+    {!recover_action} on the automaton name, returning to the start
+    state (a reboot loses volatile state). *)
 
 (** {2 Dynamic compromise}
 
@@ -78,13 +75,12 @@ val compromise_action : string -> Action.t
 val restore_action : string -> Action.t
 (** [restore_action n] is [n ^ ".restore"]. *)
 
-val compromise :
-  ?compromise:Action.t -> ?restore:Action.t -> adversarial:Psioa.t -> Psioa.t -> Psioa.t
+val compromise : adversarial:Psioa.t -> Psioa.t -> Psioa.t
 (** [compromise ~adversarial a] wraps [a] with a mid-run takeover: every
-    honest state gains [compromise] (default {!compromise_action} on the
-    automaton name) as an input; firing it swaps the transition function
-    for [adversarial]'s {e at the same underlying state}, and the evil
-    states accept [restore] to swap back. [adversarial] must share [a]'s
+    honest state gains {!compromise_action} on the automaton name as an
+    input; firing it swaps the transition function for [adversarial]'s
+    {e at the same underlying state}, and the evil states accept
+    {!restore_action} to swap back. [adversarial] must share [a]'s
     state space (it is an adversarial reinterpretation of the member —
     e.g. a leaky cipher over the honest protocol's states, or
     {!Cdse_secure.Adversary.silent_takeover}[ a]); the swap is then the
@@ -134,7 +130,7 @@ val delay_channel : ?cap:int -> name:string -> acts:Action.t list -> unit -> Psi
     buffer head to the tail: [k] skips buy arbitrary reordering/delay at
     a budget of [k] fault actions. *)
 
-val via : ?name:string -> channel:Psioa.t -> acts:Action.t list -> Psioa.t -> Psioa.t -> Psioa.t
+val via : channel:Psioa.t -> acts:Action.t list -> Psioa.t -> Psioa.t -> Psioa.t
 (** [via ~channel ~acts sender receiver]: rename [sender]'s outputs in
     [acts] onto [channel]'s wire, compose
     [sender' ‖ channel ‖ receiver], and hide the wire actions
@@ -168,8 +164,9 @@ val fault_kind : Action.t -> kind option
     are {e not} faults. *)
 
 val default_is_fault : Action.t -> bool
-(** [fault_kind a <> None] — the default fault predicate of
-    {!count_faults}, {!budget_sched} and {!budget}. *)
+(** [fault_kind a <> None] — the fault predicate of {!budget_sched} and
+    {!budget}, and the default one of {!count_faults} and
+    {!budget_first_enabled}. *)
 
 val is_compromise : Action.t -> bool
 (** [fault_kind a = Some Compromise] — the predicate metered by
@@ -180,8 +177,9 @@ val is_compromise : Action.t -> bool
 val count_faults : ?is_fault:(Action.t -> bool) -> Exec.t -> int
 (** Number of fault actions along an execution fragment. *)
 
-val budget_sched : ?is_fault:(Action.t -> bool) -> int -> Scheduler.t -> Scheduler.t
-(** [budget_sched k σ] behaves as [σ] until [k] fault actions have been
+val budget_sched : int -> Scheduler.t -> Scheduler.t
+(** [budget_sched k σ] behaves as [σ] until [k] fault actions
+    ({!default_is_fault}) have been
     scheduled, then conditions every later choice on the non-fault
     support (renormalized to the choice's original mass, so halting
     probability is unchanged and liveness of the non-faulty protocol is
@@ -192,7 +190,7 @@ val budget_sched : ?is_fault:(Action.t -> bool) -> int -> Scheduler.t -> Schedul
     total measure proper. Each such halt increments the
     [fault.budget.halt] counter. *)
 
-val budget : ?is_fault:(Action.t -> bool) -> int -> Schema.t -> Schema.t
+val budget : int -> Schema.t -> Schema.t
 (** The schema transformer (Definition 3.2): every scheduler the schema
     produces is wrapped by {!budget_sched}, capping total injected faults
     at [k] across the whole quantification domain. *)

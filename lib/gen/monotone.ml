@@ -2,7 +2,6 @@ open Cdse_psioa
 open Cdse_config
 
 let act = Workloads.act
-let sig_io = Workloads.sig_io
 
 let beep = act "kid.beep"
 let work = act "kid.work"
@@ -16,8 +15,8 @@ let dead = Value.tag "kid-dead" Value.unit
 let child_slow =
   Psioa.make ~name:"kid" ~start:a0
     ~signature:(fun q ->
-      if Value.equal q a0 then sig_io ~h:[ work ] ()
-      else if Value.equal q a1 then sig_io ~o:[ beep ] ()
+      if Value.equal q a0 then Sigs.of_lists ~h:[ work ] ()
+      else if Value.equal q a1 then Sigs.of_lists ~o:[ beep ] ()
       else Sigs.empty)
     ~transition:(fun q a ->
       if Value.equal q a0 && Action.equal a work then Some (Vdist.dirac a1)
@@ -26,7 +25,7 @@ let child_slow =
 
 let child_fast =
   Psioa.make ~name:"kid" ~start:b0
-    ~signature:(fun q -> if Value.equal q b0 then sig_io ~o:[ beep ] () else Sigs.empty)
+    ~signature:(fun q -> if Value.equal q b0 then Sigs.of_lists ~o:[ beep ] () else Sigs.empty)
     ~transition:(fun q a ->
       if Value.equal q b0 && Action.equal a beep then Some (Vdist.dirac dead) else None)
 
@@ -34,7 +33,8 @@ let parent =
   let p0 = Value.tag "par0" Value.unit in
   let p1 = Value.tag "par1" Value.unit in
   Psioa.make ~name:"par" ~start:p0
-    ~signature:(fun q -> if Value.equal q p0 then sig_io ~o:[ spawn ] () else sig_io ())
+    ~signature:(fun q ->
+      if Value.equal q p0 then Sigs.of_lists ~o:[ spawn ] () else Sigs.of_lists ())
     ~transition:(fun q a ->
       if Value.equal q p0 && Action.equal a spawn then Some (Vdist.dirac p1) else None)
 

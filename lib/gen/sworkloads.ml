@@ -13,7 +13,6 @@ open Cdse_psioa
 open Cdse_secure
 
 let act = Workloads.act
-let sig_io = Workloads.sig_io
 
 let q_idle = Value.tag "idle" Value.unit
 let q_got m = Value.tag "got" (Value.int m)
@@ -29,10 +28,10 @@ let relay ?(alphabet = [ 0 ]) name =
   let out m = act ~payload:(Value.int m) (name ^ ".out") in
   let signature q =
     match q with
-    | Value.Tag ("idle", _) -> sig_io ~i:(List.map in_ alphabet) ()
-    | Value.Tag ("got", Value.Int m) -> sig_io ~o:[ leak m ] ()
-    | Value.Tag ("sent", _) -> sig_io ~i:[ deliver ] ()
-    | Value.Tag ("done", Value.Int m) -> sig_io ~o:[ out m ] ()
+    | Value.Tag ("idle", _) -> Sigs.of_lists ~i:(List.map in_ alphabet) ()
+    | Value.Tag ("got", Value.Int m) -> Sigs.of_lists ~o:[ leak m ] ()
+    | Value.Tag ("sent", _) -> Sigs.of_lists ~i:[ deliver ] ()
+    | Value.Tag ("done", Value.Int m) -> Sigs.of_lists ~o:[ out m ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -65,8 +64,8 @@ let relay_adversary ?(alphabet = [ 0 ]) ~proto_name ~rename name =
   let waiting = Value.tag "adv-wait" Value.unit in
   let armed = Value.tag "adv-armed" Value.unit in
   let signature q =
-    if Value.equal q waiting then sig_io ~i:(List.map leak alphabet) ()
-    else sig_io ~i:(List.map leak alphabet) ~o:[ deliver ] ()
+    if Value.equal q waiting then Sigs.of_lists ~i:(List.map leak alphabet) ()
+    else Sigs.of_lists ~i:(List.map leak alphabet) ~o:[ deliver ] ()
   in
   let transition q a =
     if List.exists (fun m -> Action.equal a (leak m)) alphabet then Some (Vdist.dirac armed)
@@ -84,9 +83,9 @@ let relay_env ?(alphabet = [ 0 ]) ?(m0 = 0) ~proto_name name =
   let s k = Value.tag "env" (Value.int k) in
   let signature q =
     match q with
-    | Value.Tag ("env", Value.Int 0) -> sig_io ~o:[ in0 ] ()
-    | Value.Tag ("env", Value.Int 1) -> sig_io ~i:outs ()
-    | Value.Tag ("env", Value.Int 2) -> sig_io ~o:[ acc ] ()
+    | Value.Tag ("env", Value.Int 0) -> Sigs.of_lists ~o:[ in0 ] ()
+    | Value.Tag ("env", Value.Int 1) -> Sigs.of_lists ~i:outs ()
+    | Value.Tag ("env", Value.Int 2) -> Sigs.of_lists ~o:[ acc ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -104,7 +103,7 @@ let relay_env ?(alphabet = [ 0 ]) ?(m0 = 0) ~proto_name name =
 let eact_touching_adversary ~proto_name name =
   let out0 = act ~payload:(Value.int 0) (proto_name ^ ".out") in
   Psioa.make ~name ~start:Value.unit
-    ~signature:(fun _ -> sig_io ~i:[ out0 ] ())
+    ~signature:(fun _ -> Sigs.of_lists ~i:[ out0 ] ())
     ~transition:(fun q a -> if Action.equal a out0 then Some (Vdist.dirac q) else None)
 
 module Fault = Cdse_fault.Fault

@@ -21,7 +21,6 @@ val q_idle : Value.t
 val q_got : int -> Value.t
 val q_sent : int -> Value.t
 val q_done : int -> Value.t
-val q_final : Value.t
 
 val relay : ?alphabet:int list -> string -> Structured.t
 (** The relay protocol over the given message alphabet (default [[0]]). *)

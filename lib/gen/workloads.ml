@@ -9,17 +9,13 @@ open Cdse_psioa
 
 let act ?payload name = Action.make ?payload name
 
-let sig_io ?(i = []) ?(o = []) ?(h = []) () =
-  Sigs.make ~input:(Action_set.of_list i) ~output:(Action_set.of_list o)
-    ~internal:(Action_set.of_list h)
-
 (* -------------------------------------------------------------------- *)
 (* Fair (or biased) coin: one internal flip, then forever announce the
    outcome as an output.
 
    init --flip(int)--> heads | tails;  heads --out_heads--> heads (loop)   *)
 
-let coin ?(p = Rat.half) ?(flip_internal = true) name =
+let coin ?(p = Rat.half) name =
   let init = Value.tag "init" Value.unit in
   let heads = Value.tag "heads" Value.unit in
   let tails = Value.tag "tails" Value.unit in
@@ -27,10 +23,9 @@ let coin ?(p = Rat.half) ?(flip_internal = true) name =
   let out_heads = act (name ^ ".heads") in
   let out_tails = act (name ^ ".tails") in
   let signature q =
-    if Value.equal q init then
-      if flip_internal then sig_io ~h:[ flip ] () else sig_io ~o:[ flip ] ()
-    else if Value.equal q heads then sig_io ~o:[ out_heads ] ()
-    else sig_io ~o:[ out_tails ] ()
+    if Value.equal q init then Sigs.of_lists ~h:[ flip ] ()
+    else if Value.equal q heads then Sigs.of_lists ~o:[ out_heads ] ()
+    else Sigs.of_lists ~o:[ out_tails ] ()
   in
   let transition q a =
     if Value.equal q init && Action.equal a flip then Some (Vdist.coin ~p heads tails)
@@ -50,7 +45,7 @@ let counter ?(bound = 3) name =
   let state k = Value.tag "ctr" (Value.int k) in
   let signature q =
     match q with
-    | Value.Tag ("ctr", Value.Int k) when k < bound -> sig_io ~o:[ inc ] ()
+    | Value.Tag ("ctr", Value.Int k) when k < bound -> Sigs.of_lists ~o:[ inc ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -61,19 +56,22 @@ let counter ?(bound = 3) name =
   in
   Psioa.make ~name ~start:(state 0) ~signature ~transition
 
-(* -------------------------------------------------------------------- *)
-(* One-slot channel over a small message alphabet: input send(m) when
-   empty, output recv(m) when holding m. *)
+(* The message alphabet of the channel workloads below. *)
+let alphabet = [ 0; 1 ]
 
-let channel ?(alphabet = [ 0; 1 ]) name =
+(* -------------------------------------------------------------------- *)
+(* One-slot channel: input send(m) when empty, output recv(m) when
+   holding m. *)
+
+let channel name =
   let empty = Value.tag "empty" Value.unit in
   let full m = Value.tag "full" (Value.int m) in
   let send m = act ~payload:(Value.int m) (name ^ ".send") in
   let recv m = act ~payload:(Value.int m) (name ^ ".recv") in
   let signature q =
     match q with
-    | Value.Tag ("empty", _) -> sig_io ~i:(List.map send alphabet) ()
-    | Value.Tag ("full", Value.Int m) -> sig_io ~o:[ recv m ] ()
+    | Value.Tag ("empty", _) -> Sigs.of_lists ~i:(List.map send alphabet) ()
+    | Value.Tag ("full", Value.Int m) -> Sigs.of_lists ~o:[ recv m ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -97,7 +95,7 @@ let sender ~channel_name ?(script = [ 0; 1 ]) name =
   let n = List.length script in
   let signature q =
     match q with
-    | Value.Tag ("snd", Value.Int k) when k < n -> sig_io ~o:[ send (List.nth script k) ] ()
+    | Value.Tag ("snd", Value.Int k) when k < n -> Sigs.of_lists ~o:[ send (List.nth script k) ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -111,10 +109,10 @@ let sender ~channel_name ?(script = [ 0; 1 ]) name =
 (* -------------------------------------------------------------------- *)
 (* Receiver: consumes recv(m) inputs, remembers the messages seen. *)
 
-let receiver ~channel_name ?(alphabet = [ 0; 1 ]) name =
+let receiver ~channel_name name =
   let state ms = Value.tag "rcv" (Value.list (List.map Value.int ms)) in
   let recv m = act ~payload:(Value.int m) (channel_name ^ ".recv") in
-  let signature _ = sig_io ~i:(List.map recv alphabet) () in
+  let signature _ = Sigs.of_lists ~i:(List.map recv alphabet) () in
   let transition q a =
     match (q, a.Action.payload) with
     | Value.Tag ("rcv", Value.List ms), Value.Int m
@@ -135,8 +133,8 @@ let acceptor ~watch name =
   let fired = Value.tag "fired" Value.unit in
   let acc = act "acc" in
   let signature q =
-    if Value.equal q idle then sig_io ~i:(List.map (fun (n, p) -> act ?payload:p n) watch) ()
-    else if Value.equal q seen then sig_io ~o:[ acc ] ()
+    if Value.equal q idle then Sigs.of_lists ~i:(List.map (fun (n, p) -> act ?payload:p n) watch) ()
+    else if Value.equal q seen then Sigs.of_lists ~o:[ acc ] ()
     else Sigs.empty
   in
   let transition q a =
@@ -151,14 +149,14 @@ let acceptor ~watch name =
 let broken_no_transition name =
   let a = act (name ^ ".go") in
   Psioa.make ~name ~start:Value.unit
-    ~signature:(fun _ -> sig_io ~o:[ a ] ())
+    ~signature:(fun _ -> Sigs.of_lists ~o:[ a ] ())
     ~transition:(fun _ _ -> None)
 
 (* A deliberately broken automaton: transition measure of mass 1/2. *)
 let broken_improper name =
   let a = act (name ^ ".go") in
   Psioa.make ~name ~start:Value.unit
-    ~signature:(fun _ -> sig_io ~o:[ a ] ())
+    ~signature:(fun _ -> Sigs.of_lists ~o:[ a ] ())
     ~transition:(fun q act' ->
       if Action.equal a act' then Some (Vdist.make [ (q, Rat.half) ]) else None)
 
@@ -171,8 +169,8 @@ let spawner ?(max_children = 3) name =
   let spawn = act (name ^ ".spawn") in
   let signature q =
     match q with
-    | Value.Tag ("spawned", Value.Int k) when k < max_children -> sig_io ~o:[ spawn ] ()
-    | _ -> sig_io ()
+    | Value.Tag ("spawned", Value.Int k) when k < max_children -> Sigs.of_lists ~o:[ spawn ] ()
+    | _ -> Sigs.of_lists ()
   in
   let transition q a =
     match q with
@@ -189,7 +187,7 @@ let fragile ?(p_die = Rat.half) name =
   let alive = Value.tag "alive" Value.unit in
   let dead = Value.tag "dead" Value.unit in
   let go = act (name ^ ".go") in
-  let signature q = if Value.equal q alive then sig_io ~o:[ go ] () else Sigs.empty in
+  let signature q = if Value.equal q alive then Sigs.of_lists ~o:[ go ] () else Sigs.empty in
   let transition q a =
     if Value.equal q alive && Action.equal a go then Some (Vdist.coin ~p:p_die dead alive)
     else None
@@ -200,7 +198,7 @@ let fragile ?(p_die = Rat.half) name =
 (* n-slot FIFO channel: send when not full, receive in order. A deeper
    buffer than the one-slot channel, for pipeline workloads. *)
 
-let fifo ?(capacity = 2) ?(alphabet = [ 0; 1 ]) name =
+let fifo ?(capacity = 2) name =
   let state ms = Value.tag "fifo" (Value.list (List.map Value.int ms)) in
   let send m = act ~payload:(Value.int m) (name ^ ".send") in
   let recv m = act ~payload:(Value.int m) (name ^ ".recv") in
@@ -213,7 +211,7 @@ let fifo ?(capacity = 2) ?(alphabet = [ 0; 1 ]) name =
     match parse q with
     | None -> Sigs.empty
     | Some ms ->
-        sig_io
+        Sigs.of_lists
           ~i:(if List.length ms < capacity then List.map send alphabet else [])
           ~o:(match ms with [] -> [] | m :: _ -> [ recv m ])
           ()
@@ -242,8 +240,8 @@ let timer ?(horizon = 3) name =
   let state k = Value.tag "timer" (Value.int k) in
   let signature q =
     match q with
-    | Value.Tag ("timer", Value.Int k) when k < horizon -> sig_io ~h:[ tick ] ()
-    | Value.Tag ("timer", Value.Int k) when k = horizon -> sig_io ~o:[ fire ] ()
+    | Value.Tag ("timer", Value.Int k) when k < horizon -> Sigs.of_lists ~h:[ tick ] ()
+    | Value.Tag ("timer", Value.Int k) when k = horizon -> Sigs.of_lists ~o:[ fire ] ()
     | _ -> Sigs.empty
   in
   let transition q a =
@@ -325,7 +323,7 @@ let faulty_channel ~seed =
 let random_walk ?(span = 4) name =
   let step = act (name ^ ".step") in
   let state k = Value.tag "walk" (Value.int k) in
-  let signature _ = sig_io ~h:[ step ] () in
+  let signature _ = Sigs.of_lists ~h:[ step ] () in
   let transition q a =
     match q with
     | Value.Tag ("walk", Value.Int k) when Action.equal a step ->

@@ -11,29 +11,26 @@ open Cdse_psioa
 val act : ?payload:Value.t -> string -> Action.t
 (** Convenience action constructor. *)
 
-val sig_io :
-  ?i:Action.t list -> ?o:Action.t list -> ?h:Action.t list -> unit -> Sigs.t
-(** Convenience signature constructor ([h] = internal/hidden). *)
-
-val coin : ?p:Rat.t -> ?flip_internal:bool -> string -> Psioa.t
-(** One (possibly biased) flip — internal by default — then the automaton
-    forever announces [name.heads] or [name.tails]. Three states. *)
+val coin : ?p:Rat.t -> string -> Psioa.t
+(** One (possibly biased) internal flip, then the automaton forever
+    announces [name.heads] or [name.tails]. Three states. *)
 
 val counter : ?bound:int -> string -> Psioa.t
 (** Emits [name.inc] until the bound, then its signature becomes {e empty}:
     the canonical self-destructing automaton for configuration reduction
     (Definition 2.12). *)
 
-val channel : ?alphabet:int list -> string -> Psioa.t
-(** One-slot channel: input [name.send(m)] when empty, output
-    [name.recv(m)] when full. *)
+val channel : string -> Psioa.t
+(** One-slot channel over messages [0] and [1]: input [name.send(m)] when
+    empty, output [name.recv(m)] when full. *)
 
 val sender : channel_name:string -> ?script:int list -> string -> Psioa.t
 (** Pushes the scripted messages into a channel's [send] inputs, then
     stops. *)
 
-val receiver : channel_name:string -> ?alphabet:int list -> string -> Psioa.t
-(** Consumes a channel's [recv] outputs, remembering the messages seen. *)
+val receiver : channel_name:string -> string -> Psioa.t
+(** Consumes a channel's [recv] outputs of messages [0] and [1],
+    remembering the messages seen. *)
 
 val acceptor : watch:(string * Value.t option) list -> string -> Psioa.t
 (** The canonical distinguishing environment: waits for any watched action
@@ -55,9 +52,10 @@ val broken_no_transition : string -> Psioa.t
 val broken_improper : string -> Psioa.t
 (** Failure-injection fixture: a transition measure of mass 1/2. *)
 
-val fifo : ?capacity:int -> ?alphabet:int list -> string -> Psioa.t
-(** n-slot FIFO channel: accepts [name.send(m)] while below capacity,
-    offers [name.recv(m)] for the oldest message. *)
+val fifo : ?capacity:int -> string -> Psioa.t
+(** n-slot FIFO channel over messages [0] and [1]: accepts
+    [name.send(m)] while below capacity, offers [name.recv(m)] for the
+    oldest message. *)
 
 val timer : ?horizon:int -> string -> Psioa.t
 (** Ticks internally [horizon] times, then fires [name.timeout] once. *)

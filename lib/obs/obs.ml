@@ -76,11 +76,6 @@ let observe h v =
     if v > h.h_hi then h.h_hi <- v
   end
 
-let hist_count h = h.h_n
-let hist_sum h = h.h_total
-let hist_max h = h.h_hi
-let hist_min h = h.h_lo
-
 (* Gauges *)
 
 type gauge = { mutable g : string option }

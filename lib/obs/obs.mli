@@ -59,15 +59,6 @@ val histogram : string -> histogram
 val observe : histogram -> int -> unit
 (** Record one observation when enabled; no-op otherwise. *)
 
-val hist_count : histogram -> int
-(** Number of observations. *)
-
-val hist_sum : histogram -> int
-val hist_max : histogram -> int
-
-val hist_min : histogram -> int
-(** Smallest observation; 0 when empty. *)
-
 (** {1 Gauges}
 
     Last-write-wins text gauges. Used for values that are not integers —

@@ -88,10 +88,6 @@ let uniform ~compare l =
       let p = Rat.of_ints 1 (List.length l) in
       make ~compare (List.map (fun x -> (x, p)) l)
 
-let bernoulli ~compare p =
-  if not (Rat.is_proper_prob p) then invalid "Dist.bernoulli: %s not in [0,1]" (Rat.to_string p);
-  make ~compare [ (true, p); (false, Rat.sub Rat.one p) ]
-
 let items d =
   List.init (Array.length d.elts) (fun i -> (d.elts.(i), d.probs.(i)))
 

@@ -29,9 +29,6 @@ val dirac : compare:('a -> 'a -> int) -> 'a -> 'a t
 val uniform : compare:('a -> 'a -> int) -> 'a list -> 'a t
 (** Uniform over a non-empty list (duplicates merged). *)
 
-val bernoulli : compare:(bool -> bool -> int) -> Rat.t -> bool t
-(** [bernoulli p] is [true] with probability [p]. *)
-
 val scale : Rat.t -> 'a t -> 'a t
 (** Multiply all masses by a factor in [0,1]. *)
 

@@ -13,20 +13,6 @@ let normalize cmp pairs =
   merge sorted
 
 let make ~compare pairs = { cmp = compare; items = normalize compare pairs }
-let dirac ~compare x = { cmp = compare; items = [ (x, 1.0) ] }
-
-let uniform ~compare l =
-  let p = 1.0 /. float_of_int (List.length l) in
-  make ~compare (List.map (fun x -> (x, p)) l)
-
-let items d = d.items
-let mass d = List.fold_left (fun acc (_, p) -> acc +. p) 0.0 d.items
-let size d = List.length d.items
-let map ~compare f d = make ~compare (List.map (fun (x, p) -> (f x, p)) d.items)
-
-let bind ~compare d f =
-  make ~compare
-    (List.concat_map (fun (x, p) -> List.map (fun (y, q) -> (y, p *. q)) (f x).items) d.items)
 
 let tv_distance a b =
   let cmp = a.cmp in

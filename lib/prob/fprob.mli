@@ -1,19 +1,17 @@
 (** Float-backed distributions — the ablation counterpart of {!Dist}.
 
     Ablation A1 (DESIGN.md) quantifies the cost of exactness by re-running
-    the measure computations with machine floats. This module mirrors the
-    subset of the {!Dist} API the benchmarks need. It is never used by the
-    checkers: float rounding would make [ε = 0] claims meaningless. *)
+    the distance computation with machine floats, and the Monte-Carlo
+    checker ([Cdse_secure.Sampled]) compares its empirical estimates with
+    it. The exact checkers never use it: float rounding would make
+    [ε = 0] claims meaningless. *)
 
 type 'a t
 
 val make : compare:('a -> 'a -> int) -> ('a * float) list -> 'a t
-val dirac : compare:('a -> 'a -> int) -> 'a -> 'a t
-val uniform : compare:('a -> 'a -> int) -> 'a list -> 'a t
-val items : 'a t -> ('a * float) list
-val mass : 'a t -> float
-val size : 'a t -> int
-val map : compare:('b -> 'b -> int) -> ('a -> 'b) -> 'a t -> 'b t
-val bind : compare:('b -> 'b -> int) -> 'a t -> ('a -> 'b t) -> 'b t
+(** Sorted by [compare]; equal elements merged, zero weights dropped. *)
+
 val tv_distance : 'a t -> 'a t -> float
+(** The sup-set distance of {!Stat.sup_set_distance}, over floats. *)
+
 val of_exact : 'a Dist.t -> 'a t

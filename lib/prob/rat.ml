@@ -25,7 +25,6 @@ let c_promotions = Obs.counter "rat.promotions"
 
 let zero = S (0, 1)
 let one = S (1, 1)
-let minus_one = S (-1, 1)
 let half = S (1, 2)
 
 (* gcd on non-negative ints. *)
@@ -201,7 +200,6 @@ let equal a b =
   | B x, B y -> x.sg = y.sg && Bignat.equal x.n y.n && Bignat.equal x.d y.d
   | _ -> false (* canonical: a value fitting S is never stored as B *)
 
-let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 let sum = List.fold_left add zero
 let is_proper_prob r = sign r >= 0 && compare r one <= 0

@@ -12,7 +12,6 @@ type t
 val zero : t
 val one : t
 val half : t
-val minus_one : t
 
 val of_int : int -> t
 
@@ -22,8 +21,6 @@ val of_ints : int -> int -> t
 val make : sign:int -> num:Bignat.t -> den:Bignat.t -> t
 (** Normalizing constructor; [sign] must be [-1], [0] or [1]. *)
 
-val num : t -> Bignat.t
-val den : t -> Bignat.t
 val sign : t -> int
 
 val neg : t -> t
@@ -37,7 +34,6 @@ val div : t -> t -> t
 val inv : t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val min : t -> t -> t
 val max : t -> t -> t
 val sum : t list -> t
 

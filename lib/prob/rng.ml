@@ -24,10 +24,6 @@ let int t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let float t =
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  v /. 9007199254740992.0 (* 2^53 *)
-
 let pick t l =
   match l with
   | [] -> invalid_arg "Rng.pick: empty list"

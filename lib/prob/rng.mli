@@ -19,9 +19,6 @@ val int : t -> int -> int
     generator state. *)
 
 val bool : t -> bool
-val bits64 : t -> int64
-val float : t -> float
-(** Uniform in [0, 1). *)
 
 val pick : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)

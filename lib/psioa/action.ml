@@ -18,8 +18,6 @@ let of_bits bits =
   | Value.Tag (name, payload) -> { name; payload }
   | _ -> invalid_arg "Action.of_bits: not an action encoding"
 
-let bit_length a = Cdse_util.Bits.length (to_bits a)
-
 let with_name f a = { a with name = f a.name }
 
 let pp fmt a =

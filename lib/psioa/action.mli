@@ -19,7 +19,6 @@ val to_bits : t -> Cdse_util.Bits.t
 (** The ⟨a⟩ encoding of Section 4.1. *)
 
 val of_bits : Cdse_util.Bits.t -> t
-val bit_length : t -> int
 
 val with_name : (string -> string) -> t -> t
 (** Rename by transforming the action name, keeping the payload. *)

@@ -6,8 +6,6 @@
 
 include Set.Make (Action)
 
-let of_names names = of_list (List.map (fun n -> Action.make n) names)
-
 let disjoint3 a b c = disjoint a b && disjoint a c && disjoint b c
 
 let map_actions f s = of_list (List.map f (elements s))

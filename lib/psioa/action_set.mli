@@ -7,9 +7,6 @@
 
 include Set.S with type elt = Action.t
 
-val of_names : string list -> t
-(** Payload-free actions from names. *)
-
 val disjoint3 : t -> t -> t -> bool
 (** Pairwise disjointness of the three signature components
     (Definition 2.1). *)

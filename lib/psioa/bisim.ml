@@ -9,7 +9,7 @@ let label_compare l1 l2 =
   | Ext _, Tau -> 1
   | Ext a, Ext b -> Action.compare a b
 
-let default_label s a =
+let label s a =
   match Sigs.classify a s with
   | `Internal -> Tau
   | `Input | `Output -> Ext a
@@ -28,7 +28,7 @@ module Nmap = Map.Make (struct
   let compare = node_compare
 end)
 
-let run ?(max_states = 2000) ?(label = default_label) a b =
+let run ?(max_states = 2000) a b =
   let explore side auto =
     (* Stop at the cap and test the truncation flag instead of exploring
        [max_states + 1] states just to notice the overflow; the error
@@ -69,14 +69,15 @@ let run ?(max_states = 2000) ?(label = default_label) a b =
     let outs = List.map Action.to_string (Action_set.elements (Sigs.output s)) in
     (labels, ins, outs)
   in
-  (* Partition as a block-id map; refine to fixpoint. *)
-  let initial =
+  (* Partition as a block-id map, one block per [key] value; refine to
+     fixpoint. *)
+  let blocks_by key =
     let groups = Hashtbl.create 64 in
-    List.iteri
-      (fun _ n ->
-        let key = fingerprint n in
-        let members = Option.value ~default:[] (Hashtbl.find_opt groups key) in
-        Hashtbl.replace groups key (n :: members))
+    List.iter
+      (fun n ->
+        let k = key n in
+        let members = Option.value ~default:[] (Hashtbl.find_opt groups k) in
+        Hashtbl.replace groups k (n :: members))
       nodes;
     let id = ref 0 in
     Hashtbl.fold
@@ -86,6 +87,7 @@ let run ?(max_states = 2000) ?(label = default_label) a b =
         List.fold_left (fun acc n -> Nmap.add n bid acc) acc members)
       groups Nmap.empty
   in
+  let initial = blocks_by fingerprint in
   (* Signature of a node under the current partition: for each label, the
      sorted set of block-probability vectors of its transitions. *)
   let node_signature part n =
@@ -112,22 +114,7 @@ let run ?(max_states = 2000) ?(label = default_label) a b =
       per_label
   in
   let refine part =
-    let groups = Hashtbl.create 64 in
-    List.iter
-      (fun n ->
-        let key = (Nmap.find n part, node_signature part n) in
-        let members = Option.value ~default:[] (Hashtbl.find_opt groups key) in
-        Hashtbl.replace groups key (n :: members))
-      nodes;
-    let id = ref 0 in
-    let part' =
-      Hashtbl.fold
-        (fun _ members acc ->
-          let bid = !id in
-          incr id;
-          List.fold_left (fun acc n -> Nmap.add n bid acc) acc members)
-        groups Nmap.empty
-    in
+    let part' = blocks_by (fun n -> (Nmap.find n part, node_signature part n)) in
     let block_count m = Nmap.fold (fun _ b acc -> max acc (b + 1)) m 0 in
     (part', block_count part' > block_count part)
   in
@@ -138,11 +125,11 @@ let run ?(max_states = 2000) ?(label = default_label) a b =
   let final = fixpoint initial in
   (final, List.length nodes)
 
-let bisimilar ?max_states ?label a b =
-  let part, _ = run ?max_states ?label a b in
+let bisimilar ?max_states a b =
+  let part, _ = run ?max_states a b in
   Nmap.find { side = 0; state = Psioa.start a } part
   = Nmap.find { side = 1; state = Psioa.start b } part
 
-let classes ?max_states ?label a b =
-  let part, n = run ?max_states ?label a b in
+let classes a b =
+  let part, n = run a b in
   (Nmap.fold (fun _ b acc -> max acc (b + 1)) part 0, n)

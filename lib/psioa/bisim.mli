@@ -14,29 +14,13 @@
     fingerprints and are split until, for every abstract label, related
     states present the same set of block-probability vectors. *)
 
-type label =
-  | Ext of Action.t  (** external actions are matched by name and payload *)
-  | Tau  (** all internal actions collapse to τ *)
-
-val default_label : Sigs.t -> Action.t -> label
-(** [Ext a] for external actions of the signature, [Tau] for internal. *)
-
-val bisimilar :
-  ?max_states:int ->
-  ?label:(Sigs.t -> Action.t -> label) ->
-  Psioa.t ->
-  Psioa.t ->
-  bool
+val bisimilar : ?max_states:int -> Psioa.t -> Psioa.t -> bool
 (** Are the two automata's start states strongly bisimilar on their
-    explored state spaces (default cap 2000 states each)? Raises
-    [Invalid_argument] if exploration truncates (the result would be
-    unsound). *)
+    explored state spaces (default cap 2000 states each)? External
+    actions are matched by name and payload; internal actions collapse to
+    one τ label. Raises [Invalid_argument] if exploration truncates (the
+    result would be unsound). *)
 
-val classes :
-  ?max_states:int ->
-  ?label:(Sigs.t -> Action.t -> label) ->
-  Psioa.t ->
-  Psioa.t ->
-  int * int
+val classes : Psioa.t -> Psioa.t -> int * int
 (** [(number of blocks, number of states considered)] of the final
     partition — exposed for diagnostics and benchmarks. *)

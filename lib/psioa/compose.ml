@@ -79,8 +79,8 @@ let proj_list = function
   | Value.List l -> l
   | q -> invalid_arg (Printf.sprintf "Compose.proj_list: %s" (Value.to_string q))
 
-let partially_compatible ?max_states ?max_depth autos =
-  match Psioa.reachable ?max_states ?max_depth (parallel autos) with
+let partially_compatible autos =
+  match Psioa.reachable (parallel autos) with
   | _ -> true
   | exception Incompatible _ -> false
 

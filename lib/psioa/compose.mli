@@ -32,10 +32,9 @@ val proj_pair : Value.t -> Value.t * Value.t
 
 val proj_list : Value.t -> Value.t list
 
-val partially_compatible :
-  ?max_states:int -> ?max_depth:int -> Psioa.t list -> bool
-(** Check Definition 2.18's side condition on the explored reachable
-    states. *)
+val partially_compatible : Psioa.t list -> bool
+(** Check Definition 2.18's side condition on the reachable states that
+    {!Psioa.reachable} explores at its default cap. *)
 
 val proj_exec : Psioa.t list -> int -> Exec.t -> Exec.t
 (** Project an execution of [parallel l] onto component [i]: keep the steps

@@ -8,8 +8,8 @@ let style_of sig_ act =
   | `Input -> "dotted"
   | `Output | `Absent -> "solid"
 
-let to_dot ?max_states ?max_depth auto =
-  let states = Psioa.reachable ?max_states ?max_depth auto in
+let to_dot ?max_states auto =
+  let states = Psioa.reachable ?max_states auto in
   let buf = Buffer.create 1024 in
   let index = Hashtbl.create 64 in
   List.iteri (fun i q -> Hashtbl.replace index (Value.to_string q) i) states;
@@ -55,8 +55,8 @@ let to_dot ?max_states ?max_depth auto =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let to_table ?max_states ?max_depth auto =
-  let states = Psioa.reachable ?max_states ?max_depth auto in
+let to_table ?max_states auto =
+  let states = Psioa.reachable ?max_states auto in
   let buf = Buffer.create 1024 in
   List.iter
     (fun q ->

@@ -4,11 +4,11 @@
     inspection (`cdse_cli dot`), with probabilities printed exactly.
     Internal actions are dashed, outputs solid, inputs dotted. *)
 
-val to_dot : ?max_states:int -> ?max_depth:int -> Psioa.t -> string
+val to_dot : ?max_states:int -> Psioa.t -> string
 (** Graphviz digraph of the explored reachable fragment. Probabilistic
     transitions fan out from an intermediate point node labelled with the
     action. *)
 
-val to_table : ?max_states:int -> ?max_depth:int -> Psioa.t -> string
+val to_table : ?max_states:int -> Psioa.t -> string
 (** Plain-text transition table: one line per (state, action, target,
     probability). *)

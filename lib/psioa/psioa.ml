@@ -182,12 +182,20 @@ let check_state a q =
       in
       Action_set.fold check_action (Sigs.all s) (Ok ())
 
-let validate ?max_states ?max_depth a =
-  match reachable ?max_states ?max_depth a with
+(* A sweep cut by the state cap fails even when every explored state
+   passes: the states beyond the cap were never checked. *)
+let check_reachable ?(max_states = default_max_states) ?max_depth a check =
+  match reachable_trunc ~max_states ?max_depth a with
   | exception Sigs.Not_disjoint msg -> Error (Printf.sprintf "automaton %S: %s" a.name msg)
-  | states ->
-      List.fold_left
-        (fun acc q -> match acc with Error _ -> acc | Ok () -> check_state a q)
-        (Ok ()) states
+  | states, truncated ->
+      let first =
+        List.fold_left (fun acc q -> Result.bind acc (fun () -> check q)) (Ok ()) states
+      in
+      if truncated && Result.is_ok first then
+        Error
+          (Printf.sprintf "automaton %S reaches more than %d states (max_states)" a.name max_states)
+      else first
+
+let validate ?max_states ?max_depth a = check_reachable ?max_states ?max_depth a (check_state a)
 
 let pp fmt a = Format.fprintf fmt "<psioa %s>" a.name

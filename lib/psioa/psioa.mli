@@ -90,9 +90,28 @@ val universal_actions : ?max_states:int -> ?max_depth:int -> t -> Action_set.t
 (** [acts(A)] restricted to the explored states: the union of all state
     signatures. *)
 
+val check_reachable :
+  ?max_states:int ->
+  ?max_depth:int ->
+  t ->
+  (Value.t -> (unit, string) result) ->
+  (unit, string) result
+(** [check_reachable a check] runs [check] on the states of one
+    {!reachable_trunc} sweep of [a], in visit order, and returns the
+    first [Error]. A signature that raises {!Sigs.Not_disjoint} during the
+    sweep is an [Error] too. If every explored state passes but
+    [max_states] (default {!default_max_states}) cut the sweep, the
+    result is an [Error] naming [a] and the cap: the states beyond it
+    were never checked. [max_depth] is the caller's horizon, and a sweep
+    it bounds is complete. *)
+
+val check_state : t -> Value.t -> (unit, string) result
+(** The PSIOA constraints at one state: signature components disjoint,
+    transitions defined exactly on the enabled actions, every transition
+    distribution proper. *)
+
 val validate : ?max_states:int -> ?max_depth:int -> t -> (unit, string) result
-(** Check the PSIOA constraints on the explored state space: signature
-    components disjoint, transitions defined exactly on the enabled actions,
-    every transition distribution proper. *)
+(** {!check_state} on every state of one {!check_reachable} sweep, so a
+    sweep cut by [max_states] is an [Error]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -21,5 +21,4 @@ let find reg id =
   | None -> raise (Unknown_automaton id)
 
 let mem reg id = Smap.mem id reg
-let ids reg = List.map fst (Smap.bindings reg)
 let union a b = Smap.union (fun _ x _ -> Some x) a b

@@ -8,15 +8,12 @@ type t
 
 exception Unknown_automaton of string
 
-val empty : t
-val add : Psioa.t -> t -> t
 val of_list : Psioa.t list -> t
 
 val find : t -> string -> Psioa.t
 (** Raises {!Unknown_automaton}. *)
 
 val mem : t -> string -> bool
-val ids : t -> string list
 
 val union : t -> t -> t
 (** Left-biased union (for PCA composition, Definition 2.19). *)

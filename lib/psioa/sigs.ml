@@ -10,6 +10,9 @@ let make ~input ~output ~internal =
             input Action_set.pp output Action_set.pp internal));
   { input; output; internal }
 
+let of_lists ?(i = []) ?(o = []) ?(h = []) () =
+  make ~input:(Action_set.of_list i) ~output:(Action_set.of_list o) ~internal:(Action_set.of_list h)
+
 let empty = { input = Action_set.empty; output = Action_set.empty; internal = Action_set.empty }
 
 let is_empty s =

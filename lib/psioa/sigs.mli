@@ -13,6 +13,10 @@ val make : input:Action_set.t -> output:Action_set.t -> internal:Action_set.t ->
 (** Raises {!Not_disjoint} if the three sets overlap (constraint of
     Definition 2.1). *)
 
+val of_lists : ?i:Action.t list -> ?o:Action.t list -> ?h:Action.t list -> unit -> t
+(** {!make} from action lists: [i] inputs, [o] outputs, [h] internal
+    (hidden) actions, each empty by default. *)
+
 val empty : t
 (** The empty signature — an automaton in a state with empty signature is
     destroyed by configuration reduction (Definition 2.12). *)

@@ -129,8 +129,6 @@ let of_bits bits =
   if not (Bits.Reader.at_end r) then invalid_arg "Value.of_bits: trailing bits";
   v
 
-let bit_length v = Bits.length (to_bits v)
-
 let rec pp fmt = function
   | Unit -> Format.pp_print_string fmt "()"
   | Bool b -> Format.pp_print_bool fmt b

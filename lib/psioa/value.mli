@@ -39,15 +39,8 @@ val hash : t -> int
 val to_bits : t -> Cdse_util.Bits.t
 (** Canonical self-delimiting encoding — the ⟨q⟩ of Section 4.1. *)
 
-val decode : Cdse_util.Bits.Reader.t -> t
-(** Inverse of {!to_bits}; raises [Invalid_argument] on malformed input. *)
-
 val of_bits : Cdse_util.Bits.t -> t
 (** Decode a complete bit string; raises [Invalid_argument] if bits remain. *)
-
-val bit_length : t -> int
-(** [Bits.length (to_bits v)] — the size that the boundedness definitions
-    (Def 4.1 item 1) constrain. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -14,5 +14,4 @@ let coin ?(p = Rat.half) hd tl =
   make [ (hd, p); (tl, Rat.sub Rat.one p) ]
 
 let map f d = Dist.map ~compare:Value.compare f d
-let bind d f = Dist.bind ~compare:Value.compare d f
 let pp = Dist.pp Value.pp

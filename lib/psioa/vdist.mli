@@ -17,5 +17,4 @@ val coin : ?p:Rat.t -> Value.t -> Value.t -> t
 (** [coin ~p heads tails]: [heads] with probability [p] (default 1/2). *)
 
 val map : (Value.t -> Value.t) -> t -> t
-val bind : t -> (Value.t -> t) -> t
 val pp : Format.formatter -> t -> unit

@@ -11,47 +11,37 @@ let trace composite =
   make ~name:"trace" (fun e ->
       actions_value (Exec.trace ~sig_of:(Psioa.signature composite) e))
 
-let accept ?(action_name = "acc") composite =
-  make ~name:(Printf.sprintf "accept(%s)" action_name) (fun e ->
+let accept composite =
+  make ~name:"accept(acc)" (fun e ->
       let tr = Exec.trace ~sig_of:(Psioa.signature composite) e in
-      Value.bool (List.exists (fun a -> String.equal (Action.name a) action_name) tr))
+      Value.bool (List.exists (fun a -> String.equal (Action.name a) "acc") tr))
 
-(* Environment-local view of a pair execution: fold the composite steps,
-   keeping only those in which the environment participates, recording its
-   local state trajectory and the actions it saw. *)
+(* Environment-local view of a composite execution: fold the composite
+   steps, keeping only those in which the environment participates,
+   recording its local state trajectory (read from each composite state by
+   [env_state]) and the actions it saw. *)
+let print_local ~name ~env_state env =
+  make ~name (fun e ->
+      let rec go acc q = function
+        | [] -> List.rev acc
+        | (act, q') :: rest ->
+            let qe = env_state q and qe' = env_state q' in
+            let acc =
+              if Psioa.is_enabled env qe act then
+                Value.pair (Value.Tag (Action.name act, Action.payload act)) qe' :: acc
+              else acc
+            in
+            go acc q' rest
+      in
+      Value.pair (env_state (Exec.fstate e)) (Value.list (go [] (Exec.fstate e) (Exec.steps e))))
+
 let print_left env _composite =
-  make ~name:"print" (fun e ->
-      let env_state q = fst (Compose.proj_pair q) in
-      let rec go acc q = function
-        | [] -> List.rev acc
-        | (act, q') :: rest ->
-            let qe = env_state q and qe' = env_state q' in
-            let acc =
-              if Psioa.is_enabled env qe act then
-                Value.pair (Value.Tag (Action.name act, Action.payload act)) qe' :: acc
-              else acc
-            in
-            go acc q' rest
-      in
-      Value.pair (env_state (Exec.fstate e)) (Value.list (go [] (Exec.fstate e) (Exec.steps e))))
+  print_local ~name:"print" ~env_state:(fun q -> fst (Compose.proj_pair q)) env
 
-(* Environment-local view of an n-ary composite: like print_left but the
-   environment sits at a given index of a Compose.parallel state. *)
 let print_nth env idx _composite =
-  make ~name:(Printf.sprintf "print[%d]" idx) (fun e ->
-      let env_state q = List.nth (Compose.proj_list q) idx in
-      let rec go acc q = function
-        | [] -> List.rev acc
-        | (act, q') :: rest ->
-            let qe = env_state q and qe' = env_state q' in
-            let acc =
-              if Psioa.is_enabled env qe act then
-                Value.pair (Value.Tag (Action.name act, Action.payload act)) qe' :: acc
-              else acc
-            in
-            go acc q' rest
-      in
-      Value.pair (env_state (Exec.fstate e)) (Value.list (go [] (Exec.fstate e) (Exec.steps e))))
+  print_local ~name:(Printf.sprintf "print[%d]" idx)
+    ~env_state:(fun q -> List.nth (Compose.proj_list q) idx)
+    env
 
 let apply ?memo:_ ?(domains = 1) ?compress:_ insight composite sched ~depth =
   if domains <> 1 then

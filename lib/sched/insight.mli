@@ -15,15 +15,13 @@ open Cdse_psioa
 
 type t = { name : string; observe : Exec.t -> Value.t }
 
-val make : name:string -> (Exec.t -> Value.t) -> t
-
 val trace : Psioa.t -> t
 (** The [trace] insight: the external-action sequence of the composite. *)
 
-val accept : ?action_name:string -> Psioa.t -> t
+val accept : Psioa.t -> t
 (** The [accept] insight of Canetti et al.: [Bool true] iff an action named
-    [action_name] (default ["acc"]) occurs in the trace. The classic
-    "environment outputs its verdict" observation. *)
+    ["acc"] occurs in the trace. The classic "environment outputs its
+    verdict" observation. *)
 
 val print_left : Psioa.t -> Psioa.t -> t
 (** [print_left env composite]: the [print] insight of the dynamic-PIOA

@@ -341,8 +341,8 @@ let trace_dist auto sched ~depth =
 let reach_mass ~pred d =
   Dist.fold (fun acc e p -> if Exec.exists_state pred e then Rat.add acc p else acc) Rat.zero d
 
-let reach_prob_budgeted ?max_execs ?max_width auto sched ~depth ~pred =
-  match fst (run ?max_execs ?max_width ~track:pred auto sched ~depth) with
+let reach_prob_budgeted ?max_execs auto sched ~depth ~pred =
+  match fst (run ?max_execs ~track:pred auto sched ~depth) with
   | `Exact d -> `Exact (reach_mass ~pred d)
   | `Truncated (d, lost) -> `Truncated (reach_mass ~pred d, lost)
 

@@ -15,8 +15,8 @@
     sub-distribution is a true lower bound of [ε_σ] on every execution it
     contains, and the discarded mass is returned as an explicit deficit
     [lost] in a [`Truncated] tag, so [mass + lost = 1] as exact
-    rationals. Only the entry points that return that tag
-    ({!exec_dist_budgeted}, {!reach_prob_budgeted}) take budgets.
+    rationals. Only the entry points that return that tag take budgets:
+    {!exec_dist_budgeted} both, {!reach_prob_budgeted} [?max_execs].
 
     - [?max_width w] prunes each frontier layer to its [w] most probable
       executions (ties broken by {!Exec.compare}, so truncation is
@@ -174,9 +174,8 @@ val reach_mass : pred:(Value.t -> bool) -> Exec.t Dist.t -> Rat.t
     satisfying [pred]: what {!reach_prob} sums over {!exec_dist}. *)
 
 val reach_prob_budgeted :
-  ?max_execs:int -> ?max_width:int ->
-  Psioa.t -> Scheduler.t -> depth:int -> pred:(Value.t -> bool) -> Rat.t budgeted
-(** {!reach_prob} under the budgets: [`Truncated (p, lost)] brackets the
+  ?max_execs:int -> Psioa.t -> Scheduler.t -> depth:int -> pred:(Value.t -> bool) -> Rat.t budgeted
+(** {!reach_prob} under the [?max_execs] budget: [`Truncated (p, lost)] brackets the
     true probability in [[p, p + lost]] — the deficit mass may or may not
     have reached [pred]. *)
 

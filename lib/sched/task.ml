@@ -4,9 +4,7 @@ open Cdse_psioa
 type task = string
 
 let task_of_name n = n
-let task_of_action a = Action.name a
 let mem a t = String.equal (Action.name a) t
-let task_name t = t
 
 let enabled_in auto q t =
   Action_set.elements
@@ -57,8 +55,8 @@ let scheduler_skipping auto schedule =
           | [ a ] -> Dist.dirac ~compare:Action.compare a
           | _ -> empty_choice))
 
-let is_action_deterministic ?max_states ?max_depth auto schedule =
+let is_action_deterministic auto schedule =
   let tasks = List.sort_uniq String.compare schedule in
   List.for_all
     (fun q -> List.for_all (fun t -> List.length (enabled_in auto q t) <= 1) tasks)
-    (Psioa.reachable ?max_states ?max_depth auto)
+    (Psioa.reachable auto)

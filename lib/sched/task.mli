@@ -19,12 +19,6 @@ type task
 val task_of_name : string -> task
 (** All actions with the given name (any payload). *)
 
-val task_of_action : Action.t -> task
-(** The class of the action's name. *)
-
-val mem : Action.t -> task -> bool
-val task_name : task -> string
-
 val enabled_in : Psioa.t -> Value.t -> task -> Action.t list
 (** The enabled locally-controlled actions of the class at a state. *)
 
@@ -41,8 +35,8 @@ val scheduler_skipping : Psioa.t -> schedule -> Scheduler.t
 (** Lenient variant: tasks that are not uniquely enabled are skipped
     rather than halting (the remaining schedule shifts left). *)
 
-val is_action_deterministic :
-  ?max_states:int -> ?max_depth:int -> Psioa.t -> schedule -> bool
+val is_action_deterministic : Psioa.t -> schedule -> bool
 (** Every task of the schedule is enabled at most once per reachable
-    state — the side condition under which {!scheduler} and
-    {!scheduler_skipping} agree on fired tasks. *)
+    state ({!Psioa.reachable} at its default cap) — the side condition
+    under which {!scheduler} and {!scheduler_skipping} agree on fired
+    tasks. *)

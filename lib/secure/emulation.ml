@@ -68,13 +68,6 @@ type component = {
   dsim : Psioa.t;
 }
 
-let dummy_for c =
-  Dummy.make
-    ~name:(Structured.name c.real ^ ".dummy")
-    ~ai:(Structured.ai_universe c.real)
-    ~ao:(Structured.ao_universe c.real)
-    ~g:c.g
-
 let composite_simulator ~components ~adv =
   (* g = g¹ ∪ … ∪ gᵇ on the disjoint adversary alphabets of the
      components. AAct_A(q) = AI_A(q) ∪ AO_A(q), and both universes refuse

@@ -88,8 +88,3 @@ val composite_simulator : components:component list -> adv:Psioa.t -> Psioa.t
     [AAct] is {!Structured.ai_universe} ∪ {!Structured.ao_universe}, so
     this raises {!Structured.Universe_truncated} when a component reaches
     more than {!Psioa.default_max_states} states. *)
-
-val dummy_for : component -> Psioa.t
-(** [Dummy(realᵢ, gᵢ)] — the dummy adversary each component's emulation is
-    instantiated with inside the composability proof. Raises
-    {!Structured.Universe_truncated} as {!Structured.ai_universe} does. *)

@@ -8,16 +8,13 @@ type engine = [ `Off ]
 
 let default_engine = `Off
 
-let fdist ~insight_of composite sched ~depth =
-  Insight.apply (insight_of composite) composite sched ~depth
-
-(* Core loop shared by the search and explicit-matcher variants: for each
-   environment and each σ over E‖A, obtain candidates σ' over E‖B, each
-   with its f-dist, and record the best distance. [candidates_for] is
-   applied once per environment. A candidate's f-dist is lazy and forced
-   where it is first compared, so a candidate shared across σ1 is
-   measured once per environment, in the order the search meets it. *)
-let run ~insight_of ~envs ~eps ~depth ~scheds_for_a ~candidates_for ~a ~b =
+(* For every environment and each σ1 over E‖A, the best distance to a
+   candidate σ2 over E‖B. The candidates are instantiated when the first
+   σ1 needs them and shared by the rest; each candidate's f-dist is lazy
+   and forced where it is first compared, so it is measured once per
+   environment, in the order the search meets it. *)
+let approx_le ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~a ~b =
+  let fdist composite sched = Insight.apply (insight_of composite) composite sched ~depth in
   let detail = ref [] in
   let worst = ref Rat.zero in
   let holds = ref true in
@@ -28,13 +25,18 @@ let run ~insight_of ~envs ~eps ~depth ~scheds_for_a ~candidates_for ~a ~b =
       @@ fun () ->
       let comp_a = Compose.pair env a in
       let comp_b = Compose.pair env b in
-      let candidates = candidates_for ~env ~comp_a ~comp_b in
+      let candidates =
+        lazy
+          (List.map
+             (fun sigma2 -> (sigma2, lazy (fdist comp_b sigma2)))
+             (Schema.bounded_instantiate schema ~bound:q2 comp_b))
+      in
       List.iter
         (fun sigma1 ->
           Cdse_obs.Trace.span "emulation.sched"
             ~args:(fun () -> [ ("sched", sigma1.Scheduler.name) ])
           @@ fun () ->
-          let da = fdist ~insight_of comp_a sigma1 ~depth in
+          let da = fdist comp_a sigma1 in
           let best, witness, best_db =
             List.fold_left
               (fun (best, witness, best_db) (sigma2, db) ->
@@ -43,7 +45,7 @@ let run ~insight_of ~envs ~eps ~depth ~scheds_for_a ~candidates_for ~a ~b =
                 if Rat.compare d best < 0 then (d, sigma2.Scheduler.name, Some db)
                 else (best, witness, best_db))
               (Rat.one, "<none>", None)
-              (candidates sigma1)
+              (Lazy.force candidates)
           in
           let entry = Printf.sprintf "%s / %s ⇒ %s" (Psioa.name env) sigma1.Scheduler.name witness in
           let entry =
@@ -60,31 +62,9 @@ let run ~insight_of ~envs ~eps ~depth ~scheds_for_a ~candidates_for ~a ~b =
           detail := (entry, best) :: !detail;
           if Rat.compare best !worst > 0 then worst := best;
           if Rat.compare best eps > 0 then holds := false)
-        (scheds_for_a ~comp_a))
+        (Schema.bounded_instantiate schema ~bound:q1 comp_a))
     envs;
   { holds = !holds; worst = !worst; detail = List.rev !detail }
-
-let candidate ~insight_of ~depth comp_b sigma2 =
-  (sigma2, lazy (fdist ~insight_of comp_b sigma2 ~depth))
-
-let approx_le ~schema ~insight_of ~envs ~eps ~q1 ~q2 ~depth ~a ~b =
-  run ~insight_of ~envs ~eps ~depth ~a ~b
-    ~scheds_for_a:(fun ~comp_a -> Schema.bounded_instantiate schema ~bound:q1 comp_a)
-    ~candidates_for:(fun ~env:_ ~comp_a:_ ~comp_b ->
-      (* Every σ1 searches the same candidates: instantiated when the
-         first σ1 needs them, and shared by the rest. *)
-      let shared =
-        lazy
-          (List.map (candidate ~insight_of ~depth comp_b)
-             (Schema.bounded_instantiate schema ~bound:q2 comp_b))
-      in
-      fun _sigma1 -> Lazy.force shared)
-
-let approx_le_with ~matcher ~schema ~insight_of ~envs ~eps ~q1 ~depth ~a ~b =
-  run ~insight_of ~envs ~eps ~depth ~a ~b
-    ~scheds_for_a:(fun ~comp_a -> Schema.bounded_instantiate schema ~bound:q1 comp_a)
-    ~candidates_for:(fun ~env ~comp_a ~comp_b sigma1 ->
-      [ candidate ~insight_of ~depth comp_b (matcher ~env ~comp_a ~comp_b sigma1) ])
 
 let merge_verdicts vs =
   { holds = List.for_all (fun v -> v.holds) vs;
@@ -134,8 +114,3 @@ let triangle_chain ~schema ~insight_of ~envs ~q ~depth automata =
       let direct = dist first last in
       { pairwise; total_bound; direct; triangle_holds = Rat.compare direct total_bound <= 0 }
 
-
-let pp_verdict fmt v =
-  Format.fprintf fmt "@[<v>holds: %b (worst distance %s)" v.holds (Rat.to_string v.worst);
-  List.iter (fun (s, d) -> Format.fprintf fmt "@,  %s -> %s" s (Rat.to_string d)) v.detail;
-  Format.fprintf fmt "@]"

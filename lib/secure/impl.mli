@@ -7,9 +7,8 @@
     schedulers; the checker quantifies over explicit finite families
     supplied by the caller (DESIGN.md substitution table). The existential
     "there is a q2-bounded σ'" is discharged by searching the scheduler
-    schema's instances for [E ‖ B] — or by an explicit matching function
-    when the caller knows the construction (as the composability proofs
-    do). *)
+    schema's instances for [E ‖ B]. Lemma D.1's constructive [Forward^s]
+    is checked apart, by {!Forwarding.check_lemma_d1}. *)
 
 open Cdse_prob
 open Cdse_psioa
@@ -47,26 +46,6 @@ val approx_le :
     [E ‖ B] for one within sup-set distance [ε] (Definition 3.6). Each
     [E ‖ B] candidate's f-dist is computed once per environment and shared
     by every [E ‖ A] scheduler. *)
-
-val approx_le_with :
-  matcher:(env:Psioa.t -> comp_a:Psioa.t -> comp_b:Psioa.t -> Scheduler.t -> Scheduler.t) ->
-  schema:Schema.t ->
-  insight_of:(Psioa.t -> Insight.t) ->
-  envs:Psioa.t list ->
-  eps:Rat.t ->
-  q1:int ->
-  depth:int ->
-  a:Psioa.t ->
-  b:Psioa.t ->
-  verdict
-(** Like {!approx_le} but with an explicit σ ↦ σ' construction — the form
-    used when validating the constructive proofs (Lemma D.1's
-    [Forward^s]). *)
-
-val pp_verdict : Format.formatter -> verdict -> unit
-(** Render a verdict with its per-(environment, scheduler) details,
-    matched-scheduler witnesses and (on failure) distinguishing
-    observations. *)
 
 val merge_verdicts : verdict list -> verdict
 (** Conjunction of verdicts: holds iff all hold; worst distance is the

@@ -5,29 +5,16 @@ open Cdse_sched
 type verdict = { holds : bool; worst : float; samples : int }
 
 let empirical_fdist ~insight composite sched ~depth ~samples ~rng =
-  Measure.estimate_fdist composite sched ~observe:insight.Insight.observe ~rng ~samples ~depth
+  Fprob.make ~compare:Value.compare
+    (Measure.estimate_fdist composite sched ~observe:insight.Insight.observe ~rng ~samples ~depth)
 
-let float_tv a b =
-  (* Merge the two empirical association lists and take the sup-set
-     distance, as in Stat but over floats. *)
-  let keys =
-    List.sort_uniq Value.compare (List.map fst a @ List.map fst b)
-  in
-  let get l k = Option.value ~default:0.0 (List.assoc_opt k l) in
-  let pos, neg =
-    List.fold_left
-      (fun (pos, neg) k ->
-        let d = get a k -. get b k in
-        if d >= 0.0 then (pos +. d, neg) else (pos, neg -. d))
-      (0.0, 0.0) keys
-  in
-  Float.max pos neg
-
+(* The empirical sup-set distance between two scheduled systems'
+   observation distributions. *)
 let empirical_distance ~insight_of ~sched_a ~sched_b ~depth ~samples ~seed a b =
   let rng = Rng.make seed in
   let da = empirical_fdist ~insight:(insight_of a) a sched_a ~depth ~samples ~rng in
   let db = empirical_fdist ~insight:(insight_of b) b sched_b ~depth ~samples ~rng in
-  float_tv da db
+  Fprob.tv_distance da db
 
 let approx_le_sampled ~schema ~insight_of ~envs ~eps ~tolerance ~q1 ~q2 ~depth ~samples ~seed ~a
     ~b =

@@ -32,16 +32,3 @@ val approx_le_sampled :
   verdict
 (** Like {!Impl.approx_le} with empirical f-dists: holds when every σ finds
     a candidate within [eps + tolerance]. *)
-
-val empirical_distance :
-  insight_of:(Psioa.t -> Insight.t) ->
-  sched_a:Scheduler.t ->
-  sched_b:Scheduler.t ->
-  depth:int ->
-  samples:int ->
-  seed:int ->
-  Psioa.t ->
-  Psioa.t ->
-  float
-(** Empirical sup-set distance between two scheduled systems' observation
-    distributions. *)

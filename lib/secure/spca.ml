@@ -18,8 +18,8 @@ let eact s q =
 
 let to_structured s = Structured.make (Pca.psioa s.pca) ~eact:(eact s)
 
-let compose_pair ?name s1 s2 =
-  let pca = Pca.compose_pair ?name s1.pca s2.pca in
+let compose_pair s1 s2 =
+  let pca = Pca.compose_pair s1.pca s2.pca in
   let member_eact id q =
     if Registry.mem (Pca.registry s1.pca) id then s1.member_eact id q else s2.member_eact id q
   in
@@ -27,19 +27,13 @@ let compose_pair ?name s1 s2 =
 
 let check_constraint ?max_states ?max_depth s =
   let auto = Pca.psioa s.pca in
-  List.fold_left
-    (fun acc q ->
-      match acc with
-      | Error _ -> acc
-      | Ok () ->
-          let derived = eact s q in
-          let ext = Sigs.ext (Psioa.signature auto q) in
-          (* EAct_X(q) must also be a valid environment partition: a subset
-             of the PCA's external actions. *)
-          if Action_set.subset derived ext then Ok ()
-          else
-            Error
-              (Format.asprintf "state %a: EAct_X %a escapes ext %a" Value.pp q Action_set.pp
-                 derived Action_set.pp ext))
-    (Ok ())
-    (Psioa.reachable ?max_states ?max_depth auto)
+  Psioa.check_reachable ?max_states ?max_depth auto (fun q ->
+      let derived = eact s q in
+      let ext = Sigs.ext (Psioa.signature auto q) in
+      (* EAct_X(q) must also be a valid environment partition: a subset
+         of the PCA's external actions. *)
+      if Action_set.subset derived ext then Ok ()
+      else
+        Error
+          (Format.asprintf "state %a: EAct_X %a escapes ext %a" Value.pp q Action_set.pp derived
+             Action_set.pp ext))

@@ -17,9 +17,6 @@ val make : pca:Pca.t -> member_eact:(string -> Value.t -> Action_set.t) -> t
 
 val pca : t -> Pca.t
 
-val config_eact : t -> Config.t -> Action_set.t
-(** [EAct(C) = ∪_{A∈C} EAct_A(S(A))] (Definition 4.20). *)
-
 val eact : t -> Value.t -> Action_set.t
 (** The derived [EAct_X(q)] of Definition 4.22. *)
 
@@ -27,11 +24,12 @@ val to_structured : t -> Structured.t
 (** The structured PSIOA view of the structured PCA (for use with
     adversaries, dummies and emulation). *)
 
-val compose_pair : ?name:string -> t -> t -> t
+val compose_pair : t -> t -> t
 (** Structured PCA composition (after Definition 4.22); Lemma 4.23
     guarantees the result is again a structured PCA. *)
 
 val check_constraint : ?max_states:int -> ?max_depth:int -> t -> (unit, string) result
 (** Verify [EAct_X(q) = EAct(config(X)(q)) ∖ hidden-actions(X)(q)] on the
-    explored states — the Definition 4.22 invariant, and the content of
-    Lemma 4.23 when applied to a composition. *)
+    states of one {!Psioa.check_reachable} sweep — the Definition 4.22
+    invariant, and the content of Lemma 4.23 when applied to a
+    composition. A sweep cut by [max_states] is an [Error]. *)

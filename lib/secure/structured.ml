@@ -53,24 +53,18 @@ let sweep a =
 let ai_universe s = union_over ai s (sweep s.psioa)
 let ao_universe s = union_over ao s (sweep s.psioa)
 
-let validate ?max_states ?max_depth s =
-  match Psioa.validate ?max_states ?max_depth s.psioa with
-  | Error _ as e -> e
-  | Ok () ->
-      List.fold_left
-        (fun acc q ->
-          match acc with
-          | Error _ -> acc
-          | Ok () ->
-              let declared = s.eact q in
-              let ext = Sigs.ext (Psioa.signature s.psioa q) in
-              if Action_set.subset declared ext then Ok ()
-              else
-                Error
-                  (Format.asprintf "state %a: EAct %a not within ext %a" Value.pp q Action_set.pp
-                     declared Action_set.pp ext))
-        (Ok ())
-        (Psioa.reachable ?max_states ?max_depth s.psioa)
+let validate ?max_states s =
+  Psioa.check_reachable ?max_states s.psioa (fun q ->
+      match Psioa.check_state s.psioa q with
+      | Error _ as e -> e
+      | Ok () ->
+          let declared = s.eact q in
+          let ext = Sigs.ext (Psioa.signature s.psioa q) in
+          if Action_set.subset declared ext then Ok ()
+          else
+            Error
+              (Format.asprintf "state %a: EAct %a not within ext %a" Value.pp q Action_set.pp
+                 declared Action_set.pp ext))
 
 (* One sweep of the pair: a composed signature that raises [Incompatible]
    is a partial-compatibility failure (Definition 2.18); otherwise
@@ -91,8 +85,8 @@ let compatible s1 s2 =
           Action_set.equal shared (Action_set.inter (eact s1 q1) (eact s2 q2)))
         states
 
-let compose ?name s1 s2 =
-  let psioa = Compose.pair ?name s1.psioa s2.psioa in
+let compose s1 s2 =
+  let psioa = Compose.pair s1.psioa s2.psioa in
   let eact q =
     let q1, q2 = Compose.proj_pair q in
     Action_set.union (eact s1 q1) (eact s2 q2)

@@ -58,9 +58,10 @@ val ai_universe : t -> Action_set.t
 val ao_universe : t -> Action_set.t
 (** Union of [AO_A(q)], as {!ai_universe}. *)
 
-val validate : ?max_states:int -> ?max_depth:int -> t -> (unit, string) result
-(** Check [EAct_A(q) ⊆ ext(A)(q)] on the explored states (and the
-    underlying PSIOA constraints). *)
+val validate : ?max_states:int -> t -> (unit, string) result
+(** Check the PSIOA constraints and [EAct_A(q) ⊆ ext(A)(q)] at every
+    state of one {!Psioa.check_reachable} sweep: a sweep cut by
+    [max_states] (default {!Psioa.default_max_states}) is an [Error]. *)
 
 val compatible : t -> t -> bool
 (** Definition 4.18: partial compatibility of the underlying PSIOA, plus
@@ -69,7 +70,7 @@ val compatible : t -> t -> bool
     raises {!Universe_truncated} rather than answer from a truncated
     sweep. *)
 
-val compose : ?name:string -> t -> t -> t
+val compose : t -> t -> t
 (** Definition 4.19: [A₁ ‖ A₂] with [EAct = EAct₁ ∪ EAct₂] (pointwise on
     pair states). *)
 

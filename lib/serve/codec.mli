@@ -13,9 +13,6 @@ open Cdse_psioa
 val exec_to_json : Exec.t -> Json.t
 (** [{"start": bits, "steps": [[action-bits, state-bits], ...]}]. *)
 
-val exec_of_json : Json.t -> Exec.t
-(** Raises [Invalid_argument] on a malformed encoding. *)
-
 val dist_to_json : Exec.t Dist.t -> Json.t
 (** [{"items": [[exec, rat], ...], "mass": rat, "deficit": rat,
     "size": int}]. Items are emitted in the distribution's canonical

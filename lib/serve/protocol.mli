@@ -132,7 +132,6 @@ val parse_request : string -> request
     exec/width budgets (truncation changes the answer). *)
 
 val model_key : model -> string
-val sched_key : sched -> string
 
 val query_line : query -> string
 (** Everything except the depth — requests sharing a line are the same

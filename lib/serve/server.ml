@@ -106,8 +106,6 @@ type t = {
   mutable acceptor : Thread.t option;
 }
 
-let socket_path t = t.path
-
 (* Replies *)
 
 let num i = Json.Num (float_of_int i)

@@ -50,5 +50,3 @@ val stop : t -> unit
 val wait : t -> unit
 (** Block until the server has fully shut down (via {!stop} or a wire
     [shutdown]). *)
-
-val socket_path : t -> string

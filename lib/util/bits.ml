@@ -162,8 +162,6 @@ module Reader = struct
   type nonrec t = { bits : bits; mutable p : int }
 
   let make bits = { bits; p = 0 }
-  let pos r = r.p
-  let remaining r = r.bits.len - r.p
   let at_end r = r.p >= r.bits.len
 
   let read_bit r =

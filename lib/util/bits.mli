@@ -99,8 +99,6 @@ module Reader : sig
   type t
 
   val make : bits -> t
-  val pos : t -> int
-  val remaining : t -> int
   val read_bit : t -> bool
   (** Raises [Invalid_argument] when exhausted. *)
 

@@ -11,8 +11,6 @@ let of_coeffs l =
   List.iter (fun c -> if c < 0 then invalid_arg "Poly.of_coeffs: negative coefficient") l;
   normalize (Array.of_list l)
 
-let const c = of_coeffs [ c ]
-let x = of_coeffs [ 0; 1 ]
 let degree p = Array.length p - 1
 let coeffs p = Array.to_list p
 
@@ -37,7 +35,7 @@ let scale c p =
   normalize (Array.map (fun ci -> c * ci) p)
 
 let compose p q =
-  Array.fold_right (fun c acc -> add (const c) (mul acc q)) p [||]
+  Array.fold_right (fun c acc -> add (of_coeffs [ c ]) (mul acc q)) p [||]
 
 let equal p q = p = q
 

@@ -10,10 +10,6 @@ val of_coeffs : int list -> t
 (** [of_coeffs [c0; c1; c2]] is [c0 + c1·x + c2·x²]. Raises
     [Invalid_argument] on negative coefficients. *)
 
-val const : int -> t
-val x : t
-(** The identity polynomial. *)
-
 val degree : t -> int
 val eval : t -> int -> int
 val add : t -> t -> t

@@ -22,9 +22,4 @@ let table ?(out = Format.std_formatter) ~header rows =
   List.iter (fun row -> Format.fprintf out "%s@." (render_row w row)) rows;
   Format.fprintf out "@."
 
-let section ?(out = Format.std_formatter) title =
-  Format.fprintf out "@.== %s ==@.@." title
-
-let float_cell f = Printf.sprintf "%.4g" f
-let int_cell = string_of_int
-let bool_cell b = if b then "yes" else "no"
+let section title = Format.printf "@.== %s ==@.@." title

@@ -8,11 +8,5 @@ val table : ?out:Format.formatter -> header:string list -> string list list -> u
 (** Render [header] and the rows with per-column padding (default
     formatter: stdout). *)
 
-val section : ?out:Format.formatter -> string -> unit
-(** A [== title ==] heading with surrounding blank lines. *)
-
-val float_cell : float -> string
-(** ["%.4g"]. *)
-
-val int_cell : int -> string
-val bool_cell : bool -> string
+val section : string -> unit
+(** A [== title ==] heading with surrounding blank lines, on stdout. *)

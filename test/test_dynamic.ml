@@ -49,9 +49,19 @@ let test_two_subchains_interleaved () =
   Alcotest.(check int) "total 1" 1 (System.ledger_total system q)
 
 let test_pca_constraints_hold () =
-  match Pca.check_constraints ~max_states:200 ~max_depth:5 system with
+  (* 450 states within depth 5. *)
+  match Pca.check_constraints ~max_states:500 ~max_depth:5 system with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
+
+let test_pca_constraints_truncated () =
+  (* 450 states within depth 5: a cap of 200 cuts the sweep. *)
+  match Pca.check_constraints ~max_states:200 ~max_depth:5 system with
+  | Ok () -> Alcotest.fail "a sweep cut at 200 states passed"
+  | Error e ->
+      Alcotest.(check bool) "names the automaton and the cap" true
+        (Astring.String.is_infix ~affix:"subchain-system" e
+        && Astring.String.is_infix ~affix:"200" e)
 
 let test_manager_budget () =
   let q = Psioa.start (Pca.psioa system) in
@@ -325,6 +335,8 @@ let () =
           Alcotest.test_case "open/tx/close/settle lifecycle" `Quick test_lifecycle;
           Alcotest.test_case "interleaved subchains" `Quick test_two_subchains_interleaved;
           Alcotest.test_case "PCA constraints (Def 2.16)" `Quick test_pca_constraints_hold;
+          Alcotest.test_case "PCA constraints refuse a truncated sweep" `Quick
+            test_pca_constraints_truncated;
           Alcotest.test_case "manager budget" `Quick test_manager_budget ] );
       ( "committee",
         [ Alcotest.test_case "PCA constraints" `Quick test_committee_constraints;

@@ -59,7 +59,7 @@ let test_task_ambiguous_halts_strict_fires_skipping () =
   let auto =
     Psioa.make ~name:"amb" ~start:(Value.int 0)
       ~signature:(fun q ->
-        if Value.equal q (Value.int 0) then Fixtures.sig_io ~o:[ both; both1; other ] ()
+        if Value.equal q (Value.int 0) then Sigs.of_lists ~o:[ both; both1; other ] ()
         else Sigs.empty)
       ~transition:(fun q a ->
         if Value.equal q (Value.int 0) && (Action.equal a both || Action.equal a both1 || Action.equal a other)
@@ -182,9 +182,19 @@ let spca_of_system () =
   Spca.make ~pca:system ~member_eact
 
 let test_spca_constraint () =
-  match Spca.check_constraint ~max_states:200 ~max_depth:5 (spca_of_system ()) with
+  (* 322 states within depth 5. *)
+  match Spca.check_constraint ~max_states:400 ~max_depth:5 (spca_of_system ()) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
+
+let test_spca_constraint_truncated () =
+  (* 322 states within depth 5: a cap of 200 cuts the sweep. *)
+  match Spca.check_constraint ~max_states:200 ~max_depth:5 (spca_of_system ()) with
+  | Ok () -> Alcotest.fail "a sweep cut at 200 states passed"
+  | Error e ->
+      Alcotest.(check bool) "names the automaton and the cap" true
+        (Astring.String.is_infix ~affix:"subchain-system" e
+        && Astring.String.is_infix ~affix:"200" e)
 
 let test_spca_eact_tracks_config () =
   let s = spca_of_system () in
@@ -217,7 +227,8 @@ let test_spca_compose_lemma_423 () =
         Sigs.ext (Psioa.signature (Registry.find reg id) q))
   in
   let composed = Spca.compose_pair (spca_of_system ()) other in
-  (match Spca.check_constraint ~max_states:200 ~max_depth:4 composed with
+  (* 209 states within depth 4. *)
+  (match Spca.check_constraint ~max_states:300 ~max_depth:4 composed with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   (* The structured view is usable downstream. *)
@@ -249,6 +260,8 @@ let () =
             test_monotonic_print_insight ] );
       ( "structured-pca",
         [ Alcotest.test_case "constraint (Def 4.22)" `Quick test_spca_constraint;
+          Alcotest.test_case "constraint check refuses a truncated sweep" `Quick
+            test_spca_constraint_truncated;
           Alcotest.test_case "EAct tracks configuration" `Quick test_spca_eact_tracks_config;
           Alcotest.test_case "closure under composition (Lemma 4.23)" `Quick
             test_spca_compose_lemma_423 ] ) ]

@@ -8,7 +8,6 @@ open Cdse_testkit
 
 let qtest = QCheck_alcotest.to_alcotest
 let act = Fixtures.act
-let sig_io = Fixtures.sig_io
 
 (* ----------------------------------------------------------------- Value *)
 
@@ -192,12 +191,12 @@ let a4 = act "a4"
 let test_sigs_disjoint () =
   Alcotest.check_raises "overlap rejected"
     (Sigs.Not_disjoint "Sigs.make: overlapping components in={a1} out={a1} int={}") (fun () ->
-      ignore (sig_io ~i:[ a1 ] ~o:[ a1 ] ()))
+      ignore (Sigs.of_lists ~i:[ a1 ] ~o:[ a1 ] ()))
 
 let test_sigs_compose_def24 () =
   (* Def 2.4: in ∪ in' − (out ∪ out'), out ∪ out', int ∪ int'. *)
-  let s1 = sig_io ~i:[ a1; a2 ] ~o:[ a3 ] () in
-  let s2 = sig_io ~i:[ a3 ] ~o:[ a2 ] ~h:[ a4 ] () in
+  let s1 = Sigs.of_lists ~i:[ a1; a2 ] ~o:[ a3 ] () in
+  let s2 = Sigs.of_lists ~i:[ a3 ] ~o:[ a2 ] ~h:[ a4 ] () in
   let c = Sigs.compose s1 s2 in
   Alcotest.(check bool) "in = {a1}" true (Action_set.equal (Sigs.input c) (Action_set.of_list [ a1 ]));
   Alcotest.(check bool) "out = {a2,a3}" true
@@ -207,16 +206,16 @@ let test_sigs_compose_def24 () =
 
 let test_sigs_incompatible () =
   (* Shared output violates Def 2.3 clause 2. *)
-  let s1 = sig_io ~o:[ a1 ] () and s2 = sig_io ~o:[ a1 ] () in
+  let s1 = Sigs.of_lists ~o:[ a1 ] () and s2 = Sigs.of_lists ~o:[ a1 ] () in
   Alcotest.(check bool) "shared output" false (Sigs.compatible s1 s2);
   (* Internal action visible to the other violates clause 1. *)
-  let s3 = sig_io ~h:[ a2 ] () and s4 = sig_io ~i:[ a2 ] () in
+  let s3 = Sigs.of_lists ~h:[ a2 ] () and s4 = Sigs.of_lists ~i:[ a2 ] () in
   Alcotest.(check bool) "internal clash" false (Sigs.compatible s3 s4);
   Alcotest.check_raises "compose rejects" (Sigs.Not_disjoint "Sigs.compose: incompatible signatures")
     (fun () -> ignore (Sigs.compose s1 s2))
 
 let test_sigs_hide () =
-  let s = sig_io ~i:[ a1 ] ~o:[ a2; a3 ] () in
+  let s = Sigs.of_lists ~i:[ a1 ] ~o:[ a2; a3 ] () in
   let h = Sigs.hide s (Action_set.of_list [ a2; a4 ]) in
   Alcotest.(check bool) "a2 now internal" true (Sigs.classify a2 h = `Internal);
   Alcotest.(check bool) "a3 still output" true (Sigs.classify a3 h = `Output);
@@ -233,7 +232,7 @@ let gen_sig rng_names =
     let idx = List.mapi (fun i n -> (i, n)) names in
     let part f = List.filter_map (fun (i, n) -> if f i then Some (act n) else None) idx in
     return
-      (sig_io ~i:(part (fun i -> i < lo)) ~o:(part (fun i -> i >= lo && i < hi))
+      (Sigs.of_lists ~i:(part (fun i -> i < lo)) ~o:(part (fun i -> i >= lo && i < hi))
          ~h:(part (fun i -> i >= hi)) ()))
 
 let compatible_sig_triple =
@@ -265,9 +264,12 @@ let prop_sigs_hide_preserves_all =
 (* ----------------------------------------------------------------- Psioa *)
 
 let test_validate_fixtures () =
+  (* The receiver records every message: 2^(d+1) - 1 states within depth
+     d, 16 383 within depth 13. The other fixtures reach all their states
+     within that depth. *)
   List.iter
     (fun auto ->
-      match Psioa.validate auto with
+      match Psioa.validate ~max_states:20_000 ~max_depth:13 auto with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: %s" (Psioa.name auto) e)
     [ Fixtures.coin "c";
@@ -276,6 +278,15 @@ let test_validate_fixtures () =
       Fixtures.sender ~channel_name:"ch" "s";
       Fixtures.receiver ~channel_name:"ch" "r";
       Fixtures.acceptor ~watch:[ ("x", None) ] "e" ]
+
+(* A sweep cut by the state cap checked a prefix, not the automaton: the
+   receiver's states are unbounded. *)
+let test_validate_truncated () =
+  match Psioa.validate ~max_states:100 (Fixtures.receiver ~channel_name:"ch" "r") with
+  | Ok () -> Alcotest.fail "a sweep cut at 100 states passed"
+  | Error e ->
+      Alcotest.(check bool) "names the automaton and the cap" true
+        (Astring.String.is_infix ~affix:"\"r\"" e && Astring.String.is_infix ~affix:"100" e)
 
 let test_validate_broken () =
   (match Psioa.validate (Fixtures.broken_no_transition "b") with
@@ -474,7 +485,11 @@ let test_compose_parallel_three () =
   let ch = Fixtures.channel "ch" in
   let r = Fixtures.receiver ~channel_name:"ch" "r" in
   let sys = Compose.parallel [ s; ch; r ] in
-  (match Psioa.validate sys with Ok () -> () | Error e -> Alcotest.fail e);
+  (* The receiver's state records every message: 14 323 states within
+     depth 11. *)
+  (match Psioa.validate ~max_states:15_000 ~max_depth:11 sys with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "partially compatible" true (Compose.partially_compatible [ s; ch; r ]);
   (* Drive to completion: send 0, recv 0, send 1, recv 1. *)
   let step q a = List.hd (Dist.support (Psioa.step sys q a)) in
@@ -655,6 +670,7 @@ let () =
       ( "psioa",
         [ Alcotest.test_case "fixtures validate" `Quick test_validate_fixtures;
           Alcotest.test_case "broken automata rejected" `Quick test_validate_broken;
+          Alcotest.test_case "validate refuses a truncated sweep" `Quick test_validate_truncated;
           Alcotest.test_case "reachable coin" `Quick test_reachable_coin;
           Alcotest.test_case "reachable limits" `Quick test_reachable_limit;
           Alcotest.test_case "step not enabled" `Quick test_step_not_enabled;

@@ -272,8 +272,8 @@ let test_print_sees_intermediate_states () =
   let env =
     Psioa.make ~name:"e" ~start:(Value.int 0)
       ~signature:(function
-        | Value.Int 0 -> Fixtures.sig_io ~h:[ a ] ()
-        | Value.Int (1 | 2) -> Fixtures.sig_io ~h:[ b ] ()
+        | Value.Int 0 -> Sigs.of_lists ~h:[ a ] ()
+        | Value.Int (1 | 2) -> Sigs.of_lists ~h:[ b ] ()
         | _ -> Sigs.empty)
       ~transition:(fun q x ->
         match q with
@@ -337,7 +337,7 @@ let test_negative_depth_rejected () =
   let tick = act "t.tick" in
   let forever =
     Psioa.make ~name:"t" ~start:Value.unit
-      ~signature:(fun _ -> Fixtures.sig_io ~h:[ tick ] ())
+      ~signature:(fun _ -> Sigs.of_lists ~h:[ tick ] ())
       ~transition:(fun q a ->
         if Action.equal a tick then Some (Dist.dirac ~compare:Value.compare q) else None)
   in

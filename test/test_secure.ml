@@ -41,7 +41,7 @@ let test_structured_universe_truncation () =
   let unbounded =
     Structured.make
       (Psioa.make ~name:"u" ~start:(Value.int 0)
-         ~signature:(fun _ -> Fixtures.sig_io ~i:[ act "u.poke" ] ~o:[ tick ] ())
+         ~signature:(fun _ -> Sigs.of_lists ~i:[ act "u.poke" ] ~o:[ tick ] ())
          ~transition:(fun q a ->
            match q with
            | Value.Int n when Action.equal a tick -> Some (Vdist.dirac (Value.int (n + 1)))
@@ -71,7 +71,7 @@ let far_counter ~sig_at_far last =
   Structured.make
     (Psioa.make ~name:"far" ~start:(Value.int 0)
        ~signature:(fun q ->
-         if Value.equal q (Value.int far) then sig_at_far else Fixtures.sig_io ~h:[ tick ] ())
+         if Value.equal q (Value.int far) then sig_at_far else Sigs.of_lists ~h:[ tick ] ())
        ~transition:(fun q a ->
          match q with
          | Value.Int n when n < far && Action.equal a tick ->
@@ -86,7 +86,7 @@ let far_counter ~sig_at_far last =
    would pass it. *)
 let test_checks_refuse_truncated_sweep () =
   let cmd = act "far.cmd" in
-  let counter = far_counter ~sig_at_far:(Fixtures.sig_io ~i:[ cmd ] ()) cmd in
+  let counter = far_counter ~sig_at_far:(Sigs.of_lists ~i:[ cmd ] ()) cmd in
   let mute = Adversary.nobody () in
   let refused what f =
     match f () with
@@ -108,7 +108,7 @@ let test_checks_refuse_truncated_sweep () =
    that action un-renamed under an alphabet swept up to the cap. *)
 let test_composite_simulator_refuses_truncated_sweep () =
   let leak = act "far.leak" in
-  let far = far_counter ~sig_at_far:(Fixtures.sig_io ~o:[ leak ] ()) leak in
+  let far = far_counter ~sig_at_far:(Sigs.of_lists ~o:[ leak ] ()) leak in
   let c =
     { Emulation.real = far; ideal = far; g = Dummy.prefix_renaming "g.";
       dsim = Adversary.nobody () }
@@ -138,6 +138,15 @@ let test_structured_validate () =
   | Ok () -> Alcotest.fail "over-declared EAct accepted"
   | Error _ -> ()
 
+let test_structured_validate_truncated () =
+  let r = Fixtures.receiver ~channel_name:"ch" "r" in
+  let s = Structured.make r ~eact:(fun q -> Sigs.ext (Psioa.signature r q)) in
+  match Structured.validate ~max_states:100 s with
+  | Ok () -> Alcotest.fail "a sweep cut at 100 states passed"
+  | Error e ->
+      Alcotest.(check bool) "names the automaton and the cap" true
+        (Astring.String.is_infix ~affix:"\"r\"" e && Astring.String.is_infix ~affix:"100" e)
+
 let test_structured_hide () =
   let out0 = act ~payload:(Value.int 0) "proto.out" in
   let hidden = Structured.hide relay (fun _ -> Action_set.of_list [ out0 ]) in
@@ -159,7 +168,7 @@ let test_structured_compatible () =
     let leak0 = act ~payload:(Value.int 0) "proto.leak" in
     Structured.make
       (Psioa.make ~name:"eav" ~start:Value.unit
-         ~signature:(fun _ -> Fixtures.sig_io ~i:[ leak0 ] ())
+         ~signature:(fun _ -> Sigs.of_lists ~i:[ leak0 ] ())
          ~transition:(fun q a -> if Action.equal a leak0 then Some (Vdist.dirac q) else None))
       ~eact:(fun _ -> Action_set.empty)
   in
@@ -185,7 +194,7 @@ let test_adversary_rejected_missing_ai () =
   let leak0 = act ~payload:(Value.int 0) "proto.leak" in
   let deaf =
     Psioa.make ~name:"deaf" ~start:Value.unit
-      ~signature:(fun _ -> Fixtures.sig_io ~i:[ leak0 ] ())
+      ~signature:(fun _ -> Sigs.of_lists ~i:[ leak0 ] ())
       ~transition:(fun q a -> if Action.equal a leak0 then Some (Vdist.dirac q) else None)
   in
   Alcotest.(check bool) "deaf adversary rejected" false (Adversary.is_adversary ~structured:relay deaf)
@@ -199,7 +208,7 @@ let test_adversary_rejected_incompatible () =
   let leak0 = act ~payload:(Value.int 0) "proto.leak" in
   let loud =
     Psioa.make ~name:"loud" ~start:Value.unit
-      ~signature:(fun _ -> Fixtures.sig_io ~o:[ leak0; act "proto.deliver" ] ())
+      ~signature:(fun _ -> Sigs.of_lists ~o:[ leak0; act "proto.deliver" ] ())
       ~transition:(fun q _ -> Some (Vdist.dirac q))
   in
   (match Adversary.check ~structured:relay loud with
@@ -216,7 +225,7 @@ let test_adversary_error_actionable () =
   let leak0 = act ~payload:(Value.int 0) "proto.leak" in
   let deaf =
     Psioa.make ~name:"deaf" ~start:Value.unit
-      ~signature:(fun _ -> Fixtures.sig_io ~i:[ leak0 ] ())
+      ~signature:(fun _ -> Sigs.of_lists ~i:[ leak0 ] ())
       ~transition:(fun q a -> if Action.equal a leak0 then Some (Vdist.dirac q) else None)
   in
   (match Adversary.check ~structured:relay deaf with
@@ -294,7 +303,7 @@ let test_lemma_425_restriction () =
       match q with
       | Value.Tag ("adv2", Value.List pend) ->
           let pending = List.filter_map (function Value.Str s -> Some s | _ -> None) pend in
-          Fixtures.sig_io
+          Sigs.of_lists
             ~i:(List.map leak protos)
             ~o:(List.map deliver pending)
             ()
@@ -625,7 +634,7 @@ let test_emulation_detects_leaky_ideal () =
       (Psioa.make ~name:"proto" ~start:Sfixtures.q_idle
          ~signature:(fun q ->
            if Value.equal q Sfixtures.q_idle then
-             Fixtures.sig_io ~i:[ act ~payload:(Value.int 0) "proto.in" ] ()
+             Sigs.of_lists ~i:[ act ~payload:(Value.int 0) "proto.in" ] ()
            else Sigs.empty)
          ~transition:(fun _q a ->
            if Action.equal a (act ~payload:(Value.int 0) "proto.in") then
@@ -650,7 +659,7 @@ let test_hidden_system_per_state () =
     Structured.make
       (Psioa.make ~name:"two-step" ~start:(Value.int 0)
          ~signature:(function
-           | Value.Int n when n < 2 -> Fixtures.sig_io ~o:[ x ] ()
+           | Value.Int n when n < 2 -> Sigs.of_lists ~o:[ x ] ()
            | _ -> Sigs.empty)
          ~transition:(fun q a ->
            match q with
@@ -673,7 +682,7 @@ let test_hidden_system_explores_nothing () =
       (Psioa.make ~name:"counter" ~start:(Value.int 0)
          ~signature:(fun _ ->
            incr calls;
-           Fixtures.sig_io ~o:[ tick ] ())
+           Sigs.of_lists ~o:[ tick ] ())
          ~transition:(fun q a ->
            match q with
            | Value.Int n when Action.equal a tick -> Some (Vdist.dirac (Value.int (n + 1)))
@@ -715,6 +724,8 @@ let () =
             test_composite_simulator_refuses_truncated_sweep;
           Alcotest.test_case "AAct reads the signature once" `Quick test_structured_aact_one_signature;
           Alcotest.test_case "validation" `Quick test_structured_validate;
+          Alcotest.test_case "validation refuses a truncated sweep" `Quick
+            test_structured_validate_truncated;
           Alcotest.test_case "hiding (Def 4.17)" `Quick test_structured_hide;
           Alcotest.test_case "composition EAct union (Def 4.19)" `Quick test_structured_compose_eact_union;
           Alcotest.test_case "compatibility (Def 4.18)" `Quick test_structured_compatible ] );

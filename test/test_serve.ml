@@ -382,30 +382,61 @@ let rejected line =
   | _ -> false
   | exception Protocol.Protocol_error _ -> true
 
+let hostile_line =
+  let json_char =
+    QCheck.Gen.oneofl [ '{'; '}'; '['; ']'; '"'; ':'; ','; '\\'; '1'; '-'; 'e'; ' '; 'a'; 't' ]
+  in
+  QCheck.Gen.(
+    oneof
+      [
+        string_size ~gen:char (0 -- 300);
+        string_size ~gen:json_char (0 -- 300);
+        (let* line = oneofl valid_lines in
+         let* k = 0 -- (String.length line - 1) in
+         return (String.sub line 0 k));
+        (let* opener = oneofl openers in
+         let* scale = 0 -- 20 in
+         let* n = 1 -- (1 lsl scale) in
+         return (nested ~opener (min n (line_cap / String.length opener))));
+      ])
+
+let print_line s =
+  if String.length s <= 80 then Printf.sprintf "%S" s
+  else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 80) (String.length s)
+
 let prop_parse_hostile =
-  let open QCheck in
-  let json_char = Gen.oneofl [ '{'; '}'; '['; ']'; '"'; ':'; ','; '\\'; '1'; '-'; 'e'; ' '; 'a'; 't' ] in
-  let gen =
-    Gen.(
-      oneof
-        [
-          string_size ~gen:char (0 -- 300);
-          string_size ~gen:json_char (0 -- 300);
-          (let* line = oneofl valid_lines in
-           let* k = 0 -- (String.length line - 1) in
-           return (String.sub line 0 k));
-          (let* opener = oneofl openers in
-           let* scale = 0 -- 20 in
-           let* n = 1 -- (1 lsl scale) in
-           return (nested ~opener (min n (line_cap / String.length opener))));
-        ])
-  in
-  let print s =
-    if String.length s <= 80 then Printf.sprintf "%S" s
-    else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 80) (String.length s)
-  in
-  Test.make ~count:300 ~name:"parse_request: hostile input raises only Protocol_error"
-    (make ~print gen) rejected
+  QCheck.Test.make ~count:300 ~name:"parse_request: hostile input raises only Protocol_error"
+    (QCheck.make ~print:print_line hostile_line)
+    rejected
+
+(* The same lines sent to an in-process daemon, every case over one
+   connection ([test_socket_hostile] opens it): each line gets a [protocol]
+   error reply, and then the connection still answers [ping]. A line
+   holding '\n' reaches the daemon as two lines, and a blank one gets no
+   reply, so both are left out. *)
+let hostile_client = ref None
+
+let prop_socket_hostile =
+  let sendable line = (not (String.contains line '\n')) && String.trim line <> "" in
+  QCheck.Test.make ~count:100 ~name:"daemon: hostile lines get protocol errors, connection survives"
+    (QCheck.make ~print:(QCheck.Print.list print_line)
+       QCheck.Gen.(list_size (1 -- 10) hostile_line))
+    (fun lines ->
+      let c = Option.get !hostile_client in
+      List.for_all
+        (fun line ->
+          Client.send_line c line;
+          let r = Client.reply_of_line (Client.recv_line c) in
+          (not r.Client.r_ok) && Client.str (Client.field "kind" r.Client.r_body) = "protocol")
+        (List.filter sendable lines)
+      && Client.str (expect_ok (Client.ping c)) = "pong")
+
+let test_socket_hostile =
+  let name, speed, run = qtest prop_socket_hostile in
+  Alcotest.test_case name speed (fun () ->
+      with_client (fun _ c ->
+          hostile_client := Some c;
+          Fun.protect ~finally:(fun () -> hostile_client := None) run))
 
 (* The fixed extremes of the same property: every proper prefix of each
    valid line, and nesting that fills the whole line cap, parsed on the
@@ -833,6 +864,7 @@ let () =
           Alcotest.test_case "stale memo/domains fields are ignored" `Quick
             test_stale_engine_fields_ignored;
           qtest prop_parse_hostile;
+          test_socket_hostile;
           Alcotest.test_case "every prefix and cap-deep nesting rejected" `Quick
             test_parse_prefixes_and_deep_nesting;
         ] );

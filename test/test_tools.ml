@@ -22,7 +22,7 @@ let test_bisim_state_encoding_irrelevant () =
     Psioa.make ~name:"k2" ~start:(state 0)
       ~signature:(fun q ->
         match q with
-        | Value.Str s when String.length s < 3 -> Fixtures.sig_io ~o:[ inc ] ()
+        | Value.Str s when String.length s < 3 -> Sigs.of_lists ~o:[ inc ] ()
         | _ -> Sigs.empty)
       ~transition:(fun q a ->
         match q with
@@ -61,7 +61,7 @@ let test_bisim_congruence_instance () =
     Psioa.make ~name:"k" ~start:(state 0)
       ~signature:(fun q ->
         match q with
-        | Value.Pair (Value.Int k, _) when k < 3 -> Fixtures.sig_io ~o:[ inc ] ()
+        | Value.Pair (Value.Int k, _) when k < 3 -> Sigs.of_lists ~o:[ inc ] ()
         | _ -> Sigs.empty)
       ~transition:(fun q a ->
         match q with
