@@ -16,6 +16,10 @@ type t = {
 }
 
 exception Not_enabled of { automaton : string; state : Value.t; action : Action.t }
+exception Sweep_truncated of { automaton : string; max_states : int }
+
+let truncated_msg automaton max_states =
+  Printf.sprintf "automaton %S reaches more than %d states (max_states)" automaton max_states
 
 (* An actionable rendering of the failure: which automaton, in which state
    (fully rendered, not just its constructor), refused which action. *)
@@ -25,6 +29,8 @@ let () =
         Some
           (Printf.sprintf "Psioa.Not_enabled: automaton %S has no transition for action %s in state %s"
              automaton (Action.to_string action) (Value.to_string state))
+    | Sweep_truncated { automaton; max_states } ->
+        Some ("Psioa.Sweep_truncated: " ^ truncated_msg automaton max_states)
     | _ -> None)
 
 let make ~name ~start ~signature ~transition =
@@ -150,11 +156,13 @@ let reachable_trunc ?(max_states = default_max_states) ?(max_depth = max_int) a 
 let reachable ?max_states ?max_depth a =
   fst (reachable_trunc ?max_states ?max_depth a)
 
-let universal_actions ?max_states ?max_depth a =
-  List.fold_left
-    (fun acc q -> Action_set.union acc (Sigs.all (signature a q)))
-    Action_set.empty
-    (reachable ?max_states ?max_depth a)
+let universal_actions ?(max_states = default_max_states) ?max_depth a =
+  match reachable_trunc ~max_states ?max_depth a with
+  | _, true -> raise (Sweep_truncated { automaton = a.name; max_states })
+  | states, false ->
+      List.fold_left
+        (fun acc q -> Action_set.union acc (Sigs.all (signature a q)))
+        Action_set.empty states
 
 (* Check the Definition 2.1 constraints at one state. *)
 let check_state a q =
@@ -191,9 +199,7 @@ let check_reachable ?(max_states = default_max_states) ?max_depth a check =
       let first =
         List.fold_left (fun acc q -> Result.bind acc (fun () -> check q)) (Ok ()) states
       in
-      if truncated && Result.is_ok first then
-        Error
-          (Printf.sprintf "automaton %S reaches more than %d states (max_states)" a.name max_states)
+      if truncated && Result.is_ok first then Error (truncated_msg a.name max_states)
       else first
 
 let validate ?max_states ?max_depth a = check_reachable ?max_states ?max_depth a (check_state a)

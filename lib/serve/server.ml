@@ -178,18 +178,18 @@ let run_op t (req : Protocol.request) =
       in
       let dist =
         match !(r.Engine.m_render) with
-        | Some s -> Json.Raw s
+        | Some s -> s
         | None ->
-            let s = Json.to_string (Codec.dist_to_json r.Engine.m_dist) in
+            let s = Codec.dist_to_string r.Engine.m_dist in
             r.Engine.m_render := Some s;
-            Json.Raw s
+            s
       in
       Json.Obj
         [
           ("depth", num q.Protocol.q_depth);
           ("tag", Json.Str tag);
           ("lost", Json.Str (Rat.to_string lost));
-          ("dist", dist);
+          ("dist", Json.Raw dist);
           ("cached", Json.Bool r.Engine.m_cached);
           ( "resumed_from",
             match r.Engine.m_resumed_from with Some d -> num d | None -> Json.Null );

@@ -244,11 +244,11 @@ let prop_random_pca_hide_closure =
       let outs =
         Action_set.filter
           (fun a -> Action.hash a mod 2 = 0)
-          (Psioa.universal_actions ~max_states:100 ~max_depth:4 auto)
+          (Psioa.universal_actions ~max_states:120 ~max_depth:4 auto)
       in
       let hidden = Cdse_config.Pca.hide pca (fun _ -> outs) in
-      (* Hiding keeps the states: at most 116 within depth 4 over every
-         seed and size [pca_arb] draws. *)
+      (* At most 116 states lie within depth 4 over every seed and size
+         [pca_arb] draws, and hiding keeps the states. *)
       Cdse_config.Pca.check_constraints ~max_states:120 ~max_depth:4 hidden = Ok ())
 
 let prop_random_pca_measure_proper =

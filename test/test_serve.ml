@@ -807,6 +807,20 @@ let test_shutdown_drains () =
 
 (* ------------------------------------------------------------- codec *)
 
+(* The rendering [dist_to_string] must reproduce: each item through
+   [exec_to_json], one [Json.t] tree, one [Json.to_string]. *)
+let render_by_item d =
+  Json.to_string
+    (Json.Obj
+       [ ( "items",
+           Json.List
+             (List.map
+                (fun (e, p) -> Json.List [ Codec.exec_to_json e; Json.Str (Rat.to_string p) ])
+                (Dist.items d)) );
+         ("mass", Json.Str (Rat.to_string (Dist.mass d)));
+         ("deficit", Json.Str (Rat.to_string (Dist.deficit d)));
+         ("size", Json.Num (float_of_int (Dist.size d))) ])
+
 (* [dist_to_json] encodes each distinct state and action once per reply,
    through a table keyed by [Value.equal]/[Action.equal]. These states
    are 12-member configurations that differ only in their last member,
@@ -827,21 +841,81 @@ let test_codec_memo_on_hash_collisions () =
     Exec.extend (Exec.extend (Exec.init (cfg k)) (step k) (cfg ((k + 1) mod n))) (step 0) (cfg k)
   in
   let d = Dist.uniform ~compare:Exec.compare (List.init n exec) in
-  let by_item =
-    Json.Obj
-      [ ( "items",
-          Json.List
-            (List.map
-               (fun (e, p) -> Json.List [ Codec.exec_to_json e; Json.Str (Rat.to_string p) ])
-               (Dist.items d)) );
-        ("mass", Json.Str (Rat.to_string (Dist.mass d)));
-        ("deficit", Json.Str (Rat.to_string (Dist.deficit d)));
-        ("size", Json.Num (float_of_int (Dist.size d))) ]
-  in
   let rendered = Json.to_string (Codec.dist_to_json d) in
-  Alcotest.(check string) "same bytes as exec_to_json per item" (Json.to_string by_item) rendered;
+  Alcotest.(check string) "same bytes as exec_to_json per item" (render_by_item d) rendered;
   Alcotest.(check bool) "dist_of_json gives the dist back" true
     (Dist.equal d (Codec.dist_of_json (Json.parse rendered)))
+
+let uniform : Protocol.sched = { s_kind = Uniform; s_fault_budget = None; s_bound = None }
+
+(* A cone of one of four model families, at most [max_execs] executions
+   when given (a budgeted cone keeps a non-zero deficit). *)
+let codec_cone ?max_execs (family, seed, depth) =
+  let model : Protocol.model =
+    match family with
+    | 0 -> Random_auto { seed; states = 6; actions = 3; branching = 2 }
+    | 1 -> Random_walk { span = 2 + (seed mod 4) }
+    | 2 -> Random_pca { seed; members = 3 + (seed mod 3); faults = false }
+    | _ -> Faulty_channel { seed }
+  in
+  let depth = match family with 2 -> depth mod 4 | 3 -> depth | _ -> depth mod 6 in
+  let auto = Protocol.build_model model in
+  match Measure.exec_dist_budgeted ?max_execs auto (Protocol.build_sched auto uniform) ~depth with
+  | `Exact d | `Truncated (d, _) -> d
+
+(* The same executions under another start state. Their steps are the
+   originals' pairs, physically: a renderer that copied a prefix without
+   comparing start states would give the first of them the last
+   original's start. *)
+let rerooted d =
+  Dist.map ~compare:Exec.compare
+    (fun e -> Exec.of_steps (Value.tag "rerooted" (Exec.fstate e)) (Exec.steps e))
+    d
+
+(* One pass that copies the steps an item shares with the one before it
+   renders what the per-item reference renders: on engine cones, whose
+   siblings share their prefix physically; on the same dists decoded
+   from their text, which share nothing; on items of two start states;
+   and on budgeted cones. *)
+let prop_codec_one_pass =
+  QCheck.Test.make ~count:60 ~name:"dist_to_string renders what exec_to_json renders per item"
+    QCheck.(
+      pair (triple (int_bound 3) (int_range 1 40) (int_bound 7)) (option (int_range 1 30)))
+    (fun (shape, max_execs) ->
+      let d = codec_cone ?max_execs shape in
+      let same d = String.equal (Codec.dist_to_string d) (render_by_item d) in
+      let two_starts =
+        Dist.make ~compare:Exec.compare
+          (List.map (fun (e, p) -> (e, Rat.mul p Rat.half)) (Dist.items d @ Dist.items (rerooted d)))
+      in
+      same d
+      && String.equal (Json.to_string (Codec.dist_to_json d)) (render_by_item d)
+      && same (Codec.dist_of_json (Json.parse (Codec.dist_to_string d)))
+      && same two_starts)
+
+let test_codec_budgeted_deficit () =
+  let d = codec_cone ~max_execs:20 (3, 1, 7) in
+  Alcotest.(check bool) "the budget leaves a deficit" false (Rat.equal (Dist.deficit d) Rat.zero);
+  Alcotest.(check string) "same bytes as exec_to_json per item" (render_by_item d)
+    (Codec.dist_to_string d)
+
+(* A [random_walk] of span 2 at depth 2 under [uniform], as the daemon
+   rendered it before the one-pass renderer: four items, each sharing its
+   first step with a neighbour. Any byte the renderer moves fails here,
+   without going through [Json.to_string]. *)
+let walk_2_2_bytes =
+  String.concat ""
+    [ {|{"items":[[{"start":"11000101011101110110000101101100011010110101010","steps":[["11000111011101110010111001110011011101000110010101110000000","110001010111011101100001011011000110101101011"],["11000111011101110010111001110011011101000110010101110000000","110001010111011101100001011011000110101101011"]]},"1/4"],|};
+      {|[{"start":"11000101011101110110000101101100011010110101010","steps":[["11000111011101110010111001110011011101000110010101110000000","110001010111011101100001011011000110101101011"],["11000111011101110010111001110011011101000110010101110000000","11000101011101110110000101101100011010110101010"]]},"1/4"],|};
+      {|[{"start":"11000101011101110110000101101100011010110101010","steps":[["11000111011101110010111001110011011101000110010101110000000","11000101011101110110000101101100011010110101011"],["11000111011101110010111001110011011101000110010101110000000","11000101011101110110000101101100011010110101010"]]},"1/4"],|};
+      {|[{"start":"11000101011101110110000101101100011010110101010","steps":[["11000111011101110010111001110011011101000110010101110000000","11000101011101110110000101101100011010110101011"],["11000111011101110010111001110011011101000110010101110000000","11000101011101110110000101101100011010110101011"]]},"1/4"]],|};
+      {|"mass":"1","deficit":"0","size":4}|} ]
+
+let test_codec_pinned_bytes () =
+  let auto = Protocol.build_model (Random_walk { span = 2 }) in
+  let d = Measure.exec_dist auto (Protocol.build_sched auto uniform) ~depth:2 in
+  Alcotest.(check int) "1 263 bytes" 1263 (String.length walk_2_2_bytes);
+  Alcotest.(check string) "the pinned bytes" walk_2_2_bytes (Codec.dist_to_string d)
 
 (* ------------------------------------------------------------- runner *)
 
@@ -881,6 +955,9 @@ let () =
         [
           Alcotest.test_case "per-reply memo under 10-leaf hash collisions" `Quick
             test_codec_memo_on_hash_collisions;
+          qtest prop_codec_one_pass;
+          Alcotest.test_case "budgeted cone with a deficit" `Quick test_codec_budgeted_deficit;
+          Alcotest.test_case "pinned bytes of a small measure" `Quick test_codec_pinned_bytes;
         ] );
       ( "cache",
         [
