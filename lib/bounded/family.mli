@@ -20,7 +20,10 @@ val compose_psioa : Psioa.t t -> Psioa.t t -> Psioa.t t
     [(A‖B)_k = A_k ‖ B_k]. *)
 
 val compatible_window : window:int list -> Psioa.t t -> Psioa.t t -> bool
-(** Pairwise partial compatibility at every index of the window. *)
+(** Pairwise partial compatibility ({!Compose.partially_compatible}) at
+    every index of the window. Raises {!Psioa.Sweep_truncated} when a
+    composite in the window reaches more than
+    {!Psioa.default_max_states} states. *)
 
 val time_bounded_window :
   window:int list -> bound:(int -> int) -> ?max_states:int -> ?max_depth:int -> Psioa.t t -> bool
