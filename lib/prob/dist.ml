@@ -1,8 +1,9 @@
 (* Sorted-array representation: elements in strictly increasing [cmp] order,
    probabilities strictly positive, total mass cached at construction.
    Compared to the previous sorted association list this makes [make]
-   an array sort plus one merging pass (no non-tail recursion, so 100k+
-   support points are safe), [prob] a binary search, and lets [product] /
+   one pass over strictly ascending input and otherwise an array sort plus
+   one merging pass (no non-tail recursion, so 100k+ support points are
+   safe), [prob] a binary search, and lets [product] /
    [product_list] build their (already sorted, duplicate-free) result
    directly without re-normalizing. *)
 
@@ -17,67 +18,106 @@ let empty ~compare = { cmp = compare; elts = [||]; probs = [||]; mass = Rat.zero
 (* Internal: trusted components (sorted, positive, mass ≤ 1). *)
 let unsafe ~compare ~elts ~probs ~mass = { cmp = compare; elts; probs; mass }
 
-(* Merge-normalize an association list under [cmp]: sort, merge duplicates,
-   drop zeros, validate non-negativity and mass ≤ 1. *)
-let make ~compare pairs =
-  List.iter
-    (fun (_, p) ->
-      if Rat.sign p < 0 then invalid "Dist: negative probability %s" (Rat.to_string p))
-    pairs;
-  let check_mass m =
-    if Rat.compare m Rat.one > 0 then invalid "Dist: mass %s exceeds 1" (Rat.to_string m)
+let check_mass m =
+  if Rat.compare m Rat.one > 0 then invalid "Dist: mass %s exceeds 1" (Rat.to_string m)
+
+(* [make]'s path for input out of order: a stable sort, then one pass that
+   merges equal neighbours and drops zeros. Signs are already checked. *)
+let sort_merge ~compare pairs =
+  let arr = Array.of_list pairs in
+  let n = Array.length arr in
+  Array.stable_sort (fun (a, _) (b, _) -> compare a b) arr;
+  let elts = Array.make n (fst arr.(0)) in
+  let probs = Array.make n Rat.zero in
+  let k = ref 0 in
+  let mass = ref Rat.zero in
+  let flush x p =
+    if not (Rat.is_zero p) then begin
+      elts.(!k) <- x;
+      probs.(!k) <- p;
+      mass := Rat.add !mass p;
+      incr k
+    end
   in
+  let cur = ref arr.(0) in
+  for i = 1 to n - 1 do
+    let x, p = arr.(i) in
+    let cx, cp = !cur in
+    if compare cx x = 0 then cur := (cx, Rat.add cp p)
+    else begin
+      flush cx cp;
+      cur := (x, p)
+    end
+  done;
+  let cx, cp = !cur in
+  flush cx cp;
+  check_mass !mass;
+  { cmp = compare;
+    elts = Array.sub elts 0 !k;
+    probs = Array.sub probs 0 !k;
+    mass = !mass }
+
+let check_sign p =
+  if Rat.sign p < 0 then invalid "Dist: negative probability %s" (Rat.to_string p)
+
+(* Checks every sign. Returns the number of non-zero entries of
+   [(prev, _) :: pairs] if its elements ascend strictly, -1 otherwise. *)
+let rec count_ascending compare prev nonzero = function
+  | [] -> nonzero
+  | (x, p) :: rest ->
+      check_sign p;
+      let nonzero = if Rat.is_zero p then nonzero else nonzero + 1 in
+      if compare prev x < 0 then count_ascending compare x nonzero rest
+      else begin
+        List.iter (fun (_, p) -> check_sign p) rest;
+        -1
+      end
+
+(* Copies the non-zero entries of a list into [elts] and [probs] from
+   index [i]; returns [mass] plus theirs. *)
+let rec fill elts probs i mass = function
+  | [] -> mass
+  | (x, p) :: rest ->
+      if Rat.is_zero p then fill elts probs i mass rest
+      else begin
+        elts.(i) <- x;
+        probs.(i) <- p;
+        fill elts probs (i + 1) (Rat.add mass p) rest
+      end
+
+(* Merge-normalize an association list under [cmp]: merge duplicates,
+   drop zeros, validate non-negativity and mass ≤ 1. One pass checks the
+   signs and compares each element with the one before it; input that
+   already ascends strictly (the measure engine's results) is copied into
+   the arrays as it is, and only other input is sorted. One or two
+   entries, the common transition and choice shapes, skip the pass. *)
+let make ~compare pairs =
   match pairs with
   | [] -> empty ~compare
   | [ (x, p) ] ->
+      check_sign p;
       if Rat.is_zero p then empty ~compare
       else begin
         check_mass p;
         unsafe ~compare ~elts:[| x |] ~probs:[| p |] ~mass:p
       end
-  | [ (x, p); (y, q) ] when (not (Rat.is_zero p)) && not (Rat.is_zero q) ->
+  | [ (x, p); (y, q) ] when Rat.sign p > 0 && Rat.sign q > 0 ->
       let c = compare x y in
       let m = Rat.add p q in
       check_mass m;
       if c = 0 then unsafe ~compare ~elts:[| x |] ~probs:[| m |] ~mass:m
       else if c < 0 then unsafe ~compare ~elts:[| x; y |] ~probs:[| p; q |] ~mass:m
       else unsafe ~compare ~elts:[| y; x |] ~probs:[| q; p |] ~mass:m
-  | _ ->
-  let arr = Array.of_list pairs in
-  let n = Array.length arr in
-  begin
-    Array.stable_sort (fun (a, _) (b, _) -> compare a b) arr;
-    let elts = Array.make n (fst arr.(0)) in
-    let probs = Array.make n Rat.zero in
-    let k = ref 0 in
-    let mass = ref Rat.zero in
-    let flush x p =
-      if not (Rat.is_zero p) then begin
-        elts.(!k) <- x;
-        probs.(!k) <- p;
-        mass := Rat.add !mass p;
-        incr k
-      end
-    in
-    let cur = ref arr.(0) in
-    for i = 1 to n - 1 do
-      let x, p = arr.(i) in
-      let cx, cp = !cur in
-      if compare cx x = 0 then cur := (cx, Rat.add cp p)
-      else begin
-        flush cx cp;
-        cur := (x, p)
-      end
-    done;
-    let cx, cp = !cur in
-    flush cx cp;
-    if Rat.compare !mass Rat.one > 0 then
-      invalid "Dist: mass %s exceeds 1" (Rat.to_string !mass);
-    { cmp = compare;
-      elts = Array.sub elts 0 !k;
-      probs = Array.sub probs 0 !k;
-      mass = !mass }
-  end
+  | (x0, p0) :: rest -> (
+      check_sign p0;
+      match count_ascending compare x0 (if Rat.is_zero p0 then 0 else 1) rest with
+      | 0 -> empty ~compare
+      | -1 -> sort_merge ~compare pairs
+      | n ->
+          let elts = Array.make n x0 and probs = Array.make n Rat.zero in
+          let mass = fill elts probs 0 Rat.zero pairs in
+          check_mass mass;
+          unsafe ~compare ~elts ~probs ~mass)
 
 let dirac ~compare x = { cmp = compare; elts = [| x |]; probs = [| Rat.one |]; mass = Rat.one }
 

@@ -85,23 +85,35 @@ let by_mass (e1, p1) (e2, p2) =
   let c = Rat.compare p2 p1 in
   if c <> 0 then c else Exec.compare e1 e2
 
-(* Keep the [keep] most probable entries of a frontier and return the
-   dropped mass. The kept set, the kept order and the dropped-mass sum are
-   independent of the input permutation, which is what makes budgeted
-   truncation deterministic. Only ever called when a budget is exceeded:
-   the unbudgeted path never sorts. *)
+let by_exec (e1, _) (e2, _) = Exec.compare e1 e2
+
+(* Keep the [keep] most probable entries of a frontier, in ascending
+   [Exec.compare] order, and return the dropped mass. The kept set, the
+   kept order and the dropped-mass sum are independent of the input
+   permutation, which is what makes budgeted truncation deterministic.
+   Only ever called when a budget is exceeded: the unbudgeted path never
+   sorts. *)
 let truncate_entries ~keep entries =
   Trace.span ~args:(fun () -> [ ("keep", string_of_int keep) ]) "measure.truncate"
   @@ fun () ->
   let arr = Array.of_list entries in
   Array.stable_sort by_mass arr;
-  let kept = ref [] and lost = ref Rat.zero in
-  Array.iteri
-    (fun i ((_, p) as entry) ->
-      if i < keep then kept := entry :: !kept else lost := Rat.add !lost p)
-    arr;
-  Obs.add c_truncated (Stdlib.max 0 (Array.length arr - keep));
-  (List.rev !kept, !lost)
+  let n = Array.length arr in
+  let kept = Array.sub arr 0 (Stdlib.min keep n) and lost = ref Rat.zero in
+  for i = Array.length kept to n - 1 do
+    lost := Rat.add !lost (snd arr.(i))
+  done;
+  Array.stable_sort by_exec kept;
+  Obs.add c_truncated (Stdlib.max 0 (n - keep));
+  (Array.to_list kept, !lost)
+
+(* Merge two entry lists that each ascend by [Exec.compare]. The tail left
+   once one list runs out is shared, not copied. Unlike [List.merge], it
+   runs in constant stack, so 100k-entry frontiers are safe. *)
+let[@tail_mod_cons] rec merge l1 l2 =
+  match (l1, l2) with
+  | [], l | l, [] -> l
+  | x1 :: r1, x2 :: r2 -> if by_exec x1 x2 <= 0 then x1 :: merge r1 l2 else x2 :: merge l1 r2
 
 (* Keyed by [(length, last state)], hashed all the way down like
    {!Psioa.memoize}'s tables. *)
@@ -134,7 +146,7 @@ let choice_fn auto sched =
 
 let finish alive finished lost =
   if Obs.enabled () then Obs.set_gauge g_deficit (Rat.to_string lost);
-  let d = Dist.make ~compare:Exec.compare (List.rev_append finished alive) in
+  let d = Dist.make ~compare:Exec.compare (merge finished alive) in
   if Rat.is_zero lost then `Exact d else `Truncated (d, lost)
 
 (* Quotient merging is sound exactly when the scheduler's future choices
@@ -185,10 +197,14 @@ let expand_node auto choice_of (e, p) kids =
 
 (* Iteratively expand the cone frontier, one layer at a time. [alive]
    holds executions the scheduler may still extend, [finished] the
-   accumulated halting mass. After each expansion the layer post-step
-   applies, in this order: the quotient, the width budget, the exec
-   budget. A raise from the scheduler surfaces at once, for the first
-   failing entry in frontier order. *)
+   accumulated halting mass; both ascend by [Exec.compare] (a frontier
+   resumed in another order costs only speed). A node's children ascend,
+   and the children of a lesser node precede those of a greater one, so
+   walking the ascending frontier yields the next layer in descending
+   order: one reversal per layer restores it. After each
+   expansion the layer post-step applies, in this order: the quotient,
+   the width budget, the exec budget. A raise from the scheduler surfaces
+   at once, for the first failing entry in frontier order. *)
 let layer_loop ~compress ~track ?max_execs ?max_width ~from auto sched ~depth =
   (* One run's view of the model: transitions cached per [(state,
      action)], plus the validated-choice cache; its signature table serves
@@ -208,22 +224,23 @@ let layer_loop ~compress ~track ?max_execs ?max_width ~from auto sched ~depth =
       end;
       let layer_tok = Trace.begin_span "measure.layer" in
       let layer_arg () = [ ("layer", string_of_int step) ] in
-      let alive' = ref [] and finished' = ref finished and n_finished' = ref n_finished in
+      let kids = ref [] and halted = ref [] and n_finished' = ref n_finished in
       Trace.span ~args:layer_arg "measure.expand" (fun () ->
           List.iter
             (fun ((e, _) as entry) ->
-              let h = expand_node auto choice_of entry alive' in
+              let h = expand_node auto choice_of entry kids in
               if not (Rat.is_zero h) then incr n_finished';
-              finished' := add_halt e h !finished')
+              halted := add_halt e h !halted)
             alive);
+      let alive' = List.rev !kids and finished' = merge (List.rev !halted) finished in
       (* Quotient before the budgets: the frontier the budgets see — and
          prune, by the same total order — is the compressed one, so
          compression reduces truncation instead of competing with it. *)
       let alive' =
         if quotient then
           Trace.span ~args:layer_arg "measure.quotient" (fun () ->
-              compress_layer ~sig_of ~track ~qmass !alive')
-        else !alive'
+              compress_layer ~sig_of ~track ~qmass alive')
+        else alive'
       in
       (* Width budget: prune the frontier to its most probable executions,
          accounting the pruned mass as truncation deficit. *)
@@ -248,8 +265,8 @@ let layer_loop ~compress ~track ?max_execs ?max_width ~from auto sched ~depth =
       Trace.end_span
         ~args:(fun () -> layer_arg () @ [ ("width", string_of_int (List.length alive)) ])
         layer_tok;
-      if stop then (alive', !finished', lost)
-      else go (step + 1) alive' !n_finished' !finished' lost
+      if stop then (alive', finished', lost)
+      else go (step + 1) alive' !n_finished' finished' lost
     end
   in
   let alive, finished, lost =

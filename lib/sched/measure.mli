@@ -26,7 +26,9 @@
       frontier is reported as completed.
 
     Without budgets nothing is pruned or sorted: the result is the full
-    depth-bounded measure.
+    depth-bounded measure. A budget-hit layer sorts by probability to
+    choose what it keeps, then puts the kept entries back in
+    {!Exec.compare} order.
 
     {2 State-space compression}
 
@@ -59,6 +61,17 @@
     budget — and can resume from a previously returned frontier
     ({!exec_dist_frontier}). A negative [depth] raises [Invalid_argument].
 
+    The frontier is kept in ascending {!Exec.compare} order by
+    construction. Each child extends its parent's cone, a node's children
+    come in ascending order (a choice ordered by {!Action.compare} and
+    transitions ordered by {!Value.compare}, as every scheduler and
+    automaton here builds them), and the children of a lesser node
+    precede those of a greater one. So walking the ascending frontier
+    yields the next layer in reverse, and one reversal per layer restores
+    it. Each layer's halted executions are merged into the finished ones
+    in order, and the result is one linear merge of the two lists, which
+    {!Dist.make} takes without a sort.
+
     Every run memoizes: transitions are cached per [(state, action)]
     across the cone frontier ({!Psioa.memoize}), and for
     {!Scheduler.is_memoryless} schedulers the validated choice is cached
@@ -86,6 +99,10 @@
     - the {!Cdse_obs.Obs} engine totals [measure.layers],
       [measure.finished], [measure.truncated], the quotient counters and
       the [measure.truncation_deficit] gauge are identical.
+
+    The engine's ascending frontier order buys speed only: {!Dist.make}
+    sorts any input that does not ascend, so a frontier in any order
+    resumes to the same result.
 
     If the scheduler (or a transition lookup) raises — e.g.
     {!Scheduler.Bad_choice} for a choice that violates the Definition 3.1
@@ -127,15 +144,19 @@ val exec_dist_budgeted :
 type frontier = {
   f_depth : int;  (** Every entry of [f_alive] has exactly this length. *)
   f_alive : (Exec.t * Rat.t) list;
-      (** Executions the scheduler may still extend, with their exact mass.
-          Post-quotient representatives when the producing run compressed
-          with [`Quotient]. *)
+      (** Executions the scheduler may still extend, with their exact mass,
+          in strictly ascending {!Exec.compare} order. Post-quotient
+          representatives when the producing run compressed with
+          [`Quotient]. *)
   f_finished : (Exec.t * Rat.t) list;
-      (** Halting mass accumulated strictly before [f_depth]. *)
+      (** Halting mass accumulated strictly before [f_depth], in strictly
+          ascending {!Exec.compare} order. *)
 }
 (** A resumable cone frontier, as returned by {!exec_dist_frontier}. The
     final distribution of the producing run is exactly
-    [Dist.make ~compare:Exec.compare (f_finished @ f_alive)]. *)
+    [Dist.make ~compare:Exec.compare (f_finished @ f_alive)]. A frontier
+    resumed from ([?from]) may come in any order: the order only makes the
+    run faster. *)
 
 val exec_dist_frontier :
   ?compress:compress -> ?from:frontier ->

@@ -26,11 +26,9 @@ type conn = {
           incoming chunk is scanned once, so reading a long line stays
           linear instead of rescanning the whole buffer per chunk *)
   write_mutex : Mutex.t;
-  reply : Buffer.t;
-      (** the reply being written, reused under [write_mutex]: once it has
-          grown to the connection's largest reply, sending allocates
-          nothing, not even for a megabyte-scale cached body *)
-  chunk : Bytes.t;  (** [reply] goes to the socket through this, 64 KB at a time *)
+  chunk : Bytes.t;
+      (** a reply goes to the socket through this, 64 KB at a time; used
+          under [write_mutex] *)
 }
 
 (* The longest request line the daemon buffers, in bytes. Every valid
@@ -66,24 +64,39 @@ let read_line_fd conn =
   in
   take ()
 
+(* The reply's parts are copied straight into [chunk], a cached body
+   ([Json.Raw]) slice by slice, and each full chunk is written out: one
+   copy of the body, and the same writes as for the whole reply line cut
+   into 64 KB pieces. *)
 let send conn json =
   Mutex.lock conn.write_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock conn.write_mutex)
     (fun () ->
-      let b = conn.reply in
-      Buffer.clear b;
-      Json.to_buffer b json;
-      Buffer.add_char b '\n';
-      let rec write off =
-        let k = min (Buffer.length b - off) (Bytes.length conn.chunk) in
-        if k > 0 then begin
-          Buffer.blit b off conn.chunk 0 k;
-          write (off + Unix.write conn.fd conn.chunk 0 k)
-        end
+      let chunk = conn.chunk and fill = ref 0 in
+      let flush () =
+        let rec write off =
+          if off < !fill then write (off + Unix.write conn.fd chunk off (!fill - off))
+        in
+        write 0;
+        fill := 0
+      in
+      let add s =
+        let n = String.length s and off = ref 0 in
+        while !off < n do
+          let k = min (n - !off) (Bytes.length chunk - !fill) in
+          Bytes.blit_string s !off chunk !fill k;
+          fill := !fill + k;
+          off := !off + k;
+          if !fill = Bytes.length chunk then flush ()
+        done
       in
       (* A vanished client is not a server error: drop the reply. *)
-      try write 0 with Unix.Unix_error _ -> ())
+      try
+        Json.iter_parts add json;
+        add "\n";
+        flush ()
+      with Unix.Unix_error _ -> ())
 
 type job = { j_req : Protocol.request; j_conn : conn; j_enqueued : float }
 
@@ -395,7 +408,6 @@ let acceptor_loop t =
                   pending = Buffer.create 256;
                   scanned = 0;
                   write_mutex = Mutex.create ();
-                  reply = Buffer.create 4096;
                   chunk = Bytes.create 65536;
                 }
               in

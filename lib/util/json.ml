@@ -204,10 +204,11 @@ let add_escaped buf s =
   done;
   Buffer.add_substring buf s !start (n - !start)
 
-let to_buffer buf v =
+(* [to_buffer]'s walk, with each [Raw] payload handed to [raw]. *)
+let render buf ~raw v =
   let rec go = function
     | Null -> Buffer.add_string buf "null"
-    | Raw s -> Buffer.add_string buf s
+    | Raw s -> raw s
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num f ->
         if Float.is_integer f && Float.abs f < 1e15 then
@@ -238,6 +239,16 @@ let to_buffer buf v =
         Buffer.add_char buf '}'
   in
   go v
+
+let to_buffer buf v = render buf ~raw:(Buffer.add_string buf) v
+
+let iter_parts f v =
+  let buf = Buffer.create 256 in
+  render buf v ~raw:(fun s ->
+      f (Buffer.contents buf);
+      Buffer.clear buf;
+      f s);
+  f (Buffer.contents buf)
 
 let to_string v =
   let buf = Buffer.create 256 in

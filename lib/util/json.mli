@@ -34,6 +34,12 @@ val to_buffer : Buffer.t -> t -> unit
 (** [to_buffer b v] appends [to_string v] to [b], so a caller can reuse
     one buffer across many renderings. *)
 
+val iter_parts : (string -> unit) -> t -> unit
+(** [iter_parts f v] calls [f] on consecutive pieces whose concatenation
+    is [to_string v]: each [Raw] payload as it is, not copied, and the
+    rendered text between them. Lets a writer copy a large pre-rendered
+    body once, straight to where it goes. *)
+
 (** {2 Accessors} — conveniences for picking apart parsed requests. *)
 
 val member : string -> t -> t option

@@ -11,6 +11,8 @@ type t = {
   ic : in_channel;
       (* buffered reads of [fd]; never closed itself, so [fd] is closed
          exactly once, by [close] *)
+  rbuf : Bytes.t;  (* the block reads of [request_raw] *)
+  acc : Buffer.t;  (* the reply [request_raw] read *)
   mutable next_id : int;
 }
 
@@ -32,7 +34,13 @@ let connect ?(retries = 50) path =
         raise e
   in
   let fd = go retries in
-  { fd; ic = Unix.in_channel_of_descr fd; next_id = 0 }
+  {
+    fd;
+    ic = Unix.in_channel_of_descr fd;
+    rbuf = Bytes.create 65536;
+    acc = Buffer.create 65536;
+    next_id = 0;
+  }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -63,19 +71,11 @@ let reply_of_line line =
   | Some (Json.Bool false), _, Some e -> { r_id; r_ok = false; r_body = e }
   | _ -> failwith ("Serve_client: malformed reply: " ^ line)
 
-(* Send [fields] as a request object with a fresh id; block for the reply
-   with that id (buffering any interleaved replies would require real
-   pipelining — the blocking client simply trusts the id match, which
-   holds because it never has more than one request outstanding).
-   [request_line] returns the id and the raw reply line, unparsed, so a
-   caller can time the round trip apart from its own parse; [reply_for]
-   then parses the line and checks the id. *)
-let request_line t fields =
+let send_request t fields =
   t.next_id <- t.next_id + 1;
-  let id = t.next_id in
   send_line t
-    (Json.to_string (Json.Obj (("id", Json.Num (float_of_int id)) :: fields)));
-  (id, recv_line t)
+    (Json.to_string (Json.Obj (("id", Json.Num (float_of_int t.next_id)) :: fields)));
+  t.next_id
 
 let reply_for id line =
   let r = reply_of_line line in
@@ -84,9 +84,36 @@ let reply_for id line =
   | _ -> failwith "Serve_client.request: reply id mismatch");
   r
 
+(* Send [fields] as a request object with a fresh id; block for the reply
+   with that id (buffering any interleaved replies would require real
+   pipelining — the blocking client simply trusts the id match, which
+   holds because it never has more than one request outstanding). *)
 let request t fields =
-  let id, line = request_line t fields in
-  reply_for id line
+  let id = send_request t fields in
+  reply_for id (recv_line t)
+
+(* [request] up to the reply's last byte, returning the id: the reply is
+   read by blocks into [acc] until a read ends in '\n'. With one request
+   outstanding that byte ends the reply, since compact JSON carries no raw
+   newline, so the client never scans it. A caller can stop a clock there
+   and build and parse the line afterwards ([take_line], [reply_for]).
+   Use it only when nothing is read ahead into [ic]: every earlier reply
+   was read in full, one request at a time. *)
+let request_raw t fields =
+  let id = send_request t fields in
+  Buffer.clear t.acc;
+  let rec read () =
+    match Unix.read t.fd t.rbuf 0 (Bytes.length t.rbuf) with
+    | 0 -> failwith "Serve_client.request_raw: connection closed by server"
+    | n ->
+        Buffer.add_subbytes t.acc t.rbuf 0 n;
+        if Bytes.get t.rbuf (n - 1) <> '\n' then read ()
+  in
+  read ();
+  id
+
+(* The reply [request_raw] read, without its newline. *)
+let take_line t = Buffer.sub t.acc 0 (Buffer.length t.acc - 1)
 
 let ping t = request t [ ("op", Json.Str "ping") ]
 let stats t = request t [ ("op", Json.Str "stats") ]

@@ -313,6 +313,48 @@ let test_corpus_traced () =
         && List.exists (fun e -> e.Trace.ev_name = "measure.layer") evs))
     (corpus ())
 
+(* The engine builds each frontier layer in ascending [Exec.compare]
+   order, so [Dist.make] meets sorted input; that order buys speed only.
+   Over the corpus, at both compression levels: every frontier the engine
+   returns, halfway and at full depth, ascends strictly in its alive and
+   its finished entries, and resuming from a shuffled copy of the halfway
+   frontier gives the one-shot normal form. *)
+let test_corpus_frontier_order () =
+  let rec ascending = function
+    | (a, _) :: ((b, _) :: _ as rest) -> Exec.compare a b < 0 && ascending rest
+    | _ -> true
+  in
+  List.iter
+    (fun case ->
+      let auto, sched, depth = build case in
+      List.iter
+        (fun (level, compress) ->
+          let what fmt =
+            Printf.ksprintf (fun s -> Printf.sprintf "%s, %s: %s" (print_case case) level s) fmt
+          in
+          let frontier_at d = Measure.exec_dist_frontier ~compress auto sched ~depth:d in
+          let one_shot, full = frontier_at depth and _, half = frontier_at (depth / 2) in
+          List.iter
+            (fun (name, f) ->
+              Alcotest.(check bool) (what "%s frontier alive ascends" name) true
+                (ascending f.Measure.f_alive);
+              Alcotest.(check bool) (what "%s frontier finished ascends" name) true
+                (ascending f.Measure.f_finished))
+            [ ("halfway", half); ("full", full) ];
+          let rng = Rng.make case.seed in
+          let shuffled =
+            { half with
+              Measure.f_alive = Rng.shuffle rng half.Measure.f_alive;
+              f_finished = Rng.shuffle rng half.Measure.f_finished }
+          in
+          let resumed, _ =
+            Measure.exec_dist_frontier ~compress ~from:shuffled auto sched ~depth
+          in
+          Alcotest.(check bool) (what "resumed from a shuffled frontier = one-shot") true
+            (items_identical one_shot resumed))
+        Measure.compress_levels)
+    (corpus ())
+
 (* ---------------------------------------------------------------- serve *)
 
 (* Replay the committed corpus through the cdse_serve daemon: every case
@@ -436,7 +478,9 @@ let () =
             `Quick test_error_propagation;
         ] );
       ( "determinism",
-        [ qtest prop_truncate_permutation_invariant ] );
+        [ qtest prop_truncate_permutation_invariant;
+          Alcotest.test_case "corpus frontiers ascend; order only buys speed" `Quick
+            test_corpus_frontier_order ] );
       ( "serve",
         [
           Alcotest.test_case "replay corpus through the daemon" `Quick

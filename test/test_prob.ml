@@ -269,11 +269,21 @@ let test_dist_normalize () =
   Alcotest.(check string) "p(3)" "0" (Rat.to_string (Dist.prob d 3));
   Alcotest.(check bool) "proper" true (Dist.is_proper d)
 
+(* Each check runs on ascending input, which [make] copies as it is, and
+   on input out of order, which it sorts. *)
 let test_dist_rejects () =
   Alcotest.check_raises "mass > 1" (Dist.Invalid "Dist: mass 3/2 exceeds 1") (fun () ->
       ignore (d_of [ (1, 1, 1); (2, 1, 2) ]));
+  Alcotest.check_raises "mass > 1, out of order" (Dist.Invalid "Dist: mass 3/2 exceeds 1")
+    (fun () -> ignore (d_of [ (3, 1, 4); (1, 1, 1); (2, 1, 4) ]));
   Alcotest.check_raises "negative" (Dist.Invalid "Dist: negative probability -1/2") (fun () ->
-      ignore (d_of [ (1, -1, 2) ]))
+      ignore (d_of [ (1, -1, 2) ]));
+  Alcotest.check_raises "negative, last of an ascending list"
+    (Dist.Invalid "Dist: negative probability -1/4") (fun () ->
+      ignore (d_of [ (1, 1, 2); (2, 0, 1); (3, -1, 4) ]));
+  Alcotest.check_raises "negative, after the first pair out of order"
+    (Dist.Invalid "Dist: negative probability -1/4") (fun () ->
+      ignore (d_of [ (2, 1, 2); (1, 1, 4); (3, -1, 4) ]))
 
 let test_dist_dirac () =
   let d = Dist.dirac ~compare:icmp 7 in
@@ -342,6 +352,35 @@ let prop_dist_product_mass =
 let prop_dist_expect_const =
   QCheck.Test.make ~name:"dist: E[c] = c·mass" small_dist_arb (fun d ->
       Rat.equal (Dist.expect (fun _ -> Rat.of_int 5) d) (Rat.mul (Rat.of_int 5) (Dist.mass d)))
+
+(* [Dist.make] has one normal form whatever order its input comes in: a
+   list, its sort by element and its reverse give the same entries in the
+   same order with the same exact mass. The lists carry duplicate
+   elements, zero entries and equal masses on distinct elements; a sorted
+   list without duplicates takes [make]'s path that does not sort. *)
+let prop_dist_make_order_free =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 0 10 in
+      let* xs = list_repeat n (int_bound 20) in
+      let* ws = list_repeat n (int_bound 3) in
+      return (List.map2 (fun x w -> (x, Rat.of_ints w (3 * n))) xs ws))
+  in
+  let print l =
+    String.concat "; "
+      (List.map (fun (x, p) -> Printf.sprintf "%d:%s" x (Rat.to_string p)) l)
+  in
+  QCheck.Test.make ~count:500 ~name:"dist: make's normal form does not depend on input order"
+    (QCheck.make ~print gen) (fun l ->
+      let d = Dist.make ~compare:icmp l in
+      let same l' =
+        let d' = Dist.make ~compare:icmp l' in
+        Rat.equal (Dist.mass d) (Dist.mass d')
+        && List.equal
+             (fun (x, p) (y, q) -> x = y && Rat.equal p q)
+             (Dist.items d) (Dist.items d')
+      in
+      same (List.stable_sort (fun (x, _) (y, _) -> icmp x y) l) && same (List.rev l))
 
 let prop_dist_filter_le =
   QCheck.Test.make ~name:"dist: filter shrinks mass" small_dist_arb (fun d ->
@@ -640,7 +679,8 @@ let () =
           qtest prop_dist_bind_mass;
           qtest prop_dist_product_mass;
           qtest prop_dist_expect_const;
-          qtest prop_dist_filter_le ] );
+          qtest prop_dist_filter_le;
+          qtest prop_dist_make_order_free ] );
       ( "stat",
         [ Alcotest.test_case "identical" `Quick test_tv_identical;
           Alcotest.test_case "disjoint" `Quick test_tv_disjoint;

@@ -291,8 +291,9 @@ let test_json_errors () =
       ({|{"a" 1}|}, "expected : at offset 5");
       ({|[1 2]|}, "expected ] at offset 3") ]
 
-(* [Raw] payloads are copied verbatim, and [to_buffer] appends exactly
-   what [to_string] returns. *)
+(* [Raw] payloads are copied verbatim, [to_buffer] appends exactly what
+   [to_string] returns, and [iter_parts] cuts that text around each [Raw]
+   payload, handing over the payload itself. *)
 let test_json_raw_and_to_buffer () =
   let body = Json.to_string (Json.Obj [ ("d", Json.Str (String.make 5000 '1')) ]) in
   let reply = Json.Obj [ ("id", Json.Num 1.); ("result", Json.Raw body); ("tail", Json.Raw "[1]") ] in
@@ -302,7 +303,12 @@ let test_json_raw_and_to_buffer () =
   Buffer.add_string b "x";
   Json.to_buffer b reply;
   Json.to_buffer b Json.Null;
-  Alcotest.(check string) "to_buffer appends" ("x" ^ expected ^ "null") (Buffer.contents b)
+  Alcotest.(check string) "to_buffer appends" ("x" ^ expected ^ "null") (Buffer.contents b);
+  let parts = ref [] in
+  Json.iter_parts (fun s -> parts := s :: !parts) reply;
+  let parts = List.rev !parts in
+  Alcotest.(check string) "parts concatenate to to_string" expected (String.concat "" parts);
+  Alcotest.(check bool) "the body is handed over, not copied" true (List.memq body parts)
 
 let () =
   Alcotest.run "cdse_util"
