@@ -1,7 +1,9 @@
 (* CI smoke gate for the serving layer: start an in-process cdse_serve
    daemon, drive the wire protocol end to end (ping, cold + warm measure,
-   reach, stats), and assert a clean drain-and-shutdown — "bye" reply,
-   socket unlinked, threads joined. Exits non-zero on any violation. *)
+   reach, two reaches that miss the result cache and read the model's
+   shared memo, stats), and assert a clean drain-and-shutdown — "bye"
+   reply, socket unlinked, threads joined. Exits non-zero on any
+   violation. *)
 
 module Client = Cdse_testkit.Serve_client
 module Json = Cdse_serve.Json
@@ -15,10 +17,11 @@ let fail fmt =
 
 let num i = Json.Num (float_of_int i)
 
-let measure_fields ~depth =
+let measure_fields ?bound ~depth () =
+  let bound = Option.value bound ~default:depth in
   [ ("op", Json.Str "measure");
     ("model", Json.Obj [ ("kind", Json.Str "random_walk"); ("span", num 4) ]);
-    ("sched", Json.Obj [ ("kind", Json.Str "uniform"); ("bound", num depth) ]);
+    ("sched", Json.Obj [ ("kind", Json.Str "uniform"); ("bound", num bound) ]);
     ("depth", num depth) ]
 
 let run () =
@@ -37,11 +40,11 @@ let run () =
   | Json.Str "pong" -> ()
   | j -> fail "ping replied %s, expected \"pong\"" (Json.to_string j));
   let depth = 6 in
-  let cold = ok "cold measure" (Client.request c (measure_fields ~depth)) in
+  let cold = ok "cold measure" (Client.request c (measure_fields ~depth ())) in
   (match Json.member "cached" cold with
   | Some (Json.Bool false) -> ()
   | _ -> fail "cold measure should report cached=false");
-  let warm = ok "warm measure" (Client.request c (measure_fields ~depth)) in
+  let warm = ok "warm measure" (Client.request c (measure_fields ~depth ())) in
   (match Json.member "cached" warm with
   | Some (Json.Bool true) -> ()
   | _ -> fail "warm measure should report cached=true");
@@ -63,19 +66,30 @@ let run () =
         | _ -> fail "dist has no items")
     | None -> fail "measure reply missing \"dist\""
   in
-  let reach =
-    ok "reach"
-      (Client.request c
-         (("state", Json.Str target)
-         :: [ ("op", Json.Str "reach") ]
-         @ List.tl (measure_fields ~depth)))
+  let reach ?bound () =
+    let r =
+      ok "reach"
+        (Client.request c
+           (("state", Json.Str target)
+           :: [ ("op", Json.Str "reach") ]
+           @ List.tl (measure_fields ?bound ~depth ())))
+    in
+    match Json.member "prob" r with
+    | Some (Json.Str s) -> (
+        match Cdse.Rat.of_string s with
+        | p -> p
+        | exception _ -> fail "reach prob %S is not an exact rational" s)
+    | _ -> fail "reach reply missing string \"prob\""
   in
-  (match Json.member "prob" reach with
-  | Some (Json.Str s) -> (
-      match Cdse.Rat.of_string s with
-      | _ -> ()
-      | exception _ -> fail "reach prob %S is not an exact rational" s)
-  | _ -> fail "reach reply missing string \"prob\"");
+  ignore (reach ());
+  (* Two more reaches at bounds above the depth: the same measure, but
+     two fresh result-cache lines, so both runs read the transitions the
+     cold measure left in the model's shared memo. *)
+  let p1 = reach ~bound:(depth + 1) () in
+  let p2 = reach ~bound:(depth + 2) () in
+  if not (Cdse.Rat.equal p1 p2) then
+    fail "reach at two bounds above the depth: %s <> %s" (Cdse.Rat.to_string p1)
+      (Cdse.Rat.to_string p2);
   let stats = ok "stats" (Client.stats c) in
   let sint path =
     let j =
@@ -86,7 +100,9 @@ let run () =
     match Json.to_int j with Some i -> i | None -> -1
   in
   if sint [ "cache"; "hits" ] < 1 then fail "stats report no cache hits";
-  if sint [ "queries" ] < 3 then fail "stats report fewer than 3 queries";
+  if sint [ "queries" ] < 5 then fail "stats report fewer than 5 queries";
+  if sint [ "models"; "memo_hits" ] < 1 then fail "stats report no model memo hits";
+  if sint [ "models"; "memo_entries" ] < 1 then fail "stats report an empty model memo";
   (match ok "shutdown" (Client.shutdown c) with
   | Json.Str "bye" -> ()
   | j -> fail "shutdown replied %s, expected \"bye\"" (Json.to_string j));

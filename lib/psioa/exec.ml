@@ -14,8 +14,30 @@ let actions e = List.rev_map fst e.rev_steps
 
 let states e = e.first :: List.map snd (steps e)
 
-(* Walks the stored (reversed) steps: no state list is built. *)
-let exists_state p e = p e.first || List.exists (fun (_, q) -> p q) e.rev_steps
+let rec drop n l = if n <= 0 then l else drop (n - 1) (List.tl l)
+
+(* The least index of a state satisfying [p] among [first] and the steps
+   in [rest], the last of which is step [j]; [hit] if there is none. *)
+let rec scan p first j hit = function
+  | [] -> if p first then 0 else hit
+  | (_, q) :: rest -> scan p first (j - 1) (if p q then j else hit) rest
+
+(* [scan] beside the steps [rp] of an execution of length [m] whose
+   answer is [prev_hit], aligned by length, until the two lists meet
+   physically: at and below that point both executions hold the same
+   states, so [prev_hit] answers for them if it lies there. *)
+let rec walk p ~m ~prev_hit j hit re rp =
+  match re with
+  | (_, q) :: re' when re != rp ->
+      walk p ~m ~prev_hit (j - 1) (if p q then j else hit) re' (if j > m then rp else List.tl rp)
+  | _ -> if prev_hit <= j then prev_hit else hit
+
+let first_hit ?prev p e =
+  match prev with
+  | Some (prev, prev_hit) when prev.first == e.first ->
+      walk p ~m:prev.len ~prev_hit e.len (e.len + 1) e.rev_steps
+        (drop (prev.len - e.len) prev.rev_steps)
+  | _ -> scan p e.first e.len (e.len + 1) e.rev_steps
 
 let of_steps first steps =
   { first; rev_steps = List.rev steps; len = List.length steps }
@@ -36,7 +58,6 @@ let compare a b =
   let c = Value.compare a.first b.first in
   if c <> 0 then c
   else begin
-    let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
     (* Align on the common prefix: the deepest [min len] entries. *)
     let ra = if a.len > b.len then drop (a.len - b.len) a.rev_steps else a.rev_steps in
     let rb = if b.len > a.len then drop (b.len - a.len) b.rev_steps else b.rev_steps in

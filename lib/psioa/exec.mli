@@ -25,9 +25,18 @@ val steps : t -> (Action.t * Value.t) list
 val states : t -> Value.t list
 (** [q⁰; q¹; …] in order (length + 1 entries). *)
 
-val exists_state : (Value.t -> bool) -> t -> bool
-(** [List.exists p (states e)], without building the list. The states are
-    not visited in order, so [p] should be pure. *)
+val first_hit : ?prev:t * int -> (Value.t -> bool) -> t -> int
+(** [first_hit p e] is the least [j] such that [p] holds at the [j]th
+    state of [e] ([List.nth (states e) j]; state [0] is [fstate e]), or
+    [length e + 1] when it holds at none. It allocates nothing and visits
+    the states out of order, so [p] should be pure.
+
+    [~prev:(e', j')], where [j'] is [first_hit p e'], lets the walk stop
+    where [e]'s steps meet [e']'s physically ([==] on the list cells,
+    aligned by length): a cone's sibling executions share the cells of
+    their common prefix, so only the states below it are tested. When
+    the start states are not physically equal, or nothing is shared, as
+    for executions decoded separately, [e] is walked whole. *)
 
 val actions : t -> Action.t list
 

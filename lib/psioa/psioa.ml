@@ -87,34 +87,76 @@ let c_sig_hit = Obs.counter "psioa.memo.sig.hit"
 let c_sig_miss = Obs.counter "psioa.memo.sig.miss"
 let c_step_hit = Obs.counter "psioa.memo.step.hit"
 let c_step_miss = Obs.counter "psioa.memo.step.miss"
+let c_shared_hit = Obs.counter "psioa.shared.hit"
+let c_shared_miss = Obs.counter "psioa.shared.miss"
 
-let memoize a =
-  let sig_cache = Vtbl.create 64 in
-  let tr_cache = Stbl.create 64 in
+(* Who uses a memo: one thread, with no bound, or every thread, each
+   lookup and insert under [lock] and at most [cap] entries stored. *)
+type sharing = Private | Shared of { lock : Mutex.t; cap : int }
+
+(* One memo lookup; [eval] runs outside the lock. A shared insert keeps
+   the entry another thread stored meanwhile, so every reader gets the
+   first stored result, and stores nothing once [size ()] reaches the
+   cap. *)
+let lookup sharing ~size ~hit ~miss find add tbl eval k =
+  let stored =
+    match sharing with
+    | Private -> find tbl k
+    | Shared { lock; _ } -> Mutex.protect lock (fun () -> find tbl k)
+  in
+  match stored with
+  | Some v ->
+      Obs.incr hit;
+      v
+  | None -> (
+      Obs.incr miss;
+      let v = eval k in
+      match sharing with
+      | Private ->
+          add tbl k v;
+          v
+      | Shared { lock; cap } ->
+          Mutex.protect lock (fun () ->
+              match find tbl k with
+              | Some first -> first
+              | None ->
+                  if size () < cap then add tbl k v;
+                  v))
+
+(* [a] answering signature and transition reads from two tables, plus
+   the number of entries the tables hold. *)
+let with_memo sharing ~sig_counters:(sig_hit, sig_miss) ~step_counters:(step_hit, step_miss) a =
+  let sigs = Vtbl.create 64 and steps = Stbl.create 64 in
+  let size () = Vtbl.length sigs + Stbl.length steps in
+  let eval_step (q, act) = a.transition q act in
   let signature q =
-    match Vtbl.find_opt sig_cache q with
-    | Some s ->
-        Obs.incr c_sig_hit;
-        s
-    | None ->
-        Obs.incr c_sig_miss;
-        let s = a.signature q in
-        Vtbl.add sig_cache q s;
-        s
+    lookup sharing ~size ~hit:sig_hit ~miss:sig_miss Vtbl.find_opt Vtbl.add sigs a.signature q
   in
   let transition q act =
-    let key = (q, act) in
-    match Stbl.find_opt tr_cache key with
-    | Some d ->
-        Obs.incr c_step_hit;
-        d
-    | None ->
-        Obs.incr c_step_miss;
-        let d = a.transition q act in
-        Stbl.add tr_cache key d;
-        d
+    lookup sharing ~size ~hit:step_hit ~miss:step_miss Stbl.find_opt Stbl.add steps eval_step
+      (q, act)
   in
-  { a with signature; transition; last = No_entry }
+  ({ a with signature; transition; last = No_entry }, size)
+
+let memoize a =
+  fst
+    (with_memo Private ~sig_counters:(c_sig_hit, c_sig_miss)
+       ~step_counters:(c_step_hit, c_step_miss) a)
+
+let shared_cap = 1 lsl 16
+
+type shared = { s_psioa : t; s_size : unit -> int; s_lock : Mutex.t }
+
+let share a =
+  let lock = Mutex.create () in
+  let counters = (c_shared_hit, c_shared_miss) in
+  let s_psioa, s_size =
+    with_memo (Shared { lock; cap = shared_cap }) ~sig_counters:counters ~step_counters:counters a
+  in
+  { s_psioa; s_size; s_lock = lock }
+
+let shared_psioa s = s.s_psioa
+let shared_entries s = Mutex.protect s.s_lock s.s_size
 
 (* Breadth-first exploration of the support graph, in visit order. The
    second component reports whether [max_states] cut the exploration: a

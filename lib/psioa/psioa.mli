@@ -73,8 +73,38 @@ val memoize : t -> t
 (** Cache signature and transition lookups per state (ablation A2). The
     result is observationally identical, and starts with no
     last-evaluation entry of its own. The cache is a plain hashtable,
-    not safe to share between domains; it hashes a state all the way
-    down ({!Value.hash}). *)
+    for one thread and with no bound; it hashes a state all the way
+    down ({!Value.hash}). Counters [psioa.memo.sig.hit]/[miss] and
+    [psioa.memo.step.hit]/[miss] count its lookups. *)
+
+type shared
+(** An automaton answering from a memo that threads share: the body of
+    {!memoize}, with a lock and a cap. *)
+
+val shared_cap : int
+(** Entries one {!shared} memo stores, signatures and transitions
+    together: [65_536] ([2^16]). Past it the memo stores nothing more;
+    a lookup that misses evaluates and returns the result, as an
+    unmemoized automaton would. *)
+
+val share : t -> shared
+(** Wrap an automaton in a shared memo, for a model that many requests
+    read (the daemon's registry). Each lookup and each insert takes the
+    memo's one mutex; a signature or transition is evaluated outside it,
+    so two threads that miss the same key may both evaluate it. The
+    first result stored is kept and the later one dropped, so every
+    reader sees one physical [Dist] per [(state, action)]: sound because
+    both are functions of their arguments (Def 2.1). Counters
+    [psioa.shared.hit]/[miss] count its lookups, both tables together. *)
+
+val shared_psioa : shared -> t
+(** The memoized automaton: observationally identical to the one given
+    to {!share}. Readers usually put a {!memoize} in front of it, as the
+    measure engine does per run, so that only the first lookup of a key
+    in a run takes the lock. *)
+
+val shared_entries : shared -> int
+(** The entries the memo stores, at most {!shared_cap}. *)
 
 val default_max_states : int
 (** The state cap of {!reachable} and {!reachable_trunc} when none is

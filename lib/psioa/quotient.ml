@@ -25,8 +25,12 @@ let key ~sig_of ~track e =
    the representative's own original mass, and the pooled class mass. The
    split lets the caller report exactly how much mass moved onto another
    execution. *)
-type cls = { rep : Exec.t; rep_mass : Rat.t; total : Rat.t }
+type cls = { mutable rep : Exec.t; mutable rep_mass : Rat.t; mutable total : Rat.t }
 
+(* Classes are collected in first-seen order. While the input ascends, as
+   the engine's frontiers do, each class's first member is its least one
+   and that order is the representatives' order, so only input out of
+   order (a shuffled resume) is sorted. *)
 let merge_frontier ~sig_of ?track entries =
   match entries with
   | [] | [ _ ] -> (entries, 0, Rat.zero)
@@ -42,28 +46,33 @@ let merge_frontier ~sig_of ?track entries =
             ("merged", string_of_int merged) ])
         (fun () ->
           let tbl = Ktbl.create 64 in
-          let n = ref 0 in
+          let seen = ref [] and n = ref 0 in
+          let ascending = ref true and prev = ref (fst (List.hd entries)) in
           List.iter
             (fun (e, p) ->
+              if !ascending then ascending := Exec.compare !prev e <= 0;
+              prev := e;
               let k = key ~sig_of ~track e in
               match Ktbl.find_opt tbl k with
               | None ->
                   incr n;
-                  Ktbl.replace tbl k { rep = e; rep_mass = p; total = p }
+                  let c = { rep = e; rep_mass = p; total = p } in
+                  Ktbl.add tbl k c;
+                  seen := c :: !seen
               | Some c ->
-                  let total = Rat.add c.total p in
-                  let c =
-                    if Exec.compare e c.rep < 0 then { rep = e; rep_mass = p; total }
-                    else { c with total }
-                  in
-                  Ktbl.replace tbl k c)
+                  c.total <- Rat.add c.total p;
+                  if (not !ascending) && Exec.compare e c.rep < 0 then begin
+                    c.rep <- e;
+                    c.rep_mass <- p
+                  end)
             entries;
           let merged_away = List.length entries - !n in
           if merged_away = 0 then out := (entries, 0, Rat.zero)
           else begin
-            let classes = Ktbl.fold (fun _ c acc -> c :: acc) tbl [] in
+            let classes = List.rev !seen in
             let classes =
-              List.sort (fun c1 c2 -> Exec.compare c1.rep c2.rep) classes
+              if !ascending then classes
+              else List.sort (fun c1 c2 -> Exec.compare c1.rep c2.rep) classes
             in
             let merged_mass =
               List.fold_left

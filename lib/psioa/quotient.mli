@@ -39,7 +39,11 @@ val merge_frontier :
     [(classes, merged_away, merged_mass)]: the compressed frontier sorted
     by representative ({!Exec.compare} ascending), the number of entries
     absorbed into another representative, and their total probability
-    mass. The output is independent of the input order (representatives
-    are order-insensitive minima, rational addition is exact and
-    commutative, and the result is sorted), which is what keeps the
-    measure's determinism contract intact under compression. *)
+    mass. When nothing merges, [entries] come back as they are. The
+    classes are collected in first-seen order; when [entries] ascend, as
+    the engine's frontiers do, that is already the representatives'
+    order, and only other input is sorted. The output is independent of
+    the input order (representatives are order-insensitive minima,
+    rational addition is exact and commutative, and the result is
+    sorted), which is what keeps the measure's determinism contract
+    intact under compression. *)

@@ -356,7 +356,15 @@ let trace_dist auto sched ~depth =
    pred-hitting execution with a pred-missing one — the mass below stays
    exact under every compression level. *)
 let reach_mass ~pred d =
-  Dist.fold (fun acc e p -> if Exec.exists_state pred e then Rat.add acc p else acc) Rat.zero d
+  let mass = ref Rat.zero in
+  ignore
+    (Dist.fold
+       (fun prev e p ->
+         let hit = Exec.first_hit ?prev pred e in
+         if hit <= Exec.length e then mass := Rat.add !mass p;
+         Some (e, hit))
+       None d);
+  !mass
 
 let reach_prob_budgeted ?max_execs auto sched ~depth ~pred =
   match fst (run ?max_execs ~track:pred auto sched ~depth) with

@@ -192,7 +192,13 @@ val reach_prob :
 
 val reach_mass : pred:(Value.t -> bool) -> Exec.t Dist.t -> Rat.t
 (** The mass of the executions in a distribution that visit a state
-    satisfying [pred]: what {!reach_prob} sums over {!exec_dist}. *)
+    satisfying [pred]: what {!reach_prob} sums over {!exec_dist}. It
+    makes one [pred] test per cone node: walking the items in order, each
+    reuses the previous item's answer ({!Exec.first_hit}) for the
+    leading steps the two hold physically, as the engine's siblings do,
+    and tests only the states below them. A distribution whose items
+    share nothing, such as a decoded one, costs one test per state of
+    every item. *)
 
 val reach_prob_budgeted :
   ?max_execs:int -> Psioa.t -> Scheduler.t -> depth:int -> pred:(Value.t -> bool) -> Rat.t budgeted

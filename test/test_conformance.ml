@@ -355,6 +355,51 @@ let test_corpus_frontier_order () =
         Measure.compress_levels)
     (corpus ())
 
+(* ---------------------------------------------------------------- reach *)
+
+(* [Measure.reach_mass] reuses each item's first hit for the steps it
+   holds physically in common with the item before it. It must equal the
+   naive sum over every state of every item, on engine cones (plain,
+   resumed from their halfway frontier, and budgeted) and on decoded
+   copies of them, whose items share nothing: for a state drawn from the
+   cone, and for a state no automaton reaches. *)
+let prop_reach_scan =
+  QCheck.Test.make ~count:100 ~name:"reach_mass = naive sum, shared or not" case_arb
+    (fun case ->
+      let auto, sched, depth = build case in
+      let plain = Measure.exec_dist auto sched ~depth in
+      let resumed =
+        let _, half = Measure.exec_dist_frontier auto sched ~depth:(depth / 2) in
+        fst (Measure.exec_dist_frontier ~from:half auto sched ~depth)
+      in
+      let budgeted =
+        match
+          Measure.exec_dist_budgeted ~max_execs:(2 + (case.seed mod 11))
+            ~max_width:(1 + (case.seed mod 7)) auto sched ~depth
+        with
+        | `Exact d | `Truncated (d, _) -> d
+      in
+      let decoded d =
+        Cdse_serve.Codec.dist_of_json (Cdse_serve.Json.parse (Cdse_serve.Codec.dist_to_string d))
+      in
+      let dists = [ plain; resumed; budgeted ] in
+      let drawn =
+        let states = Exec.states (List.nth (Dist.support plain) (case.seed mod Dist.size plain)) in
+        List.nth states (case.seed / 7 mod List.length states)
+      in
+      let naive pred d =
+        Dist.fold
+          (fun acc e p -> if List.exists pred (Exec.states e) then Rat.add acc p else acc)
+          Rat.zero d
+      in
+      List.for_all
+        (fun target ->
+          let pred v = Value.equal v target in
+          List.for_all
+            (fun d -> Rat.equal (Measure.reach_mass ~pred d) (naive pred d))
+            (dists @ List.map decoded dists))
+        [ drawn; Value.tag "absent" Value.unit ])
+
 (* ---------------------------------------------------------------- serve *)
 
 (* Replay the committed corpus through the cdse_serve daemon: every case
@@ -477,6 +522,7 @@ let () =
           Alcotest.test_case "raise surfaces deterministically from the layer loop"
             `Quick test_error_propagation;
         ] );
+      ( "reach", [ qtest prop_reach_scan ] );
       ( "determinism",
         [ qtest prop_truncate_permutation_invariant;
           Alcotest.test_case "corpus frontiers ascend; order only buys speed" `Quick

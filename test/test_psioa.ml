@@ -317,16 +317,44 @@ let test_step_not_enabled () =
 
 let test_memoize_equivalent () =
   let c = Fixtures.channel "ch" in
-  let m = Psioa.memoize c in
   List.iter
-    (fun q ->
-      Alcotest.(check bool) "sig equal" true (Sigs.equal (Psioa.signature c q) (Psioa.signature m q));
-      Action_set.iter
-        (fun a ->
-          let d1 = Psioa.step c q a and d2 = Psioa.step m q a in
-          Alcotest.(check bool) "dist equal" true (Dist.equal d1 d2))
-        (Psioa.enabled c q))
-    (Psioa.reachable c)
+    (fun m ->
+      List.iter
+        (fun q ->
+          Alcotest.(check bool) "sig equal" true
+            (Sigs.equal (Psioa.signature c q) (Psioa.signature m q));
+          Action_set.iter
+            (fun a ->
+              let d1 = Psioa.step c q a and d2 = Psioa.step m q a in
+              Alcotest.(check bool) "dist equal" true (Dist.equal d1 d2))
+            (Psioa.enabled c q))
+        (Psioa.reachable c))
+    [ Psioa.memoize c; Psioa.shared_psioa (Psioa.share c) ]
+
+(* [Psioa.share] keeps the first result stored for a key. The first
+   evaluation of the coin's flip reads the same key through the memo
+   before it returns, so that nested read stores first; the outer
+   evaluation then returns the nested one's result, not its own equal
+   copy, and so does every later read. *)
+let test_share_first_stored_wins () =
+  let c = Fixtures.coin "c" in
+  let flip = act "c.flip" and q = Psioa.start c in
+  let shared = ref None and entered = ref false and nested = ref None in
+  let transition q' a =
+    if not !entered then begin
+      entered := true;
+      nested := Psioa.transition (Psioa.shared_psioa (Option.get !shared)) q' a
+    end;
+    Option.map (Dist.map ~compare:Value.compare Fun.id) (Psioa.transition c q' a)
+  in
+  let s = Psioa.share (Psioa.make ~name:"c" ~start:q ~signature:(Psioa.signature c) ~transition) in
+  shared := Some s;
+  let m = Psioa.shared_psioa s in
+  let outer = Psioa.transition m q flip in
+  Alcotest.(check bool) "the overtaken evaluation returns the stored result" true
+    (Option.is_some outer && outer == !nested);
+  Alcotest.(check bool) "a later read returns it too" true (Psioa.transition m q flip == outer);
+  Alcotest.(check int) "one entry" 1 (Psioa.shared_entries s)
 
 let test_universal_actions () =
   let c = Fixtures.coin "c" in
@@ -464,16 +492,33 @@ let test_exec_trace_hides_internal () =
   let tr = Exec.trace ~sig_of:(Psioa.signature c) e in
   Alcotest.(check (list string)) "only external" [ "c.heads" ] (List.map Action.name tr)
 
-let prop_exec_exists_state =
-  QCheck.Test.make ~name:"exec: exists_state = exists over states"
-    QCheck.(triple (int_bound 4) (small_list (pair (int_bound 2) (int_bound 4))) (int_bound 4))
-    (fun (first, steps, target) ->
-      let e =
-        Exec.of_steps (Value.int first)
-          (List.map (fun (a, q) -> (act (Printf.sprintf "a%d" a), Value.int q)) steps)
+(* [Exec.first_hit] against the index of the first matching state of
+   [Exec.states], alone and after a previous execution: a sibling that
+   shares [e]'s first steps physically (a prefix or an extension of [e]
+   when a tail is empty), a copy that shares only the start state, or
+   one built apart that shares nothing. *)
+let prop_exec_first_hit =
+  let steps = QCheck.(small_list (pair (int_bound 2) (int_bound 4))) in
+  QCheck.Test.make ~name:"exec: first_hit = least state index"
+    QCheck.(pair (quad (int_bound 4) steps steps steps) (pair (int_bound 2) (int_bound 4)))
+    (fun ((first, common, tail, tail'), (sharing, target)) ->
+      let extend =
+        List.fold_left (fun e (a, q) -> Exec.extend e (act (Printf.sprintf "a%d" a)) (Value.int q))
+      in
+      let base = extend (Exec.init (Value.int first)) common in
+      let e = extend base tail in
+      let prev =
+        match sharing with
+        | 0 -> extend base tail'
+        | 1 -> Exec.of_steps (Exec.fstate e) (Exec.steps (extend base tail'))
+        | _ -> extend (Exec.init (Value.int first)) (common @ tail')
       in
       let p v = Value.equal v (Value.int target) in
-      Exec.exists_state p e = List.exists p (Exec.states e))
+      let least x =
+        let rec go j = function [] -> Exec.length x + 1 | q :: r -> if p q then j else go (j + 1) r in
+        go 0 (Exec.states x)
+      in
+      Exec.first_hit p e = least e && Exec.first_hit ~prev:(prev, least prev) p e = least e)
 
 (* --------------------------------------------------------------- Compose *)
 
@@ -730,6 +775,8 @@ let () =
           Alcotest.test_case "reachable limits" `Quick test_reachable_limit;
           Alcotest.test_case "step not enabled" `Quick test_step_not_enabled;
           Alcotest.test_case "memoize equivalent" `Quick test_memoize_equivalent;
+          Alcotest.test_case "share keeps the first stored result" `Quick
+            test_share_first_stored_wins;
           Alcotest.test_case "universal actions" `Quick test_universal_actions;
           Alcotest.test_case "universal actions refuse a cut sweep" `Quick
             test_universal_actions_refuse_cut_sweep ] );
@@ -746,7 +793,7 @@ let () =
           Alcotest.test_case "hash reads every step" `Quick test_exec_hash_whole;
           Alcotest.test_case "prefix" `Quick test_exec_prefix;
           Alcotest.test_case "trace hides internal" `Quick test_exec_trace_hides_internal;
-          qtest prop_exec_exists_state ] );
+          qtest prop_exec_first_hit ] );
       ( "compose",
         [ Alcotest.test_case "synchronization" `Quick test_compose_sync;
           Alcotest.test_case "product measure (Def 2.5)" `Quick test_compose_product_measure;

@@ -708,31 +708,56 @@ let test_engine_domains_only_one () =
 
 (* Four clients fire the same query mix in different orders against a
    2-worker server; every reply must be bit-identical to the in-process
-   reference regardless of which requests hit cache, resumed, or raced. *)
+   reference regardless of which requests hit cache, resumed, or raced.
+   One model comes at several scheduler bounds and depths, measures and
+   reaches, so both workers read and fill its shared memo at once. *)
 let test_concurrent_clients () =
   with_server ~workers:2 (fun _ socket ->
+      let rauto () =
+        Cdse_gen.Random_auto.make ~rng:(Rng.make 5) ~name:"ca" ~n_states:5 ~n_actions:3 ()
+      in
+      let walk () = Cdse_gen.Workloads.random_walk ~span:4 "w" in
+      let coin () = Cdse_gen.Workloads.coin ~p:Rat.half "c" in
+      (* (model, its in-process twin, scheduler bound, depth, reach?) *)
       let specs =
         [
-          (model_rauto 5, 3);
-          (model_walk 4, 4);
-          (model_rauto 5, 5);
-          (model_coin, 3);
-          (model_rauto 5, 3);
+          (model_rauto 5, rauto, None, 3, false);
+          (model_walk 4, walk, None, 4, false);
+          (model_rauto 5, rauto, None, 5, false);
+          (model_coin, coin, None, 3, false);
+          (model_rauto 5, rauto, None, 3, false);
+          (model_rauto 5, rauto, Some 4, 4, false);
+          (model_rauto 5, rauto, Some 2, 5, true);
+          (model_rauto 5, rauto, Some 6, 6, true);
+          (model_rauto 5, rauto, Some 3, 6, false);
+          (model_rauto 5, rauto, Some 7, 5, true);
+          (model_rauto 5, rauto, None, 4, true);
         ]
       in
-      let in_process (m, depth) =
-        let auto =
-          match Json.member "kind" m with
-          | Some (Json.Str "coin") -> Cdse_gen.Workloads.coin ~p:Rat.half "c"
-          | Some (Json.Str "random_walk") ->
-              Cdse_gen.Workloads.random_walk ~span:4 "w"
-          | _ ->
-              Cdse_gen.Random_auto.make ~rng:(Rng.make 5) ~name:"ca"
-                ~n_states:5 ~n_actions:3 ()
-        in
-        Measure.exec_dist auto (Scheduler.uniform auto) ~depth
+      (* Each line's fields and its expected reply: the dist of a fresh
+         in-process measure, or for a reach the naive sum over it, at the
+         last state of its middle execution. *)
+      let line (m, mk, bound, depth, reach) =
+        let auto = mk () in
+        let sched = Scheduler.uniform auto in
+        let sched = match bound with Some b -> Scheduler.bounded b sched | None -> sched in
+        let d = Measure.exec_dist auto sched ~depth in
+        let fields = measure_fields ~model:m ~sched:(sched_json ?bound "uniform") ~depth () in
+        if not reach then (fields, `Dist d)
+        else
+          let support = Dist.support d in
+          let target = Exec.lstate (List.nth support (List.length support / 2)) in
+          let prob =
+            Dist.fold
+              (fun acc e p ->
+                if List.exists (Value.equal target) (Exec.states e) then Rat.add acc p else acc)
+              Rat.zero d
+          in
+          ( ("state", Json.Str (Cdse_util.Bits.to_string (Value.to_bits target)))
+            :: ("op", Json.Str "reach") :: List.remove_assoc "op" fields,
+            `Prob (Rat.to_string prob) )
       in
-      let expected = List.map in_process specs in
+      let lines = List.map line specs in
       let failures = Atomic.make 0 in
       let client_thread rot =
         let c = Client.connect socket in
@@ -743,25 +768,65 @@ let test_concurrent_clients () =
                 if n = 0 then l
                 else match l with [] -> [] | x :: tl -> rot_n (n - 1) (tl @ [ x ])
               in
-              rot_n rot (List.combine specs expected)
+              rot_n rot lines
             in
             List.iter
-              (fun (((m, depth) as _spec), exp) ->
-                let r =
-                  Client.request c
-                    (measure_fields ~model:m ~sched:(sched_json "uniform")
-                       ~depth ())
+              (fun (fields, expected) ->
+                let r = Client.request c fields in
+                let same =
+                  r.Client.r_ok
+                  &&
+                  match expected with
+                  | `Dist d -> items_identical (dist_of_result r.Client.r_body) d
+                  | `Prob p -> Client.str (Client.field "prob" r.Client.r_body) = p
                 in
-                if not r.Client.r_ok then Atomic.incr failures
-                else if
-                  not (items_identical (dist_of_result r.Client.r_body) exp)
-                then Atomic.incr failures)
+                if not same then Atomic.incr failures)
               order)
       in
-      let threads = List.init 4 (fun i -> Thread.create client_thread i) in
+      let threads = List.init 4 (fun i -> Thread.create client_thread (3 * i)) in
       List.iter Thread.join threads;
       Alcotest.(check int) "all concurrent replies bit-identical" 0
         (Atomic.get failures))
+
+(* A model whose shared memo is full still answers. The counter reaches
+   one new state per step, and its signature and transition there are
+   two entries, so one run a little deeper than half the cap fills the
+   memo. Later requests on the model, deeper (a frontier resume past the
+   cap) and at other bounds, measures and a reach, answer as a fresh
+   in-process run does, and the memo stores nothing more. *)
+let test_engine_memo_cap () =
+  let engine = Engine.create () in
+  let cap = Psioa.shared_cap in
+  let model = Protocol.Counter { bound = cap } in
+  let query ?bound depth =
+    {
+      Protocol.q_model = model;
+      q_sched = { Protocol.s_kind = Protocol.Uniform; s_fault_budget = None; s_bound = bound };
+      q_depth = depth;
+      q_compress = `Off;
+      q_max_execs = None;
+      q_max_width = None;
+    }
+  in
+  let fresh (q : Protocol.query) =
+    let auto = Protocol.build_model model in
+    Measure.exec_dist auto (Protocol.build_sched auto q.Protocol.q_sched) ~depth:q.Protocol.q_depth
+  in
+  let fill = (cap / 2) + 8 in
+  ignore (Engine.measure engine (query fill));
+  Alcotest.(check int) "one run fills the memo to its cap" cap (Engine.memo_entries engine);
+  List.iter
+    (fun (bound, depth) ->
+      let q = query ?bound depth in
+      check_identical
+        (Printf.sprintf "counter at depth %d past a full memo" depth)
+        (Engine.measure engine q).Engine.m_dist (fresh q);
+      Alcotest.(check int) "the memo stays at its cap" cap (Engine.memo_entries engine))
+    [ (None, fill + 16); (Some (fill + 32), fill + 24); (Some 3, 12) ];
+  let q = query ~bound:(fill + 40) (fill + 40) in
+  let state = Value.to_bits (Exec.lstate (List.hd (Dist.support (fresh q)))) in
+  Alcotest.(check string) "reach past a full memo" "1" (Rat.to_string (fst (Engine.reach engine q ~state)));
+  Alcotest.(check int) "the memo stays at its cap after a reach" cap (Engine.memo_entries engine)
 
 (* ----------------------------------------------------------- shutdown *)
 
@@ -948,6 +1013,7 @@ let () =
             test_model_registry_survives_failure;
           Alcotest.test_case "budgeted reach refused in-process" `Quick
             test_engine_reach_refuses_budget;
+          Alcotest.test_case "a full model memo still answers" `Quick test_engine_memo_cap;
           Alcotest.test_case "create accepts only ~domains:1" `Quick
             test_engine_domains_only_one;
         ] );
