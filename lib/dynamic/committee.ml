@@ -214,14 +214,12 @@ let committed pca q =
 (* ---------------------------------------------- structured view & ideal *)
 
 let structured_psioa auto n =
-  let eact q =
-    let ext = Sigs.ext (Psioa.signature auto q) in
-    Action_set.filter
-      (fun a ->
-        let base = Cdse_psioa.Action.name a in
-        String.equal base (n ^ ".submit") || String.equal base (n ^ ".commit"))
-      ext
+  let submit = n ^ ".submit" and commit = n ^ ".commit" in
+  let is_env a =
+    let base = Cdse_psioa.Action.name a in
+    String.equal base submit || String.equal base commit
   in
+  let eact q = Sigs.filter_ext is_env (Psioa.signature auto q) in
   Cdse_secure.Structured.make auto ~eact
 
 let structured pca n = structured_psioa (Pca.psioa pca) n

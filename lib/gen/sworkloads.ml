@@ -119,13 +119,13 @@ let compromised_otp ~base names =
   let inj = Fault.injector ~faults:(List.map Fault.compromise_action names) () in
   let sys = Compose.parallel (inj :: List.map wrapped names) in
   let eact q =
-    Action_set.filter
+    Sigs.filter_ext
       (fun a ->
         let base = Action.name a in
         List.exists
           (fun n -> String.equal base (n ^ ".send") || String.equal base (n ^ ".recv"))
           names)
-      (Sigs.ext (Psioa.signature sys q))
+      (Psioa.signature sys q)
   in
   Structured.make sys ~eact
 

@@ -12,24 +12,41 @@ let compose_sigs ~name states sigs =
               (Format.pp_print_list Value.pp)
               states msg))
 
-(* Joint transition (Definition 2.5) from one evaluation of each component
-   signature at [qs]. The composed signature still raises [Incompatible]
-   as [signature] does and decides membership (only actions of the
-   composite signature are enabled: absent actions yield None); each
-   component's own signature decides whether it moves by its measure or
-   stays via Dirac. *)
-let joint_transition ~name autos qs act =
-  let sigs = List.map2 Psioa.signature autos qs in
-  if not (Sigs.mem act (compose_sigs ~name qs sigs)) then None
+(* An automaton whose transition is given the automaton itself. [self]
+   is set before the automaton is returned, so every reader finds it set;
+   a [Lazy] would raise when two threads force it at once. *)
+let make_self ~name ~start ~signature ~transition =
+  let self = ref None in
+  let a =
+    Psioa.make ~name ~start ~signature ~transition:(fun q act ->
+        match !self with Some a -> transition a q act | None -> assert false)
+  in
+  self := Some a;
+  a
+
+let is_dirac d = Dist.size d = 1 && Dist.is_proper d
+
+(* Joint transition (Definition 2.5) of the composite [self] at [q], with
+   component states [qs]; [build] makes a composite state of component
+   states. Only actions of the composite's own signature are enabled. It
+   is read through [Psioa.signature], so after the scheduler's read at
+   the same state it comes from the last-evaluation entry and nothing is
+   composed again; elsewhere it is composed and may raise [Incompatible].
+   Each component's own signature decides whether it moves by its
+   measure or stays via Dirac. When every move is a Dirac of mass 1, so
+   is the joint measure. *)
+let joint_transition self autos ~build q qs act =
+  if not (Sigs.mem act (Psioa.signature self q)) then None
   else
-    let rec moves autos qs sigs =
-      match (autos, qs, sigs) with
-      | a :: autos, q :: qs, s :: sigs ->
-          let d = if Sigs.mem act s then Psioa.step a q act else Vdist.dirac q in
-          d :: moves autos qs sigs
-      | _ -> []
+    let moves =
+      List.map2
+        (fun a q -> if Sigs.mem act (Psioa.signature a q) then Psioa.step a q act else Vdist.dirac q)
+        autos qs
     in
-    Some (Dist.product_list ~compare:Value.compare (moves autos qs sigs))
+    if List.for_all is_dirac moves then Some (Vdist.dirac (build (List.concat_map Dist.support moves)))
+    else
+      Some
+        (Dist.map ~compare:Value.compare build (Dist.product_list ~compare:Value.compare moves))
 
 let parallel ?name autos =
   if autos = [] then invalid_arg "Compose.parallel: empty list";
@@ -44,12 +61,8 @@ let parallel ?name autos =
     let qs = proj q in
     compose_sigs ~name qs (List.map2 Psioa.signature autos qs)
   in
-  let transition q act =
-    Option.map
-      (Dist.map ~compare:Value.compare Value.list)
-      (joint_transition ~name autos (proj q) act)
-  in
-  Psioa.make ~name ~start:(Value.list (List.map Psioa.start autos)) ~signature ~transition
+  let transition self q act = joint_transition self autos ~build:Value.list q (proj q) act in
+  make_self ~name ~start:(Value.list (List.map Psioa.start autos)) ~signature ~transition
 
 let pair ?name a b =
   let name = match name with Some n -> n | None -> Psioa.name a ^ "||" ^ Psioa.name b in
@@ -61,15 +74,13 @@ let pair ?name a b =
     let qa, qb = proj q in
     compose_sigs ~name [ qa; qb ] [ Psioa.signature a qa; Psioa.signature b qb ]
   in
-  let transition q act =
+  let autos = [ a; b ] in
+  let build = function [ qa'; qb' ] -> Value.pair qa' qb' | _ -> assert false in
+  let transition self q act =
     let qa, qb = proj q in
-    Option.map
-      (Dist.map ~compare:Value.compare (function
-        | [ qa'; qb' ] -> Value.pair qa' qb'
-        | _ -> assert false))
-      (joint_transition ~name [ a; b ] [ qa; qb ] act)
+    joint_transition self autos ~build q [ qa; qb ] act
   in
-  Psioa.make ~name ~start:(Value.pair (Psioa.start a) (Psioa.start b)) ~signature ~transition
+  make_self ~name ~start:(Value.pair (Psioa.start a) (Psioa.start b)) ~signature ~transition
 
 let proj_pair = function
   | Value.Pair (a, b) -> (a, b)

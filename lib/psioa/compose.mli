@@ -6,13 +6,17 @@
     signature moves by its own measure and the others stay put, the results
     combined by the product measure [η₁ ⊗ … ⊗ ηₙ] (Definition 2.5).
 
-    A transition of the composite evaluates each component's signature at
-    its source state once: the composed signature (which raises
-    {!Incompatible} as the composite's signature does), the membership
-    test and each component's participation all come from that one
-    evaluation. A component that is itself a composite does the same one
-    level down, so a leaf under [d] levels of nesting is read [d] times
-    per step. *)
+    A transition of the composite tests membership against the composed
+    signature read through {!Psioa.signature}, so it comes from the
+    composite's last-evaluation entry: a scheduler that has just read the
+    signature at the same (physically equal) state leaves it there, and
+    the step composes nothing. At any other state the read composes it
+    again, and raises {!Incompatible} as the composite's signature does.
+    Each component's participation comes from its own signature, read
+    once at its source state. A component that is itself a composite
+    does the same one level down, so a leaf under [d] levels of nesting
+    is read [d] times per step. When every component's move is a Dirac
+    of mass 1, the joint measure is that Dirac, built without a product. *)
 
 exception Incompatible of string
 (** Raised when a reachable state's component signatures violate

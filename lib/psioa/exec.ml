@@ -94,12 +94,15 @@ let is_prefix a ~of_ =
     (steps a)
     (take a.len (steps of_))
 
+(* [Sigs.classify] places each action, so no [Sigs.ext] union is built
+   per step. *)
 let trace ~sig_of e =
   let rec go q = function
     | [] -> []
-    | (act, q') :: rest ->
-        let s = sig_of q in
-        if Action_set.mem act (Sigs.ext s) then act :: go q' rest else go q' rest
+    | (act, q') :: rest -> (
+        match Sigs.classify act (sig_of q) with
+        | `Input | `Output -> act :: go q' rest
+        | `Internal | `Absent -> go q' rest)
   in
   go e.first (steps e)
 

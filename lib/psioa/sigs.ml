@@ -1,3 +1,5 @@
+module Obs = Cdse_obs.Obs
+
 type t = { input : Action_set.t; output : Action_set.t; internal : Action_set.t }
 
 exception Not_disjoint of string
@@ -25,6 +27,10 @@ let all s = Action_set.union s.input (Action_set.union s.output s.internal)
 let ext s = Action_set.union s.input s.output
 let local s = Action_set.union s.output s.internal
 
+let filter_ext p s =
+  Action_set.fold (fun a acc -> if p a then Action_set.add a acc else acc) s.output
+    (Action_set.filter p s.input)
+
 let classify a s =
   if Action_set.mem a s.input then `Input
   else if Action_set.mem a s.output then `Output
@@ -34,18 +40,26 @@ let classify a s =
 (* Three lookups instead of building the union set [all s]. *)
 let mem a s = classify a s <> `Absent
 
-(* Definition 2.3. *)
+(* Definition 2.3, one pair of components at a time, so no union is
+   built: [all s1 ∩ int s2 = ∅] is three tests, [all s2 ∩ int s1 = ∅]
+   two more (the internal pair is shared), and the outputs one. *)
 let compatible s1 s2 =
-  Action_set.disjoint (all s1) s2.internal
-  && Action_set.disjoint (all s2) s1.internal
-  && Action_set.disjoint s1.output s2.output
+  Action_set.disjoint s1.output s2.output
+  && Action_set.disjoint s1.internal s2.internal
+  && Action_set.disjoint s1.input s2.internal
+  && Action_set.disjoint s1.output s2.internal
+  && Action_set.disjoint s2.input s1.internal
+  && Action_set.disjoint s2.output s1.internal
 
 let rec compatible_list = function
   | [] | [ _ ] -> true
   | s :: rest -> List.for_all (compatible s) rest && compatible_list rest
 
+let c_compose = Obs.counter "sigs.compose"
+
 (* Definition 2.4. *)
 let compose s1 s2 =
+  Obs.incr c_compose;
   if not (compatible s1 s2) then
     raise (Not_disjoint "Sigs.compose: incompatible signatures");
   let output = Action_set.union s1.output s2.output in

@@ -36,6 +36,10 @@ val ext : t -> Action_set.t
 val local : t -> Action_set.t
 (** Locally controlled: output ∪ internal. *)
 
+val filter_ext : (Action.t -> bool) -> t -> Action_set.t
+(** [Action_set.filter p (ext s)], from the inputs and the outputs
+    filtered apart: [ext s] is not built. *)
+
 val mem : Action.t -> t -> bool
 (** [a ∈ all s], by at most three lookups; the union is not built. *)
 
@@ -43,14 +47,17 @@ val classify : Action.t -> t -> [ `Input | `Output | `Internal | `Absent ]
 
 val compatible : t -> t -> bool
 (** Definition 2.3: no shared outputs, and neither's internal actions appear
-    in the other. *)
+    in the other. Checked component by component, by six
+    {!Action_set.disjoint} tests; neither [all s1] nor [all s2] is built. *)
 
 val compatible_list : t list -> bool
 (** Pairwise compatibility of a set of signatures. *)
 
 val compose : t -> t -> t
-(** Definition 2.4: [(in ∪ in' − (out ∪ out'), out ∪ out', int ∪ int')].
-    Raises {!Not_disjoint} if the signatures are not compatible. *)
+(** Definition 2.4: [(in ∪ in' − (out ∪ out'), out ∪ out', int ∪ int')],
+    built through {!make}, so its disjointness is checked again.
+    Raises {!Not_disjoint} if the signatures are not compatible. Counter
+    [sigs.compose] counts the calls. *)
 
 val compose_list : t list -> t
 

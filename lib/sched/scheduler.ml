@@ -43,11 +43,22 @@ let uniform a =
       let acts = Action_set.elements (local_pool a e) in
       match acts with [] -> empty_choice | _ -> Dist.uniform ~compare:Action.compare acts)
 
+(* The least pool action at the last state passing [p]: the lesser of the
+   first passing output and the first passing internal action, so the
+   union [Sigs.local] is never built. *)
+let first_local p a e =
+  let sg = Psioa.signature a (Exec.lstate e) in
+  let first set = Seq.find p (Action_set.to_seq set) in
+  let pick =
+    match (first (Sigs.output sg), first (Sigs.internal sg)) with
+    | None, found | found, None -> found
+    | Some o, Some h -> Some (if Action.compare o h < 0 then o else h)
+  in
+  match pick with None -> empty_choice | Some act -> Dist.dirac ~compare:Action.compare act
+
 let first_enabled a =
-  make ~memoryless:true ~validated:true ~name:(Printf.sprintf "first(%s)" (Psioa.name a)) (fun e ->
-      match Action_set.min_elt_opt (local_pool a e) with
-      | None -> empty_choice
-      | Some act -> Dist.dirac ~compare:Action.compare act)
+  make ~memoryless:true ~validated:true ~name:(Printf.sprintf "first(%s)" (Psioa.name a))
+    (first_local (fun _ -> true) a)
 
 let first_enabled_where ?(name = "first-where") pred a =
   (* Deterministic like [first_enabled], but the pick is restricted to the
@@ -57,12 +68,7 @@ let first_enabled_where ?(name = "first-where") pred a =
      choice, deficit 1), exactly like an exhausted [bounded]. *)
   make ~memoryless:false ~validated:true
     ~name:(Printf.sprintf "%s(%s)" name (Psioa.name a))
-    (fun e ->
-      match
-        Action_set.min_elt_opt (Action_set.filter (pred e) (local_pool a e))
-      with
-      | None -> empty_choice
-      | Some act -> Dist.dirac ~compare:Action.compare act)
+    (fun e -> first_local (pred e) a e)
 
 let round_robin a =
   make ~memoryless:true ~validated:true ~name:(Printf.sprintf "round-robin(%s)" (Psioa.name a)) (fun e ->
@@ -89,8 +95,9 @@ let oblivious_local a script =
       if i >= Array.length script then empty_choice
       else
         let act = script.(i) in
-        if Action_set.mem act (local_pool a e) then Dist.dirac ~compare:Action.compare act
-        else empty_choice)
+        match Sigs.classify act (Psioa.signature a (Exec.lstate e)) with
+        | `Output | `Internal -> Dist.dirac ~compare:Action.compare act
+        | `Input | `Absent -> empty_choice)
 
 (* The bound is carried in the name so that is_bounded can recover it
    without an extra record field leaking into every scheduler. *)

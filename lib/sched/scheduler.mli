@@ -54,7 +54,9 @@ val uniform : Psioa.t -> t
     are none. *)
 
 val first_enabled : Psioa.t -> t
-(** Deterministic: always the least locally controlled enabled action. *)
+(** Deterministic: always the least locally controlled enabled action,
+    the lesser of the least output and the least internal action. The
+    pick builds no union of the two. *)
 
 val first_enabled_where : ?name:string -> (Exec.t -> Action.t -> bool) -> Psioa.t -> t
 (** [first_enabled_where pred a]: deterministic — the least locally
@@ -62,8 +64,10 @@ val first_enabled_where : ?name:string -> (Exec.t -> Action.t -> bool) -> Psioa.
     whole execution so far. Halts (empty choice, deficit 1) when no pool
     action passes. Because [pred] may inspect the history the scheduler is
     {e not} memoryless; it is validated (picks from the pool by
-    construction). The predicate-filtered backbone of
-    {!Cdse_fault.Fault.budget_first_enabled}. *)
+    construction). The pick is the lesser of the first output and the
+    first internal action that pass, so it builds no union and calls
+    [pred] only until each search finds one. The predicate-filtered
+    backbone of {!Cdse_fault.Fault.budget_first_enabled}. *)
 
 val round_robin : Psioa.t -> t
 (** Deterministic: at step [i], the [(i mod n)]-th of the [n] locally
@@ -78,8 +82,8 @@ val oblivious : Psioa.t -> Action.t list -> t
 
 val oblivious_local : Psioa.t -> Action.t list -> t
 (** Like {!oblivious}, but the scripted action additionally has to be
-    locally controlled at the current state: free inputs of an open
-    composite are never fired. The closed-world off-line scheduler — this
+    locally controlled at the current state ({!Sigs.classify} says output
+    or internal): free inputs of an open composite are never fired. The closed-world off-line scheduler — this
     is the creation-oblivious schema used by the monotonicity results of
     Section 4.4. *)
 

@@ -8,9 +8,8 @@ let name s = Psioa.name s.psioa
 (* Each per-state part below evaluates the signature at [q] once. *)
 let eact_at s q sg = Action_set.inter (s.eact q) (Sigs.ext sg)
 
-let aact_at s q sg =
-  let ext = Sigs.ext sg in
-  Action_set.diff ext (Action_set.inter (s.eact q) ext)
+(* [ext ∖ (EAct ∩ ext)] is [ext ∖ EAct]: no intersection is built. *)
+let aact_at s q sg = Action_set.diff (Sigs.ext sg) (s.eact q)
 
 let eact s q = eact_at s q (Psioa.signature s.psioa q)
 let aact s q = aact_at s q (Psioa.signature s.psioa q)

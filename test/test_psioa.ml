@@ -261,6 +261,49 @@ let prop_sigs_hide_preserves_all =
       let h = Sigs.hide s1 (Sigs.output s1) in
       Action_set.equal (Sigs.all h) (Sigs.all s1))
 
+(* Two signatures over one shared pool of five names. In each, a name is
+   absent with probability 5/8, else an input, an output or internal:
+   about two pairs in five are incompatible. *)
+let shared_pool_sig_pair =
+  let pool = [ "s1"; "s2"; "s3"; "s4"; "s5" ] in
+  let role = QCheck.Gen.frequency QCheck.Gen.[ (5, return 0); (1, return 1); (1, return 2); (1, return 3) ] in
+  let gen_sig =
+    QCheck.Gen.(
+      let* roles = list_repeat (List.length pool) role in
+      let with_role r = List.filteri (fun i _ -> List.nth roles i = r) pool |> List.map act in
+      return (Sigs.of_lists ~i:(with_role 1) ~o:(with_role 2) ~h:(with_role 3) ()))
+  in
+  QCheck.make
+    ~print:(fun (a, b) -> Format.asprintf "%a | %a" Sigs.pp a Sigs.pp b)
+    (QCheck.Gen.pair gen_sig gen_sig)
+
+(* Definition 2.3 in its union form, and Definition 2.4's triple. *)
+let prop_sigs_defs_literal =
+  QCheck.Test.make ~count:500 ~name:"sigs: Defs 2.3 and 2.4, literally" shared_pool_sig_pair
+    (fun (s1, s2) ->
+      let open Action_set in
+      let compatible =
+        disjoint (Sigs.all s1) (Sigs.internal s2)
+        && disjoint (Sigs.all s2) (Sigs.internal s1)
+        && disjoint (Sigs.output s1) (Sigs.output s2)
+      in
+      Bool.equal (Sigs.compatible s1 s2) compatible
+      &&
+      match Sigs.compose s1 s2 with
+      | c ->
+          let out = union (Sigs.output s1) (Sigs.output s2) in
+          compatible
+          && equal (Sigs.input c) (diff (union (Sigs.input s1) (Sigs.input s2)) out)
+          && equal (Sigs.output c) out
+          && equal (Sigs.internal c) (union (Sigs.internal s1) (Sigs.internal s2))
+      | exception Sigs.Not_disjoint msg ->
+          (not compatible) && String.equal msg "Sigs.compose: incompatible signatures")
+
+let prop_sigs_filter_ext =
+  QCheck.Test.make ~name:"sigs: filter_ext = filter over ext" shared_pool_sig_pair (fun (s, _) ->
+      let p a = Action.name a <> "s2" && Action.name a <> "s4" in
+      Action_set.equal (Sigs.filter_ext p s) (Action_set.filter p (Sigs.ext s)))
+
 (* ----------------------------------------------------------------- Psioa *)
 
 let test_validate_fixtures () =
@@ -374,6 +417,12 @@ let x_at last =
       | Value.Int n when n < last && Action.equal a tick -> Some (Vdist.dirac (Value.int (n + 1)))
       | Value.Int n when n = last && Action.equal a x -> Some (Vdist.dirac q)
       | _ -> None)
+
+(* Always offers output [x]. *)
+let always_x =
+  Psioa.make ~name:"x" ~start:Value.unit
+    ~signature:(fun _ -> Sigs.of_lists ~o:[ act "x" ] ())
+    ~transition:(fun q a -> if Action.equal a (act "x") then Some (Vdist.dirac q) else None)
 
 let refuses_cut_sweep what ~automaton f =
   match f () with
@@ -565,11 +614,6 @@ let test_compose_incompatible_outputs () =
 (* Beside an automaton that always offers output [x], the counter is
    incompatible from the state where it offers [x] too. *)
 let test_partially_compatible_refuses_cut_sweep () =
-  let always_x =
-    Psioa.make ~name:"x" ~start:Value.unit
-      ~signature:(fun _ -> Sigs.of_lists ~o:[ act "x" ] ())
-      ~transition:(fun q a -> if Action.equal a (act "x") then Some (Vdist.dirac q) else None)
-  in
   Alcotest.(check bool) "x at state 9 998" false
     (Compose.partially_compatible [ x_at 9_998; always_x ]);
   refuses_cut_sweep "partially_compatible" ~automaton:"k||x" (fun () ->
@@ -646,6 +690,79 @@ let test_compose_nested_one_signature_per_level () =
   reset ();
   ignore (Psioa.step c (Psioa.start c) (act "a.inc"));
   Alcotest.(check int) "leaf evaluated once for three levels" 1 (evals (Psioa.start leaf))
+
+(* A step decides membership from the composite's own signature, which
+   the read just before it left in the last-evaluation entry: the step
+   composes nothing more. *)
+let test_compose_step_reads_entry () =
+  let c = Compose.pair (Fixtures.coin "c") (Fixtures.counter "k") in
+  let q = Psioa.start c in
+  let (), snap =
+    Cdse_obs.Obs.with_stats (fun () ->
+        ignore (Psioa.signature c q);
+        ignore (Psioa.step c q (act "c.flip")))
+  in
+  Alcotest.(check (option int)) "one composition for the read and the step" (Some 1)
+    (List.assoc_opt "sigs.compose" snap.Cdse_obs.Obs.s_counters)
+
+(* From state 1 the counter offers [x] as [always_x] does: a step there
+   raises the composite signature's [Incompatible], whether or not the
+   signature was read there first. *)
+let test_compose_step_incompatible () =
+  let at_one () =
+    let c = Compose.pair (x_at 1) always_x in
+    (c, List.hd (Dist.support (Psioa.step c (Psioa.start c) (act "k.tick"))))
+  in
+  let incompatible what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Compose.Incompatible" what
+    | exception Compose.Incompatible msg -> msg
+  in
+  let c, q = at_one () in
+  let unread = incompatible "step, signature not read" (fun () -> Psioa.step c q (act "x")) in
+  let c, q = at_one () in
+  let read = incompatible "signature" (fun () -> Psioa.signature c q) in
+  Alcotest.(check string) "step after the read" read
+    (incompatible "step after the read" (fun () -> Psioa.step c q (act "x")));
+  Alcotest.(check string) "same message either way" read unread
+
+(* The entry answers only at the physically same state: a step taken
+   while it holds another state, or at an equal copy, returns what a
+   fresh composite returns, and an action enabled only at the entry's
+   state stays disabled. *)
+let test_compose_step_other_entry () =
+  let fresh () = Compose.pair (Fixtures.coin "c") (Fixtures.counter "k") in
+  let flip = act "c.flip" in
+  let q0 = Psioa.start (fresh ()) in
+  let expected = Psioa.step (fresh ()) q0 flip in
+  let heads = Value.pair (Value.tag "heads" Value.unit) (Value.tag "ctr" (Value.int 0)) in
+  let c = fresh () in
+  ignore (Psioa.signature c heads);
+  Alcotest.(check bool) "entry at another state" true (Dist.equal expected (Psioa.step c q0 flip));
+  ignore (Psioa.signature c heads);
+  Alcotest.(check bool) "an equal copy" true
+    (Dist.equal expected (Psioa.step c (Value.of_bits (Value.to_bits q0)) flip));
+  ignore (Psioa.signature c heads);
+  Alcotest.(check bool) "c.heads not enabled at the start" true
+    (Option.is_none (Psioa.transition c q0 (act "c.heads")))
+
+(* A move to one state with mass 1/2 is not a Dirac: the joint step, of
+   [pair] and of [parallel], keeps the mass. *)
+let test_compose_step_sub_dirac () =
+  let half = act "h.half" in
+  let h =
+    Psioa.make ~name:"h" ~start:Value.unit
+      ~signature:(fun _ -> Sigs.of_lists ~o:[ half ] ())
+      ~transition:(fun q a ->
+        if Action.equal a half then Some (Vdist.make [ (q, Rat.half) ]) else None)
+  in
+  List.iter
+    (fun (what, c) ->
+      let d = Psioa.step c (Psioa.start c) half in
+      Alcotest.(check int) (what ^ ": one state") 1 (Dist.size d);
+      Alcotest.(check string) (what ^ ": mass 1/2") "1/2" (Rat.to_string (Dist.mass d)))
+    [ ("pair", Compose.pair h (Fixtures.counter "k"));
+      ("parallel", Compose.parallel [ Fixtures.counter "k"; h ]) ]
 
 (* ------------------------------------------------------- extra workloads *)
 
@@ -766,7 +883,9 @@ let () =
           Alcotest.test_case "hiding (Def 2.6)" `Quick test_sigs_hide;
           qtest prop_sigs_compose_commutative;
           qtest prop_sigs_compose_associative;
-          qtest prop_sigs_hide_preserves_all ] );
+          qtest prop_sigs_hide_preserves_all;
+          qtest prop_sigs_defs_literal;
+          qtest prop_sigs_filter_ext ] );
       ( "psioa",
         [ Alcotest.test_case "fixtures validate" `Quick test_validate_fixtures;
           Alcotest.test_case "broken automata rejected" `Quick test_validate_broken;
@@ -805,7 +924,13 @@ let () =
           Alcotest.test_case "one signature read per component per step" `Quick
             test_compose_one_signature_per_step;
           Alcotest.test_case "nested pair: one leaf read per level" `Quick
-            test_compose_nested_one_signature_per_level ] );
+            test_compose_nested_one_signature_per_level;
+          Alcotest.test_case "a step after a read composes nothing" `Quick
+            test_compose_step_reads_entry;
+          Alcotest.test_case "a step at an incompatible state raises" `Quick
+            test_compose_step_incompatible;
+          Alcotest.test_case "a step beside another entry" `Quick test_compose_step_other_entry;
+          Alcotest.test_case "a sub-Dirac move keeps its mass" `Quick test_compose_step_sub_dirac ] );
       ( "workloads",
         [ Alcotest.test_case "fifo preserves order" `Quick test_fifo_order;
           Alcotest.test_case "timer fires once" `Quick test_timer_fires_once;

@@ -718,31 +718,39 @@ let test_concurrent_clients () =
       in
       let walk () = Cdse_gen.Workloads.random_walk ~span:4 "w" in
       let coin () = Cdse_gen.Workloads.coin ~p:Rat.half "c" in
-      (* (model, its in-process twin, scheduler bound, depth, reach?) *)
+      (* A [Compose.parallel]: workers step one shared composite. *)
+      let faulty () = Cdse_gen.Workloads.faulty_channel ~seed:4 in
+      let model_faulty = Json.Obj [ ("kind", Json.Str "faulty_channel"); ("seed", Json.Num 4.) ] in
+      let u = ("uniform", Scheduler.uniform) and f = ("first_enabled", Scheduler.first_enabled) in
+      (* (model, its in-process twin, scheduler, bound, depth, reach?) *)
       let specs =
         [
-          (model_rauto 5, rauto, None, 3, false);
-          (model_walk 4, walk, None, 4, false);
-          (model_rauto 5, rauto, None, 5, false);
-          (model_coin, coin, None, 3, false);
-          (model_rauto 5, rauto, None, 3, false);
-          (model_rauto 5, rauto, Some 4, 4, false);
-          (model_rauto 5, rauto, Some 2, 5, true);
-          (model_rauto 5, rauto, Some 6, 6, true);
-          (model_rauto 5, rauto, Some 3, 6, false);
-          (model_rauto 5, rauto, Some 7, 5, true);
-          (model_rauto 5, rauto, None, 4, true);
+          (model_rauto 5, rauto, u, None, 3, false);
+          (model_walk 4, walk, u, None, 4, false);
+          (model_faulty, faulty, u, None, 6, false);
+          (model_rauto 5, rauto, u, None, 5, false);
+          (model_coin, coin, u, None, 3, false);
+          (model_faulty, faulty, f, None, 7, false);
+          (model_rauto 5, rauto, u, None, 3, false);
+          (model_rauto 5, rauto, u, Some 4, 4, false);
+          (model_faulty, faulty, u, Some 5, 7, true);
+          (model_rauto 5, rauto, u, Some 2, 5, true);
+          (model_rauto 5, rauto, u, Some 6, 6, true);
+          (model_faulty, faulty, f, None, 6, true);
+          (model_rauto 5, rauto, u, Some 3, 6, false);
+          (model_rauto 5, rauto, u, Some 7, 5, true);
+          (model_rauto 5, rauto, u, None, 4, true);
         ]
       in
       (* Each line's fields and its expected reply: the dist of a fresh
          in-process measure, or for a reach the naive sum over it, at the
          last state of its middle execution. *)
-      let line (m, mk, bound, depth, reach) =
+      let line (m, mk, (kind, sched_of), bound, depth, reach) =
         let auto = mk () in
-        let sched = Scheduler.uniform auto in
+        let sched = sched_of auto in
         let sched = match bound with Some b -> Scheduler.bounded b sched | None -> sched in
         let d = Measure.exec_dist auto sched ~depth in
-        let fields = measure_fields ~model:m ~sched:(sched_json ?bound "uniform") ~depth () in
+        let fields = measure_fields ~model:m ~sched:(sched_json ?bound kind) ~depth () in
         if not reach then (fields, `Dist d)
         else
           let support = Dist.support d in
