@@ -1,7 +1,7 @@
 (* CI smoke gate for the serving layer: start an in-process cdse_serve
    daemon, drive the wire protocol end to end (ping, cold + warm measure,
-   reach, two reaches that miss the result cache and read the model's
-   shared memo, stats), and assert a clean drain-and-shutdown — "bye"
+   reach, two reaches that miss the result cache and read only the
+   model's memo, stats), and assert a clean drain-and-shutdown — "bye"
    reply, socket unlinked, threads joined. Exits non-zero on any
    violation. *)
 
@@ -82,16 +82,7 @@ let run () =
     | _ -> fail "reach reply missing string \"prob\""
   in
   ignore (reach ());
-  (* Two more reaches at bounds above the depth: the same measure, but
-     two fresh result-cache lines, so both runs read the transitions the
-     cold measure left in the model's shared memo. *)
-  let p1 = reach ~bound:(depth + 1) () in
-  let p2 = reach ~bound:(depth + 2) () in
-  if not (Cdse.Rat.equal p1 p2) then
-    fail "reach at two bounds above the depth: %s <> %s" (Cdse.Rat.to_string p1)
-      (Cdse.Rat.to_string p2);
-  let stats = ok "stats" (Client.stats c) in
-  let sint path =
+  let sint stats path =
     let j =
       List.fold_left
         (fun j k -> match Json.member k j with Some v -> v | None -> Json.Null)
@@ -99,10 +90,23 @@ let run () =
     in
     match Json.to_int j with Some i -> i | None -> -1
   in
-  if sint [ "cache"; "hits" ] < 1 then fail "stats report no cache hits";
-  if sint [ "queries" ] < 5 then fail "stats report fewer than 5 queries";
-  if sint [ "models"; "memo_hits" ] < 1 then fail "stats report no model memo hits";
-  if sint [ "models"; "memo_entries" ] < 1 then fail "stats report an empty model memo";
+  let before = ok "stats" (Client.stats c) in
+  (* Two more reaches at bounds above the depth: the same measure, but
+     two fresh result-cache lines, so both runs read every signature and
+     transition from what the cold measure left in the model's memo. *)
+  let p1 = reach ~bound:(depth + 1) () in
+  let p2 = reach ~bound:(depth + 2) () in
+  if not (Cdse.Rat.equal p1 p2) then
+    fail "reach at two bounds above the depth: %s <> %s" (Cdse.Rat.to_string p1)
+      (Cdse.Rat.to_string p2);
+  let stats = ok "stats" (Client.stats c) in
+  let grew path = sint stats path - sint before path in
+  if sint stats [ "cache"; "hits" ] < 1 then fail "stats report no cache hits";
+  if sint stats [ "queries" ] < 5 then fail "stats report fewer than 5 queries";
+  if grew [ "models"; "memo_hits" ] < 1 then fail "the repeated reaches hit no model memo entry";
+  if grew [ "models"; "memo_misses" ] <> 0 then
+    fail "the repeated reaches missed the model memo %d times" (grew [ "models"; "memo_misses" ]);
+  if sint stats [ "models"; "memo_entries" ] < 1 then fail "stats report an empty model memo";
   (match ok "shutdown" (Client.shutdown c) with
   | Json.Str "bye" -> ()
   | j -> fail "shutdown replied %s, expected \"bye\"" (Json.to_string j));

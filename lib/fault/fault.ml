@@ -7,7 +7,8 @@ module Trace = Cdse_obs.Trace
 (* Fault transitions evaluated, by kind. A transition fires when the
    measure engine (or a simulation driver) evaluates it; under
    [Psioa.memoize] a cached transition is not re-evaluated, so these count
-   distinct evaluations, not probability-weighted occurrences. *)
+   distinct evaluations, not probability-weighted occurrences (in the
+   daemon, where a model's memo outlives requests, the first request's). *)
 let c_crash = Obs.counter "fault.crash"
 let c_recover = Obs.counter "fault.recover"
 let c_drop = Obs.counter "fault.drop"

@@ -7,12 +7,39 @@ module Obs = Cdse_obs.Obs
    either the old entry or the new one, never a mix. *)
 type last = No_entry | Last of Value.t * Sigs.t
 
+(* The memo and sweep tables hash a state all the way down
+   ({!Value.hash}); the transition table hashes its (state, action) pair
+   the same way in one pass. *)
+module Vtbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
+module Stbl = Hashtbl.Make (struct
+  type t = Value.t * Action.t
+
+  let equal (q1, a1) (q2, a2) = Value.equal q1 q2 && Action.equal a1 a2
+  let hash k = Hashtbl.hash_param 256 256 k
+end)
+
+(* A memo that threads may share: each table access under [lock];
+   [stored] counts the entries of both tables. *)
+type memo = {
+  lock : Mutex.t;
+  sigs : Sigs.t Vtbl.t;
+  steps : Value.t Dist.t option Stbl.t;
+  mutable stored : int;
+}
+
 type t = {
   name : string;
   start : Value.t;
   signature : Value.t -> Sigs.t;
   transition : Value.t -> Action.t -> Value.t Dist.t option;
   mutable last : last;
+  memo : memo option;
 }
 
 exception Not_enabled of { automaton : string; state : Value.t; action : Action.t }
@@ -34,7 +61,7 @@ let () =
     | _ -> None)
 
 let make ~name ~start ~signature ~transition =
-  { name; start; signature; transition; last = No_entry }
+  { name; start; signature; transition; last = No_entry; memo = None }
 
 let name a = a.name
 let start a = a.start
@@ -66,97 +93,60 @@ let step a q act =
 
 let rename_auto name a = { a with name; last = No_entry }
 
-(* The memo and sweep tables hash a state all the way down
-   ({!Value.hash}); the transition table hashes its (state, action) pair
-   the same way in one pass. *)
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-module Stbl = Hashtbl.Make (struct
-  type t = Value.t * Action.t
-
-  let equal (q1, a1) (q2, a2) = Value.equal q1 q2 && Action.equal a1 a2
-  let hash k = Hashtbl.hash_param 256 256 k
-end)
-
 let c_sig_hit = Obs.counter "psioa.memo.sig.hit"
 let c_sig_miss = Obs.counter "psioa.memo.sig.miss"
 let c_step_hit = Obs.counter "psioa.memo.step.hit"
 let c_step_miss = Obs.counter "psioa.memo.step.miss"
-let c_shared_hit = Obs.counter "psioa.shared.hit"
-let c_shared_miss = Obs.counter "psioa.shared.miss"
 
-(* Who uses a memo: one thread, with no bound, or every thread, each
-   lookup and insert under [lock] and at most [cap] entries stored. *)
-type sharing = Private | Shared of { lock : Mutex.t; cap : int }
+let memo_cap = 1 lsl 16
 
-(* One memo lookup; [eval] runs outside the lock. A shared insert keeps
-   the entry another thread stored meanwhile, so every reader gets the
-   first stored result, and stores nothing once [size ()] reaches the
-   cap. *)
-let lookup sharing ~size ~hit ~miss find add tbl eval k =
-  let stored =
-    match sharing with
-    | Private -> find tbl k
-    | Shared { lock; _ } -> Mutex.protect lock (fun () -> find tbl k)
-  in
-  match stored with
-  | Some v ->
+let store m add tbl k v =
+  if m.stored < memo_cap then begin
+    add tbl k v;
+    m.stored <- m.stored + 1
+  end;
+  v
+
+(* One memo lookup. The lock covers only the table accesses, and a hit
+   allocates nothing; [eval] runs outside the lock. The insert keeps the
+   result another thread stored meanwhile, so every reader gets the first
+   stored result; it looks the key up again only if something was stored
+   since the first lookup. *)
+let lookup m ~hit ~miss find add tbl eval k =
+  Mutex.lock m.lock;
+  match find tbl k with
+  | v ->
+      Mutex.unlock m.lock;
       Obs.incr hit;
       v
-  | None -> (
+  | exception Not_found ->
+      let seen = m.stored in
+      Mutex.unlock m.lock;
       Obs.incr miss;
       let v = eval k in
-      match sharing with
-      | Private ->
-          add tbl k v;
-          v
-      | Shared { lock; cap } ->
-          Mutex.protect lock (fun () ->
-              match find tbl k with
-              | Some first -> first
-              | None ->
-                  if size () < cap then add tbl k v;
-                  v))
-
-(* [a] answering signature and transition reads from two tables, plus
-   the number of entries the tables hold. *)
-let with_memo sharing ~sig_counters:(sig_hit, sig_miss) ~step_counters:(step_hit, step_miss) a =
-  let sigs = Vtbl.create 64 and steps = Stbl.create 64 in
-  let size () = Vtbl.length sigs + Stbl.length steps in
-  let eval_step (q, act) = a.transition q act in
-  let signature q =
-    lookup sharing ~size ~hit:sig_hit ~miss:sig_miss Vtbl.find_opt Vtbl.add sigs a.signature q
-  in
-  let transition q act =
-    lookup sharing ~size ~hit:step_hit ~miss:step_miss Stbl.find_opt Stbl.add steps eval_step
-      (q, act)
-  in
-  ({ a with signature; transition; last = No_entry }, size)
+      Mutex.lock m.lock;
+      let v =
+        if m.stored = seen then store m add tbl k v
+        else match find tbl k with first -> first | exception Not_found -> store m add tbl k v
+      in
+      Mutex.unlock m.lock;
+      v
 
 let memoize a =
-  fst
-    (with_memo Private ~sig_counters:(c_sig_hit, c_sig_miss)
-       ~step_counters:(c_step_hit, c_step_miss) a)
+  match a.memo with
+  | Some _ -> a
+  | None ->
+      let m =
+        { lock = Mutex.create (); sigs = Vtbl.create 64; steps = Stbl.create 64; stored = 0 }
+      in
+      let sig_of = signature a and eval_step (q, act) = a.transition q act in
+      let signature q = lookup m ~hit:c_sig_hit ~miss:c_sig_miss Vtbl.find Vtbl.add m.sigs sig_of q in
+      let transition q act =
+        lookup m ~hit:c_step_hit ~miss:c_step_miss Stbl.find Stbl.add m.steps eval_step (q, act)
+      in
+      { a with signature; transition; last = No_entry; memo = Some m }
 
-let shared_cap = 1 lsl 16
-
-type shared = { s_psioa : t; s_size : unit -> int; s_lock : Mutex.t }
-
-let share a =
-  let lock = Mutex.create () in
-  let counters = (c_shared_hit, c_shared_miss) in
-  let s_psioa, s_size =
-    with_memo (Shared { lock; cap = shared_cap }) ~sig_counters:counters ~step_counters:counters a
-  in
-  { s_psioa; s_size; s_lock = lock }
-
-let shared_psioa s = s.s_psioa
-let shared_entries s = Mutex.protect s.s_lock s.s_size
+let memo_entries a = match a.memo with Some m -> m.stored | None -> 0
 
 (* Breadth-first exploration of the support graph, in visit order. The
    second component reports whether [max_states] cut the exploration: a

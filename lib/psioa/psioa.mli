@@ -70,41 +70,30 @@ val rename_auto : string -> t -> t
     starts with no last-evaluation entry. *)
 
 val memoize : t -> t
-(** Cache signature and transition lookups per state (ablation A2). The
+(** Cache signature and transition lookups per state (ablation A2). One
+    memo per automaton: [memoize m] returns [m] itself when [m] is
+    memoized already (or a {!rename_auto} of one), so a model memoized
+    once (the daemon's registry) serves every run that reads it. The
     result is observationally identical, and starts with no
-    last-evaluation entry of its own. The cache is a plain hashtable,
-    for one thread and with no bound; it hashes a state all the way
+    last-evaluation entry of its own.
+
+    Threads may share the memo. Each table access takes its one mutex;
+    evaluations run outside it, so two threads that miss one key may both
+    evaluate it, and the first result stored is the one every reader
+    gets: one physical [Dist] per [(state, action)], sound by Def 2.1. A
+    missing signature is read through {!signature} of the wrapped
+    automaton, filling its last-evaluation entry. Past {!memo_cap}
+    entries nothing more is stored. The tables hash a state all the way
     down ({!Value.hash}). Counters [psioa.memo.sig.hit]/[miss] and
     [psioa.memo.step.hit]/[miss] count its lookups. *)
 
-type shared
-(** An automaton answering from a memo that threads share: the body of
-    {!memoize}, with a lock and a cap. *)
+val memo_cap : int
+(** Entries one {!memoize} memo stores, signatures and transitions
+    together: [65_536] ([2^16]). *)
 
-val shared_cap : int
-(** Entries one {!shared} memo stores, signatures and transitions
-    together: [65_536] ([2^16]). Past it the memo stores nothing more;
-    a lookup that misses evaluates and returns the result, as an
-    unmemoized automaton would. *)
-
-val share : t -> shared
-(** Wrap an automaton in a shared memo, for a model that many requests
-    read (the daemon's registry). Each lookup and each insert takes the
-    memo's one mutex; a signature or transition is evaluated outside it,
-    so two threads that miss the same key may both evaluate it. The
-    first result stored is kept and the later one dropped, so every
-    reader sees one physical [Dist] per [(state, action)]: sound because
-    both are functions of their arguments (Def 2.1). Counters
-    [psioa.shared.hit]/[miss] count its lookups, both tables together. *)
-
-val shared_psioa : shared -> t
-(** The memoized automaton: observationally identical to the one given
-    to {!share}. Readers usually put a {!memoize} in front of it, as the
-    measure engine does per run, so that only the first lookup of a key
-    in a run takes the lock. *)
-
-val shared_entries : shared -> int
-(** The entries the memo stores, at most {!shared_cap}. *)
+val memo_entries : t -> int
+(** The entries the memo of a {!memoize} result stores, at most
+    {!memo_cap}; [0] for an automaton that is not memoized. *)
 
 val default_max_states : int
 (** The state cap of {!reachable} and {!reachable_trunc} when none is

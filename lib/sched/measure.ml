@@ -206,9 +206,9 @@ let expand_node auto choice_of (e, p) kids =
    the width budget, the exec budget. A raise from the scheduler surfaces
    at once, for the first failing entry in frontier order. *)
 let layer_loop ~compress ~track ?max_execs ?max_width ~from auto sched ~depth =
-  (* One run's view of the model: transitions cached per [(state,
-     action)], plus the validated-choice cache; its signature table serves
-     only the quotient's [sig_of]. The tables live only for the run. *)
+  (* Transitions cached per [(state, action)], plus the validated-choice
+     cache. A model memoized already (the daemon's registry) keeps its
+     one memo; otherwise the memo lives only for the run. *)
   let auto = Psioa.memoize auto in
   let choice_of = choice_fn auto sched in
   let quotient = quotient_on ~compress sched in
@@ -285,6 +285,11 @@ let layer_loop ~compress ~track ?max_execs ?max_width ~from auto sched ~depth =
 let run ?max_execs ?max_width ?(compress = `Off) ?track ?from auto sched ~depth =
   if depth < 0 then
     invalid_arg (Printf.sprintf "Measure: depth %d is negative" depth);
+  List.iter
+    (function
+      | name, Some n when n < 0 -> invalid_arg (Printf.sprintf "Measure: %s %d is negative" name n)
+      | _ -> ())
+    [ ("max_execs", max_execs); ("max_width", max_width) ];
   Trace.span "measure.exec_dist"
     ~args:(fun () ->
       ("depth", string_of_int depth)

@@ -59,7 +59,8 @@
     the frontier one layer at a time, applies the layer post-step — the
     [`Quotient] merge, then the [?max_width] budget, then the [?max_execs]
     budget — and can resume from a previously returned frontier
-    ({!exec_dist_frontier}). A negative [depth] raises [Invalid_argument].
+    ({!exec_dist_frontier}). A negative [depth] or budget raises
+    [Invalid_argument] naming it.
 
     The frontier is kept in ascending {!Exec.compare} order by
     construction. Each child extends its parent's cone, a node's children
@@ -75,13 +76,15 @@
     Every run memoizes: transitions are cached per [(state, action)]
     across the cone frontier ({!Psioa.memoize}), and for
     {!Scheduler.is_memoryless} schedulers the validated choice is cached
-    keyed by [(length, last state)]. The memoized copy caches signatures
-    too, but only the [`Quotient] merge reads them: schedulers and
+    keyed by [(length, last state)] for the call. A memoized model (the
+    daemon's registry) is used as it is, so its memo outlives the call.
+    Any other automaton is memoized for the call alone, and only the
+    [`Quotient] merge reads the copy's signatures: schedulers and
     insights read the automaton they were built over, whose last
     signature {!Psioa.signature} keeps. ([cdse_cli measure --workload
     random --seed 1 --depth 5 --stats] counts [psioa.memo.sig.*] reads 0
     times under [`Off] and 1 455 times under [`Quotient]; every E18
-    point reads them 0 times.) Caches live only for the call.
+    point reads them 0 times.)
 
     {2 Determinism contract}
 

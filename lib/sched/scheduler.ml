@@ -99,15 +99,11 @@ let oblivious_local a script =
         | `Output | `Internal -> Dist.dirac ~compare:Action.compare act
         | `Input | `Absent -> empty_choice)
 
-(* The bound is carried in the name so that is_bounded can recover it
-   without an extra record field leaking into every scheduler. *)
 let bounded b s =
   { name = Printf.sprintf "bounded[%d] %s" b s.name;
     memoryless = s.memoryless;
     validated = s.validated;
     choose = (fun e -> if Exec.length e >= b then empty_choice else s.choose e) }
-
-let is_bounded s = Scanf.sscanf_opt s.name "bounded[%d]" (fun b -> b)
 
 (* The signature is only computed when the choice is non-empty (halting
    choices dominate the cone frontier's leaves), and membership is checked

@@ -89,10 +89,8 @@ val oblivious_local : Psioa.t -> Action.t list -> t
 
 val bounded : int -> t -> t
 (** Definition 4.6: [bounded b σ] halts on every fragment with [|α| ≥ b],
-    so it never executes more than [b] actions. *)
-
-val is_bounded : t -> int option
-(** The bound recorded by {!bounded}, if any. *)
+    so it never executes more than [b] actions. Its name is [σ]'s,
+    prefixed with [bounded[b]]. *)
 
 val validate_choice : Psioa.t -> t -> Exec.t -> Action.t Dist.t
 (** [choose] with the Definition 3.1 support condition enforced; raises

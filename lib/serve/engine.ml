@@ -11,7 +11,7 @@ let c_resume = Obs.counter "serve.cache.resume"
 
 type t = {
   cache : Cache.t;
-  models : (string, Psioa.shared) Hashtbl.t;
+  models : (string, Psioa.t) Hashtbl.t;
   models_mutex : Mutex.t;
 }
 
@@ -27,21 +27,21 @@ let model t spec =
   match Hashtbl.find_opt t.models key with
   | Some m ->
       Obs.incr c_model_hit;
-      Psioa.shared_psioa m
+      m
   | None ->
       Obs.incr c_model_miss;
       (* Built under the lock: elaboration is cheap (small generators)
          and this guarantees one automaton per spec, which downstream
          memo tables key on physically. A spec whose elaboration raises
-         releases the lock and registers nothing. The shared memo keeps
-         the model's transitions across requests. *)
-      let m = Psioa.share (Protocol.build_model spec) in
+         releases the lock and registers nothing. Every run reads this
+         one memo, so it keeps the model's transitions across requests. *)
+      let m = Psioa.memoize (Protocol.build_model spec) in
       Hashtbl.add t.models key m;
-      Psioa.shared_psioa m
+      m
 
 let memo_entries t =
   Mutex.protect t.models_mutex @@ fun () ->
-  Hashtbl.fold (fun _ m n -> n + Psioa.shared_entries m) t.models 0
+  Hashtbl.fold (fun _ m n -> n + Psioa.memo_entries m) t.models 0
 
 type measure_result = {
   m_dist : Exec.t Dist.t;

@@ -20,16 +20,17 @@ val create : ?cache_cap:int -> ?domains:int -> unit -> t
 val model : t -> Protocol.model -> Psioa.t
 (** Hash-consed spec elaboration: the first request for a spec builds the
     automaton ([serve.model.miss]), later ones reuse it
-    ([serve.model.hit]). The registry keeps each automaton wrapped in a
-    {!Psioa.share} memo, so a transition one request evaluated is read
-    back by every later request on the same model, up to
-    {!Psioa.shared_cap} entries per model. A spec whose elaboration
-    raises re-raises to the caller and leaves the registry as it was,
-    usable from every thread. *)
+    ([serve.model.hit]). The registry keeps each automaton wrapped in
+    {!Psioa.memoize}, and every run on the model reads that one memo (the
+    measure engine's own {!Psioa.memoize} leaves it as it is), so a
+    signature or transition one request evaluated is read back by every
+    later request on the same model, up to {!Psioa.memo_cap} entries per
+    model. A spec whose elaboration raises re-raises to the caller and
+    leaves the registry as it was, usable from every thread. *)
 
 val memo_entries : t -> int
-(** The entries the registered models' shared memos store, summed over
-    the models. *)
+(** The entries the registered models' memos store, summed over the
+    models. *)
 
 type measure_result = {
   m_dist : Exec.t Dist.t;

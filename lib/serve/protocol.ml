@@ -112,6 +112,11 @@ let get_opt_int ?id ?(prefix = "") ~field obj =
       | Some i -> Some i
       | None -> bad ?id (prefix ^ field) "expected an integer")
 
+(* Below [lo], elaboration or the engine fails naming no field. *)
+let at_least ~id field lo n =
+  if n < lo then bad ~id field (Printf.sprintf "must be at least %d" lo);
+  n
+
 let get_obj ~id ~field obj =
   match Json.member field obj with
   | None -> bad ~id field "required object field is missing"
@@ -120,7 +125,9 @@ let get_obj ~id ~field obj =
 
 let parse_model ~id obj =
   let m = get_obj ~id ~field:"model" obj in
-  let int_f ?default field = get_int ~id ~prefix:"model." ~field ?default m in
+  let int_f ?default ?(min = min_int) field =
+    at_least ~id ("model." ^ field) min (get_int ~id ~prefix:"model." ~field ?default m)
+  in
   match get_str ~id ~prefix:"model." ~field:"kind" m with
   | "coin" ->
       let p =
@@ -128,7 +135,8 @@ let parse_model ~id obj =
         | None -> Rat.half
         | Some (Json.Str s) -> (
             match Rat.of_string s with
-            | r -> r
+            | r when Rat.is_proper_prob r -> r
+            | _ -> bad ~id "model.p" "must lie in [0, 1]"
             | exception _ -> bad ~id "model.p" "not a rational (\"1/2\")")
         | Some _ -> bad ~id "model.p" "expected a rational string"
       in
@@ -139,23 +147,23 @@ let parse_model ~id obj =
       Random_auto
         {
           seed = int_f "seed";
-          states = int_f ~default:6 "states";
-          actions = int_f ~default:4 "actions";
-          branching = int_f ~default:2 "branching";
+          states = int_f ~default:6 ~min:0 "states";
+          actions = int_f ~default:4 ~min:1 "actions";
+          branching = int_f ~default:2 ~min:1 "branching";
         }
   | "random_pca" ->
       Random_pca
         {
           seed = int_f "seed";
-          members = int_f ~default:4 "members";
+          members = int_f ~default:4 ~min:1 "members";
           faults = get_bool ~id ~prefix:"model." ~field:"faults" ~default:false m;
         }
   | "faulty_channel" -> Faulty_channel { seed = int_f "seed" }
   | "committee" ->
       Committee
         {
-          validators = int_f ~default:3 "validators";
-          blocks = int_f ~default:2 "blocks";
+          validators = int_f ~default:3 ~min:0 "validators";
+          blocks = int_f ~default:2 ~min:0 "blocks";
         }
   | k ->
       bad ~id "model.kind"
@@ -204,8 +212,8 @@ let parse_query ~id obj =
     q_sched;
     q_depth;
     q_compress;
-    q_max_execs = get_opt_int ~id ~field:"max_execs" obj;
-    q_max_width = get_opt_int ~id ~field:"max_width" obj;
+    q_max_execs = Option.map (at_least ~id "max_execs" 0) (get_opt_int ~id ~field:"max_execs" obj);
+    q_max_width = Option.map (at_least ~id "max_width" 0) (get_opt_int ~id ~field:"max_width" obj);
   }
 
 let parse_request line =

@@ -54,7 +54,10 @@
     reply has no tag or lost mass, so a budget would make it a silent
     lower bound. A [reach] whose "state" is not a bit string that decodes
     to a value ([Value.of_bits]) gets a [protocol] error naming
-    ["state"]. *)
+    ["state"]. So does a field below its lower bound: 0 for ["depth"], ["max_execs"],
+    ["max_width"], ["states"], ["validators"] and ["blocks"], 1 for
+    ["actions"], ["branching"] and ["members"]; and a ["p"] outside
+    [[0, 1]]. No field has an upper cap. *)
 
 open Cdse_prob
 open Cdse_psioa

@@ -164,8 +164,8 @@ let stats_json t =
           [
             ("hits", num (c "serve.model.hit"));
             ("misses", num (c "serve.model.miss"));
-            ("memo_hits", num (c "psioa.shared.hit"));
-            ("memo_misses", num (c "psioa.shared.miss"));
+            ("memo_hits", num (c "psioa.memo.sig.hit" + c "psioa.memo.step.hit"));
+            ("memo_misses", num (c "psioa.memo.sig.miss" + c "psioa.memo.step.miss"));
             ("memo_entries", num (Engine.memo_entries t.engine));
           ] );
       ("queued", num queued);

@@ -358,46 +358,46 @@ let test_step_not_enabled () =
      Alcotest.fail "expected Not_enabled"
    with Psioa.Not_enabled { automaton; _ } -> Alcotest.(check string) "name" "c" automaton)
 
+(* A memoized automaton answers as the original does, and memoizing it
+   again returns it as it is: one memo per automaton. *)
 let test_memoize_equivalent () =
   let c = Fixtures.channel "ch" in
+  let m = Psioa.memoize c in
   List.iter
-    (fun m ->
-      List.iter
-        (fun q ->
-          Alcotest.(check bool) "sig equal" true
-            (Sigs.equal (Psioa.signature c q) (Psioa.signature m q));
-          Action_set.iter
-            (fun a ->
-              let d1 = Psioa.step c q a and d2 = Psioa.step m q a in
-              Alcotest.(check bool) "dist equal" true (Dist.equal d1 d2))
-            (Psioa.enabled c q))
-        (Psioa.reachable c))
-    [ Psioa.memoize c; Psioa.shared_psioa (Psioa.share c) ]
+    (fun q ->
+      Alcotest.(check bool) "sig equal" true
+        (Sigs.equal (Psioa.signature c q) (Psioa.signature m q));
+      Action_set.iter
+        (fun a ->
+          let d1 = Psioa.step c q a and d2 = Psioa.step m q a in
+          Alcotest.(check bool) "dist equal" true (Dist.equal d1 d2))
+        (Psioa.enabled c q))
+    (Psioa.reachable c);
+  Alcotest.(check bool) "a memoized automaton is memoized once" true (Psioa.memoize m == m)
 
-(* [Psioa.share] keeps the first result stored for a key. The first
+(* [Psioa.memoize] keeps the first result stored for a key. The first
    evaluation of the coin's flip reads the same key through the memo
    before it returns, so that nested read stores first; the outer
    evaluation then returns the nested one's result, not its own equal
    copy, and so does every later read. *)
-let test_share_first_stored_wins () =
+let test_memoize_first_stored_wins () =
   let c = Fixtures.coin "c" in
   let flip = act "c.flip" and q = Psioa.start c in
-  let shared = ref None and entered = ref false and nested = ref None in
+  let memo = ref None and entered = ref false and nested = ref None in
   let transition q' a =
     if not !entered then begin
       entered := true;
-      nested := Psioa.transition (Psioa.shared_psioa (Option.get !shared)) q' a
+      nested := Psioa.transition (Option.get !memo) q' a
     end;
     Option.map (Dist.map ~compare:Value.compare Fun.id) (Psioa.transition c q' a)
   in
-  let s = Psioa.share (Psioa.make ~name:"c" ~start:q ~signature:(Psioa.signature c) ~transition) in
-  shared := Some s;
-  let m = Psioa.shared_psioa s in
+  let m = Psioa.memoize (Psioa.make ~name:"c" ~start:q ~signature:(Psioa.signature c) ~transition) in
+  memo := Some m;
   let outer = Psioa.transition m q flip in
   Alcotest.(check bool) "the overtaken evaluation returns the stored result" true
     (Option.is_some outer && outer == !nested);
   Alcotest.(check bool) "a later read returns it too" true (Psioa.transition m q flip == outer);
-  Alcotest.(check int) "one entry" 1 (Psioa.shared_entries s)
+  Alcotest.(check int) "one entry" 1 (Psioa.memo_entries m)
 
 let test_universal_actions () =
   let c = Fixtures.coin "c" in
@@ -894,8 +894,8 @@ let () =
           Alcotest.test_case "reachable limits" `Quick test_reachable_limit;
           Alcotest.test_case "step not enabled" `Quick test_step_not_enabled;
           Alcotest.test_case "memoize equivalent" `Quick test_memoize_equivalent;
-          Alcotest.test_case "share keeps the first stored result" `Quick
-            test_share_first_stored_wins;
+          Alcotest.test_case "memoize keeps the first stored result" `Quick
+            test_memoize_first_stored_wins;
           Alcotest.test_case "universal actions" `Quick test_universal_actions;
           Alcotest.test_case "universal actions refuse a cut sweep" `Quick
             test_universal_actions_refuse_cut_sweep ] );

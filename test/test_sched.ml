@@ -34,7 +34,6 @@ let test_halt_scheduler () =
 let test_bounded_scheduler () =
   let c = Fixtures.coin "c" in
   let s = Scheduler.bounded 2 (Scheduler.first_enabled c) in
-  Alcotest.(check (option int)) "bound recorded" (Some 2) (Scheduler.is_bounded s);
   let heads = Value.tag "heads" Value.unit in
   let e2 =
     Exec.extend (Exec.extend (Exec.init (Psioa.start c)) (act "c.flip") heads) (act "c.heads") heads
@@ -332,7 +331,8 @@ let test_stability_by_composition () =
 
 (* The layer loop stops at [step = depth], so on an automaton that never
    halts a negative depth would expand forever; the engine and the sampler
-   reject it instead. *)
+   reject it instead. The engine rejects a negative budget too, naming
+   it. *)
 let test_negative_depth_rejected () =
   let tick = act "t.tick" in
   let forever =
@@ -349,7 +349,14 @@ let test_negative_depth_rejected () =
   in
   rejected "exec_dist" (fun () -> ignore (Measure.exec_dist forever sched ~depth:(-1)));
   rejected "sample_exec" (fun () ->
-      ignore (Measure.sample_exec forever sched ~rng:(Rng.make 1) ~depth:(-1)))
+      ignore (Measure.sample_exec forever sched ~rng:(Rng.make 1) ~depth:(-1)));
+  let budget name = Invalid_argument (Printf.sprintf "Measure: %s -5 is negative" name) in
+  Alcotest.check_raises "exec_dist_budgeted ~max_execs:(-5)" (budget "max_execs") (fun () ->
+      ignore (Measure.exec_dist_budgeted ~max_execs:(-5) forever sched ~depth:3));
+  Alcotest.check_raises "exec_dist_budgeted ~max_width:(-5)" (budget "max_width") (fun () ->
+      ignore (Measure.exec_dist_budgeted ~max_width:(-5) forever sched ~depth:3));
+  Alcotest.check_raises "reach_prob_budgeted ~max_execs:(-5)" (budget "max_execs") (fun () ->
+      ignore (Measure.reach_prob_budgeted ~max_execs:(-5) forever sched ~depth:3 ~pred:(fun _ -> true)))
 
 let test_sample_exec_in_cone () =
   (* Every sampled execution has positive exact cone probability. *)
@@ -422,8 +429,16 @@ let test_schema_standard () =
   let c = Fixtures.coin "c" in
   let scheds = Schema.instantiate (Schema.standard ~bound:3) c in
   Alcotest.(check int) "three schedulers" 3 (List.length scheds);
+  (* The coin repeats its outcome forever, so only the bound halts it. *)
+  let heads = Value.tag "heads" Value.unit in
+  let e2 =
+    Exec.extend (Exec.extend (Exec.init (Psioa.start c)) (act "c.flip") heads) (act "c.heads") heads
+  in
+  let e3 = Exec.extend e2 (act "c.heads") heads in
   List.iter
-    (fun s -> Alcotest.(check (option int)) "bounded" (Some 3) (Scheduler.is_bounded s))
+    (fun s ->
+      Alcotest.(check bool) "active below the bound" true (Dist.size (s.Scheduler.choose e2) > 0);
+      Alcotest.(check int) "halts at the bound" 0 (Dist.size (s.Scheduler.choose e3)))
     scheds
 
 let test_schema_oblivious () =

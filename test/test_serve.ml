@@ -251,6 +251,29 @@ let test_malformed_requests () =
       Alcotest.(check (pair string string))
         "retired compression level" ("protocol", "compress")
         (error_field (measure [ ("compress", Json.Str "hcons") ]));
+      (* Out-of-range fields are refused by name, not left to the
+         generators or the engine to fail on. *)
+      List.iter
+        (fun (field, extra) ->
+          Alcotest.(check (pair string string))
+            ("negative " ^ field) ("protocol", field)
+            (error_field (measure extra)))
+        [ ("max_width", [ ("max_width", Json.Num (-1.)) ]);
+          ("max_execs", [ ("max_execs", Json.Num (-5.)) ]) ];
+      List.iter
+        (fun (field, model) ->
+          Alcotest.(check (pair string string))
+            ("out-of-range " ^ field) ("protocol", field)
+            (error_field (measure ~model:(Json.Obj model) [])))
+        [ ("model.members", [ ("kind", Json.Str "random_pca"); ("seed", Json.Num 1.); ("members", Json.Num 0.) ]);
+          ("model.members", [ ("kind", Json.Str "random_pca"); ("seed", Json.Num 1.); ("members", Json.Num (-3.)) ]);
+          ("model.actions", [ ("kind", Json.Str "random_auto"); ("seed", Json.Num 1.); ("actions", Json.Num 0.) ]);
+          ("model.branching", [ ("kind", Json.Str "random_auto"); ("seed", Json.Num 1.); ("branching", Json.Num 0.) ]);
+          ("model.states", [ ("kind", Json.Str "random_auto"); ("seed", Json.Num 1.); ("states", Json.Num (-2.)) ]);
+          ("model.validators", [ ("kind", Json.Str "committee"); ("validators", Json.Num (-1.)) ]);
+          ("model.blocks", [ ("kind", Json.Str "committee"); ("blocks", Json.Num (-1.)) ]);
+          ("model.p", [ ("kind", Json.Str "coin"); ("p", Json.Str "3/2") ]);
+          ("model.p", [ ("kind", Json.Str "coin"); ("p", Json.Str "-1/2") ]) ];
       Client.send_line c {|{"id":5e18,"op":"ping"}|};
       let r = Client.reply_of_line (Client.recv_line c) in
       Alcotest.(check (pair (option int) string))
@@ -796,7 +819,7 @@ let test_concurrent_clients () =
       Alcotest.(check int) "all concurrent replies bit-identical" 0
         (Atomic.get failures))
 
-(* A model whose shared memo is full still answers. The counter reaches
+(* A model whose memo is full still answers. The counter reaches
    one new state per step, and its signature and transition there are
    two entries, so one run a little deeper than half the cap fills the
    memo. Later requests on the model, deeper (a frontier resume past the
@@ -804,7 +827,7 @@ let test_concurrent_clients () =
    in-process run does, and the memo stores nothing more. *)
 let test_engine_memo_cap () =
   let engine = Engine.create () in
-  let cap = Psioa.shared_cap in
+  let cap = Psioa.memo_cap in
   let model = Protocol.Counter { bound = cap } in
   let query ?bound depth =
     {
@@ -835,6 +858,39 @@ let test_engine_memo_cap () =
   let state = Value.to_bits (Exec.lstate (List.hd (Dist.support (fresh q)))) in
   Alcotest.(check string) "reach past a full memo" "1" (Rat.to_string (fst (Engine.reach engine q ~state)));
   Alcotest.(check int) "the memo stays at its cap after a reach" cap (Engine.memo_entries engine)
+
+(* Through the registry a composite composes its signatures as often as
+   in process: the model's memo reads a missing signature through the
+   composite's last-evaluation entry, which the composite's transitions
+   read too. A second request on the model composes none. *)
+let test_engine_composes_as_in_process () =
+  let model = Protocol.Faulty_channel { seed = 4 } in
+  let sched = { Protocol.s_kind = Protocol.First_enabled; s_fault_budget = None; s_bound = None } in
+  let query depth =
+    {
+      Protocol.q_model = model;
+      q_sched = sched;
+      q_depth = depth;
+      q_compress = `Off;
+      q_max_execs = None;
+      q_max_width = None;
+    }
+  in
+  let composes f =
+    let _, snap = Cdse_obs.Obs.with_stats f in
+    List.assoc "sigs.compose" snap.Cdse_obs.Obs.s_counters
+  in
+  let in_process =
+    composes (fun () ->
+        let auto = Protocol.build_model model in
+        ignore (Measure.exec_dist auto (Protocol.build_sched auto sched) ~depth:7))
+  in
+  Alcotest.(check bool) "the in-process run composes" true (in_process > 0);
+  let engine = Engine.create () in
+  Alcotest.(check int) "a first request composes as in process" in_process
+    (composes (fun () -> ignore (Engine.measure engine (query 7))));
+  Alcotest.(check int) "a second request composes none" 0
+    (composes (fun () -> ignore (Engine.measure engine (query 6))))
 
 (* ----------------------------------------------------------- shutdown *)
 
@@ -1022,6 +1078,8 @@ let () =
           Alcotest.test_case "budgeted reach refused in-process" `Quick
             test_engine_reach_refuses_budget;
           Alcotest.test_case "a full model memo still answers" `Quick test_engine_memo_cap;
+          Alcotest.test_case "composes as often as in process" `Quick
+            test_engine_composes_as_in_process;
           Alcotest.test_case "create accepts only ~domains:1" `Quick
             test_engine_domains_only_one;
         ] );
